@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: all check build vet test race bench bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
+.PHONY: all check build vet test race bench-test bench bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
 
 all: check
 
 # Default verify entry point: formatting, vet, build, the full suite under
 # the race detector, a short fuzz pass over the committed corpora, the
-# coverage gate on the classification-engine packages, and four end-to-end
+# coverage gate on the classification-engine packages, the benchmark
+# module's build and unit tests (bench-test), and four end-to-end
 # smokes with the real binaries: the single-server load harness
 # (loadgen-smoke), the sharded fleet behind briq-gateway including a
 # replica kill (gateway-smoke), the persistent aligned-corpus store across
@@ -14,7 +15,7 @@ all: check
 # fingerprint reuse (ingest-smoke). The runtime pool, serving layer,
 # server handlers and AlignAll fan-out are concurrency-bearing, so a
 # non-race test run is not a complete check.
-check: fmt-check vet build race fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
+check: fmt-check vet build race bench-test fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,14 @@ test: build vet
 # timeout, so the race target sets its own.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The benchmark under bench/ is its own Go module importing the root
+# packages (core, filter, document, serve, store, ingest, ...), so `go build
+# ./...` at the root never compiles it. This target builds it and runs its
+# unit tests (-short skips the end-to-end smoke), so a root change that
+# breaks the benchmark's build fails make check.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # Hot-path benchmark harness: runs the workload in cmd/briq-bench (CSR vs
 # frozen reference, equivalence-gated) and writes BENCH_pipeline.json.

@@ -58,6 +58,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,11 +71,11 @@ import (
 	"briq/internal/graph"
 	"briq/internal/ingest"
 	"briq/internal/obs"
-	"briq/internal/quantity"
 	"briq/internal/quantsearch"
 	"briq/internal/resolve"
 	brt "briq/internal/runtime"
 	"briq/internal/store"
+	"briq/internal/tagger"
 )
 
 // resolveInput is one document's resolution-stage input: the exact
@@ -120,9 +121,10 @@ type equivalence struct {
 }
 
 type report struct {
-	GeneratedAt string `json:"generated_at"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	Rounds      int    `json:"rounds"`
+	GeneratedAt string      `json:"generated_at"`
+	GoMaxProcs  int         `json:"gomaxprocs"`
+	Rounds      int         `json:"rounds"`
+	Machine     machineInfo `json:"machine"`
 
 	Workload workload `json:"workload"`
 
@@ -169,6 +171,35 @@ type report struct {
 	Ingest ingestSection `json:"ingest"`
 }
 
+// machineInfo records the hardware and toolchain a report was measured on,
+// so numbers from different reports are only compared like for like.
+type machineInfo struct {
+	CPU       string `json:"cpu"` // model name from /proc/cpuinfo; empty where unavailable
+	NumCPU    int    `json:"num_cpu"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	GoVersion string `json:"go_version"`
+}
+
+// currentMachine describes the machine the harness runs on.
+func currentMachine() machineInfo {
+	m := machineInfo{
+		NumCPU:    runtime.NumCPU(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		GoVersion: runtime.Version(),
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
+				m.CPU = strings.TrimSpace(value)
+				break
+			}
+		}
+	}
+	return m
+}
+
 // ingestSection is the streaming-ingestion block of the report. The cold
 // side ingests the corpus into a fresh engine (every document goes through
 // classify/filter/resolve); the re-ingest side streams the identical corpus
@@ -197,9 +228,14 @@ type ingestSection struct {
 // corpus), and DecisionsIdentical asserts the gated align path's output is
 // byte-identical to the ungated reference path's.
 type classifySection struct {
-	DocumentsChecked   int  `json:"documents_checked"`
-	PairsChecked       int  `json:"pairs_checked"`
-	PairsGated         int  `json:"pairs_gated"` // pairs the unit-compatibility gate skips
+	DocumentsChecked int `json:"documents_checked"`
+	PairsChecked     int `json:"pairs_checked"`
+	// The pre-classifier gate skips PairsGatedUnit + PairsGatedTag pairs:
+	// PairsGatedUnit are unit-incompatible, PairsGatedTag the remaining
+	// virtual-mention pairs whose aggregation differs from the tagger's
+	// prediction (filter.UnitPruned and filter.TagPruned, as in core).
+	PairsGatedUnit     int  `json:"pairs_gated_unit"`
+	PairsGatedTag      int  `json:"pairs_gated_tag"`
 	ScoresBitIdentical bool `json:"scores_bit_identical"`
 	DecisionsIdentical bool `json:"decisions_identical"`
 
@@ -209,12 +245,10 @@ type classifySection struct {
 	TrainedScorePairs comparison `json:"trained_score_pairs"`
 
 	// Cold end-to-end alignment throughput of the default pipeline: the
-	// engine path (batch + gate) against the in-run reference classify path
-	// over the same corpus. EngineColdDocsPerSec is the number ROADMAP item 1
-	// targets at ≥5x the previously committed cold baseline (~37–39 docs/sec
-	// on the reference hardware); note the in-run reference also benefits
-	// from the per-mention feature hoists, so ColdSpeedup understates the
-	// gain over that committed baseline.
+	// engine path (batch + unit and tag gates + lazy table-mention
+	// preparation) against the in-run reference path (pointer-tree classify,
+	// no gate) over the same corpus. The reference shares the per-mention
+	// feature hoists, so ColdSpeedup isolates the batch engine and the gate.
 	EngineColdNsPerCorpus    float64 `json:"engine_cold_ns_per_corpus"`
 	EngineColdDocsPerSec     float64 `json:"engine_cold_docs_per_sec"`
 	ReferenceColdNsPerCorpus float64 `json:"reference_cold_ns_per_corpus"`
@@ -299,6 +333,7 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	var rep report
 	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
+	rep.Machine = currentMachine()
 	rep.Rounds = rounds
 	rep.Workload = workload{Seed: seed, Pages: pages, RWRWorkers: cfg.RWRWorkers}
 	rep.Benchmarks = make(map[string]comparison)
@@ -688,19 +723,23 @@ func measureClassify(rounds int, base *core.Pipeline, c *corpus.Corpus, docs []*
 		if !bytes.Equal(gotJSON, wantJSON) {
 			return out, fmt.Errorf("classify gate: doc %s: gated engine alignments differ from reference", doc.ID)
 		}
+		tags := tagger.TagAll(tp.Tagger, doc)
 		for xi := range doc.TextMentions {
 			x := &doc.TextMentions[xi]
 			for _, tm := range doc.TableMentions {
-				if x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit) {
-					out.PairsGated++
+				switch {
+				case filter.UnitPruned(x, tm):
+					out.PairsGatedUnit++
+				case filter.TagPruned(tm, tags[xi]):
+					out.PairsGatedTag++
 				}
 			}
 		}
 	}
 	out.DecisionsIdentical = true
 	out.DocumentsChecked = len(docs)
-	fmt.Printf("classify gate: %d pairs bit-identical, alignments identical on %d documents (%d pairs gated)\n",
-		out.PairsChecked, out.DocumentsChecked, out.PairsGated)
+	fmt.Printf("classify gate: %d pairs bit-identical, alignments identical on %d documents (%d pairs gated on units, %d on tags)\n",
+		out.PairsChecked, out.DocumentsChecked, out.PairsGatedUnit, out.PairsGatedTag)
 
 	// Trained classify stage alone, per document.
 	out.TrainedScorePairs = compare(rounds,

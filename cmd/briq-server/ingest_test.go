@@ -206,3 +206,60 @@ func TestIngestStreamEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestRecordsStageHistograms: documents realigned through POST
+// /v1/ingest run on the ingestor's own worker pool, and /metrics must still
+// count them under stages. One ingest that realigns N documents grows
+// stages.classify.count by exactly N, and a repeated scrape without traffic
+// reads the same count — the cumulative pool recorders are never merged
+// into the server's recorder twice.
+func TestIngestRecordsStageHistograms(t *testing.T) {
+	srv := newTestServer()
+	classifyCount := func() float64 {
+		t.Helper()
+		rec := do(t, srv, http.MethodGet, "/v1/metrics", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/metrics: %d: %s", rec.Code, rec.Body.String())
+		}
+		var snap struct {
+			Stages map[string]struct {
+				Count float64 `json:"count"`
+			} `json:"stages"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Stages["classify"].Count
+	}
+
+	before := classifyCount()
+	cfg := corpus.TableSConfig(29)
+	cfg.Pages = 3
+	var lines []string
+	for _, pg := range corpus.Generate(cfg).Pages {
+		line, _ := json.Marshal(ingestLine{PageID: pg.ID, HTML: pg.HTML()})
+		lines = append(lines, string(line))
+	}
+	rec := do(t, srv, http.MethodPost, "/v1/ingest", strings.Join(lines, "\n"))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
+	}
+	realigned := 0
+	for _, r := range decodeIngestLines(t, rec.Body.String()) {
+		if r.Error != "" {
+			t.Fatalf("page %s: %s", r.PageID, r.Error)
+		}
+		realigned += r.Realigned
+	}
+	if realigned == 0 {
+		t.Fatal("ingest realigned no documents; the stage check is vacuous")
+	}
+
+	after := classifyCount()
+	if got := after - before; got != float64(realigned) {
+		t.Fatalf("stages.classify.count grew by %v after ingest, want %d (documents realigned)", got, realigned)
+	}
+	if again := classifyCount(); again != after {
+		t.Fatalf("stages.classify.count moved from %v to %v between scrapes with no traffic", after, again)
+	}
+}

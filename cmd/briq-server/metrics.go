@@ -5,6 +5,7 @@ import (
 
 	"briq/internal/api"
 	"briq/internal/core"
+	"briq/internal/ingest"
 	"briq/internal/obs"
 )
 
@@ -38,14 +39,22 @@ func newMetrics() *metrics {
 // snapshot is the GET /metrics response body. Changing its shape breaks the
 // golden schema test on purpose: update testdata/metrics_schema.golden in the
 // same commit as the dashboards that read it.
-func (m *metrics) snapshot() map[string]any {
+//
+// The stages section covers every alignment the server ran: the request
+// paths record into m.stages, and the ingestor's re-alignment pool into its
+// own per-worker recorders. Both are cumulative, so they are merged into a
+// fresh recorder on every scrape rather than into each other.
+func (m *metrics) snapshot(ing *ingest.Ingestor) map[string]any {
+	stages := obs.NewRecorder()
+	stages.Merge(m.stages)
+	ing.MergeStagesInto(stages)
 	return map[string]any{
 		"uptime_seconds": time.Since(m.start).Seconds(),
 		"requests":       m.requests.Snapshot(),
 		"errors":         m.errors.Snapshot(),
 		"batch":          m.batch.Snapshot(),
 		"ingest":         m.ingest.Snapshot(),
-		"stages":         m.stages.Snapshot(),
+		"stages":         stages.Snapshot(),
 		"handlers":       m.handlers.Snapshot(),
 	}
 }

@@ -522,7 +522,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeMethodNotAllowed, "GET only")
 		return
 	}
-	snap := s.metrics.snapshot()
+	snap := s.metrics.snapshot(s.ingestor)
 	snap["serving"] = s.pipeline.Gate.Counters() // nil-safe: full zeroed schema without a gate
 	snap["store"] = s.store.Counters()           // nil-safe: full zeroed schema without a store
 	snap["model"] = map[string]string{"fingerprint": s.pipeline.Fingerprint()}

@@ -19,6 +19,7 @@ import (
 	"briq/internal/document"
 	"briq/internal/experiment"
 	"briq/internal/quantity"
+	"briq/internal/tagger"
 )
 
 var (
@@ -110,51 +111,78 @@ func TestHeuristicClassifyBitIdentical(t *testing.T) {
 	}
 }
 
-// gateablePairs counts the pairs of doc the pre-classifier gate skips:
-// units specified on both sides and incompatible.
-func gateablePairs(doc *document.Document) int {
-	n := 0
+// gateablePairs counts the pairs of doc the pre-classifier gate skips, by
+// reason: unit-incompatible (units specified on both sides and incompatible)
+// and tag-pruned (a virtual table mention whose aggregation differs from the
+// text mention's tag). A pair can be both.
+func gateablePairs(doc *document.Document, tags []quantity.Agg) (unit, tag int) {
 	for xi := range doc.TextMentions {
 		x := &doc.TextMentions[xi]
 		for _, tm := range doc.TableMentions {
 			if x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit) {
-				n++
+				unit++
+			}
+			if tm.IsVirtual() && tm.Agg != tags[xi] {
+				tag++
 			}
 		}
 	}
-	return n
+	return unit, tag
 }
 
 // TestGateDecisionIdentity: gate-on (the default align path), gate-off, and
 // the full reference path produce byte-identical alignments on every corpus
-// document — the gate may only skip work, never change a decision.
+// document — the gate may only skip work, never change a decision. It runs
+// under both the rule-based and the trained tagger, since the tag gate prunes
+// on whatever the configured tagger predicts.
 func TestGateDecisionIdentity(t *testing.T) {
-	c, p := eqFixture(t)
-
-	gateOff := *p
-	gateOff.NoClassifyGate = true
-	ref := referenceCopy(p)
-	ref.NoClassifyGate = true
-
-	gateable := 0
-	for _, doc := range c.Docs {
-		gated := p.Align(doc)
-		ungated := gateOff.Align(doc)
-		reference := ref.Align(doc)
-
-		g, _ := json.Marshal(gated)
-		u, _ := json.Marshal(ungated)
-		r, _ := json.Marshal(reference)
-		if string(g) != string(u) {
-			t.Fatalf("doc %s: gate-on alignments differ from gate-off:\n%s\nvs\n%s", doc.ID, g, u)
-		}
-		if string(g) != string(r) {
-			t.Fatalf("doc %s: engine alignments differ from reference:\n%s\nvs\n%s", doc.ID, g, r)
-		}
-		gateable += gateablePairs(doc)
+	c, trained := eqFixture(t)
+	learned, ok := trained.Tagger.(*tagger.Learned)
+	if !ok {
+		t.Fatalf("trained pipeline tagger is %T, want *tagger.Learned", trained.Tagger)
 	}
-	if gateable == 0 {
-		t.Fatal("no corpus pair is unit-incompatible; the gate test is vacuous")
+
+	for _, tc := range []struct {
+		name string
+		tag  tagger.Tagger
+	}{
+		{"rule", tagger.Rule{}},
+		{"learned", learned},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := *trained
+			p.Tagger = tc.tag
+			gateOff := p
+			gateOff.NoClassifyGate = true
+			ref := referenceCopy(&p)
+			ref.NoClassifyGate = true
+
+			unitGated, tagGated := 0, 0
+			for _, doc := range c.Docs {
+				gated := p.Align(doc)
+				ungated := gateOff.Align(doc)
+				reference := ref.Align(doc)
+
+				g, _ := json.Marshal(gated)
+				u, _ := json.Marshal(ungated)
+				r, _ := json.Marshal(reference)
+				if string(g) != string(u) {
+					t.Fatalf("doc %s: gate-on alignments differ from gate-off:\n%s\nvs\n%s", doc.ID, g, u)
+				}
+				if string(g) != string(r) {
+					t.Fatalf("doc %s: engine alignments differ from reference:\n%s\nvs\n%s", doc.ID, g, r)
+				}
+				unit, tag := gateablePairs(doc, tagger.TagAll(tc.tag, doc))
+				unitGated += unit
+				tagGated += tag
+			}
+			if unitGated == 0 {
+				t.Fatal("no corpus pair is unit-incompatible; the unit gate test is vacuous")
+			}
+			if tagGated == 0 {
+				t.Fatal("no corpus pair is tag-pruned; the tag gate test is vacuous")
+			}
+			t.Logf("gate skips %d unit-incompatible and %d tag-pruned pairs across the corpus", unitGated, tagGated)
+		})
 	}
-	t.Logf("gate skips %d pairs across the corpus", gateable)
 }

@@ -263,23 +263,32 @@ func NewPipeline() *Pipeline {
 // RF-only baseline threshold raw scores and must observe them even for pairs
 // the align path would discard.
 func (p *Pipeline) ScorePairs(doc *document.Document) []filter.Candidate {
-	return p.scorePairs(doc, false)
+	out, _ := p.scorePairs(doc, false)
+	return out
 }
 
 // scorePairs is the classify stage. With gated=true (the internal align
-// path), pairs whose units are specified on both sides and incompatible skip
-// f1–f12 feature computation entirely and keep a zero score: the filter stage
-// drops exactly those pairs unconditionally whatever their score (step 2 of
-// filter.Apply), and its mention-type vote and entropy read only survivors,
-// so gating is decision-identical to scoring everything. The candidate row
-// still exists, keeping filter counters unchanged.
+// path, unless NoClassifyGate is set) it first tags every text mention, then
+// skips f1–f12 feature computation entirely for two kinds of pairs, which
+// keep a zero score:
+//
+//   - tag-pruned: the table mention is virtual and its aggregation differs
+//     from the text mention's tag (step 1 of filter.Apply);
+//   - unit-pruned: units are specified on both sides and incompatible
+//     (step 2 of filter.Apply).
+//
+// The filter stage drops exactly those pairs whatever their score, and its
+// mention-type vote, entropy and top-k read only survivors, so gating is
+// decision-identical to scoring everything. The candidate row still exists,
+// keeping filter counters unchanged. The tags are returned so the filter
+// stage reuses them instead of tagging again; ungated calls return nil tags.
 //
 // Scoring itself runs through the frozen flat-array engine in batch — one
 // masked feature matrix, one scratch — unless ReferenceClassify is set or no
 // engine is available, in which case the per-pair pointer-tree reference path
 // runs. Both paths produce bit-identical scores (the equivalence suite pins
 // this), so callers cannot tell them apart except by speed.
-func (p *Pipeline) scorePairs(doc *document.Document, gated bool) []filter.Candidate {
+func (p *Pipeline) scorePairs(doc *document.Document, gated bool) ([]filter.Candidate, []quantity.Agg) {
 	ext := feature.NewExtractor(p.Features, doc)
 	n := len(doc.TextMentions) * len(doc.TableMentions)
 	local := p.local
@@ -304,16 +313,17 @@ func (p *Pipeline) scorePairs(doc *document.Document, gated bool) []filter.Candi
 	}
 
 	gated = gated && !p.NoClassifyGate
+	var tags []quantity.Agg
 	gateStart := time.Now()
+	if gated {
+		tags = tagger.TagAll(p.Tagger, doc)
+	}
 	for xi := range doc.TextMentions {
 		x := &doc.TextMentions[xi]
-		for ti := range doc.TableMentions {
-			if gated {
-				tm := doc.TableMentions[ti]
-				if x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit) {
-					out = append(out, filter.Candidate{Text: xi, Table: ti})
-					continue
-				}
+		for ti, tm := range doc.TableMentions {
+			if gated && (filter.TagPruned(tm, tags[xi]) || filter.UnitPruned(x, tm)) {
+				out = append(out, filter.Candidate{Text: xi, Table: ti})
+				continue
 			}
 			live = append(live, len(out))
 			out = append(out, filter.Candidate{Text: xi, Table: ti})
@@ -335,7 +345,7 @@ func (p *Pipeline) scorePairs(doc *document.Document, gated bool) []filter.Candi
 			c := &out[idx]
 			c.Score = p.score(ext.VectorInto(c.Text, c.Table, vec[:]))
 		}
-		return out
+		return out, tags
 	}
 
 	// Batch path: project each live pair's vector onto the mask into one
@@ -376,7 +386,7 @@ func (p *Pipeline) scorePairs(doc *document.Document, gated bool) []filter.Candi
 	if local != nil {
 		local.feats, local.scores, local.votes = feats, scores, votes
 	}
-	return out
+	return out, tags
 }
 
 // score maps a full feature vector to a pair confidence: the trained
@@ -424,14 +434,19 @@ func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]
 		return nil, err
 	}
 	start := alignStart
-	candidates := p.scorePairs(doc, true)
+	candidates, tags := p.scorePairs(doc, true)
 	rec.Observe(StageClassify, time.Since(start))
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	filtered := filter.Apply(p.FilterConfig, doc, p.Tagger, candidates)
+	var filtered filter.Result
+	if tags != nil {
+		filtered = filter.ApplyTagged(p.FilterConfig, doc, tags, candidates)
+	} else {
+		filtered = filter.Apply(p.FilterConfig, doc, p.Tagger, candidates)
+	}
 	rec.Observe(StageFilter, time.Since(start))
 
 	if err := ctx.Err(); err != nil {

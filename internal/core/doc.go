@@ -12,7 +12,14 @@
 // (filter.Apply), StageResolve (graph build + random walks) and StageAlign
 // (the whole per-document run) — to the pipeline's obs.Recorder when one is
 // set. A nil Recorder is a valid no-op, so instrumentation costs nothing
-// when unused. cmd/briq-server exposes these histograms over HTTP and
+// when unused.
+//
+// StageClassifyGate is the pre-classifier gate inside classify: it tags
+// every text mention and marks the pairs the filter drops whatever their
+// score. Tagging used to run inside filter.Apply and now reports here, so
+// per layer classify/gate rises while filter (and classify, which no longer
+// extracts features for gated pairs) falls. With NoClassifyGate set,
+// tagging stays in the filter stage. cmd/briq-server exposes these histograms over HTTP and
 // cmd/briq-bench writes them into BENCH_pipeline.json.
 //
 // # Concurrency contract

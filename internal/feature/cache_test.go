@@ -7,6 +7,7 @@ package feature
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"briq/internal/corpus"
@@ -162,4 +163,55 @@ func TestVectorDeterministicAcrossExtractors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLazyTableMentionPreparation pins the lazy per-mention preparation: an
+// extractor asked for a random subset of pairs, in random order, returns
+// vectors bit-identical to an extractor that touched every pair in order —
+// interner ids are assigned in a different order, which must not move any
+// value — and it never prepares a table mention no requested pair names.
+func TestLazyTableMentionPreparation(t *testing.T) {
+	c := corpus.Generate(corpus.TableLConfig(23, 5))
+	rng := rand.New(rand.NewSource(5))
+	requested, unprepared := 0, 0
+	for _, doc := range c.Docs {
+		full := NewExtractor(DefaultConfig(), doc)
+		want := make([][]float64, 0, len(doc.TextMentions)*len(doc.TableMentions))
+		for xi := range doc.TextMentions {
+			for ti := range doc.TableMentions {
+				want = append(want, full.Vector(xi, ti))
+			}
+		}
+
+		lazy := NewExtractor(DefaultConfig(), doc)
+		touched := make([]bool, len(doc.TableMentions))
+		dst := make([]float64, NumFeatures)
+		for _, k := range rng.Perm(len(want)) {
+			if rng.Intn(4) != 0 {
+				continue // about a quarter of the pair space is requested
+			}
+			xi, ti := k/len(doc.TableMentions), k%len(doc.TableMentions)
+			touched[ti] = true
+			requested++
+			got := lazy.VectorInto(xi, ti, dst)
+			for f := range got {
+				if math.Float64bits(got[f]) != math.Float64bits(want[k][f]) {
+					t.Fatalf("doc %s pair (%d,%d) feature %s: lazy %v, full sweep %v",
+						doc.ID, xi, ti, Names[f], got[f], want[k][f])
+				}
+			}
+		}
+		for ti, td := range lazy.tableData {
+			if touched[ti] != (td != nil) {
+				t.Fatalf("doc %s table mention %d: requested=%v but prepared=%v", doc.ID, ti, touched[ti], td != nil)
+			}
+			if td == nil {
+				unprepared++
+			}
+		}
+	}
+	if requested == 0 || unprepared == 0 {
+		t.Fatalf("vacuous: %d pairs requested, %d table mentions left unprepared", requested, unprepared)
+	}
+	t.Logf("%d pairs requested, %d table mentions never prepared", requested, unprepared)
 }

@@ -6,16 +6,22 @@
 //
 // # Per-document caches
 //
-// An Extractor scores every (text, table) pair of its document — |X|·|T|
-// vectors — so per-mention work must not be redone per pair. NewExtractor
-// precomputes, once per document:
+// An Extractor scores up to every (text, table) pair of its document —
+// |X|·|T| vectors — so per-mention work must not be redone per pair.
+// NewExtractor precomputes the text side (context bags, noun phrases,
+// normalized surfaces, f11/f12 per text mention) and the per-table f3/f5
+// constants. Each table mention is prepared on its first VectorInto and
+// cached from then on:
 //
-//   - normalized surface strings for both sides (text mentions in textNorm,
-//     table mentions in tableMentionData.normSurface) — virtual table
-//     mentions otherwise rebuild their surface on every Surface() call;
-//   - table-mention scale and precision, consumed by f9/f10;
-//   - column statistics and virtual-cell aggregates behind the remaining
-//     quantity features.
+//   - its normalized surface string (tableMentionData.normSurface) — virtual
+//     table mentions otherwise rebuild their surface on every Surface() call;
+//   - its scale and precision, consumed by f9/f10;
+//   - its row/column context bags and noun phrases, built per table line and
+//     shared by every mention on that line.
+//
+// The align path gates most virtual mentions out before classification, so
+// preparing lazily means those mentions cost nothing here. The order of
+// preparation does not change any value (see tableMention).
 //
 // Jaro–Winkler similarity (f1) is additionally memoized per string pair
 // (simMemo): distinct mentions frequently share a normalized surface, and

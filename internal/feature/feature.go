@@ -166,7 +166,13 @@ type Extractor struct {
 	approxOf   []float64        // f11 value per text mention
 	aggMatchOf [][]float64      // f12 value per text mention, indexed by Agg
 
-	tableData []tableMentionData // per table mention
+	// tableData holds each table mention's prepared context, nil until the
+	// mention's first VectorInto: the align path gates most virtual mentions
+	// out before classification, so they are never prepared at all. tables
+	// and lines are the document-scope caches the preparation reads.
+	tableData []*tableMentionData
+	tables    map[*table.Table]tableContext
+	lines     map[lineKey]lineContext
 
 	// intern maps context words to dense ids so the per-pair f2 overlap is a
 	// merge scan over sorted int32 slices instead of map probing; see
@@ -191,9 +197,31 @@ type Extractor struct {
 	simMemo map[int64]float64
 }
 
+// tableContext is the per-table global context: the table's bag of words
+// and noun phrases, and the f3/f5 overlaps against the document text.
+type tableContext struct {
+	bag     nlp.WeightedBag
+	nps     []string
+	overlap float64
+	phrases float64
+}
+
+// lineKey names one row or column of a table.
+type lineKey struct {
+	t   *table.Table
+	row bool
+	idx int
+}
+
+// lineContext is the interned bag of words and the noun phrases of one
+// table line, shared by every mention on that line.
+type lineContext struct {
+	bag nlp.IndexedBag
+	nps []string
+}
+
 type tableMentionData struct {
-	surface     string
-	normSurface string         // normalizeSurface(surface), computed once per mention
+	normSurface string         // normalizeSurface(tm.Surface()), computed once per mention
 	normID      int32          // surface id of normSurface in the extractor's interner
 	localIdx    nlp.IndexedBag // f2 right side: max-weight union of the mention's line bags
 	localPhr    nlp.IndexedPhrases
@@ -323,101 +351,100 @@ func (e *Extractor) cuedAggs(pos int) []quantity.Agg {
 	return out
 }
 
+// prepareTables caches the per-table global context. The f3/f5 overlaps
+// against the document text are per-table constants (prepareText has already
+// built the global bag and noun phrases), computed here once instead of per
+// pair. Per-mention data is left to tableMention.
 func (e *Extractor) prepareTables() {
-	// Cache per-table global context. The f3/f5 overlaps against the document
-	// text are also per-table constants (prepareText has already built the
-	// global bag and noun phrases), computed here once instead of per pair.
-	type tcache struct {
-		bag     nlp.WeightedBag
-		nps     []string
-		overlap float64
-		phrases float64
-	}
-	tables := map[*table.Table]tcache{}
+	e.tables = make(map[*table.Table]tableContext, len(e.doc.Tables))
 	for _, t := range e.doc.Tables {
 		content := t.Content()
 		bag := nlp.NewWeightedBag(nlp.Words(content))
 		nps := nlp.NounPhrases(content)
-		tables[t] = tcache{
+		e.tables[t] = tableContext{
 			bag:     bag,
 			nps:     nps,
 			overlap: nlp.OverlapCoefficient(e.globalBag, bag),
 			phrases: nlp.PhraseOverlap(e.globalNPs, nps),
 		}
 	}
+	e.tableData = make([]*tableMentionData, len(e.doc.TableMentions))
+	e.lines = map[lineKey]lineContext{}
+}
 
-	e.tableData = make([]tableMentionData, len(e.doc.TableMentions))
-	// Cache row/col contexts per table to avoid recomputation across
-	// mentions sharing lines.
-	type lineKey struct {
-		t   *table.Table
-		row bool
-		idx int
+// lineCtx returns the context of one table row or column, built on first
+// use and shared by every mention on that line.
+func (e *Extractor) lineCtx(t *table.Table, row bool, idx int) lineContext {
+	k := lineKey{t, row, idx}
+	if lc, ok := e.lines[k]; ok {
+		return lc
 	}
-	lineBags := map[lineKey]nlp.IndexedBag{}
-	lineNPs := map[lineKey][]string{}
-	lineCtx := func(t *table.Table, row bool, idx int) (nlp.IndexedBag, []string) {
-		k := lineKey{t, row, idx}
-		if bag, ok := lineBags[k]; ok {
-			return bag, lineNPs[k]
-		}
-		var ctx string
-		if row {
-			ctx = t.RowContext(idx)
-		} else {
-			ctx = t.ColContext(idx)
-		}
-		bag := nlp.IndexBag(nlp.NewWeightedBag(nlp.Words(ctx)), e.intern)
-		nps := nlp.NounPhrases(ctx)
-		lineBags[k], lineNPs[k] = bag, nps
-		return bag, nps
+	var ctx string
+	if row {
+		ctx = t.RowContext(idx)
+	} else {
+		ctx = t.ColContext(idx)
 	}
+	lc := lineContext{
+		bag: nlp.IndexBag(nlp.NewWeightedBag(nlp.Words(ctx)), e.intern),
+		nps: nlp.NounPhrases(ctx),
+	}
+	e.lines[k] = lc
+	return lc
+}
 
-	for i, tm := range e.doc.TableMentions {
-		tc := tables[tm.Table]
-		surface := tm.Surface()
-		data := tableMentionData{
-			surface:       surface,
-			normSurface:   normalizeSurface(surface),
-			tableBag:      tc.bag,
-			tableNPs:      tc.nps,
-			rawValue:      tm.Value,
-			scale:         tm.Scale(),
-			precision:     tm.Precision(),
-			globalOverlap: tc.overlap,
-			globalPhrases: tc.phrases,
-		}
-		if !tm.IsVirtual() {
-			if q := tm.Table.Cell(tm.Cells[0].Row, tm.Cells[0].Col).Quantity; q != nil {
-				data.rawValue = q.RawValue
-			}
-		}
-		// Local context: max-weight union of the mention's rows and columns,
-		// merged on the indexed form (bit-identical to merging WeightedBags
-		// through Add — see nlp.MergeIndexed).
-		var local nlp.IndexedBag
-		var nps []string
-		seenRow, seenCol := map[int]bool{}, map[int]bool{}
-		for _, ref := range tm.Cells {
-			if !seenRow[ref.Row] {
-				seenRow[ref.Row] = true
-				bag, ns := lineCtx(tm.Table, true, ref.Row)
-				local = nlp.MergeIndexed(local, bag)
-				nps = append(nps, ns...)
-			}
-			if !seenCol[ref.Col] {
-				seenCol[ref.Col] = true
-				bag, ns := lineCtx(tm.Table, false, ref.Col)
-				local = nlp.MergeIndexed(local, bag)
-				nps = append(nps, ns...)
-			}
-		}
-		data.localIdx = local
-		data.localNPs = nps
-		data.localPhr = e.phraseIn.IndexPhrases(nps)
-		data.normID = e.surfIn.ID(data.normSurface)
-		e.tableData[i] = data
+// tableMention returns the prepared data of table mention ti, preparing it
+// on first use. Preparation order does not change any feature value: the
+// interners assign ids in first-use order, but every float sum over interned
+// bags goes through the order-independent sumSorted and f4 is count
+// arithmetic.
+func (e *Extractor) tableMention(ti int) *tableMentionData {
+	if td := e.tableData[ti]; td != nil {
+		return td
 	}
+	tm := e.doc.TableMentions[ti]
+	tc := e.tables[tm.Table]
+	td := &tableMentionData{
+		normSurface:   normalizeSurface(tm.Surface()),
+		tableBag:      tc.bag,
+		tableNPs:      tc.nps,
+		rawValue:      tm.Value,
+		scale:         tm.Scale(),
+		precision:     tm.Precision(),
+		globalOverlap: tc.overlap,
+		globalPhrases: tc.phrases,
+	}
+	if !tm.IsVirtual() {
+		if q := tm.Table.Cell(tm.Cells[0].Row, tm.Cells[0].Col).Quantity; q != nil {
+			td.rawValue = q.RawValue
+		}
+	}
+	// Local context: max-weight union of the mention's rows and columns,
+	// merged on the indexed form (bit-identical to merging WeightedBags
+	// through Add — see nlp.MergeIndexed).
+	var local nlp.IndexedBag
+	var nps []string
+	seenRow, seenCol := map[int]bool{}, map[int]bool{}
+	for _, ref := range tm.Cells {
+		if !seenRow[ref.Row] {
+			seenRow[ref.Row] = true
+			lc := e.lineCtx(tm.Table, true, ref.Row)
+			local = nlp.MergeIndexed(local, lc.bag)
+			nps = append(nps, lc.nps...)
+		}
+		if !seenCol[ref.Col] {
+			seenCol[ref.Col] = true
+			lc := e.lineCtx(tm.Table, false, ref.Col)
+			local = nlp.MergeIndexed(local, lc.bag)
+			nps = append(nps, lc.nps...)
+		}
+	}
+	td.localIdx = local
+	td.localNPs = nps
+	td.localPhr = e.phraseIn.IndexPhrases(nps)
+	td.normID = e.surfIn.ID(td.normSurface)
+	e.tableData[ti] = td
+	return td
 }
 
 func wordsOf(toks []nlp.Token) []string {
@@ -438,12 +465,13 @@ func (e *Extractor) Vector(xi, ti int) []float64 {
 }
 
 // VectorInto computes the same vector as Vector into dst, which must have
-// length NumFeatures, and returns it. It performs no allocation, so the
-// classify hot loop can reuse one batch matrix across all pairs.
+// length NumFeatures, and returns it. The first call for a table mention
+// prepares that mention's context; after that it performs no allocation, so
+// the classify hot loop can reuse one batch matrix across all pairs.
 func (e *Extractor) VectorInto(xi, ti int, dst []float64) []float64 {
 	x := &e.doc.TextMentions[xi]
 	tm := e.doc.TableMentions[ti]
-	td := &e.tableData[ti]
+	td := e.tableMention(ti)
 
 	// f1: surface form similarity on the normalized strings (both sides
 	// normalized once per mention, the similarity memoized per string pair).

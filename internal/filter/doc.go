@@ -22,4 +22,9 @@
 // surface string on every Surface() call, so the memo removes the dominant
 // repeated cost of the stage. The memo is call-local, so Apply stays safe to
 // run concurrently on different documents.
+//
+// Step 1 and the unit check of step 2 never read the classifier score.
+// TagPruned and UnitPruned expose them, so the align path in package core
+// can skip classifying those pairs, and ApplyTagged takes the tags it
+// already computed instead of tagging every text mention again.
 package filter

@@ -7,6 +7,7 @@ import (
 	"briq/internal/document"
 	"briq/internal/mlmetrics"
 	"briq/internal/quantity"
+	"briq/internal/table"
 	"briq/internal/tagger"
 )
 
@@ -82,9 +83,30 @@ type Result struct {
 	Dropped int                  // number of pruned candidates
 }
 
+// TagPruned reports whether step 1 drops a pair of table mention tm with a
+// text mention tagged tag: the table mention is virtual and its aggregation
+// differs from the tag. The classifier score plays no part.
+func TagPruned(tm *table.Mention, tag quantity.Agg) bool {
+	return tm.IsVirtual() && tm.Agg != tag
+}
+
+// UnitPruned reports whether step 2 drops a pair whatever its classifier
+// score: units are specified on both sides and incompatible.
+func UnitPruned(x *quantity.Mention, tm *table.Mention) bool {
+	return x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit)
+}
+
 // Apply filters the candidates of one document. The tagger tags each text
 // mention; candidates must carry classifier scores.
 func Apply(cfg Config, doc *document.Document, tag tagger.Tagger, candidates []Candidate) Result {
+	return ApplyTagged(cfg, doc, tagger.TagAll(tag, doc), candidates)
+}
+
+// ApplyTagged is Apply with the tagger's predictions already computed:
+// tags[xi] is the predicted aggregation of text mention xi. The align path
+// tags once before classification, gates on the tags, and hands the same
+// slice here.
+func ApplyTagged(cfg Config, doc *document.Document, tags []quantity.Agg, candidates []Candidate) Result {
 	res := Result{
 		Types: make(map[int]MentionType),
 		Tags:  make(map[int]quantity.Agg),
@@ -112,14 +134,13 @@ func Apply(cfg Config, doc *document.Document, tag tagger.Tagger, candidates []C
 	total := 0
 	for xi, group := range byText {
 		total += len(group)
-		predicted := tag.Tag(doc, xi)
+		predicted := tags[xi]
 		res.Tags[xi] = predicted
 
 		// Step 1: tagger-based pruning of aggregate pairs.
 		step1 := group[:0]
 		for _, c := range group {
-			tm := doc.TableMentions[c.Table]
-			if tm.IsVirtual() && tm.Agg != predicted {
+			if TagPruned(doc.TableMentions[c.Table], predicted) {
 				continue
 			}
 			step1 = append(step1, c)
@@ -134,7 +155,7 @@ func Apply(cfg Config, doc *document.Document, tag tagger.Tagger, candidates []C
 			if relDiff > cfg.ValueDiffMax && c.Score < cfg.MinScoreLooseValue {
 				continue
 			}
-			if x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit) {
+			if UnitPruned(x, tm) {
 				continue
 			}
 			step2 = append(step2, c)

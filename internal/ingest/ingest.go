@@ -24,6 +24,7 @@ import (
 	"briq/internal/core"
 	"briq/internal/document"
 	"briq/internal/htmlx"
+	"briq/internal/obs"
 	"briq/internal/runtime"
 	"briq/internal/serve"
 	"briq/internal/store"
@@ -82,6 +83,12 @@ func New(proto *core.Pipeline, st *store.Store, opts Options) *Ingestor {
 		pool:  runtime.NewPool(proto, runtime.Options{Workers: opts.Workers}),
 	}
 }
+
+// MergeStagesInto folds the stage latencies recorded by the re-alignment
+// pool's workers into dst. The worker recorders are cumulative, so dst must
+// be a fresh recorder for every read (the server builds one per /metrics
+// scrape); merging twice into the same recorder double-counts.
+func (ing *Ingestor) MergeStagesInto(dst *obs.Recorder) { ing.pool.MergeInto(dst) }
 
 func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
 	h := fnv.New32a()

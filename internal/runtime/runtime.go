@@ -93,8 +93,9 @@ func (p *Pool) Snapshot() map[string]obs.HistogramSnapshot {
 
 // MergeInto folds the pool's per-worker recorders into dst — the bridge to a
 // process-wide recorder such as the server's /metrics registry. Because the
-// worker recorders are cumulative, call this exactly once per pool (the
-// server builds one pool per batch request and merges when it is done).
+// worker recorders are cumulative, merge a pool into a given dst at most
+// once: the server merges each per-request batch pool when it is done, and
+// the long-lived ingest pool into a fresh recorder per /metrics scrape.
 func (p *Pool) MergeInto(dst *obs.Recorder) {
 	for _, rec := range p.recs {
 		dst.Merge(rec)

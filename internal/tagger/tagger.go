@@ -118,6 +118,16 @@ type Tagger interface {
 	Tag(doc *document.Document, xi int) quantity.Agg
 }
 
+// TagAll tags every text mention of doc: the result's xi-th entry is
+// t.Tag(doc, xi).
+func TagAll(t Tagger, doc *document.Document) []quantity.Agg {
+	tags := make([]quantity.Agg, len(doc.TextMentions))
+	for xi := range tags {
+		tags[xi] = t.Tag(doc, xi)
+	}
+	return tags
+}
+
 // Rule is a deterministic cue-count tagger used before a learned model is
 // available (and as a baseline): it predicts the aggregation with the most
 // immediate+local cues, requires at least one cue, and defers to single-cell
