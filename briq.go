@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"briq/internal/core"
 	"briq/internal/corpus"
@@ -55,7 +54,6 @@ import (
 	"briq/internal/htmlx"
 	"briq/internal/obs"
 	"briq/internal/quantsearch"
-	"briq/internal/resolve"
 	"briq/internal/runtime"
 	"briq/internal/serve"
 )
@@ -116,7 +114,6 @@ type config struct {
 	recorder    *obs.Recorder
 	cacheBytes  int64
 	maxInFlight int
-	resolver    resolverConfig
 	warnings    []string
 }
 
@@ -149,9 +146,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithRecorder attaches a latency Recorder: every aligned document reports
-// its per-stage timings (classify, filter, resolve/<strategy>, …) to it.
-// Corpus runs record
-// into per-worker recorders and merge into r when the run completes.
+// its per-stage timings (classify, filter, resolve/rwr, …) to it. Corpus
+// runs record into per-worker recorders and merge into r when the run
+// completes.
 func WithRecorder(r *Recorder) Option {
 	return func(c *config) { c.recorder = r }
 }
@@ -191,102 +188,6 @@ func WithMaxInFlight(n int) Option {
 	}
 }
 
-// ResolverNames lists the built-in global-resolution strategies accepted by
-// WithResolver and the briq-server -resolver flag, default first:
-// "rwr" (the paper's random-walk algorithm), "ilp" (exact branch-and-bound
-// with a per-document time budget and rwr fallback) and "greedy" (top-1
-// classifier score, the cheap baseline).
-func ResolverNames() []string { return resolve.Names() }
-
-// KnownResolver reports whether name is a built-in resolution strategy — the
-// startup validation hook for servers that take the strategy from a flag.
-func KnownResolver(name string) bool { return resolve.Known(name) }
-
-// ResolverOption tunes the strategy selected by WithResolver.
-type ResolverOption func(*resolverConfig)
-
-type resolverConfig struct {
-	name           string
-	ilpBudget      time.Duration
-	greedyMinScore float64
-	set            bool
-}
-
-// WithILPBudget bounds the per-document branch-and-bound solve of the "ilp"
-// strategy; on exhaustion the document falls back to the rwr strategy. It is
-// ignored by other strategies. d ≤ 0 is invalid: the default budget is used
-// and a ConfigWarning recorded.
-func WithILPBudget(d time.Duration) ResolverOption {
-	return func(rc *resolverConfig) { rc.ilpBudget = d }
-}
-
-// WithGreedyMinScore sets the acceptance threshold of the "greedy" strategy:
-// a mention whose best candidate scores below it abstains. It is ignored by
-// other strategies. Values outside [0, 1] are invalid: the default threshold
-// is used and a ConfigWarning recorded.
-func WithGreedyMinScore(s float64) ResolverOption {
-	return func(rc *resolverConfig) { rc.greedyMinScore = s }
-}
-
-// WithResolver selects the global-resolution strategy by name (see
-// ResolverNames). The default — equivalent to omitting the option — is "rwr",
-// the paper's random-walk algorithm; its output is byte-identical whether
-// selected explicitly or by default. An unknown name falls back to the
-// default strategy and is recorded in the pipeline's ConfigWarnings (servers
-// that must hard-fail validate with KnownResolver first).
-//
-// The strategy is part of the pipeline fingerprint, so results cached by the
-// serving layer are never shared across strategies or strategy parameters.
-func WithResolver(name string, opts ...ResolverOption) Option {
-	return func(c *config) {
-		c.resolver = resolverConfig{
-			name:           name,
-			greedyMinScore: resolve.DefaultGreedyMinScore,
-			set:            true,
-		}
-		for _, opt := range opts {
-			opt(&c.resolver)
-		}
-	}
-}
-
-// buildResolver materializes the WithResolver selection against the
-// pipeline's graph configuration, clamping out-of-range parameters into
-// warnings. A nil return selects the pipeline's built-in default (rwr).
-func (c *config) buildResolver(p *core.Pipeline) resolve.Resolver {
-	rc := &c.resolver
-	if !rc.set {
-		return nil
-	}
-	switch rc.name {
-	case resolve.NameRWR:
-		// The default strategy: leave Resolver nil so the pipeline keeps
-		// assembling it from GraphConfig on every Align (tuning-transparent,
-		// byte-identical to the pre-interface path).
-		return nil
-	case resolve.NameILP:
-		budget := rc.ilpBudget
-		if budget < 0 {
-			c.warnf("WithILPBudget(%v): budget must be positive; using default %v",
-				budget, resolve.DefaultILPBudget)
-			budget = 0
-		}
-		return resolve.NewILP(p.GraphConfig, budget)
-	case resolve.NameGreedy:
-		min := rc.greedyMinScore
-		if min < 0 || min > 1 {
-			c.warnf("WithGreedyMinScore(%g): threshold must be in [0, 1]; using default %g",
-				min, resolve.DefaultGreedyMinScore)
-			min = resolve.DefaultGreedyMinScore
-		}
-		return resolve.NewGreedy(min)
-	default:
-		c.warnf("WithResolver(%q): unknown strategy (known: %v); using default %q",
-			rc.name, resolve.Names(), resolve.NameRWR)
-		return nil
-	}
-}
-
 // New returns a pipeline configured by the given options; with none it is
 // the default configuration: rule-based tagger and heuristic (untrained)
 // pair scoring, useful for experimentation and demos.
@@ -295,8 +196,7 @@ func (c *config) buildResolver(p *core.Pipeline) resolve.Resolver {
 // in the pipeline's ConfigWarnings rather than silently misbehaving.
 //
 // New panics if WithTrainedSeed training fails — impossible for the built-in
-// corpus generator short of a programming error. Callers that must observe
-// training errors can use the deprecated NewTrained.
+// corpus generator short of a programming error.
 func New(opts ...Option) *Pipeline {
 	var cfg config
 	for _, opt := range opts {
@@ -313,14 +213,11 @@ func New(opts ...Option) *Pipeline {
 	return cfg.finish(p)
 }
 
-// finish applies the post-model configuration — fan-out, recorder, resolver,
-// serving gate — to a pipeline whose models are already in place. The
-// resolver must be set before the serving gate is built: the gate captures
-// the pipeline fingerprint, which includes the strategy.
+// finish applies the post-model configuration — fan-out, recorder, serving
+// gate — to a pipeline whose models are already in place.
 func (c *config) finish(p *core.Pipeline) *Pipeline {
 	p.Workers = c.workers
 	p.Recorder = c.recorder
-	p.Resolver = c.buildResolver(p)
 	p.ConfigWarnings = c.warnings
 	if c.cacheBytes > 0 || c.maxInFlight > 0 {
 		p.Gate = serve.NewEngine(serve.Config{
@@ -335,7 +232,7 @@ func (c *config) finish(p *core.Pipeline) *Pipeline {
 
 // NewFromModelFile builds a pipeline from a model bundle written by
 // briq-train, applying the same options New accepts (cache, admission,
-// resolver, workers, …). Loading is how a replica fleet boots every process
+// workers, …). Loading is how a replica fleet boots every process
 // from one training run: all replicas share a model fingerprint, so a
 // gateway can route by content key knowing any replica computes an
 // identical, cache-compatible result. WithTrainedSeed conflicts with
@@ -373,14 +270,6 @@ func newTrained(seed int64) (*Pipeline, error) {
 		return nil, err
 	}
 	return experiment.NewBriQ(trained).P, nil
-}
-
-// NewTrained returns a pipeline with models trained on the synthetic corpus
-// generated from seed.
-//
-// Deprecated: use New(WithTrainedSeed(seed)).
-func NewTrained(seed int64) (*Pipeline, error) {
-	return newTrained(seed)
 }
 
 // AlignHTMLContext parses an HTML page and aligns every quantity mention of
@@ -443,20 +332,6 @@ func flattenAlignments(perDoc [][]Alignment) []Alignment {
 		out = append(out, als...)
 	}
 	return out
-}
-
-// AlignHTML parses an HTML page and aligns every quantity mention of its
-// paragraphs to the related tables.
-//
-// Deprecated: use AlignHTMLContext. AlignHTML cannot be cancelled and, for
-// compatibility with pre-taxonomy callers, maps ErrNoTables/ErrNoMentions to
-// an empty result instead of an error.
-func AlignHTML(p *Pipeline, pageID, html string) ([]Alignment, error) {
-	als, err := AlignHTMLContext(context.Background(), p, pageID, html)
-	if IsUnalignable(err) {
-		return nil, nil
-	}
-	return als, err
 }
 
 // IsUnalignable reports whether err only says the input had nothing to align

@@ -5,8 +5,7 @@ package briq_test
 // run and to the pre-PR reference path (per-pair pointer-tree walk, no gate)
 // at every worker width. Clones share one compiled engine but own their
 // scratch (batch matrix, vote buffer, candidate slices); this test — run
-// under -race by make check — is what holds that sharing honest. Extends the
-// PR 5 pattern in briq_resolver_test.go.
+// under -race by make check — is what holds that sharing honest.
 
 import (
 	"bytes"

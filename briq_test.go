@@ -66,14 +66,6 @@ func TestOptionsConfigure(t *testing.T) {
 		t.Fatal("recorder snapshot empty after aligning a page")
 	}
 	for stage, h := range snap {
-		if strings.HasPrefix(stage, "resolve/") && stage != "resolve/"+p.ResolverName() {
-			// Every strategy's stage is pre-registered for schema stability,
-			// but only the selected strategy observes.
-			if h.Count != 0 {
-				t.Errorf("unselected resolver stage %s recorded %d observations", stage, h.Count)
-			}
-			continue
-		}
 		if h.Count == 0 {
 			t.Errorf("stage %s recorded no observations", stage)
 		}
@@ -171,59 +163,5 @@ func TestNewTrainedFacade(t *testing.T) {
 	}
 	if len(alignments) == 0 {
 		t.Fatal("trained pipeline produced no alignments")
-	}
-}
-
-// TestDeprecatedShimsDelegate pins the two compatibility shims to their
-// replacements: AlignHTML must return exactly what AlignHTMLContext returns
-// (with unalignable pages mapped to an empty success), and NewTrained must
-// build the same models as New(WithTrainedSeed) — asserted through the model
-// fingerprint, which only matches when every trained parameter does.
-func TestDeprecatedShimsDelegate(t *testing.T) {
-	p := briq.New()
-	want, wantErr := briq.AlignHTMLContext(context.Background(), p, "p0", quickstartPage)
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	got, err := briq.AlignHTML(p, "p0", quickstartPage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Error("AlignHTML output diverged from AlignHTMLContext")
-	}
-
-	// The resolver refactor must not perturb the shim path either: the shim on
-	// an explicitly rwr-selected pipeline is byte-identical to the default.
-	rwrGot, err := briq.AlignHTML(briq.New(briq.WithResolver("rwr")), "p0", quickstartPage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rwrJSON, _ := json.Marshal(rwrGot)
-	if !bytes.Equal(rwrJSON, wantJSON) {
-		t.Error("AlignHTML with explicit rwr resolver diverged from the default pipeline")
-	}
-
-	// The shim's one behavioral difference: unalignable pages are an empty
-	// success, for pre-taxonomy callers that never handled typed errors.
-	als, err := briq.AlignHTML(p, "p2", `<html><body><p>Only 42 words here.</p></body></html>`)
-	if err != nil || als != nil {
-		t.Errorf("AlignHTML on tableless page = (%v, %v), want (nil, nil)", als, err)
-	}
-
-	if testing.Short() {
-		t.Skip("training twice takes several seconds")
-	}
-	old, err := briq.NewTrained(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.EnsureTrained(); err != nil {
-		t.Fatalf("NewTrained pipeline reports %v", err)
-	}
-	if old.Fingerprint() != briq.New(briq.WithTrainedSeed(7)).Fingerprint() {
-		t.Error("NewTrained models differ from New(WithTrainedSeed) models")
 	}
 }

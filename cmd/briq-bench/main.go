@@ -10,7 +10,7 @@
 //   - resolve — full iterative resolution (graph build + walks + rewiring),
 //     CSR Resolve vs ReferenceResolve.
 //   - pipeline — end-to-end Align over the workload, with per-stage latency
-//     histograms (classify/filter/resolve-strategy/align) from internal/obs.
+//     histograms (classify/filter/resolve/align) from internal/obs.
 //   - runtime — corpus throughput (docs/sec) of the internal/runtime worker
 //     pool at 1, 2, 4 and 8 workers against the serial AlignAll baseline,
 //     gated on the pool output being byte-identical to the serial output.
@@ -22,11 +22,10 @@
 //     (uncached) path, gated on the warm output being byte-identical to the
 //     cold output. This is the serving layer's headline number: a hit skips
 //     the entire pipeline, so the speedup is typically orders of magnitude.
-//   - resolvers — the pluggable global-resolution strategies (rwr, ilp,
-//     greedy) behind identical classify/filter stages: gold-standard
-//     accuracy on the synthetic corpus and docs/sec per strategy, gated on
-//     the explicit rwr strategy being byte-identical to the default
-//     pipeline.
+//   - resolvers — random walks (rwr, the pipeline's resolution step) against
+//     the ILP and greedy baselines of internal/experiment behind identical
+//     classify/filter stages: gold-standard accuracy on the synthetic corpus
+//     and docs/sec per strategy.
 //   - classify — the frozen flat-array forest engine and pre-classifier
 //     gate against the per-pair pointer-tree reference path: trained
 //     ScorePairs cost per document, and cold end-to-end alignment
@@ -72,7 +71,6 @@ import (
 	"briq/internal/ingest"
 	"briq/internal/obs"
 	"briq/internal/quantsearch"
-	"briq/internal/resolve"
 	brt "briq/internal/runtime"
 	"briq/internal/store"
 	"briq/internal/tagger"
@@ -153,10 +151,10 @@ type report struct {
 	// over the same corpus, gated on warm output == cold output.
 	Serving servingReport `json:"serving"`
 
-	// Resolvers compares the pluggable global-resolution strategies behind
-	// identical classify/filter stages: gold-standard accuracy on the
-	// synthetic corpus and corpus alignment throughput per strategy, gated on
-	// the explicit rwr strategy being byte-identical to the default pipeline.
+	// Resolvers compares random walks (Algorithm 1) with the ILP and greedy
+	// baselines behind identical classify/filter stages: gold-standard
+	// accuracy on the synthetic corpus and corpus alignment throughput per
+	// strategy.
 	Resolvers resolverSection `json:"resolvers"`
 
 	// Classify compares the frozen flat-array classify engine (batched
@@ -258,11 +256,7 @@ type classifySection struct {
 
 // resolverSection is the strategy-comparison block of the report.
 type resolverSection struct {
-	// DefaultEquivalent records the gate: a pipeline with the rwr strategy
-	// selected explicitly must produce byte-identical output to the default
-	// pipeline before any per-strategy number is reported.
-	DefaultEquivalent bool                            `json:"default_equivalent"`
-	Strategies        []experiment.ResolverComparison `json:"strategies"`
+	Strategies []experiment.ResolverComparison `json:"strategies"`
 }
 
 // servingReport is the cache-hit-path section: the cold side aligns the
@@ -423,8 +417,9 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 
 	// End-to-end pipeline with per-stage latency recording. The recorder is
 	// attached for the measured runs only, so stage histograms describe
-	// exactly the benchmarked work.
-	rec := obs.NewRecorder(core.StageNames()...)
+	// exactly the benchmarked work. No stage is pre-registered: the workload
+	// is already segmented, so the section lists only the stages it observes.
+	rec := obs.NewRecorder()
 	p.Recorder = rec
 	docs := make([]*document.Document, len(inputs))
 	for i, in := range inputs {
@@ -455,11 +450,7 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	}
 	rep.Serving = sv
 
-	rs, err := measureResolvers(rounds, p, c, docs)
-	if err != nil {
-		return err
-	}
-	rep.Resolvers = rs
+	rep.Resolvers = measureResolvers(rounds, p, c, docs)
 
 	cl, err := measureClassify(rounds, p, c, docs)
 	if err != nil {
@@ -616,58 +607,27 @@ func measureServing(rounds int, docs []*document.Document) (servingReport, error
 	return out, nil
 }
 
-// measureResolvers compares the pluggable resolution strategies over the
-// bench workload behind the same classify/filter stages: gold-standard
-// accuracy (precision/recall/F1 against the synthetic corpus's ground truth)
-// and serial corpus throughput per strategy. Before any number is reported,
-// the rwr strategy selected explicitly through the resolver interface must be
-// byte-identical to the default pipeline — the refactor's equivalence gate at
-// the bench layer.
-func measureResolvers(rounds int, base *core.Pipeline, c *corpus.Corpus, docs []*document.Document) (resolverSection, error) {
+// measureResolvers compares random walks against the ILP and greedy
+// baselines over the bench workload, all behind the same classify/filter
+// stages: gold-standard accuracy (precision/recall/F1 against the synthetic
+// corpus's ground truth) and serial corpus throughput per strategy.
+func measureResolvers(rounds int, base *core.Pipeline, c *corpus.Corpus, docs []*document.Document) resolverSection {
 	var out resolverSection
-
-	defaultJSON, err := json.Marshal(base.AlignAll(docs, 1))
-	if err != nil {
-		return out, err
-	}
-	explicit := *base
-	explicit.Resolver = resolve.NewRWR(base.GraphConfig)
-	explicitJSON, err := json.Marshal(explicit.AlignAll(docs, 1))
-	if err != nil {
-		return out, err
-	}
-	if !bytes.Equal(explicitJSON, defaultJSON) {
-		return out, fmt.Errorf("resolver gate: explicit rwr strategy differs from default pipeline")
-	}
-	out.DefaultEquivalent = true
-	fmt.Printf("resolver gate: explicit rwr identical to default pipeline on %d documents\n", len(docs))
-
-	strategies := []resolve.Resolver{
-		nil, // pipeline default: rwr
-		resolve.NewILP(base.GraphConfig, 0),
-		resolve.NewGreedy(resolve.DefaultGreedyMinScore),
-	}
-	for _, r := range strategies {
-		p := *base
-		p.Resolver = r
-		eval := experiment.Evaluate(&experiment.BriQ{P: &p}, c, docs)
+	for _, sys := range experiment.ResolverSystems(base) {
+		eval := experiment.Evaluate(sys, c, docs)
 		s := best(rounds, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.AlignAll(docs, 1)
+				for _, doc := range docs {
+					sys.Predict(doc)
+				}
 			}
 		})
-		row := experiment.ResolverComparison{
-			Resolver:   p.ResolverName(),
-			Precision:  eval.Overall.Precision,
-			Recall:     eval.Overall.Recall,
-			F1:         eval.Overall.F1,
-			DocsPerSec: docsPerSec(len(docs), s.NsPerOp),
-		}
+		row := experiment.ResolverRow(sys, eval, docsPerSec(len(docs), s.NsPerOp))
 		out.Strategies = append(out.Strategies, row)
 		fmt.Printf("resolver %-6s  P=%.2f R=%.2f F1=%.2f  %.0f docs/sec\n",
 			row.Resolver, row.Precision, row.Recall, row.F1, row.DocsPerSec)
 	}
-	return out, nil
+	return out
 }
 
 // measureClassify benchmarks the classify rewrite. Gates first: with a

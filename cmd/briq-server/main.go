@@ -2,7 +2,6 @@
 // service.
 //
 //	briq-server [-addr :8080] [-trained] [-seed N] [-model file] [-workers N]
-//	            [-resolver rwr|ilp|greedy] [-ilp-budget 200ms]
 //	            [-cache-bytes N] [-max-inflight N] [-store dir]
 //	            [-request-timeout 30s] [-shutdown-timeout 15s] [-pprof] [-quiet]
 //
@@ -78,10 +77,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "training seed (with -trained)")
 	model := flag.String("model", "", "load models from a briq-train file instead of training (replica fleet boot)")
 	workers := flag.Int("workers", 0, "batch alignment workers (0 = all cores)")
-	resolver := flag.String("resolver", "rwr",
-		fmt.Sprintf("global-resolution strategy %v", briq.ResolverNames()))
-	ilpBudget := flag.Duration("ilp-budget", 0,
-		"per-document solve budget for -resolver ilp (0 = built-in default; exhaustion falls back to rwr)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "content-addressed result cache budget in bytes (0 disables)")
 	storeDir := flag.String("store", "", "persist aligned documents to this directory and replay them on boot")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted alignment computations (0 = unbounded)")
@@ -91,21 +86,10 @@ func main() {
 	quiet := flag.Bool("quiet", false, "disable per-request access logging")
 	flag.Parse()
 
-	// An unknown resolver is a deployment mistake, not something to limp past
-	// with a silent fallback: refuse to start.
-	if !briq.KnownResolver(*resolver) {
-		log.Fatalf("unknown -resolver %q (known: %v)", *resolver, briq.ResolverNames())
-	}
-
 	var pipelineOpts []briq.Option
 	if *workers > 0 {
 		pipelineOpts = append(pipelineOpts, briq.WithWorkers(*workers))
 	}
-	var resolverOpts []briq.ResolverOption
-	if *ilpBudget > 0 {
-		resolverOpts = append(resolverOpts, briq.WithILPBudget(*ilpBudget))
-	}
-	pipelineOpts = append(pipelineOpts, briq.WithResolver(*resolver, resolverOpts...))
 	if *cacheBytes > 0 {
 		pipelineOpts = append(pipelineOpts, briq.WithCache(*cacheBytes))
 	}
@@ -170,8 +154,8 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 
-	log.Printf("listening on %s (workers=%d, resolver=%s, request-timeout=%v, cache-bytes=%d, max-inflight=%d, store=%q, pprof=%v)",
-		*addr, *workers, *resolver, *requestTimeout, *cacheBytes, *maxInFlight, *storeDir, *enablePprof)
+	log.Printf("listening on %s (workers=%d, request-timeout=%v, cache-bytes=%d, max-inflight=%d, store=%q, pprof=%v)",
+		*addr, *workers, *requestTimeout, *cacheBytes, *maxInFlight, *storeDir, *enablePprof)
 	if err := serve(httpSrv, *shutdownTimeout); err != nil {
 		log.Fatal(err)
 	}

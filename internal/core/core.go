@@ -19,7 +19,6 @@ import (
 	"briq/internal/htmlx"
 	"briq/internal/obs"
 	"briq/internal/quantity"
-	"briq/internal/resolve"
 	"briq/internal/serve"
 	"briq/internal/tagger"
 )
@@ -27,33 +26,19 @@ import (
 // Stage names under which the pipeline reports timings to its Recorder. The
 // first three are the per-document stages of Fig. 2; StageSegment covers
 // page→document extraction and StageAlign the whole per-document run.
-// Resolution reports under a per-strategy name (StageResolveFor), so a server
-// running a non-default resolver shows its latency under resolve/ilp or
-// resolve/greedy instead of blending strategies into one histogram.
 const (
 	StageClassify     = "classify"      // ScorePairs: mention-pair feature scoring
 	StageClassifyGate = "classify/gate" // pre-classifier gate inside classify
 	StageFilter       = "filter"        // adaptive candidate filtering
-	StageResolve      = "resolve/rwr"   // default resolution: graph build + random walks
+	StageResolve      = "resolve/rwr"   // global resolution: graph build + random walks
 	StageSegment      = "segment"       // HTML page → documents
 	StageAlign        = "align"         // full per-document Align
 )
 
-// StageResolveFor returns the stage name the pipeline reports resolution
-// latency under for the named strategy: "resolve/rwr", "resolve/ilp",
-// "resolve/greedy", …
-func StageResolveFor(resolver string) string { return "resolve/" + resolver }
-
-// StageNames lists every stage the pipeline can report, in pipeline order.
-// All built-in resolver stages are included so recorders pre-register the
-// full schema — /metrics exposes an identical shape whichever strategy the
-// pipeline runs, and the golden schema test holds across -resolver flags.
+// StageNames lists every stage the pipeline can report, in pipeline order,
+// so recorders can pre-register the full schema before any traffic.
 func StageNames() []string {
-	names := []string{StageSegment, StageClassify, StageClassifyGate, StageFilter}
-	for _, r := range resolve.Names() {
-		names = append(names, StageResolveFor(r))
-	}
-	return append(names, StageAlign)
+	return []string{StageSegment, StageClassify, StageClassifyGate, StageFilter, StageResolve, StageAlign}
 }
 
 // The pipeline's error taxonomy. Callers branch on these with errors.Is; the
@@ -99,16 +84,6 @@ type Pipeline struct {
 	FilterConfig filter.Config
 	GraphConfig  graph.Config
 	Segmenter    *document.Segmenter
-
-	// Resolver is the global-resolution strategy. nil selects the default:
-	// the paper's random-walk algorithm (resolve.RWR) built from GraphConfig
-	// on every Align, so GraphConfig tuning keeps applying — and the default
-	// path stays byte-identical to the historical hardcoded graph.Resolve
-	// call. Set it before the pipeline is shared across goroutines; a
-	// non-nil Resolver built by its New* constructor is safe for concurrent
-	// Resolve calls, and Clone gives each worker clone a private resolver
-	// clone with its own scratch.
-	Resolver resolve.Resolver
 
 	// Recorder, when non-nil, receives per-stage latencies (StageClassify,
 	// StageFilter, StageResolve, …) for every document aligned. It must be
@@ -220,28 +195,8 @@ func (c *frozenCache) engineFor(f *forest.Forest) *forest.Frozen {
 func (p *Pipeline) Clone() *Pipeline {
 	c := *p
 	c.local = &localScratch{}
-	if p.Resolver != nil {
-		c.Resolver = p.Resolver.Clone()
-	}
 	return &c
 }
-
-// resolver returns the pipeline's resolution strategy: the configured one, or
-// the default random-walk strategy assembled from the pipeline's GraphConfig.
-// The default is built per call (it is a two-word struct) so GraphConfig
-// edits made between Align calls — the tuning harness does this — keep
-// taking effect, exactly as the pre-interface hardcoded path behaved.
-func (p *Pipeline) resolver() resolve.Resolver {
-	if p.Resolver != nil {
-		return p.Resolver
-	}
-	return &resolve.RWR{Config: p.GraphConfig}
-}
-
-// ResolverName returns the active resolution strategy's name ("rwr" unless a
-// non-default Resolver is configured) — the value the server logs at startup
-// and the bench report records per comparison row.
-func (p *Pipeline) ResolverName() string { return p.resolver().Name() }
 
 // NewPipeline returns a pipeline with default configuration, the rule-based
 // tagger and no classifier (heuristic scores).
@@ -424,18 +379,43 @@ func (p *Pipeline) Align(doc *document.Document) []Alignment {
 // before each pipeline phase (classify → filter → resolve), so a canceled
 // corpus run stops within one phase of the current document instead of
 // finishing it. On cancellation it returns ctx.Err(); the phases themselves
-// are CPU-bound and run to completion once started (the ILP resolver also
-// checks the context inside its search loop).
+// are CPU-bound and run to completion once started.
 func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]Alignment, error) {
-	rec := p.Recorder
 	alignStart := time.Now()
+	kept, err := p.Candidates(ctx, doc)
+	if err != nil {
+		return nil, err
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := alignStart
+	start := time.Now()
+	resolved := graph.Build(p.GraphConfig, doc, kept).Resolve()
+	p.Recorder.Observe(StageResolve, time.Since(start))
+
+	out := make([]Alignment, 0, len(resolved))
+	for _, a := range resolved {
+		out = append(out, p.toAlignment(doc, a.Text, a.Table, a.Score))
+	}
+	p.Recorder.Observe(StageAlign, time.Since(alignStart))
+	return out, nil
+}
+
+// Candidates runs the classify and filter stages of the align path on one
+// document and returns the candidate pairs the filter kept — the input of
+// global resolution. It applies the pre-classifier gate (unless
+// NoClassifyGate is set), reports StageClassify, StageClassifyGate and
+// StageFilter to the Recorder, and checks ctx before each stage. AlignContext
+// resolves these candidates with random walks; the experiment harness's ILP
+// and greedy baselines resolve the same candidates their own way.
+func (p *Pipeline) Candidates(ctx context.Context, doc *document.Document) ([]filter.Candidate, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
 	candidates, tags := p.scorePairs(doc, true)
-	rec.Observe(StageClassify, time.Since(start))
+	p.Recorder.Observe(StageClassify, time.Since(start))
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -447,25 +427,8 @@ func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]
 	} else {
 		filtered = filter.Apply(p.FilterConfig, doc, p.Tagger, candidates)
 	}
-	rec.Observe(StageFilter, time.Since(start))
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	res := p.resolver()
-	resolved, err := res.Resolve(ctx, doc, filtered.Kept)
-	if err != nil {
-		return nil, err
-	}
-	rec.Observe(StageResolveFor(res.Name()), time.Since(start))
-
-	out := make([]Alignment, 0, len(resolved))
-	for _, a := range resolved {
-		out = append(out, p.toAlignment(doc, a.Text, a.Table, a.Score))
-	}
-	rec.Observe(StageAlign, time.Since(alignStart))
-	return out, nil
+	p.Recorder.Observe(StageFilter, time.Since(start))
+	return filtered.Kept, nil
 }
 
 func (p *Pipeline) toAlignment(doc *document.Document, xi, ti int, score float64) Alignment {
@@ -544,10 +507,9 @@ func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page
 
 // Fingerprint returns a stable content hash of everything that determines
 // the pipeline's output for a given input: stage configurations, the feature
-// mask, the segmenter, the resolution strategy (name and parameters), and
-// the full serialized models (classifier and learned tagger). It scopes
-// serving-layer cache keys, so two pipelines share cached results iff they
-// would compute identical alignments.
+// mask, the segmenter, and the full serialized models (classifier and
+// learned tagger). It scopes serving-layer cache keys, so two pipelines
+// share cached results iff they would compute identical alignments.
 //
 // The hash covers trained models byte-for-byte (via their Save encoding), so
 // computing it on a trained pipeline costs a few milliseconds; callers cache
@@ -556,13 +518,11 @@ func (p *Pipeline) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%+v",
 		p.Features, p.Mask, p.FilterConfig, p.GraphConfig)
-	// The resolution strategy and its parameters change output, so they scope
-	// cache keys: a pipeline resolving with ILP must never serve a result
-	// computed under RWR (or under ILP with a different budget) and vice
-	// versa — the serve-layer cache-poisoning hazard the isolation test in
-	// briq_resolver_test.go pins down.
-	res := p.resolver()
-	fmt.Fprintf(h, "|resolver=%s|rparams=%s", res.Name(), res.ParamsHash())
+	// The resolver segment adds nothing GraphConfig does not already cover,
+	// but every store pins the fingerprint in its meta.json, so its bytes —
+	// hex(SHA-256("rwr|%+v", GraphConfig)) — must not change.
+	rparams := sha256.Sum256([]byte(fmt.Sprintf("rwr|%+v", p.GraphConfig)))
+	fmt.Fprintf(h, "|resolver=rwr|rparams=%s", hex.EncodeToString(rparams[:]))
 	if p.Segmenter != nil {
 		fmt.Fprintf(h, "|segmenter=%+v", *p.Segmenter)
 	}

@@ -12,7 +12,10 @@
 // (filter.Apply), StageResolve (graph build + random walks) and StageAlign
 // (the whole per-document run) — to the pipeline's obs.Recorder when one is
 // set. A nil Recorder is a valid no-op, so instrumentation costs nothing
-// when unused.
+// when unused. Candidates runs the classify and filter stages alone, with the
+// same recording; random walks (Algorithm 1) are the only resolution step,
+// and the ILP and greedy baselines in internal/experiment resolve the same
+// candidates for comparison.
 //
 // StageClassifyGate is the pre-classifier gate inside classify: it tags
 // every text mention and marks the pairs the filter drops whatever their

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-
-	"briq/internal/resolve"
-)
+import "testing"
 
 func TestFingerprintStableAndSensitive(t *testing.T) {
 	p1 := NewPipeline()
@@ -53,64 +48,14 @@ func TestFingerprintIgnoresServingConfig(t *testing.T) {
 	}
 }
 
-func TestFingerprintSeparatesResolvers(t *testing.T) {
-	// Pipelines that differ only in resolution strategy (or its parameters)
-	// produce different alignments, so their fingerprints — and therefore
-	// their serve-cache keys — must be distinct. A shared fingerprint here is
-	// cache poisoning: one strategy's cached output served as another's.
-	base := NewPipeline()
-	variants := map[string]*Pipeline{}
-	add := func(name string, r resolve.Resolver) {
-		p := NewPipeline()
-		p.Resolver = r
-		variants[name] = p
-	}
-	add("default", nil)
-	add("rwr-explicit", resolve.NewRWR(base.GraphConfig))
-	add("ilp", resolve.NewILP(base.GraphConfig, 0))
-	add("ilp-long-budget", resolve.NewILP(base.GraphConfig, time.Second))
-	add("greedy", resolve.NewGreedy(resolve.DefaultGreedyMinScore))
-	add("greedy-strict", resolve.NewGreedy(0.9))
-
-	// The explicit rwr resolver is configured identically to the default path
-	// and produces identical output; it alone may share the default's key.
-	if variants["default"].Fingerprint() != variants["rwr-explicit"].Fingerprint() {
-		t.Error("explicit rwr resolver fragments the cache vs the default")
-	}
-	delete(variants, "rwr-explicit")
-
-	seen := map[string]string{}
-	for name, p := range variants {
-		fp := p.Fingerprint()
-		if prev, dup := seen[fp]; dup {
-			t.Errorf("resolver variants %q and %q share fingerprint %s", name, prev, fp)
-		}
-		seen[fp] = name
-	}
-}
-
-func TestResolverName(t *testing.T) {
-	p := NewPipeline()
-	if got := p.ResolverName(); got != resolve.NameRWR {
-		t.Errorf("default ResolverName = %q, want %q", got, resolve.NameRWR)
-	}
-	p.Resolver = resolve.NewGreedy(0.5)
-	if got := p.ResolverName(); got != resolve.NameGreedy {
-		t.Errorf("ResolverName = %q, want %q", got, resolve.NameGreedy)
-	}
-}
-
-func TestCloneCopiesResolver(t *testing.T) {
-	p := NewPipeline()
-	p.Resolver = resolve.NewGreedy(0.5)
-	c := p.Clone()
-	if c.Resolver == nil {
-		t.Fatal("clone dropped the resolver")
-	}
-	if c.Resolver == p.Resolver {
-		t.Error("clone shares the prototype's resolver (scratch would race)")
-	}
-	if c.Fingerprint() != p.Fingerprint() {
-		t.Error("cloned resolver changed the fingerprint")
+// TestFingerprintPinned pins the default pipeline's fingerprint bytes. Every
+// store records the fingerprint in its meta.json and refuses to open under a
+// different one, so any change to what Fingerprint hashes — or how — strands
+// every existing store directory. Change this value only together with a
+// store migration.
+func TestFingerprintPinned(t *testing.T) {
+	const want = "fc13fb16781dce89fa2e67094fa62ddb921c6302a8975ec48e67473500b11425"
+	if got := NewPipeline().Fingerprint(); got != want {
+		t.Errorf("Fingerprint() = %s, want %s", got, want)
 	}
 }

@@ -1,13 +1,8 @@
 package experiment
 
 import (
-	"time"
-
 	"briq/internal/document"
-	"briq/internal/filter"
-	"briq/internal/ilp"
 	"briq/internal/qkb"
-	"briq/internal/table"
 )
 
 // QKBSystem adapts the quantity-knowledge-base baseline (§VII-D) to the
@@ -29,110 +24,4 @@ func (q *QKBSystem) Predict(doc *document.Document) []Prediction {
 		})
 	}
 	return out
-}
-
-// ILPSystem replaces BriQ's random-walk global resolution with the exact
-// branch-and-bound ILP solver of §VI (the alternative the paper found not
-// to scale). The classifier, tagger and adaptive filtering stages are
-// identical to BriQ's; only the resolution differs.
-//
-// Deprecated: the ablation harness predates the pluggable resolver interface;
-// new comparisons should use NewBriQWithResolver with resolve.NewILP (or the
-// ResolverSystems table), which goes through the real pipeline — fingerprint,
-// stage metrics and budget fallback included. ILPSystem is kept for the
-// legacy ablation bench and its historical MinScore/no-fallback semantics.
-type ILPSystem struct {
-	BriQ     *BriQ
-	Deadline time.Duration
-	MinScore float64
-
-	// LastOptimal reports whether the most recent Predict solved to
-	// optimality within the deadline.
-	LastOptimal bool
-}
-
-// NewILPSystem builds the ILP variant from trained models.
-func NewILPSystem(tr *Trained, deadline time.Duration) *ILPSystem {
-	return &ILPSystem{BriQ: NewBriQ(tr), Deadline: deadline, MinScore: 0.2}
-}
-
-// Name implements System.
-func (*ILPSystem) Name() string { return "ILP" }
-
-// Predict implements System.
-func (s *ILPSystem) Predict(doc *document.Document) []Prediction {
-	p := s.BriQ.P
-	cands := p.ScorePairs(doc)
-	res := filter.Apply(p.FilterConfig, doc, p.Tagger, cands)
-
-	// Group candidates by text mention; targets are table-mention indices.
-	byText := make(map[int][]ilp.Cand)
-	for _, c := range res.Kept {
-		byText[c.Text] = append(byText[c.Text], ilp.Cand{Target: c.Table, Score: c.Score})
-	}
-	if len(byText) == 0 {
-		return nil
-	}
-	var mentionOf []int
-	var problem ilp.Problem
-	for xi := 0; xi < len(doc.TextMentions); xi++ {
-		if cs, ok := byText[xi]; ok {
-			mentionOf = append(mentionOf, xi)
-			problem.Candidates = append(problem.Candidates, cs)
-		}
-	}
-	problem.MinScore = s.MinScore
-	problem.Coherence = func(a, b int) float64 {
-		ta, tb := doc.TableMentions[a], doc.TableMentions[b]
-		if ta.Table != tb.Table {
-			return 0
-		}
-		switch {
-		case sharesCell(ta.Cells, tb.Cells):
-			return 0.1
-		case sharesLine(ta.Cells, tb.Cells):
-			return 0.05
-		}
-		return 0
-	}
-
-	sol, err := ilp.Solve(problem, s.Deadline)
-	if err != nil {
-		return nil
-	}
-	s.LastOptimal = sol.Optimal
-	var out []Prediction
-	for i, ci := range sol.Assignment {
-		if ci < 0 {
-			continue
-		}
-		cand := problem.Candidates[i][ci]
-		out = append(out, Prediction{
-			DocID: doc.ID, TextIndex: mentionOf[i],
-			TableKey: doc.TableMentions[cand.Target].Key(), Score: cand.Score,
-		})
-	}
-	return out
-}
-
-func sharesCell(a, b []table.CellRef) bool {
-	for _, ca := range a {
-		for _, cb := range b {
-			if ca == cb {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func sharesLine(a, b []table.CellRef) bool {
-	for _, ca := range a {
-		for _, cb := range b {
-			if ca.Row == cb.Row || ca.Col == cb.Col {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -22,7 +22,7 @@ func TestQKBBaselineFailsOnApproximateData(t *testing.T) {
 
 func TestILPSystemQualityComparable(t *testing.T) {
 	c, split, tr := fixture(t)
-	ilpSys := NewILPSystem(tr, 200*time.Millisecond)
+	ilpSys := NewILP(tr, 200*time.Millisecond)
 	docs := split.Test
 	if len(docs) > 30 {
 		docs = docs[:30]
@@ -48,7 +48,7 @@ func TestILPSlowerThanBriQ(t *testing.T) {
 		docs = docs[:20]
 	}
 	briq := NewBriQ(tr)
-	ilpSys := NewILPSystem(tr, 2*time.Second)
+	ilpSys := NewILP(tr, 2*time.Second)
 
 	start := time.Now()
 	for _, d := range docs {

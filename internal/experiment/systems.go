@@ -9,7 +9,6 @@ import (
 	"briq/internal/feature"
 	"briq/internal/filter"
 	"briq/internal/graph"
-	"briq/internal/resolve"
 )
 
 // Prediction is one system output: text mention xi of a document aligned to
@@ -21,22 +20,21 @@ type Prediction struct {
 	Score     float64
 }
 
-// System aligns documents; the three implementations are BriQ and the two
-// baselines of §VII-D.
+// System aligns documents: BriQ, the baselines of §VII-D (RFOnly, RWROnly,
+// QKBSystem) and the resolution baselines (ILP, Greedy).
 type System interface {
 	Name() string
 	Predict(doc *document.Document) []Prediction
 }
 
 // BriQ is the full pipeline: trained classifier prior, learned tagger,
-// adaptive filtering and global resolution (the pipeline's configured
-// strategy; random walks unless a resolver is set).
+// adaptive filtering and global resolution by random walks (Algorithm 1).
 type BriQ struct {
 	P *core.Pipeline
 
-	// name overrides the reported system name; empty means "BriQ". Resolver
-	// variants built by NewBriQWithResolver label themselves BriQ/<strategy>
-	// so comparison tables keep one row per strategy.
+	// name overrides the reported system name; empty means "BriQ". The
+	// resolver comparison labels it BriQ/rwr, next to BriQ/ilp and
+	// BriQ/greedy.
 	name string
 }
 
@@ -48,17 +46,6 @@ func NewBriQ(tr *Trained) *BriQ {
 	p.Classifier = tr.Classifier
 	p.Tagger = tr.Tagger
 	return &BriQ{P: p}
-}
-
-// NewBriQWithResolver assembles the full system from trained models with a
-// non-default global-resolution strategy — the harness behind the
-// resolver-comparison table and bench section. A nil resolver keeps the
-// pipeline default (rwr).
-func NewBriQWithResolver(tr *Trained, r resolve.Resolver) *BriQ {
-	b := NewBriQ(tr)
-	b.P.Resolver = r
-	b.name = "BriQ/" + b.P.ResolverName()
-	return b
 }
 
 // Name implements System.

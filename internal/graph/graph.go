@@ -395,11 +395,9 @@ func (g *Graph) buildQueue(perText map[int][]cand) []queued {
 // with bit-identical output. Resolve consumes the graph (rewiring prunes
 // edges in place): run it once per Build.
 //
-// Resolve is the rwr engine, not a pipeline entry point: pipeline code selects
-// a strategy through the resolve.Resolver interface (resolve.RWR wraps this
-// method), which keeps strategy choice inside the fingerprint and the
-// per-strategy stage metrics. Call Build+Resolve directly only from tests and
-// benchmarks that exercise the engine itself.
+// core.Pipeline.AlignContext runs Build+Resolve on the candidates the filter
+// kept; the experiment harness's ILP baseline falls back to it when its
+// solve budget runs out.
 func (g *Graph) Resolve() []Alignment {
 	perText := g.candidatesPerText()
 	queue := g.buildQueue(perText)

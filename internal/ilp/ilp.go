@@ -60,20 +60,6 @@ var ErrNoCandidates = errors.New("ilp: problem has no mentions")
 // Optimal=false flag.
 var ErrBudgetExhausted = errors.New("ilp: time budget exhausted before optimality")
 
-// Solve runs exact branch-and-bound. The deadline bounds wall time; on
-// expiry the best solution found so far is returned with Optimal=false.
-//
-// Deprecated: use SolveContext, which distinguishes budget exhaustion with a
-// typed ErrBudgetExhausted and honors caller cancellation. Solve keeps the
-// legacy contract (partial answer, nil error) for existing benchmarks.
-func Solve(p Problem, deadline time.Duration) (Solution, error) {
-	sol, err := SolveContext(context.Background(), p, deadline)
-	if errors.Is(err, ErrBudgetExhausted) {
-		return sol, nil
-	}
-	return sol, err
-}
-
 // SolveContext runs exact branch-and-bound under two cooperative limits,
 // checked inside the search loop: the budget bounds wall time for this solve,
 // and ctx carries caller cancellation and deadlines. When the budget (or the

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSolveEmpty(t *testing.T) {
-	if _, err := Solve(Problem{}, time.Second); err != ErrNoCandidates {
+	if _, err := SolveContext(context.Background(), Problem{}, time.Second); err != ErrNoCandidates {
 		t.Errorf("want ErrNoCandidates, got %v", err)
 	}
 }
@@ -21,7 +21,7 @@ func TestSolvePicksBestPriors(t *testing.T) {
 			{{Target: 2, Score: 0.7}, {Target: 3, Score: 0.2}},
 		},
 	}
-	sol, err := Solve(p, time.Second)
+	sol, err := SolveContext(context.Background(), p, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSolveMinScoreAbstains(t *testing.T) {
 		Candidates: [][]Cand{{{Target: 0, Score: 0.1}}},
 		MinScore:   0.5,
 	}
-	sol, err := Solve(p, time.Second)
+	sol, err := SolveContext(context.Background(), p, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSolveCoherenceFlipsDecision(t *testing.T) {
 		},
 		Coherence: func(a, b int) float64 { return coherent[[2]int{a, b}] },
 	}
-	sol, err := Solve(p, time.Second)
+	sol, err := SolveContext(context.Background(), p, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			p.Candidates = append(p.Candidates, cands)
 		}
 
-		sol, err := Solve(p, time.Second)
+		sol, err := SolveContext(context.Background(), p, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,8 @@ func bruteForce(p Problem) float64 {
 
 func TestSolveDeadline(t *testing.T) {
 	// A big coupled problem: the solver must respect the deadline and
-	// report non-optimality rather than hang — the "did not scale" behavior.
+	// report budget exhaustion rather than hang — the "did not scale"
+	// behavior.
 	rng := rand.New(rand.NewSource(9))
 	p := Problem{
 		Coherence: func(a, b int) float64 {
@@ -186,9 +187,9 @@ func TestSolveDeadline(t *testing.T) {
 		p.Candidates = append(p.Candidates, cands)
 	}
 	start := time.Now()
-	sol, err := Solve(p, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	sol, err := SolveContext(context.Background(), p, 50*time.Millisecond)
+	if !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("deadline ignored: ran %v", elapsed)
@@ -259,18 +260,5 @@ func TestSolveContextDeadlineActsAsBudget(t *testing.T) {
 	}
 	if len(sol.Assignment) == 0 {
 		t.Error("deadline-exhausted solve should still carry the best incumbent")
-	}
-}
-
-func TestSolveLegacyWrapperMapsExhaustion(t *testing.T) {
-	// The deprecated Solve keeps its historical contract: budget exhaustion is
-	// a nil error with Optimal=false, so pre-refactor callers (the root bench)
-	// keep compiling and behaving identically.
-	sol, err := Solve(hardProblem(), time.Millisecond)
-	if err != nil {
-		t.Fatalf("legacy Solve must map ErrBudgetExhausted to nil, got %v", err)
-	}
-	if sol.Optimal {
-		t.Error("exhausted legacy solve reported Optimal")
 	}
 }

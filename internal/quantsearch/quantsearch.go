@@ -292,8 +292,9 @@ var comparatorCues = []struct {
 //	"annual income above 5 million USD"
 //	"energy consumption below 100 MPGe"
 //	"votes between 10000 and 50000"
+//	"more than 3 % growth"
 func ParseQuery(s string) (Query, error) {
-	lower := strings.ToLower(s)
+	lower := asciiLower(s)
 	q := Query{Op: Equals}
 
 	opIdx := -1
@@ -306,6 +307,17 @@ func ParseQuery(s string) (Query, error) {
 			break
 		}
 	}
+	if opIdx < 0 {
+		// No cue inside the query; one may lead it ("above 5 million USD").
+		for _, cue := range comparatorCues {
+			if strings.HasPrefix(lower, cue.phrase+" ") {
+				opIdx = 0
+				opLen = len(cue.phrase)
+				q.Op = cue.op
+				break
+			}
+		}
+	}
 
 	numericPart := s
 	keywordPart := s
@@ -315,6 +327,7 @@ func ParseQuery(s string) (Query, error) {
 	}
 
 	mentions := quantity.ExtractText(numericPart)
+	leadingCue := opIdx == 0 && len(mentions) > 0
 	if len(mentions) == 0 {
 		// Comparator-free queries may still carry a trailing number.
 		mentions = quantity.ExtractText(s)
@@ -323,12 +336,14 @@ func ParseQuery(s string) (Query, error) {
 	if len(mentions) == 0 {
 		return Query{}, ErrNoValue
 	}
+	last := mentions[0]
 	q.Value = mentions[0].Value
 	q.Unit = mentions[0].Unit
 	if q.Op == Between {
 		if len(mentions) < 2 {
 			return Query{}, fmt.Errorf("%w: 'between' needs two values", ErrBadQuery)
 		}
+		last = mentions[1]
 		q.Value2 = mentions[1].Value
 		if q.Value2 < q.Value {
 			q.Value, q.Value2 = q.Value2, q.Value
@@ -336,6 +351,11 @@ func ParseQuery(s string) (Query, error) {
 		if u := mentions[1].Unit; q.Unit == "" {
 			q.Unit = u
 		}
+	}
+	if leadingCue {
+		// Nothing precedes a leading cue: the keywords are the words around
+		// the values ("above 5 million USD annual income").
+		keywordPart = numericPart[:mentions[0].Start] + " " + numericPart[last.End:]
 	}
 
 	for _, w := range nlp.ContentWords(keywordPart) {
@@ -351,6 +371,20 @@ func ParseQuery(s string) (Query, error) {
 		q.Keywords = append(q.Keywords, w)
 	}
 	return q, nil
+}
+
+// asciiLower lowercases ASCII letters only, so a byte offset into the result
+// is the same offset into s. strings.ToLower can change the byte length —
+// invalid UTF-8 becomes U+FFFD, and some letters lowercase to a different
+// width — which would misplace the cue split. Every cue is ASCII.
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + ('a' - 'A')
+		}
+	}
+	return string(b)
 }
 
 func isComparatorWord(w string) bool {

@@ -49,6 +49,13 @@ func TestParseQuery(t *testing.T) {
 		{"votes between 10000 and 50000", Between, 10000, "", []string{"votes"}},
 		{"revenue of 40", Equals, 40, "", []string{"revenue"}},
 		{"income over 5", Above, 5, "", []string{"income"}},
+		// A cue at the very start of the query: no keyword precedes it, so
+		// any keywords follow the values.
+		{"above 5 million USD", Above, 5e6, "USD", nil},
+		{"more than 3 %", Above, 3, "%", nil},
+		{"between 10000 and 50000 votes", Between, 10000, "votes", nil},
+		{"above 5 million USD annual income", Above, 5e6, "USD", []string{"annual", "income"}},
+		{"exceeding income 3.5", Above, 3.5, "", []string{"income"}},
 	}
 	for _, tc := range tests {
 		q, err := ParseQuery(tc.in)
@@ -73,6 +80,19 @@ func TestParseQueryBetweenBounds(t *testing.T) {
 	}
 	if q.Value != 20 || q.Value2 != 90 {
 		t.Errorf("bounds = [%v, %v], want ordered [20, 90]", q.Value, q.Value2)
+	}
+}
+
+func TestParseQueryLeadingBetween(t *testing.T) {
+	q, err := ParseQuery("between 10000 and 50000 votes in ohio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Op != Between || q.Value != 10000 || q.Value2 != 50000 {
+		t.Errorf("got op=%v [%v, %v], want between [10000, 50000]", q.Op, q.Value, q.Value2)
+	}
+	if !reflect.DeepEqual(q.Keywords, []string{"ohio"}) {
+		t.Errorf("keywords = %v, want [ohio]", q.Keywords)
 	}
 }
 

@@ -195,8 +195,7 @@ func (p *Pool) Stream(ctx context.Context, docs []*document.Document) *Stream {
 						// has no reader.
 						return
 					}
-					// A resolver-stage failure on a live context (possible
-					// since resolution became pluggable) is a per-document
+					// A failure on a live context would be a per-document
 					// result the consumer must see, not a silent drop.
 					select {
 					case out <- Result{Index: t.idx, DocID: t.doc.ID, Err: err}:
