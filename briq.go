@@ -284,43 +284,30 @@ func newTrained(seed int64) (*Pipeline, error) {
 // saturation the request may fail with ErrOverloaded or ErrDeadlineBudget.
 // Returned alignments must then be treated as read-only.
 func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]Alignment, error) {
-	if p.Gate == nil {
-		page := htmlx.ParseString(html)
-		docs, perDoc, err := p.AlignPageDocsContext(ctx, pageID, page)
-		if err != nil {
-			return nil, err
-		}
-		offerToSink(p, docs, perDoc)
-		return flattenAlignments(perDoc), nil
+	var key serve.Key // zero without a gate: there is no page entry to record
+	if p.Gate != nil {
+		key = p.Gate.PageKey(pageID, html)
 	}
-	key := p.Gate.PageKey(pageID, html)
+	// A nil Gate runs the closure directly; with a gate it runs for the
+	// single-flight leader only, so the sink sees each fresh result once.
 	v, _, err := p.Gate.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		page := htmlx.ParseString(html)
-		docs, perDoc, err := p.AlignPageDocsContext(ctx, pageID, page)
+		docs, perDoc, err := p.AlignPageDocsContext(ctx, pageID, htmlx.ParseString(html))
 		if err != nil {
 			return nil, 0, err
 		}
-		// Leader-only: cache hits skip the closure, so a sink sees each
-		// fresh (document, model) identity once.
-		offerToSink(p, docs, perDoc)
+		if p.Sink != nil {
+			p.Sink.Add(key, docs, perDoc)
+		}
 		als := flattenAlignments(perDoc)
-		return als, alignmentsSize(als), nil
+		return als, core.AlignmentsSize(als), nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	if p.Gate == nil {
+		return v.([]Alignment), nil
+	}
 	return copyAlignments(v.([]Alignment)), nil
-}
-
-// offerToSink hands freshly computed per-document alignments to the
-// pipeline's sink, when one is attached.
-func offerToSink(p *Pipeline, docs []*Document, perDoc [][]Alignment) {
-	if p.Sink == nil {
-		return
-	}
-	for i, doc := range docs {
-		p.Sink.AddDocument(doc, perDoc[i])
-	}
 }
 
 // flattenAlignments concatenates per-document groups in order, preserving
@@ -363,7 +350,9 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 		if err != nil {
 			return nil, err
 		}
-		offerToSink(p, docs, perDoc)
+		if p.Sink != nil {
+			p.Sink.Add(serve.Key{}, docs, perDoc)
+		}
 		out := flattenAlignments(perDoc)
 		core.SortAlignments(out)
 		return out, nil
@@ -381,7 +370,7 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	var missIdx []int
 	for i, doc := range docs {
 		doc := doc
-		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { hashDocument(w, doc) })
+		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
 		if v, ok := p.Gate.Lookup(keys[i]); ok {
 			perDoc[i] = v.([]Alignment)
 			continue
@@ -399,15 +388,13 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 		if err != nil {
 			return nil, err
 		}
+		if p.Sink != nil {
+			p.Sink.Add(serve.Key{}, missDocs, fresh)
+		}
 		for j, als := range fresh {
 			i := missIdx[j]
 			perDoc[i] = als
-			if p.Sink != nil {
-				// Offer before Store: the store's write-through hook on the
-				// gate dedups by this same key once the document is recorded.
-				p.Sink.AddDocument(missDocs[j], als)
-			}
-			p.Gate.Store(keys[i], als, alignmentsSize(als))
+			p.Gate.Store(keys[i], als, core.AlignmentsSize(als))
 		}
 	}
 
@@ -418,16 +405,6 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	core.SortAlignments(out)
 	return out, nil
 }
-
-// hashDocument writes a document's full alignment-relevant content so two
-// documents share a cache key iff the pipeline would see identical input.
-// The definition lives in core.HashDocument — the persistent store derives
-// the same identity.
-func hashDocument(w io.Writer, d *Document) { core.HashDocument(w, d) }
-
-// alignmentsSize estimates the resident bytes of a result slice for the
-// cache's byte accounting (see core.AlignmentsSize).
-func alignmentsSize(als []Alignment) int64 { return core.AlignmentsSize(als) }
 
 // copyAlignments returns a private copy of a cached result, preserving
 // nil-ness and emptiness (so cached and fresh responses marshal

@@ -9,10 +9,9 @@
 //	             [-shutdown-timeout 15s]
 //
 // The gateway exposes the same versioned surface as briq-server — POST
-// /v1/align, /v1/align/batch, /v1/summarize, GET /v1/search, /v1/facts,
-// /v1/metrics, /v1/healthz, with the bare legacy paths as deprecated
-// aliases — so clients, dashboards and the load harness point at it
-// unchanged.
+// /v1/align, /v1/align/batch, /v1/summarize, /v1/ingest, GET /v1/search,
+// /v1/facts, /v1/metrics, /v1/healthz — so clients, dashboards and the load
+// harness point at it unchanged.
 //
 // Each request is routed by the hash of its content identity — endpoint +
 // body for the POST alignment endpoints, endpoint + canonicalized query

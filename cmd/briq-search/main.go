@@ -24,9 +24,11 @@ import (
 	"strings"
 
 	"briq/client"
+	"briq/internal/core"
 	"briq/internal/document"
 	"briq/internal/htmlx"
 	"briq/internal/quantsearch"
+	"briq/internal/serve"
 	"briq/internal/store"
 )
 
@@ -96,9 +98,9 @@ func main() {
 }
 
 // indexDir segments every .html page under dir and feeds the documents
-// through a memory-only store — the same AddDocument path the server's
-// persistent store uses, minus the alignments (this mode indexes without a
-// trained model, exactly like the old in-process indexer).
+// through a memory-only store — the same Add path the server's facade
+// writes through, minus the alignments (this mode indexes without a trained
+// model, exactly like the old in-process indexer).
 func indexDir(dir string) (*store.Store, int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.html"))
 	if err != nil {
@@ -124,9 +126,7 @@ func indexDir(dir string) (*store.Store, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %v", path, err)
 		}
-		for _, doc := range docs {
-			st.AddDocument(doc, nil)
-		}
+		st.Add(serve.Key{}, docs, make([][]core.Alignment, len(docs)))
 	}
 	return st, len(paths), nil
 }

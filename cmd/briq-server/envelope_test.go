@@ -50,7 +50,7 @@ func TestErrorCodeTable(t *testing.T) {
 // an unknown code degrades to 500 internal rather than panicking or leaking
 // an unregistered code.
 func TestWriteErrorEnvelope(t *testing.T) {
-	rec := do(t, newTestServer(), http.MethodGet, "/align", "")
+	rec := do(t, newTestServer(), http.MethodGet, "/v1/align", "")
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d, want 405", rec.Code)
 	}
@@ -105,13 +105,13 @@ func TestEnvelopeSchemaGolden(t *testing.T) {
 		schemaLines(label, v, &lines)
 	}
 
-	ok := do(t, srv, http.MethodPost, "/align", testPage)
+	ok := do(t, srv, http.MethodPost, "/v1/align", testPage)
 	if ok.Code != 200 {
 		t.Fatalf("align status = %d", ok.Code)
 	}
 	renderSchema("align_ok", ok.Body.String())
 
-	noTables := do(t, srv, http.MethodPost, "/align", "<p>just 42 words, no table</p>")
+	noTables := do(t, srv, http.MethodPost, "/v1/align", "<p>just 42 words, no table</p>")
 	if noTables.Code != 422 {
 		t.Fatalf("no-tables status = %d", noTables.Code)
 	}
@@ -155,7 +155,7 @@ func TestOverloadSheds429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := do(t, srv, http.MethodPost, "/align", testPage)
+	rec := do(t, srv, http.MethodPost, "/v1/align", testPage)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated status = %d, want 429 (body: %.300s)", rec.Code, rec.Body.String())
 	}
@@ -174,7 +174,7 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 
 	release()
-	if rec := do(t, srv, http.MethodPost, "/align", testPage); rec.Code != http.StatusOK {
+	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != http.StatusOK {
 		t.Fatalf("post-release status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
 	}
 
@@ -186,7 +186,7 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 	defer release2()
 	body, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
-	if rec := do(t, srv, http.MethodPost, "/align/batch", string(body)); rec.Code != http.StatusTooManyRequests {
+	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body)); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated batch status = %d, want 429", rec.Code)
 	}
 }
@@ -197,11 +197,11 @@ func TestOverloadSheds429(t *testing.T) {
 func TestServerCacheHitByteIdentical(t *testing.T) {
 	srv := newServer(briq.New(briq.WithCache(8<<20)), serverOptions{workers: 1})
 
-	first := do(t, srv, http.MethodPost, "/align", testPage)
+	first := do(t, srv, http.MethodPost, "/v1/align", testPage)
 	if first.Code != 200 {
 		t.Fatalf("first status = %d", first.Code)
 	}
-	second := do(t, srv, http.MethodPost, "/align", testPage)
+	second := do(t, srv, http.MethodPost, "/v1/align", testPage)
 	if second.Code != 200 {
 		t.Fatalf("second status = %d", second.Code)
 	}
@@ -216,7 +216,7 @@ func TestServerCacheHitByteIdentical(t *testing.T) {
 	}
 
 	// /metrics surfaces the same counters under the serving section.
-	rec := do(t, srv, http.MethodGet, "/metrics", "")
+	rec := do(t, srv, http.MethodGet, "/v1/metrics", "")
 	var m map[string]any
 	if err := json.NewDecoder(rec.Body).Decode(&m); err != nil {
 		t.Fatal(err)

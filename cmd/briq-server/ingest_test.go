@@ -235,12 +235,7 @@ func TestIngestRecordsStageHistograms(t *testing.T) {
 	before := classifyCount()
 	cfg := corpus.TableSConfig(29)
 	cfg.Pages = 3
-	var lines []string
-	for _, pg := range corpus.Generate(cfg).Pages {
-		line, _ := json.Marshal(ingestLine{PageID: pg.ID, HTML: pg.HTML()})
-		lines = append(lines, string(line))
-	}
-	rec := do(t, srv, http.MethodPost, "/v1/ingest", strings.Join(lines, "\n"))
+	rec := do(t, srv, http.MethodPost, "/v1/ingest", ndjsonBody(corpus.Generate(cfg).Pages))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
 	}

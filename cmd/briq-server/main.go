@@ -5,8 +5,7 @@
 //	            [-cache-bytes N] [-max-inflight N] [-store dir]
 //	            [-request-timeout 30s] [-shutdown-timeout 15s] [-pprof] [-quiet]
 //
-// Endpoints (served under /v1; the bare legacy paths remain as deprecated
-// aliases that answer identically but carry an X-Briq-Deprecated-Path header):
+// Endpoints (served under /v1 only; a bare unversioned path answers 404):
 //
 //	POST /v1/align         HTML page body → JSON alignments
 //	POST /v1/align/batch   JSON {"pages": [{"id", "html"}]} → per-page alignments,

@@ -52,7 +52,7 @@ func do(t *testing.T, srv *server, method, path, body string) *httptest.Response
 
 func TestHandleAlign(t *testing.T) {
 	srv := newTestServer()
-	rec := do(t, srv, http.MethodPost, "/align", testPage)
+	rec := do(t, srv, http.MethodPost, "/v1/align", testPage)
 
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
@@ -103,20 +103,20 @@ func TestErrorPaths(t *testing.T) {
 		body       string
 		wantStatus int
 	}{
-		{"align wrong method", http.MethodGet, "/align", "", http.StatusMethodNotAllowed},
-		{"align empty body", http.MethodPost, "/align", "", http.StatusBadRequest},
-		{"align body over maxBody", http.MethodPost, "/align", bigBody, http.StatusBadRequest},
-		{"align malformed (non-UTF-8) HTML", http.MethodPost, "/align", "<p>\xff\xfe broken</p>", http.StatusBadRequest},
-		{"summarize wrong method", http.MethodGet, "/summarize", "", http.StatusMethodNotAllowed},
-		{"summarize empty body", http.MethodPost, "/summarize", "", http.StatusBadRequest},
-		{"batch wrong method", http.MethodGet, "/align/batch", "", http.StatusMethodNotAllowed},
-		{"batch malformed JSON", http.MethodPost, "/align/batch", `{"pages": [`, http.StatusBadRequest},
-		{"batch no pages", http.MethodPost, "/align/batch", `{"pages": []}`, http.StatusBadRequest},
-		{"batch empty html", http.MethodPost, "/align/batch", `{"pages": [{"id": "a", "html": ""}]}`, http.StatusBadRequest},
-		{"batch duplicate ids", http.MethodPost, "/align/batch", `{"pages": [{"id": "a", "html": "<p>1</p>"}, {"id": "a", "html": "<p>2</p>"}]}`, http.StatusBadRequest},
-		{"batch non-UTF-8 html", http.MethodPost, "/align/batch", `{"pages": [{"id": "a", "html": "�"}]}`, http.StatusOK}, // JSON cannot carry invalid UTF-8; replacement chars are fine
-		{"batch too many pages", http.MethodPost, "/align/batch", manyPages, http.StatusRequestEntityTooLarge},
-		{"metrics wrong method", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
+		{"align wrong method", http.MethodGet, "/v1/align", "", http.StatusMethodNotAllowed},
+		{"align empty body", http.MethodPost, "/v1/align", "", http.StatusBadRequest},
+		{"align body over maxBody", http.MethodPost, "/v1/align", bigBody, http.StatusBadRequest},
+		{"align malformed (non-UTF-8) HTML", http.MethodPost, "/v1/align", "<p>\xff\xfe broken</p>", http.StatusBadRequest},
+		{"summarize wrong method", http.MethodGet, "/v1/summarize", "", http.StatusMethodNotAllowed},
+		{"summarize empty body", http.MethodPost, "/v1/summarize", "", http.StatusBadRequest},
+		{"batch wrong method", http.MethodGet, "/v1/align/batch", "", http.StatusMethodNotAllowed},
+		{"batch malformed JSON", http.MethodPost, "/v1/align/batch", `{"pages": [`, http.StatusBadRequest},
+		{"batch no pages", http.MethodPost, "/v1/align/batch", `{"pages": []}`, http.StatusBadRequest},
+		{"batch empty html", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": ""}]}`, http.StatusBadRequest},
+		{"batch duplicate ids", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": "<p>1</p>"}, {"id": "a", "html": "<p>2</p>"}]}`, http.StatusBadRequest},
+		{"batch non-UTF-8 html", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": "�"}]}`, http.StatusOK}, // JSON cannot carry invalid UTF-8; replacement chars are fine
+		{"batch too many pages", http.MethodPost, "/v1/align/batch", manyPages, http.StatusRequestEntityTooLarge},
+		{"metrics wrong method", http.MethodPost, "/v1/metrics", "", http.StatusMethodNotAllowed},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -141,7 +141,7 @@ func TestHandleAlignBatch(t *testing.T) {
 		{HTML: testPage}, // unnamed → page1
 		{ID: "plain", HTML: "<p>no tables here, just 42 words</p>"},
 	}})
-	rec := do(t, srv, http.MethodPost, "/align/batch", string(body))
+	rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -247,7 +247,7 @@ func TestInstrumentRecoversPanics(t *testing.T) {
 		panic("handler exploded")
 	})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/align", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/align", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}
@@ -264,7 +264,7 @@ func TestInstrumentRecoversPanics(t *testing.T) {
 func TestRequestDeadline(t *testing.T) {
 	srv := newServer(briq.New(), serverOptions{workers: 1, requestTimeout: time.Nanosecond})
 	body, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
-	rec := do(t, srv, http.MethodPost, "/align/batch", string(body))
+	rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", rec.Code)
 	}
@@ -279,7 +279,7 @@ func TestRequestDeadline(t *testing.T) {
 
 func TestHandleSummarize(t *testing.T) {
 	srv := newTestServer()
-	rec := do(t, srv, http.MethodPost, "/summarize", testPage)
+	rec := do(t, srv, http.MethodPost, "/v1/summarize", testPage)
 
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())

@@ -48,7 +48,7 @@ func schemaLines(prefix string, v any, out *[]string) {
 
 func metricsSchema(t *testing.T, srv *server) string {
 	t.Helper()
-	rec := do(t, srv, "GET", "/metrics", "")
+	rec := do(t, srv, "GET", "/v1/metrics", "")
 	if rec.Code != 200 {
 		t.Fatalf("metrics status = %d", rec.Code)
 	}
@@ -72,11 +72,11 @@ func TestMetricsSchemaGolden(t *testing.T) {
 	cold := metricsSchema(t, srv)
 
 	body, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
-	if rec := do(t, srv, "POST", "/align/batch", string(body)); rec.Code != 200 {
+	if rec := do(t, srv, "POST", "/v1/align/batch", string(body)); rec.Code != 200 {
 		t.Fatalf("batch status = %d", rec.Code)
 	}
-	do(t, srv, "POST", "/align", testPage)
-	do(t, srv, "GET", "/align", "") // a 4xx, so error counters are exercised too
+	do(t, srv, "POST", "/v1/align", testPage)
+	do(t, srv, "GET", "/v1/align", "") // a 4xx, so error counters are exercised too
 	warm := metricsSchema(t, srv)
 
 	if cold != warm {

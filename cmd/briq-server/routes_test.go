@@ -3,63 +3,32 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"briq/internal/api"
 )
 
 // TestRouteSurface walks the shared route table: every endpoint must answer
-// on its /v1 path, and on the legacy alias with the deprecation header — and
-// only there. This is the briq-server half of the "gateway is a drop-in for
-// the server" contract; briq-gateway has the mirror-image test.
+// on its /v1 path, and its bare path must be 404. This is the briq-server
+// half of the "gateway is a drop-in for the server" contract; briq-gateway
+// has the mirror-image test.
 func TestRouteSurface(t *testing.T) {
 	srv := newTestServer()
 	handler := srv.routes()
 
 	for _, route := range api.Surface() {
 		for _, tc := range []struct {
-			path       string
-			deprecated bool
+			path    string
+			mounted bool
 		}{
-			{api.Versioned(route.Path), false},
-			{route.Path, true},
+			{api.Versioned(route.Path), true},
+			{route.Path, false},
 		} {
 			rec := httptest.NewRecorder()
 			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
-			if rec.Code == http.StatusNotFound {
-				t.Errorf("%s: not mounted", tc.path)
-				continue
-			}
-			dep := rec.Header().Get(api.DeprecationHeader)
-			if tc.deprecated && dep != "use "+api.Versioned(route.Path) {
-				t.Errorf("%s: deprecation header = %q, want pointer to %s", tc.path, dep, api.Versioned(route.Path))
-			}
-			if !tc.deprecated && dep != "" {
-				t.Errorf("%s: versioned path carries deprecation header %q", tc.path, dep)
+			if got := rec.Code != http.StatusNotFound; got != tc.mounted {
+				t.Errorf("%s: status %d, want mounted = %v", tc.path, rec.Code, tc.mounted)
 			}
 		}
-	}
-}
-
-// TestLegacyAliasSameBody: the alias must serve the identical handler, not a
-// redirect — byte-identical body, same status.
-func TestLegacyAliasSameBody(t *testing.T) {
-	srv := newTestServer()
-	handler := srv.routes()
-	page := `<html><body><table><tr><th>City</th><th>Pop</th></tr><tr><td>A</td><td>100</td></tr></table><p>The population is 100 people.</p></body></html>`
-
-	post := func(path string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(page)))
-		return rec
-	}
-	v1 := post("/v1/align")
-	legacy := post("/align")
-	if v1.Code != legacy.Code {
-		t.Fatalf("status mismatch: /v1/align=%d /align=%d", v1.Code, legacy.Code)
-	}
-	if v1.Body.String() != legacy.Body.String() {
-		t.Errorf("alias body differs from versioned body:\n%s\nvs\n%s", legacy.Body.String(), v1.Body.String())
 	}
 }

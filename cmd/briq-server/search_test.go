@@ -12,7 +12,6 @@ import (
 	"briq"
 	"briq/internal/facts"
 	"briq/internal/quantsearch"
-	"briq/internal/store"
 )
 
 // searchResult decodes the /search envelope for assertions.
@@ -29,7 +28,7 @@ type searchPage struct {
 // in between.
 func TestSearchAfterAlign(t *testing.T) {
 	srv := newTestServer()
-	if rec := do(t, srv, http.MethodPost, "/align", testPage); rec.Code != 200 {
+	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != 200 {
 		t.Fatalf("align status = %d", rec.Code)
 	}
 
@@ -69,7 +68,7 @@ func TestSearchAfterAlign(t *testing.T) {
 // row entity of the test page, highest confidence first.
 func TestFactsAfterAlign(t *testing.T) {
 	srv := newTestServer()
-	if rec := do(t, srv, http.MethodPost, "/align", testPage); rec.Code != 200 {
+	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != 200 {
 		t.Fatalf("align status = %d", rec.Code)
 	}
 	entities := srv.store.Entities()
@@ -99,35 +98,41 @@ func TestFactsAfterAlign(t *testing.T) {
 	}
 }
 
-// TestSearchFactsValidation drives every list-endpoint failure mode: wrong
-// verbs answer 405, uninterpretable parameters answer 422 bad_query.
+// listValidationCases are the list-endpoint failure modes: wrong verbs
+// answer 405, uninterpretable parameters answer 422 bad_query. Their query
+// strings also seed FuzzSearchParams.
+var listValidationCases = []struct {
+	name       string
+	method     string
+	path       string
+	wantStatus int
+	wantCode   string
+}{
+	{"search wrong method", http.MethodPost, "/v1/search", 405, codeMethodNotAllowed},
+	{"search no query", http.MethodGet, "/v1/search", 422, codeBadQuery},
+	{"search q and structured", http.MethodGet, "/v1/search?q=above+5&value=5", 422, codeBadQuery},
+	{"search q without value", http.MethodGet, "/v1/search?q=just+words", 422, codeBadQuery},
+	{"search bad op", http.MethodGet, "/v1/search?op=around&value=5", 422, codeBadQuery},
+	{"search bad value", http.MethodGet, "/v1/search?value=abc", 422, codeBadQuery},
+	{"search op without value", http.MethodGet, "/v1/search?op=above", 422, codeBadQuery},
+	{"search between without value2", http.MethodGet, "/v1/search?op=between&value=5", 422, codeBadQuery},
+	{"search value2 without between", http.MethodGet, "/v1/search?op=above&value=5&value2=10", 422, codeBadQuery},
+	{"search unknown unit", http.MethodGet, "/v1/search?value=5&unit=wombats", 422, codeBadQuery},
+	{"search bad cursor", http.MethodGet, "/v1/search?value=5&cursor=xyz", 422, codeBadQuery},
+	{"search negative cursor", http.MethodGet, "/v1/search?value=5&cursor=-3", 422, codeBadQuery},
+	{"search bad limit", http.MethodGet, "/v1/search?value=5&limit=0", 422, codeBadQuery},
+	{"facts wrong method", http.MethodPost, "/v1/facts", 405, codeMethodNotAllowed},
+	{"facts missing entity", http.MethodGet, "/v1/facts", 422, codeBadQuery},
+	{"facts bad cursor", http.MethodGet, "/v1/facts?entity=rash&cursor=nope", 422, codeBadQuery},
+	{"search NaN value", http.MethodGet, "/v1/search?value=NaN", 422, codeBadQuery},
+	{"search infinite value", http.MethodGet, "/v1/search?value=Inf", 422, codeBadQuery},
+	{"search non-finite between", http.MethodGet, "/v1/search?op=between&value=-Inf&value2=NaN", 422, codeBadQuery},
+}
+
+// TestSearchFactsValidation drives every list-endpoint failure mode.
 func TestSearchFactsValidation(t *testing.T) {
 	srv := newTestServer()
-	tests := []struct {
-		name       string
-		method     string
-		path       string
-		wantStatus int
-		wantCode   string
-	}{
-		{"search wrong method", http.MethodPost, "/v1/search", 405, codeMethodNotAllowed},
-		{"search no query", http.MethodGet, "/v1/search", 422, codeBadQuery},
-		{"search q and structured", http.MethodGet, "/v1/search?q=above+5&value=5", 422, codeBadQuery},
-		{"search q without value", http.MethodGet, "/v1/search?q=just+words", 422, codeBadQuery},
-		{"search bad op", http.MethodGet, "/v1/search?op=around&value=5", 422, codeBadQuery},
-		{"search bad value", http.MethodGet, "/v1/search?value=abc", 422, codeBadQuery},
-		{"search op without value", http.MethodGet, "/v1/search?op=above", 422, codeBadQuery},
-		{"search between without value2", http.MethodGet, "/v1/search?op=between&value=5", 422, codeBadQuery},
-		{"search value2 without between", http.MethodGet, "/v1/search?op=above&value=5&value2=10", 422, codeBadQuery},
-		{"search unknown unit", http.MethodGet, "/v1/search?value=5&unit=wombats", 422, codeBadQuery},
-		{"search bad cursor", http.MethodGet, "/v1/search?value=5&cursor=xyz", 422, codeBadQuery},
-		{"search negative cursor", http.MethodGet, "/v1/search?value=5&cursor=-3", 422, codeBadQuery},
-		{"search bad limit", http.MethodGet, "/v1/search?value=5&limit=0", 422, codeBadQuery},
-		{"facts wrong method", http.MethodPost, "/v1/facts", 405, codeMethodNotAllowed},
-		{"facts missing entity", http.MethodGet, "/v1/facts", 422, codeBadQuery},
-		{"facts bad cursor", http.MethodGet, "/v1/facts?entity=rash&cursor=nope", 422, codeBadQuery},
-	}
-	for _, tt := range tests {
+	for _, tt := range listValidationCases {
 		t.Run(tt.name, func(t *testing.T) {
 			rec := do(t, srv, tt.method, tt.path, "")
 			if rec.Code != tt.wantStatus {
@@ -148,7 +153,7 @@ func TestSearchFactsValidation(t *testing.T) {
 // concatenation equals one unpaginated result list.
 func TestSearchPagination(t *testing.T) {
 	srv := newTestServer()
-	if rec := do(t, srv, http.MethodPost, "/align", testPage); rec.Code != 200 {
+	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != 200 {
 		t.Fatalf("align status = %d", rec.Code)
 	}
 
@@ -200,7 +205,7 @@ func TestSearchPagination(t *testing.T) {
 //	go test ./cmd/briq-server -run TestListEnvelopeSchemaGolden -update
 func TestListEnvelopeSchemaGolden(t *testing.T) {
 	srv := newTestServer()
-	if rec := do(t, srv, http.MethodPost, "/align", testPage); rec.Code != 200 {
+	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != 200 {
 		t.Fatalf("align status = %d", rec.Code)
 	}
 	entities := srv.store.Entities()
@@ -258,17 +263,8 @@ func TestListEnvelopeSchemaGolden(t *testing.T) {
 func TestWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	searchURL := "/v1/search?q=side+effects+above+30"
-	boot := func() (*server, *store.Store) {
-		p := briq.New(briq.WithCache(8 << 20))
-		st, err := store.Open(store.Options{Dir: dir, Fingerprint: p.Fingerprint(), Gate: p.Gate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newServer(p, serverOptions{workers: 1, store: st}), st
-	}
-
-	srv1, st1 := boot()
-	if rec := do(t, srv1, http.MethodPost, "/align", testPage); rec.Code != 200 {
+	srv1, st1 := bootStore(t, dir, briq.WithCache(8<<20))
+	if rec := do(t, srv1, http.MethodPost, "/v1/align", testPage); rec.Code != 200 {
 		t.Fatalf("align status = %d", rec.Code)
 	}
 	want := do(t, srv1, http.MethodGet, searchURL, "").Body.String()
@@ -279,7 +275,7 @@ func TestWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, st2 := boot()
+	srv2, st2 := bootStore(t, dir, briq.WithCache(8<<20))
 	defer st2.Close()
 
 	// Search state is byte-identical before any request warms anything.
@@ -292,7 +288,7 @@ func TestWarmRestart(t *testing.T) {
 	}
 
 	// The very first re-POST of the page is served from the warm cache.
-	rec := do(t, srv2, http.MethodPost, "/align", testPage)
+	rec := do(t, srv2, http.MethodPost, "/v1/align", testPage)
 	if rec.Code != 200 {
 		t.Fatalf("re-align status = %d", rec.Code)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -82,7 +83,8 @@ type server struct {
 // and its Sink at the aligned-corpus store (a memory-only one when main
 // didn't open a persistent directory — /v1/search and /v1/facts work either
 // way) before any request runs; after that the pipeline is shared read-only
-// across handler goroutines.
+// across handler goroutines. The align endpoints write to the store through
+// the Sink, /v1/ingest through the ingestor's UpsertPage.
 func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	if opts.logger == nil {
 		opts.logger = log.New(io.Discard, "", 0)
@@ -115,7 +117,7 @@ func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 
 // routes builds the full handler tree from the shared route table: every
 // endpoint wrapped in the logging/recovery/metrics middleware, served under
-// /v1 with the legacy unversioned path kept as a deprecated alias.
+// /v1 only.
 func (s *server) routes() http.Handler {
 	handlers := map[string]http.HandlerFunc{
 		"align":       s.handleAlign,
@@ -133,7 +135,7 @@ func (s *server) routes() http.Handler {
 		if !ok {
 			panic("no handler for route " + r.Name)
 		}
-		api.Mount(mux, r, s.instrument(r.Name, h))
+		mux.Handle(api.Versioned(r.Path), s.instrument(r.Name, h))
 	}
 	if s.opts.enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -424,15 +426,15 @@ func parseSearchQuery(vals url.Values) (quantsearch.Query, error) {
 	if vals.Get("value") == "" {
 		return quantsearch.Query{}, quantsearch.ErrNoValue
 	}
-	if q.Value, err = strconv.ParseFloat(vals.Get("value"), 64); err != nil {
-		return quantsearch.Query{}, fmt.Errorf("%w: bad value %q", quantsearch.ErrBadQuery, vals.Get("value"))
+	if q.Value, err = parseValue("value", vals.Get("value")); err != nil {
+		return quantsearch.Query{}, err
 	}
 	if v2 := vals.Get("value2"); v2 != "" {
 		if q.Op != quantsearch.Between {
 			return quantsearch.Query{}, fmt.Errorf("%w: value2 only applies to op=between", quantsearch.ErrBadQuery)
 		}
-		if q.Value2, err = strconv.ParseFloat(v2, 64); err != nil {
-			return quantsearch.Query{}, fmt.Errorf("%w: bad value2 %q", quantsearch.ErrBadQuery, v2)
+		if q.Value2, err = parseValue("value2", v2); err != nil {
+			return quantsearch.Query{}, err
 		}
 		if q.Value2 < q.Value {
 			q.Value, q.Value2 = q.Value2, q.Value
@@ -451,6 +453,17 @@ func parseSearchQuery(vals url.Values) (quantsearch.Query, error) {
 		q.Keywords = append(q.Keywords, strings.ToLower(kw))
 	}
 	return q, nil
+}
+
+// parseValue reads one numeric search parameter. NaN and ±Inf parse as
+// floats but bound no range, so they are bad queries like any other
+// unreadable number.
+func parseValue(name, raw string) (float64, error) {
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%w: bad %s %q", quantsearch.ErrBadQuery, name, raw)
+	}
+	return v, nil
 }
 
 // parsePage reads the shared cursor/limit pagination parameters. The cursor is

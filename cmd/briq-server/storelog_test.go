@@ -1,0 +1,182 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"briq"
+	"briq/internal/corpus"
+	"briq/internal/store"
+)
+
+// bootStore builds a server over a persistent store in dir, from a pipeline
+// configured by opts.
+func bootStore(t *testing.T, dir string, opts ...briq.Option) (*server, *store.Store) {
+	t.Helper()
+	p := briq.New(opts...)
+	st, err := store.Open(store.Options{Dir: dir, Fingerprint: p.Fingerprint(), Gate: p.Gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newServer(p, serverOptions{workers: 1, store: st}), st
+}
+
+// ndjsonBody renders pages as a POST /v1/ingest body.
+func ndjsonBody(pages []*corpus.Page) string {
+	var lines []string
+	for _, pg := range pages {
+		line, _ := json.Marshal(ingestLine{PageID: pg.ID, HTML: pg.HTML()})
+		lines = append(lines, string(line))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestStoreLogGolden pins what the aligned-corpus store writes and counts
+// across every write path of a cached server: single-page align (a repeat
+// included), a batch that re-aligns an already aligned page's documents,
+// streaming ingest and a one-sentence re-crawl, then a reboot on the same
+// directory and a re-POST of everything. The golden holds the store and
+// serving counters after each phase, the SHA-256 of the final log, and one
+// "kind key" line per log record. Regenerate deliberately with:
+//
+//	go test ./cmd/briq-server -run TestStoreLogGolden -update
+func TestStoreLogGolden(t *testing.T) {
+	dir := t.TempDir()
+	cfg := corpus.TableSConfig(71)
+	cfg.Pages = 4
+	pages := corpus.Generate(cfg).Pages
+	pageB := pages[0].HTML()
+	batch, _ := json.Marshal(batchRequest{Pages: []batchPage{
+		{ID: "request", HTML: testPage}, // the documents /v1/align already stored
+		{ID: "fresh", HTML: pages[1].HTML()},
+	}})
+	crawl := pages[2:]
+
+	var out strings.Builder
+	post := func(srv *server, path, body string) {
+		t.Helper()
+		rec := do(t, srv, http.MethodPost, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if strings.Contains(rec.Body.String(), `"error":"`) {
+			t.Fatalf("POST %s: page error: %s", path, rec.Body.String())
+		}
+		fmt.Fprintf(&out, "POST %s %d\n", path, rec.Code)
+	}
+	phase := func(name string, srv *server, st *store.Store) {
+		fmt.Fprintf(&out, "== %s\n", name)
+		for _, section := range []struct {
+			name     string
+			counters map[string]int64
+		}{
+			{"store", st.Counters()},
+			{"serving", srv.pipeline.Gate.Counters()},
+		} {
+			names := make([]string, 0, len(section.counters))
+			for n := range section.counters {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			for _, n := range names {
+				fmt.Fprintf(&out, "%s.%s %d\n", section.name, n, section.counters[n])
+			}
+		}
+	}
+
+	srv1, st1 := bootStore(t, dir, briq.WithCache(8<<20))
+	phase("boot", srv1, st1)
+	post(srv1, "/v1/align", testPage)
+	post(srv1, "/v1/align", pageB)
+	post(srv1, "/v1/align", testPage)
+	phase("align", srv1, st1)
+	post(srv1, "/v1/align/batch", string(batch))
+	phase("batch", srv1, st1)
+	post(srv1, "/v1/ingest", ndjsonBody(crawl))
+	phase("ingest", srv1, st1)
+	for _, pg := range crawl {
+		pg.Paras[0] += " Meanwhile, 8 further observations were recorded."
+	}
+	post(srv1, "/v1/ingest", ndjsonBody(crawl))
+	phase("recrawl", srv1, st1)
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, st2 := bootStore(t, dir, briq.WithCache(8<<20))
+	defer st2.Close()
+	phase("reboot", srv2, st2)
+	post(srv2, "/v1/align", testPage)
+	post(srv2, "/v1/align", pageB)
+	post(srv2, "/v1/align/batch", string(batch))
+	post(srv2, "/v1/ingest", ndjsonBody(crawl))
+	phase("repost", srv2, st2)
+
+	log, err := os.ReadFile(filepath.Join(dir, "corpus.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "== log sha256 %x\n", sha256.Sum256(log))
+	sc := bufio.NewScanner(bytes.NewReader(log))
+	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	for sc.Scan() {
+		var r struct{ Kind, Key string }
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("undecodable log line: %v", err)
+		}
+		if r.Key == "" {
+			r.Key = "-"
+		}
+		fmt.Fprintf(&out, "%s %s\n", r.Kind, r.Key)
+	}
+
+	got := out.String()
+	golden := filepath.Join("testdata", "store_log.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("store log drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCachelessGateWritesPageRecord: a gate with admission control but no
+// cache still records each aligned page, so a later boot with a cache serves
+// the first re-POST of that page from the warm cache.
+func TestCachelessGateWritesPageRecord(t *testing.T) {
+	dir := t.TempDir()
+	srv1, st1 := bootStore(t, dir, briq.WithMaxInFlight(4))
+	if rec := do(t, srv1, http.MethodPost, "/v1/align", testPage); rec.Code != http.StatusOK {
+		t.Fatalf("align status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := st1.Counters()["cache_records"]; got != 1 {
+		t.Errorf("cache_records = %d after one aligned page, want 1", got)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, st2 := bootStore(t, dir, briq.WithCache(8<<20))
+	defer st2.Close()
+	if rec := do(t, srv2, http.MethodPost, "/v1/align", testPage); rec.Code != http.StatusOK {
+		t.Fatalf("re-align status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if c := srv2.pipeline.Gate.Counters(); c["hits"] != 1 || c["misses"] != 0 {
+		t.Errorf("first re-POST after reboot: hits=%d misses=%d, want a warm hit", c["hits"], c["misses"])
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -23,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestRouteTableGolden(t *testing.T) {
 	var b strings.Builder
 	for _, r := range Surface() {
-		fmt.Fprintf(&b, "%s %s (legacy alias %s)\n", r.Name, Versioned(r.Path), r.Path)
+		fmt.Fprintf(&b, "%s %s\n", r.Name, Versioned(r.Path))
 	}
 	got := b.String()
 
@@ -67,37 +66,6 @@ func TestStatusByCodeComplete(t *testing.T) {
 	for code, status := range want {
 		if got := StatusByCode[code]; got != status {
 			t.Errorf("code %q → %d, want %d", code, got, status)
-		}
-	}
-}
-
-// TestMountAliases checks that Mount serves the handler on both path forms
-// and stamps the deprecation header only on the legacy alias.
-func TestMountAliases(t *testing.T) {
-	mux := http.NewServeMux()
-	r := Route{Name: "align", Path: "/align"}
-	Mount(mux, r, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		WriteResult(w, map[string]any{"ok": true})
-	}))
-
-	for _, tc := range []struct {
-		path           string
-		wantDeprecated bool
-	}{
-		{"/v1/align", false},
-		{"/align", true},
-	} {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status = %d", tc.path, rec.Code)
-		}
-		dep := rec.Header().Get(DeprecationHeader)
-		if tc.wantDeprecated && dep != "use /v1/align" {
-			t.Errorf("%s: deprecation header = %q, want pointer to /v1/align", tc.path, dep)
-		}
-		if !tc.wantDeprecated && dep != "" {
-			t.Errorf("%s: unexpected deprecation header %q on versioned path", tc.path, dep)
 		}
 	}
 }

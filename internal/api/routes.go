@@ -1,16 +1,8 @@
 package api
 
-import "net/http"
-
 // Prefix is the current API version mount point. Every public endpoint is
-// served under it; the bare legacy paths remain as deprecated aliases so
-// pre-/v1 clients keep working.
+// served under it and only there: a bare path answers 404.
 const Prefix = "/v1"
-
-// DeprecationHeader is set on responses served via a legacy unversioned
-// alias, pointing clients at the versioned path. Scrape it in access logs to
-// find callers that still need migrating.
-const DeprecationHeader = "X-Briq-Deprecated-Path"
 
 // Route is one public endpoint of the serving surface: the instrument /
 // metrics name and the canonical unversioned path.
@@ -23,8 +15,8 @@ type Route struct {
 // both build their muxes from exactly this list, which is what makes "the
 // gateway is a drop-in for the server" a testable property instead of a
 // convention: the golden test in this package locks the table, and each
-// binary's route test walks it asserting every versioned path and legacy
-// alias answers.
+// binary's route test walks it asserting every versioned path answers and
+// every bare path is 404.
 func Surface() []Route {
 	return []Route{
 		{Name: "align", Path: "/align"},
@@ -51,19 +43,3 @@ func RouteNames() []string {
 
 // Versioned returns the /v1 form of a canonical path.
 func Versioned(path string) string { return Prefix + path }
-
-// Mount registers h on mux under both the versioned path and the legacy
-// unversioned alias. The alias serves the same handler but stamps
-// DeprecationHeader so operators can see who still uses it.
-func Mount(mux *http.ServeMux, r Route, h http.Handler) {
-	mux.Handle(Versioned(r.Path), h)
-	mux.Handle(r.Path, deprecated(r, h))
-}
-
-func deprecated(r Route, h http.Handler) http.Handler {
-	versioned := Versioned(r.Path)
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set(DeprecationHeader, "use "+versioned)
-		h.ServeHTTP(w, req)
-	})
-}

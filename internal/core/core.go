@@ -107,12 +107,12 @@ type Pipeline struct {
 	// time.
 	Gate *serve.Engine
 
-	// Sink, when non-nil, receives every freshly computed per-document
-	// alignment from the facade paths (page and corpus) — the write-through
-	// hook the persistent store attaches to build its corpus and quantity
-	// index as documents are aligned. Cache hits are not re-offered. It must
-	// be set before the pipeline is shared across goroutines; clones share
-	// the same sink, and its implementation must be concurrency-safe.
+	// Sink, when non-nil, receives every fresh facade result (page and
+	// corpus) in one Add call — how the persistent store builds its corpus
+	// and quantity index as documents are aligned. Cache hits are not
+	// re-offered. It must be set before the pipeline is shared across
+	// goroutines; clones share the same sink, and its implementation must be
+	// concurrency-safe.
 	Sink AlignmentSink
 
 	// ConfigWarnings records non-fatal configuration problems found at

@@ -6,17 +6,20 @@ import (
 	"io"
 
 	"briq/internal/document"
+	"briq/internal/serve"
 )
 
-// AlignmentSink receives freshly computed per-document alignments from the
-// facade paths — the write-through seam the persistent store implements.
-// AddDocument is called once per (document, model) identity computed; cache
-// hits are not re-offered, and implementations must dedup replays (the store
-// keys on the same content address as the serve cache). Implementations must
-// be safe for concurrent use and must not fail the alignment: persistence
-// problems are theirs to count and log.
+// AlignmentSink receives each fresh result of the facade paths — the seam the
+// persistent store implements. Add is called once per result the facade
+// computed, never for cache hits: page is the serve cache's key for a
+// single-page request through a gate (the store records that page once, so a
+// restart warms it back), the zero Key for corpus runs and gate-less calls;
+// perDoc[i] holds the alignments of docs[i]. A document may arrive again
+// (the corpus path keys documents, not pages), so implementations dedup on
+// document identity. They must be safe for concurrent use and must not fail
+// the alignment: persistence problems are theirs to count and log.
 type AlignmentSink interface {
-	AddDocument(doc *document.Document, alignments []Alignment)
+	Add(page serve.Key, docs []*document.Document, perDoc [][]Alignment)
 }
 
 // HashDocumentText writes the paragraph part of a document's content — the
@@ -66,8 +69,8 @@ func DocumentParts(d *document.Document) (text, tables [sha256.Size]byte) {
 // position (ID, page) plus the text-part and table-part content digests — so
 // two documents share a cache key iff the pipeline would see identical input.
 // It is the single definition of per-document request identity: the facade's
-// corpus path and the persistent store derive the same serve.Key from it
-// (serve.DocKeyOf reproduces this byte stream from the part digests).
+// corpus path and the persistent store both derive their serve.Key by
+// hashing it through serve.KeyOf.
 func HashDocument(w io.Writer, d *document.Document) {
 	text, tables := DocumentParts(d)
 	fmt.Fprintf(w, "docv2|%s|%s|", d.ID, d.PageID)

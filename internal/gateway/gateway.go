@@ -157,8 +157,8 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) Stop() { g.prober.Stop() }
 
 // Routes builds the gateway's handler tree from the same shared route table
-// briq-server mounts — versioned paths plus deprecated legacy aliases — so
-// the two binaries expose an identical surface.
+// briq-server mounts, under /v1 only, so the two binaries expose an
+// identical surface.
 func (g *Gateway) Routes() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range api.Surface() {
@@ -175,7 +175,7 @@ func (g *Gateway) Routes() http.Handler {
 		default: // align, align_batch, summarize: the proxy path
 			h = g.proxyHandler(r)
 		}
-		api.Mount(mux, r, g.instrument(r.Name, h))
+		mux.Handle(api.Versioned(r.Path), g.instrument(r.Name, h))
 	}
 	return mux
 }
@@ -377,7 +377,7 @@ func retryableStatus(status int) bool {
 // keeps cached and fresh, direct and proxied responses indistinguishable.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", api.DeprecationHeader} {
+	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

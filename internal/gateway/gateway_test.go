@@ -168,14 +168,14 @@ func newFakeReplica(fingerprint string) *fakeReplica {
 	f := &fakeReplica{fingerprint: fingerprint}
 	f.healthy.Store(true)
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch strings.TrimPrefix(r.URL.Path, api.Prefix) {
-		case "/healthz":
+		switch r.URL.Path {
+		case "/v1/healthz":
 			if !f.healthy.Load() {
 				api.WriteError(w, api.CodeUnavailable, "draining")
 				return
 			}
 			fmt.Fprintln(w, "ok")
-		case "/metrics":
+		case "/v1/metrics":
 			serving := (*serve.Engine)(nil).Counters()
 			serving["hits"] = f.hits.Load()
 			api.WriteJSON(w, http.StatusOK, map[string]any{
@@ -189,7 +189,7 @@ func newFakeReplica(fingerprint string) *fakeReplica {
 				"store":          (*store.Store)(nil).Counters(),
 				"model":          map[string]string{"fingerprint": f.fingerprint},
 			})
-		case "/search", "/facts":
+		case "/v1/search", "/v1/facts":
 			f.searches.Add(1)
 			f.queryMu.Lock()
 			f.lastQuery = r.URL.RawQuery
@@ -198,7 +198,7 @@ func newFakeReplica(fingerprint string) *fakeReplica {
 				Items:      []map[string]any{{"echo": r.URL.RawQuery}},
 				NextCursor: "",
 			})
-		case "/ingest":
+		case "/v1/ingest":
 			// Minimal briq-server ingest contract: one NDJSON result line
 			// per request line, streamed back as lines arrive.
 			rc := http.NewResponseController(w)
@@ -224,7 +224,7 @@ func newFakeReplica(fingerprint string) *fakeReplica {
 					fl.Flush()
 				}
 			}
-		case "/align", "/align/batch", "/summarize":
+		case "/v1/align", "/v1/align/batch", "/v1/summarize":
 			f.aligns.Add(1)
 			if f.shed.Load() {
 				api.WriteError(w, api.CodeOverloaded, "shed by admission control")
@@ -830,8 +830,8 @@ func TestGatewayMetricsSchemaGolden(t *testing.T) {
 }
 
 // TestRouteSurfaceMatchesServer: the gateway mounts the shared route table —
-// versioned paths live, legacy aliases deprecated — so it is a drop-in front
-// for anything that spoke to briq-server directly.
+// versioned paths live, bare paths 404 — so it is a drop-in front for
+// anything that spoke to briq-server directly.
 func TestRouteSurfaceMatchesServer(t *testing.T) {
 	a := newFakeReplica("f1")
 	defer a.srv.Close()
@@ -839,22 +839,19 @@ func TestRouteSurfaceMatchesServer(t *testing.T) {
 
 	for _, r := range api.Surface() {
 		for _, tc := range []struct {
-			path       string
-			deprecated bool
+			path    string
+			mounted bool
 		}{
-			{api.Versioned(r.Path), false},
-			{r.Path, true},
+			{api.Versioned(r.Path), true},
+			{r.Path, false},
 		} {
 			resp, err := http.Get(front.URL + tc.path)
 			if err != nil {
 				t.Fatalf("GET %s: %v", tc.path, err)
 			}
 			client.Drain(resp)
-			if resp.StatusCode == http.StatusNotFound {
-				t.Errorf("route %s not mounted", tc.path)
-			}
-			if got := resp.Header.Get(api.DeprecationHeader) != ""; got != tc.deprecated {
-				t.Errorf("%s: deprecation header present = %v, want %v", tc.path, got, tc.deprecated)
+			if got := resp.StatusCode != http.StatusNotFound; got != tc.mounted {
+				t.Errorf("%s: status %d, want mounted = %v", tc.path, resp.StatusCode, tc.mounted)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,15 +156,12 @@ type fakeServer struct {
 }
 
 func (f *fakeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// The harness speaks the versioned surface; the legacy alias serves the
-	// same handlers, so the fake accepts both.
-	path := strings.TrimPrefix(r.URL.Path, "/v1")
-	if path == "/metrics" {
+	if r.URL.Path == "/v1/metrics" {
 		fmt.Fprintf(w, `{"serving":{"hits":%d,"misses":%d,"coalesced":0,"stores":%d,"shed_overloaded":%d,"shed_deadline":0}}`,
 			f.hits.Load(), f.misses.Load(), f.misses.Load(), f.shed.Load())
 		return
 	}
-	if path == "/healthz" {
+	if r.URL.Path == "/v1/healthz" {
 		fmt.Fprintln(w, "ok")
 		return
 	}

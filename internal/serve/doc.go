@@ -20,6 +20,11 @@
 //	          admission → compute → store, with hit/miss/eviction/shed
 //	          counters for the /metrics endpoint.
 //
+// The Engine's store step fills the cache only; it never calls out. Whoever
+// computes a result persists it explicitly (the facade hands fresh results
+// to the pipeline's sink from inside the compute closure), so nothing the
+// cache does can write to disk.
+//
 // Every type tolerates its disabled form: a nil *Engine computes directly, a
 // zero CacheBytes disables caching, a zero MaxInFlight disables admission.
 package serve

@@ -51,25 +51,6 @@ func PageKeyOf(fingerprint, pageID, html string) Key {
 	return w.sum()
 }
 
-// PartDigest is the SHA-256 of one sub-document content part (paragraph text
-// or table grids), fingerprint-free; DocKeyOf scopes a pair of them into a
-// document Key. The ingest path compares part digests across re-crawls of a
-// page to tell which half of a document actually changed.
-type PartDigest = [sha256.Size]byte
-
-// DocKeyOf combines a document's position and its per-part content digests
-// into the document's content address. It produces exactly the same Key as
-// KeyOf over core.HashDocument — the per-part scheme is a decomposition of
-// the document identity, not a second identity — so the store, the serve
-// cache's corpus path, and the ingest reuse check all agree on one key.
-func DocKeyOf(fingerprint, docID, pageID string, text, tables PartDigest) Key {
-	return KeyOf(fingerprint, func(w io.Writer) {
-		fmt.Fprintf(w, "docv2|%s|%s|", docID, pageID)
-		w.Write(text[:])
-		w.Write(tables[:])
-	})
-}
-
 // keyWriter incrementally builds a Key. Every field is length-prefixed so
 // ("ab","c") and ("a","bc") cannot collide.
 type keyWriter struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync/atomic"
 
 	"briq/internal/obs"
 )
@@ -50,7 +49,6 @@ type Engine struct {
 	flight      flightGroup
 	counters    *obs.CounterSet
 	maxInFlight int
-	onStore     atomic.Pointer[func(Key, any, int64)]
 }
 
 // NewEngine builds an Engine from cfg. A config with neither caching nor
@@ -82,22 +80,6 @@ func (e *Engine) PageKey(pageID, html string) Key {
 // than one source string.
 func (e *Engine) KeyFrom(fill func(io.Writer)) Key {
 	return KeyOf(e.fingerprintOrEmpty(), fill)
-}
-
-// SetOnStore registers a write-through hook invoked after every accepted
-// cache store (fresh computes and explicit Store calls alike — a persistent
-// store dedups replays by key). The hook runs synchronously on the storing
-// goroutine and must not call back into the Engine. Passing nil removes the
-// hook. Safe for concurrent use; no-op on a nil Engine.
-func (e *Engine) SetOnStore(fn func(key Key, v any, size int64)) {
-	if e == nil {
-		return
-	}
-	if fn == nil {
-		e.onStore.Store(nil)
-		return
-	}
-	e.onStore.Store(&fn)
 }
 
 func (e *Engine) fingerprintOrEmpty() string {
@@ -140,7 +122,7 @@ func (e *Engine) Do(ctx context.Context, key Key, compute func(context.Context) 
 		if err != nil {
 			return nil, err
 		}
-		e.store(key, v, size)
+		e.Store(key, v, size)
 		return v, nil
 	})
 	switch {
@@ -202,15 +184,8 @@ func (e *Engine) Store(key Key, v any, size int64) {
 	if e == nil {
 		return
 	}
-	e.store(key, v, size)
-}
-
-func (e *Engine) store(key Key, v any, size int64) {
 	if stored, _ := e.cache.Add(key, v, size); stored {
 		e.counters.Inc("stores")
-		if fn := e.onStore.Load(); fn != nil {
-			(*fn)(key, v, size)
-		}
 	}
 }
 

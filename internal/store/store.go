@@ -16,6 +16,11 @@
 // ingest/re-ingest sequence is byte-identical (Search and FactsFor output)
 // to a from-scratch alignment of the final corpus.
 //
+// Every write is an explicit call from the code that produced the result:
+// the facade hands each fresh alignment result to Add (the core.AlignmentSink
+// seam), and streaming ingest calls UpsertPage. Documents dedup on the live
+// document set, single-page results on the set of page keys already logged.
+//
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
 // alignment but never fail it: persistence errors are counted and logged,
@@ -29,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -57,8 +63,9 @@ var ErrNotStore = errors.New("store: directory is not a store (no meta.json)")
 const (
 	logName  = "corpus.ndjson"
 	metaName = "meta.json"
-	// version 2: per-part document identity (serve.DocKeyOf) changed every
-	// document key, and records gained supersedes/page_docs upsert fields.
+	// version 2: per-part document identity (core.HashDocument over the text
+	// and table part digests) changed every document key, and records gained
+	// supersedes/page_docs upsert fields.
 	// Version-1 stores are refused rather than silently re-aligned under
 	// mismatched keys.
 	version = 2
@@ -74,7 +81,7 @@ type Options struct {
 	// readers); a non-"" value must match the directory's meta.json.
 	Fingerprint string
 	// Gate, when non-nil, is warm-loaded with the replayed alignments on
-	// Open and hooked for write-through of page-level cache stores.
+	// Open and with every document UpsertPage stores.
 	Gate *serve.Engine
 	// Logf receives non-fatal store problems (persist errors, skipped
 	// replay lines). nil discards.
@@ -92,9 +99,10 @@ type Store struct {
 	logF  *os.File // append handle; nil in memory mode
 	index *quantsearch.Index
 	view  *facts.View
-	seen  map[serve.Key]bool      // live record keys (doc + page cache)
 	docs  map[serve.Key]*docState // live document records
 	pages map[string][]serve.Key  // page ID → final ordered doc keys
+	// pageKeys holds the serve page keys already logged as "cache" records.
+	pageKeys map[serve.Key]bool
 
 	// firstPersistErr logs the first failed append through the standard
 	// logger exactly once, so silent data loss is visible even when
@@ -117,7 +125,7 @@ type docState struct {
 
 type counters struct {
 	documents     int64 // doc records accepted (fresh + replayed)
-	duplicates    int64 // AddDocument calls dropped as already stored
+	duplicates    int64 // documents offered to Add that were already live
 	cacheRecords  int64 // page-level cache records (fresh + replayed)
 	warmDocuments int64 // doc records replayed from disk at Open
 	warmCache     int64 // cache records replayed from disk at Open
@@ -158,20 +166,20 @@ type meta struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// Open opens (or creates) the store, replays the log into the quantity
-// index, facts view and — when a Gate is given — the serve cache, and hooks
-// the gate for write-through. Close releases the append handle.
+// Open opens (or creates) the store and replays the log into the quantity
+// index, facts view and — when a Gate is given — the serve cache. Close
+// releases the append handle.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
-		dir:   opts.Dir,
-		fp:    opts.Fingerprint,
-		gate:  opts.Gate,
-		logf:  opts.Logf,
-		index: quantsearch.NewIndex(),
-		view:  facts.NewView(),
-		seen:  make(map[serve.Key]bool),
-		docs:  make(map[serve.Key]*docState),
-		pages: make(map[string][]serve.Key),
+		dir:      opts.Dir,
+		fp:       opts.Fingerprint,
+		gate:     opts.Gate,
+		logf:     opts.Logf,
+		index:    quantsearch.NewIndex(),
+		view:     facts.NewView(),
+		docs:     make(map[serve.Key]*docState),
+		pages:    make(map[string][]serve.Key),
+		pageKeys: make(map[serve.Key]bool),
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -202,10 +210,6 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		s.logF = f
-	}
-	// Hook after replay: replay's own Gate.Store calls must not re-enter.
-	if s.gate != nil {
-		s.gate.SetOnStore(s.cacheStored)
 	}
 	return s, nil
 }
@@ -290,7 +294,7 @@ func (s *Store) replay() error {
 			// Retraction first: the superseded keys are never the record's
 			// own (an upsert's fresh docs are disjoint from its stale ones).
 			s.applyRetract(r.Supersedes)
-			if s.seen[key] {
+			if _, ok := s.docs[key]; ok {
 				continue
 			}
 			s.registerDoc(key, &docState{
@@ -310,10 +314,10 @@ func (s *Store) replay() error {
 				s.index.AddEntries(r.Entries)
 			}
 		case "cache":
-			if s.seen[key] {
+			if s.pageKeys[key] {
 				continue
 			}
-			s.seen[key] = true
+			s.pageKeys[key] = true
 			s.c.cacheRecords++
 			s.c.warmCache++
 			s.gate.Store(key, als, core.AlignmentsSize(als))
@@ -349,13 +353,11 @@ func (s *Store) Close() error {
 // adopted one, for readers that opened with Fingerprint "").
 func (s *Store) Fingerprint() string { return s.fp }
 
-// DocumentKey returns the content address the store files a document under —
-// identical to the serve cache's corpus-path key for the same fingerprint,
-// composed from the per-part content digests so ingest can tell which half
-// of a document moved.
+// DocumentKey returns the content address the store files a document under:
+// core.HashDocument hashed through serve.KeyOf, exactly as the facade's
+// corpus path keys the serve cache for the same fingerprint.
 func (s *Store) DocumentKey(doc *document.Document) serve.Key {
-	text, tables := core.DocumentParts(doc)
-	return serve.DocKeyOf(s.fp, doc.ID, doc.PageID, text, tables)
+	return serve.KeyOf(s.fp, func(w io.Writer) { core.HashDocument(w, doc) })
 }
 
 // Alignments returns the stored alignments for a live document identity.
@@ -397,11 +399,10 @@ func tablesOf(entries []quantsearch.Entry) []string {
 }
 
 // registerDoc records a live document under the held write lock: identity
-// maps, page membership (kept in arrival order for pages maintained via
-// AddDocument), facts, counters. Index entries are the caller's — their
-// order matters for shared-table attribution.
+// map, page membership (kept in arrival order for pages maintained via Add),
+// facts, counters. Index entries are the caller's — their order matters for
+// shared-table attribution.
 func (s *Store) registerDoc(key serve.Key, ds *docState) {
-	s.seen[key] = true
 	s.docs[key] = ds
 	if ds.pageID != "" && !containsKey(s.pages[ds.pageID], key) {
 		s.pages[ds.pageID] = append(s.pages[ds.pageID], key)
@@ -432,7 +433,6 @@ func (s *Store) retractDoc(key serve.Key) {
 	s.index.RemoveTables(ds.tables)
 	s.view.Remove(ds.facts)
 	delete(s.docs, key)
-	delete(s.seen, key)
 	s.c.retractedDocs++
 }
 
@@ -506,31 +506,50 @@ func keysEqual(a, b []serve.Key) bool {
 	return true
 }
 
-// AddDocument implements core.AlignmentSink: it records one freshly aligned
-// document — alignments, derived index entries, derived facts — and feeds
-// the incremental index and facts view. Replays of an already-stored
-// identity are dropped. Persistence failures never fail the alignment.
-func (s *Store) AddDocument(doc *document.Document, alignments []core.Alignment) {
-	key := s.DocumentKey(doc)
-	ds := docStateOf(doc, alignments)
+// Add implements core.AlignmentSink: it records one fresh facade result.
+// Each document not already live is stored — alignments, derived index
+// entries, derived facts — and feeds the incremental index and facts view;
+// live ones count as duplicates. A non-zero page key is logged once, as a
+// "cache" record holding the page's alignments in document order, so a
+// restart warms the serve cache's page entry. Persistence failures never
+// fail the alignment.
+func (s *Store) Add(page serve.Key, docs []*document.Document, perDoc [][]core.Alignment) {
+	keys := make([]serve.Key, len(docs))
+	states := make([]*docState, len(docs))
+	for i, doc := range docs {
+		keys[i] = s.DocumentKey(doc)
+		states[i] = docStateOf(doc, perDoc[i])
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seen[key] {
-		s.c.duplicates++
+	for i, ds := range states {
+		if _, ok := s.docs[keys[i]]; ok {
+			s.c.duplicates++
+			continue
+		}
+		s.registerDoc(keys[i], ds)
+		s.index.AddEntries(ds.entries)
+		s.append(record{
+			Kind:       "doc",
+			Key:        keys[i].String(),
+			DocID:      ds.docID,
+			PageID:     ds.pageID,
+			Alignments: ToWire(ds.als),
+			Entries:    ds.entries,
+			Facts:      ds.facts,
+		})
+	}
+	if page == (serve.Key{}) || s.pageKeys[page] {
 		return
 	}
-	s.registerDoc(key, ds)
-	s.index.AddEntries(ds.entries)
-	s.append(record{
-		Kind:       "doc",
-		Key:        key.String(),
-		DocID:      ds.docID,
-		PageID:     ds.pageID,
-		Alignments: ToWire(alignments),
-		Entries:    ds.entries,
-		Facts:      ds.facts,
-	})
+	s.pageKeys[page] = true
+	s.c.cacheRecords++
+	var als []core.Alignment
+	for _, a := range perDoc {
+		als = append(als, a...)
+	}
+	s.append(record{Kind: "cache", Key: page.String(), Alignments: ToWire(als)})
 }
 
 // PageUpsert reports what one UpsertPage call did.
@@ -557,7 +576,9 @@ type PageUpsert struct {
 // Callers that pass alignments[i] == nil must have confirmed the identity
 // via Alignments first and must serialize upserts of the same page (the
 // ingest path holds a per-page lock); a nil-alignment document that lost a
-// race is registered with no alignments rather than dropped.
+// race is registered with no alignments rather than dropped. Every document
+// the upsert stores is also offered to the Gate, so a later corpus request
+// for it is a cache hit.
 func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments [][]core.Alignment) PageUpsert {
 	keys := make([]serve.Key, len(docs))
 	states := make([]*docState, len(docs))
@@ -573,9 +594,9 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments 
 	}
 
 	up := PageUpsert{Reused: make([]bool, len(docs))}
-	var warm []int // fresh docs to offer the serve cache after unlock
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	startErrs := s.c.persistErrors
 
 	// The no-op re-crawl fast path: same documents in the same order means
@@ -585,7 +606,6 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments 
 			up.Reused[i] = true
 		}
 		s.c.upsertedPages++
-		s.mu.Unlock()
 		return up
 	}
 
@@ -620,7 +640,7 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments 
 			st = docStateOf(docs[i], nil)
 		}
 		s.registerDoc(keys[i], st)
-		warm = append(warm, i)
+		s.gate.Store(keys[i], st.als, core.AlignmentsSize(st.als))
 		s.append(record{
 			Kind:       "doc",
 			Key:        keyStrs[i],
@@ -656,37 +676,7 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments 
 	s.reindexPage(keys)
 	s.c.upsertedPages++
 	up.PersistErrors = s.c.persistErrors - startErrs
-	s.mu.Unlock()
-
-	// Warm the serve cache outside the lock (the write-through hook takes
-	// it; the seen check drops the re-offer).
-	if s.gate != nil {
-		for _, i := range warm {
-			if ds, ok := s.Alignments(keys[i]); ok {
-				s.gate.Store(keys[i], ds, core.AlignmentsSize(ds))
-			}
-		}
-	}
 	return up
-}
-
-// cacheStored is the serve write-through hook: page-level results stored in
-// the cache are persisted so a restart can warm them back. Document-level
-// stores arrive here too but were already recorded by AddDocument or
-// UpsertPage (both run before the gate store), so the seen check drops them.
-func (s *Store) cacheStored(key serve.Key, v any, _ int64) {
-	als, ok := v.([]core.Alignment)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen[key] {
-		return
-	}
-	s.seen[key] = true
-	s.c.cacheRecords++
-	s.append(record{Kind: "cache", Key: key.String(), Alignments: ToWire(als)})
 }
 
 // append writes one record under the held lock. Failures are counted and

@@ -32,6 +32,11 @@ func alignedCorpus(t *testing.T, seed int64, pages int) ([]*document.Document, [
 	return c.Docs, als
 }
 
+// addDoc records one aligned document the way a gate-less facade call does.
+func addDoc(s *Store, doc *document.Document, als []core.Alignment) {
+	s.Add(serve.Key{}, []*document.Document{doc}, [][]core.Alignment{als})
+}
+
 func battery() []quantsearch.Query {
 	return []quantsearch.Query{
 		{Op: quantsearch.Above, Value: 0},
@@ -52,7 +57,7 @@ func TestPersistReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, doc := range docs {
-		s1.AddDocument(doc, als[i])
+		addDoc(s1, doc, als[i])
 	}
 	want := make([][]quantsearch.Result, len(battery()))
 	for i, q := range battery() {
@@ -121,7 +126,7 @@ func TestIncrementalVsRebuild(t *testing.T) {
 
 	view := facts.NewView()
 	for n, doc := range docs {
-		s.AddDocument(doc, als[n])
+		addDoc(s, doc, als[n])
 		view.Add(facts.Extract(doc, als[n]))
 
 		rebuilt := quantsearch.BuildIndex(docs[:n+1])
@@ -146,7 +151,7 @@ func TestTornTailSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, doc := range docs {
-		s1.AddDocument(doc, als[i])
+		addDoc(s1, doc, als[i])
 	}
 	want := s1.Search(battery()[0])
 	s1.Close()
@@ -210,7 +215,7 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i, doc := range docs {
-			s.AddDocument(doc, als[i])
+			addDoc(s, doc, als[i])
 		}
 	}()
 	go func() {
@@ -229,7 +234,7 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, doc := range docs {
-		rebuilt.AddDocument(doc, als[i])
+		addDoc(rebuilt, doc, als[i])
 	}
 	for _, q := range battery() {
 		if !reflect.DeepEqual(s.Search(q), rebuilt.Search(q)) {
@@ -282,9 +287,9 @@ func TestDuplicateDocumentDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddDocument(docs[0], als[0])
+	addDoc(s, docs[0], als[0])
 	size := s.Counters()["index_entries"]
-	s.AddDocument(docs[0], als[0])
+	addDoc(s, docs[0], als[0])
 	c := s.Counters()
 	if c["duplicate_documents"] != 1 || c["documents"] != 1 {
 		t.Errorf("counters = %v, want 1 duplicate, 1 document", c)
@@ -306,37 +311,42 @@ func TestCacheWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A document offered to the sink first, then stored in the gate (the
-	// facade's corpus-path order): no duplicate cache record.
-	s.AddDocument(docs[0], als[0])
-	gate.Store(s.DocumentKey(docs[0]), als[0], core.AlignmentsSize(als[0]))
+	// A corpus-path result (zero page key) writes document records only.
+	addDoc(s, docs[0], als[0])
 	if got := s.Counters()["cache_records"]; got != 0 {
-		t.Errorf("cache_records = %d after doc-keyed store, want 0", got)
+		t.Errorf("cache_records = %d after a corpus-path add, want 0", got)
 	}
 
-	// A page-level store (no prior doc record) writes through.
+	// A single-page result also records its page key — once.
 	pageKey := gate.PageKey("p0", "<html>page</html>")
-	gate.Store(pageKey, als[1], core.AlignmentsSize(als[1]))
-	if got := s.Counters()["cache_records"]; got != 1 {
-		t.Errorf("cache_records = %d, want 1", got)
+	s.Add(pageKey, docs[1:2], als[1:2])
+	s.Add(pageKey, docs[1:2], als[1:2])
+	if c := s.Counters(); c["cache_records"] != 1 || c["documents"] != 2 || c["duplicate_documents"] != 1 {
+		t.Errorf("counters after a page add and its repeat = %v, want 1 cache record, 2 documents, 1 duplicate", c)
 	}
 	s.Close()
 
-	// Restart: both the doc key and the page key are warm.
+	// Restart: both the doc keys and the page key are warm.
 	gate2 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
 	s2, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := gate2.Lookup(s2.DocumentKey(docs[0])); !ok {
-		t.Error("doc key not warm after restart")
+	for i, doc := range docs[:2] {
+		if _, ok := gate2.Lookup(s2.DocumentKey(doc)); !ok {
+			t.Errorf("doc %d key not warm after restart", i)
+		}
 	}
-	if _, ok := gate2.Lookup(pageKey); !ok {
-		t.Error("page key not warm after restart")
+	v, ok := gate2.Lookup(pageKey)
+	if !ok {
+		t.Fatal("page key not warm after restart")
+	}
+	if got := v.([]core.Alignment); !reflect.DeepEqual(got, als[1]) {
+		t.Errorf("warm page entry = %+v, want the page's alignments %+v", got, als[1])
 	}
 	c := s2.Counters()
-	if c["warm_cache_records"] != 1 || c["warm_documents"] != 1 {
+	if c["warm_cache_records"] != 1 || c["warm_documents"] != 2 {
 		t.Errorf("warm counters = %v", c)
 	}
 }
@@ -358,7 +368,8 @@ func TestNilStoreCounters(t *testing.T) {
 }
 
 // TestSinkIntegration drives the store through the facade seam: a pipeline
-// with Sink + Gate persists fresh computes exactly once.
+// with Sink + Gate persists a fresh result exactly once, however often it is
+// offered.
 func TestSinkIntegration(t *testing.T) {
 	docs, _ := alignedCorpus(t, 13, 3)
 	p := core.NewPipeline()
@@ -370,12 +381,16 @@ func TestSinkIntegration(t *testing.T) {
 	defer s.Close()
 	p.Sink = s
 
-	for _, doc := range docs {
-		p.Sink.AddDocument(doc, p.Align(doc))
+	perDoc := make([][]core.Alignment, len(docs))
+	for i, doc := range docs {
+		perDoc[i] = p.Align(doc)
 	}
+	page := p.Gate.PageKey("p0", "<html>page</html>")
+	p.Sink.Add(page, docs, perDoc)
+	p.Sink.Add(page, docs, perDoc)
 	c := s.Counters()
-	if c["documents"] != int64(len(docs)) {
-		t.Errorf("documents = %d, want %d", c["documents"], len(docs))
+	if c["documents"] != int64(len(docs)) || c["duplicate_documents"] != int64(len(docs)) || c["cache_records"] != 1 {
+		t.Errorf("counters = %v, want %d documents and duplicates, 1 cache record", c, len(docs))
 	}
 	if s.Search(quantsearch.Query{Op: quantsearch.Above, Value: 0}) == nil {
 		t.Error("no searchable entries after sink feeds")

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 
 	"briq/internal/core"
 	"briq/internal/document"
-	"briq/internal/serve"
 )
 
 // pageGroup is one page's slice of an aligned corpus, in document order.
@@ -80,20 +78,11 @@ func assertStoreEqual(t *testing.T, got, want *Store, label string) {
 	}
 }
 
-// TestDocKeyOfMatchesHashDocument pins the identity decomposition: the
-// per-part key the store and ingest path derive must equal the monolithic
-// KeyOf over core.HashDocument, or the serve cache's corpus path and the
-// store would file the same document under two addresses.
-func TestDocKeyOfMatchesHashDocument(t *testing.T) {
+// TestDocumentPartsSplitIdentity pins the identity decomposition the ingest
+// path relies on: a changed paragraph moves the text part digest and leaves
+// the table part digest put.
+func TestDocumentPartsSplitIdentity(t *testing.T) {
 	docs, _ := alignedCorpus(t, 21, 3)
-	for _, d := range docs {
-		want := serve.KeyOf(testFP, func(w io.Writer) { core.HashDocument(w, d) })
-		text, tables := core.DocumentParts(d)
-		if got := serve.DocKeyOf(testFP, d.ID, d.PageID, text, tables); got != want {
-			t.Fatalf("doc %s: DocKeyOf = %s, KeyOf(HashDocument) = %s", d.ID, got, want)
-		}
-	}
-	// A changed paragraph moves the text part and therefore the key.
 	d := docs[0]
 	text, tables := core.DocumentParts(d)
 	mtext, mtables := core.DocumentParts(mutated(d))
@@ -184,7 +173,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
+		addDoc(rebuilt, finalDocs[i], finalAls[i])
 	}
 	assertStoreEqual(t, s, rebuilt, "after mutated upserts")
 
@@ -257,7 +246,7 @@ func TestUpsertPageFlipReaccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range g.docs {
-		rebuilt.AddDocument(g.docs[i], g.als[i])
+		addDoc(rebuilt, g.docs[i], g.als[i])
 	}
 	assertStoreEqual(t, s, rebuilt, "after A→B→A flip")
 }
@@ -306,7 +295,7 @@ func TestUpsertPageReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
+		addDoc(rebuilt, finalDocs[i], finalAls[i])
 	}
 	assertStoreEqual(t, s, rebuilt, "after reorder upserts")
 	if err := s.Close(); err != nil {
@@ -447,10 +436,10 @@ func TestConcurrentUpsertSearchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// AddDocument order only matters within a page (shared-table attribution);
+	// Add order only matters within a page (shared-table attribution);
 	// finalDocs preserves per-page order even though pages interleaved.
 	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
+		addDoc(rebuilt, finalDocs[i], finalAls[i])
 	}
 	assertStoreEqual(t, s, rebuilt, "quiesced after concurrent upserts")
 	if err := s.Close(); err != nil {
