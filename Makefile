@@ -12,9 +12,9 @@ all: check
 # (loadgen-smoke), the sharded fleet behind briq-gateway including a
 # replica kill (gateway-smoke), the persistent aligned-corpus store across
 # a server restart (store-smoke), and streaming re-crawl ingestion with
-# fingerprint reuse (ingest-smoke). The runtime pool, serving layer,
-# server handlers and AlignAll fan-out are concurrency-bearing, so a
-# non-race test run is not a complete check.
+# fingerprint reuse (ingest-smoke). The runtime pool (the only place
+# alignment runs in parallel), serving layer and server handlers are
+# concurrency-bearing, so a non-race test run is not a complete check.
 check: fmt-check vet build race bench-test fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
 
 build:
@@ -28,9 +28,9 @@ test: build vet
 	$(GO) test ./...
 
 # Race-enabled suite — the concurrency contract (shared read-only Pipeline,
-# the internal/runtime clone pool, AlignAll fan-out, the parallel RWR worker
-# pool, server handlers) is only trusted if this passes. Includes the pool
-# stress tests in internal/graph and internal/runtime.
+# the internal/runtime clone pool, server handlers) is only trusted if this
+# passes. Includes the pool stress test in internal/runtime and the
+# shared-pipeline stress test in internal/core.
 # The tuning sweeps in internal/experiment run ~6x slower under the race
 # detector; on small machines they overrun go test's default 10m per-binary
 # timeout, so the race target sets its own.
@@ -45,8 +45,11 @@ race:
 bench-test:
 	cd bench && $(GO) test -short ./...
 
-# Hot-path benchmark harness: runs the workload in cmd/briq-bench (CSR vs
-# frozen reference, equivalence-gated) and writes BENCH_pipeline.json.
+# Hot-path benchmark harness: runs the workload in cmd/briq-bench (CSR
+# Resolve vs the frozen reference, equivalence-gated; the pipeline stages;
+# the runtime pool against serial AlignAll; serving, resolvers, classify and
+# ingest) and writes BENCH_pipeline.json. Run it as GOMAXPROCS=1 make bench
+# to compare against the committed report.
 bench:
 	$(GO) run ./cmd/briq-bench -out BENCH_pipeline.json
 

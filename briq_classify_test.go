@@ -41,9 +41,9 @@ func TestAlignCorpusDeterministicWithFrozenClassifier(t *testing.T) {
 	ref := *p
 	ref.ReferenceClassify = true
 	ref.NoClassifyGate = true
-	want, _ := json.Marshal(ref.AlignAll(c.Docs, 1))
+	want, _ := json.Marshal(ref.AlignAll(c.Docs))
 
-	serial, _ := json.Marshal(p.AlignAll(c.Docs, 1))
+	serial, _ := json.Marshal(p.AlignAll(c.Docs))
 	if !bytes.Equal(serial, want) {
 		t.Fatal("serial frozen-engine alignment diverged from the reference path")
 	}

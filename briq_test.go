@@ -122,7 +122,7 @@ func TestAlignCorpusFacade(t *testing.T) {
 	rec := briq.NewRecorder()
 	p := briq.New(briq.WithWorkers(4), briq.WithRecorder(rec))
 
-	serial := p.AlignAll(c.Docs, 1)
+	serial := p.AlignAll(c.Docs)
 	got, err := briq.AlignCorpus(context.Background(), p, c.Docs)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,9 @@
 // that workload, then measures both sides with testing.Benchmark and writes a
 // machine-readable report (BENCH_pipeline.json by default):
 //
-//   - rwr_document — all random walks of one document: CSR RWRAll (lane
-//     kernels, pooled) vs a per-mention ReferenceRWR sweep. This is the
-//     headline number; the CSR path must be ≥2x faster with fewer allocs/op.
 //   - resolve — full iterative resolution (graph build + walks + rewiring),
-//     CSR Resolve vs ReferenceResolve.
+//     CSR Resolve vs ReferenceResolve: what the pipeline runs against the
+//     reference it must equal.
 //   - pipeline — end-to-end Align over the workload, with per-stage latency
 //     histograms (classify/filter/resolve/align) from internal/obs.
 //   - runtime — corpus throughput (docs/sec) of the internal/runtime worker
@@ -41,7 +39,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/briq-bench [-seed 42] [-pages 10] [-rounds 3] [-workers 0] [-out BENCH_pipeline.json]
+//	go run ./cmd/briq-bench [-seed 42] [-pages 10] [-rounds 3] [-out BENCH_pipeline.json]
 //
 // Each benchmark runs -rounds times and the report keeps the fastest round
 // (minimum ns/op), which suppresses scheduler noise on small machines.
@@ -110,7 +108,6 @@ type workload struct {
 	TextMentions  int   `json:"text_mentions"`
 	TableMentions int   `json:"table_mentions"`
 	Candidates    int   `json:"candidates"` // kept by the filter stage
-	RWRWorkers    int   `json:"rwr_workers"`
 }
 
 type equivalence struct {
@@ -132,7 +129,7 @@ type report struct {
 	Equivalence equivalence `json:"equivalence"`
 
 	// Benchmarks holds the CSR-vs-reference comparisons, keyed by benchmark
-	// name ("rwr_document", "resolve").
+	// name ("resolve").
 	Benchmarks map[string]comparison `json:"benchmarks"`
 
 	// PipelineAlign is the end-to-end Align cost per document (single
@@ -300,17 +297,16 @@ func main() {
 	seed := flag.Int64("seed", 42, "corpus generator seed")
 	pages := flag.Int("pages", 10, "corpus pages to generate")
 	rounds := flag.Int("rounds", 3, "benchmark rounds; the fastest is reported")
-	workers := flag.Int("workers", 0, "RWR worker-pool size (0 = graph.DefaultConfig)")
 	out := flag.String("out", "BENCH_pipeline.json", "report output path")
 	flag.Parse()
 
-	if err := run(*seed, *pages, *rounds, *workers, *out); err != nil {
+	if err := run(*seed, *pages, *rounds, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "briq-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, pages, rounds, workers int, out string) error {
+func run(seed int64, pages, rounds int, out string) error {
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -319,9 +315,6 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	// corpus so the resolution benchmarks see production-shaped inputs.
 	c := corpus.Generate(corpus.TableLConfig(seed, pages))
 	p := core.NewPipeline()
-	if workers > 0 {
-		p.GraphConfig.RWRWorkers = workers
-	}
 	cfg := p.GraphConfig
 
 	var rep report
@@ -329,7 +322,7 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.Machine = currentMachine()
 	rep.Rounds = rounds
-	rep.Workload = workload{Seed: seed, Pages: pages, RWRWorkers: cfg.RWRWorkers}
+	rep.Workload = workload{Seed: seed, Pages: pages}
 	rep.Benchmarks = make(map[string]comparison)
 
 	var inputs []resolveInput
@@ -348,8 +341,8 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("seed %d produced no documents with candidates", seed)
 	}
-	fmt.Printf("workload: seed=%d pages=%d documents=%d candidates=%d workers=%d\n",
-		seed, pages, len(inputs), rep.Workload.Candidates, cfg.RWRWorkers)
+	fmt.Printf("workload: seed=%d pages=%d documents=%d candidates=%d\n",
+		seed, pages, len(inputs), rep.Workload.Candidates)
 
 	// Equivalence gate: the fast path must reproduce the reference exactly
 	// on every workload document before any number is reported.
@@ -367,35 +360,6 @@ func run(seed int64, pages, rounds, workers int, out string) error {
 	}
 	rep.Equivalence = equivalence{DocumentsChecked: len(inputs), Identical: true}
 	fmt.Printf("equivalence: CSR Resolve identical to reference on %d documents\n", len(inputs))
-
-	// Document-level RWR: every walk of a document, on prebuilt graphs. The
-	// CSR side batches all walks through the lane kernels (RWRAll); the
-	// reference sweeps mentions one at a time, rebuilding transition rows per
-	// walk — exactly what the pre-CSR Resolve did.
-	gsFast := make([]*graph.Graph, len(inputs))
-	gsRef := make([]*graph.Graph, len(inputs))
-	for i, in := range inputs {
-		gsFast[i] = graph.Build(cfg, in.doc, in.cands)
-		gsRef[i] = graph.Build(cfg, in.doc, in.cands)
-	}
-	rep.Benchmarks["rwr_document"] = compare(rounds,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				gsFast[i%len(gsFast)].RWRAll()
-			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := gsRef[i%len(gsRef)]
-				in := inputs[i%len(gsRef)]
-				for x := 0; x < len(in.doc.TextMentions); x++ {
-					g.ReferenceRWR(x)
-				}
-			}
-		})
-	printComparison("rwr_document", rep.Benchmarks["rwr_document"])
 
 	// Full resolution: graph build + iterative walks + rewiring, per document.
 	rep.Benchmarks["resolve"] = compare(rounds,
@@ -484,7 +448,7 @@ func measureRuntime(rounds int, p *core.Pipeline, docs []*document.Document) (ru
 	var out runtimeReport
 
 	// Determinism gate first: pooled output must match serial byte for byte.
-	serialJSON, err := json.Marshal(p.AlignAll(docs, 1))
+	serialJSON, err := json.Marshal(p.AlignAll(docs))
 	if err != nil {
 		return out, err
 	}
@@ -507,7 +471,7 @@ func measureRuntime(rounds int, p *core.Pipeline, docs []*document.Document) (ru
 
 	serial := best(rounds, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.AlignAll(docs, 1)
+			p.AlignAll(docs)
 		}
 	})
 	out.SerialNsPerCorpus = serial.NsPerOp
@@ -723,12 +687,12 @@ func measureClassify(rounds int, base *core.Pipeline, c *corpus.Corpus, docs []*
 	ref.NoClassifyGate = true
 	engine := best(rounds, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			base.AlignAll(docs, 1)
+			base.AlignAll(docs)
 		}
 	})
 	reference := best(rounds, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ref.AlignAll(docs, 1)
+			ref.AlignAll(docs)
 		}
 	})
 	out.EngineColdNsPerCorpus = engine.NsPerOp

@@ -141,14 +141,14 @@ func TestEnvelopeSchemaGolden(t *testing.T) {
 // a Retry-After hint — deterministically, because the test itself holds the
 // only slot. Releasing the slot restores 200 service.
 func TestOverloadSheds429(t *testing.T) {
-	p := briq.New()
+	p := briq.New(briq.WithWorkers(1))
 	p.Gate = gate.NewEngine(gate.Config{
 		Fingerprint: p.Fingerprint(),
 		CacheBytes:  1 << 20,
 		MaxInFlight: 1,
 		MaxQueue:    0, // shed immediately when saturated: no queue to hide in
 	})
-	srv := newServer(p, serverOptions{workers: 1})
+	srv := newServer(p, serverOptions{})
 
 	release, err := p.Gate.Acquire(context.Background())
 	if err != nil {
@@ -195,7 +195,7 @@ func TestOverloadSheds429(t *testing.T) {
 // the second response must be byte-for-byte the first, and the serving
 // counters must show the hit.
 func TestServerCacheHitByteIdentical(t *testing.T) {
-	srv := newServer(briq.New(briq.WithCache(8<<20)), serverOptions{workers: 1})
+	srv := newServer(briq.New(briq.WithCache(8<<20), briq.WithWorkers(1)), serverOptions{})
 
 	first := do(t, srv, http.MethodPost, "/v1/align", testPage)
 	if first.Code != 200 {

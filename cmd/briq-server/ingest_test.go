@@ -133,7 +133,7 @@ func TestIngestStreamEquivalence(t *testing.T) {
 	pages := corpus.Generate(cfg).Pages
 
 	boot := func() (*server, *httptest.Server, *client.Client) {
-		srv := newServer(briq.New(), serverOptions{workers: 2})
+		srv := newServer(briq.New(briq.WithWorkers(2)), serverOptions{})
 		ts := httptest.NewServer(srv.routes())
 		t.Cleanup(ts.Close)
 		c, err := client.New(ts.URL, client.WithHTTPClient(&http.Client{}))

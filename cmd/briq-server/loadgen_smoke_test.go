@@ -30,7 +30,7 @@ func loadgenPages(t *testing.T, n int) []loadgen.Page {
 // of a tiny corpus must produce cache hits, and the scraped hit rate must
 // land in the report.
 func TestLoadgenSmokeHitRate(t *testing.T) {
-	srv := newServer(briq.New(briq.WithCache(8<<20)), serverOptions{workers: 2})
+	srv := newServer(briq.New(briq.WithCache(8<<20), briq.WithWorkers(2)), serverOptions{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -66,7 +66,7 @@ func TestLoadgenSmokeHitRate(t *testing.T) {
 // counted 429 (or 504) in the report, and the rates must derive from those
 // counts.
 func TestLoadgenSmokeShedAccounting(t *testing.T) {
-	srv := newServer(briq.New(briq.WithMaxInFlight(1)), serverOptions{workers: 1})
+	srv := newServer(briq.New(briq.WithMaxInFlight(1), briq.WithWorkers(1)), serverOptions{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 

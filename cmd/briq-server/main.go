@@ -75,7 +75,7 @@ func main() {
 	trained := flag.Bool("trained", false, "train models on a synthetic corpus at startup")
 	seed := flag.Int64("seed", 42, "training seed (with -trained)")
 	model := flag.String("model", "", "load models from a briq-train file instead of training (replica fleet boot)")
-	workers := flag.Int("workers", 0, "batch alignment workers (0 = all cores)")
+	workers := flag.Int("workers", 0, "alignment worker pool width for /v1/align/batch and /v1/ingest (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "content-addressed result cache budget in bytes (0 disables)")
 	storeDir := flag.String("store", "", "persist aligned documents to this directory and replay them on boot")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted alignment computations (0 = unbounded)")
@@ -119,7 +119,6 @@ func main() {
 	}
 
 	opts := serverOptions{
-		workers:        *workers,
 		requestTimeout: *requestTimeout,
 		enablePprof:    *enablePprof,
 	}

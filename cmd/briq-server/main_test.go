@@ -32,7 +32,7 @@ const testPage = `<html><body>
 </body></html>`
 
 func newTestServer() *server {
-	return newServer(briq.New(), serverOptions{workers: 2})
+	return newServer(briq.New(briq.WithWorkers(2)), serverOptions{})
 }
 
 // do routes a request through the full middleware stack, exactly as the
@@ -262,7 +262,7 @@ func TestInstrumentRecoversPanics(t *testing.T) {
 // TestRequestDeadline verifies the per-request context deadline answers 504
 // deadline at the next cooperative checkpoint instead of burning CPU.
 func TestRequestDeadline(t *testing.T) {
-	srv := newServer(briq.New(), serverOptions{workers: 1, requestTimeout: time.Nanosecond})
+	srv := newServer(briq.New(briq.WithWorkers(1)), serverOptions{requestTimeout: time.Nanosecond})
 	body, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
 	rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body))
 	if rec.Code != http.StatusGatewayTimeout {

@@ -63,7 +63,6 @@ type (
 
 // serverOptions configure the HTTP layer around the pipeline.
 type serverOptions struct {
-	workers        int           // AlignAll fan-out width (≤0 = GOMAXPROCS)
 	requestTimeout time.Duration // per-request context deadline (0 = none)
 	enablePprof    bool
 	logger         *log.Logger  // nil silences request logging
@@ -79,21 +78,19 @@ type server struct {
 }
 
 // newServer wires a pipeline into the HTTP layer. The pipeline's Recorder is
-// pointed at the server's metrics, its Workers at the configured fan-out,
-// and its Sink at the aligned-corpus store (a memory-only one when main
-// didn't open a persistent directory — /v1/search and /v1/facts work either
-// way) before any request runs; after that the pipeline is shared read-only
-// across handler goroutines. The align endpoints write to the store through
-// the Sink, /v1/ingest through the ingestor's UpsertPage.
+// pointed at the server's metrics and its Sink at the aligned-corpus store
+// (a memory-only one when main didn't open a persistent directory —
+// /v1/search and /v1/facts work either way) before any request runs; after
+// that the pipeline is shared read-only across handler goroutines. The align
+// endpoints write to the store through the Sink, /v1/ingest through the
+// ingestor's UpsertPage. The pipeline's Workers sizes both the batch and the
+// ingest worker pools.
 func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	if opts.logger == nil {
 		opts.logger = log.New(io.Discard, "", 0)
 	}
 	m := newMetrics()
 	pipeline.Recorder = m.stages
-	if opts.workers > 0 {
-		pipeline.Workers = opts.workers
-	}
 	st := opts.store
 	if st == nil {
 		var err error
@@ -111,7 +108,7 @@ func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	for _, warn := range pipeline.ConfigWarnings {
 		opts.logger.Printf("config: %s", warn)
 	}
-	ing := ingest.New(pipeline, st, ingest.Options{Workers: opts.workers})
+	ing := ingest.New(pipeline, st, ingest.Options{})
 	return &server{pipeline: pipeline, metrics: m, store: st, ingestor: ing, opts: opts}
 }
 

@@ -22,12 +22,12 @@ import (
 // configured by opts.
 func bootStore(t *testing.T, dir string, opts ...briq.Option) (*server, *store.Store) {
 	t.Helper()
-	p := briq.New(opts...)
+	p := briq.New(append([]briq.Option{briq.WithWorkers(1)}, opts...)...)
 	st, err := store.Open(store.Options{Dir: dir, Fingerprint: p.Fingerprint(), Gate: p.Gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(p, serverOptions{workers: 1, store: st}), st
+	return newServer(p, serverOptions{store: st}), st
 }
 
 // ndjsonBody renders pages as a POST /v1/ingest body.

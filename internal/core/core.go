@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -91,9 +90,9 @@ type Pipeline struct {
 	// pipeline is read-only and the Recorder itself is concurrency-safe.
 	Recorder *obs.Recorder
 
-	// Workers is the default fan-out width for corpus-scale alignment
-	// (AlignAll with workers ≤ 0, the runtime pool, briq.AlignCorpus).
-	// Zero or negative means GOMAXPROCS.
+	// Workers is the default fan-out width of the internal/runtime pool,
+	// which briq.AlignCorpus, the batch paths and ingestion align on. Zero
+	// or negative means GOMAXPROCS.
 	Workers int
 
 	// Gate, when non-nil, is the serving layer the page- and corpus-level
@@ -515,13 +514,19 @@ func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page
 // computing it on a trained pipeline costs a few milliseconds; callers cache
 // it (the serve.Engine takes it once at construction).
 func (p *Pipeline) Fingerprint() string {
+	// graph.Config once ended in a walk worker-count field that was 0 in
+	// every fingerprinted pipeline. Every store pins the fingerprint in its
+	// meta.json, so both segments that hash the config render it as it
+	// printed then.
+	gc := fmt.Sprintf("%+v", p.GraphConfig)
+	gc = gc[:len(gc)-1] + " RWRWorkers:0}"
 	h := sha256.New()
-	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%+v",
-		p.Features, p.Mask, p.FilterConfig, p.GraphConfig)
-	// The resolver segment adds nothing GraphConfig does not already cover,
-	// but every store pins the fingerprint in its meta.json, so its bytes —
-	// hex(SHA-256("rwr|%+v", GraphConfig)) — must not change.
-	rparams := sha256.Sum256([]byte(fmt.Sprintf("rwr|%+v", p.GraphConfig)))
+	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%s",
+		p.Features, p.Mask, p.FilterConfig, gc)
+	// The resolver segment adds nothing the graph segment does not already
+	// cover, but its bytes — hex(SHA-256("rwr|" + gc)) — must not change
+	// either.
+	rparams := sha256.Sum256([]byte("rwr|" + gc))
 	fmt.Fprintf(h, "|resolver=rwr|rparams=%s", hex.EncodeToString(rparams[:]))
 	if p.Segmenter != nil {
 		fmt.Fprintf(h, "|segmenter=%+v", *p.Segmenter)
@@ -551,55 +556,21 @@ func (p *Pipeline) EnsureTrained() error {
 	return nil
 }
 
-// AlignAll aligns many documents concurrently with the given number of
-// workers (≤0 means GOMAXPROCS) and returns all alignments sorted by
-// document ID then text mention. The pipeline is read-only during alignment,
-// so one instance may serve all workers.
-func (p *Pipeline) AlignAll(docs []*document.Document, workers int) []Alignment {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		var out []Alignment
-		for _, doc := range docs {
-			out = append(out, p.Align(doc)...)
-		}
-		SortAlignments(out)
-		return out
-	}
-
-	results := make([][]Alignment, len(docs))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i] = p.Align(docs[i])
-			}
-		}()
-	}
-	for i := range docs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
+// AlignAll aligns docs one after another and returns all alignments sorted
+// by document ID then text mention. It is the serial reference the corpus
+// runtime pool (internal/runtime) must reproduce byte for byte.
+func (p *Pipeline) AlignAll(docs []*document.Document) []Alignment {
 	var out []Alignment
-	for _, r := range results {
-		out = append(out, r...)
+	for _, doc := range docs {
+		out = append(out, p.Align(doc)...)
 	}
 	SortAlignments(out)
 	return out
 }
 
 // SortAlignments orders alignments by document ID then text mention — the
-// order AlignAll and the runtime's ordered-batch collector promise regardless
-// of worker count, so serial and parallel runs are bit-for-bit identical.
+// order AlignAll and the runtime's ordered-batch collector both return, so
+// serial and pooled runs are bit-for-bit identical.
 func SortAlignments(out []Alignment) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].DocID != out[j].DocID {

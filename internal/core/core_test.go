@@ -175,39 +175,6 @@ func TestAlignmentJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAlignAllMatchesSequential(t *testing.T) {
-	tbl, err := table.New("t0", "counts of patients", [][]string{
-		{"name", "count", "total"},
-		{"a", "10", "30"},
-		{"b", "20", "40"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var docs []*document.Document
-	texts := []string{
-		"The count reached 10 for the first item.",
-		"A total of 30 was recorded overall.",
-		"Item b counted 20 in the second run.",
-		"Totals of 40 appeared at the end.",
-	}
-	for i, text := range texts {
-		ds := document.NewSegmenter().Segment("pg"+string(rune('a'+i)), []string{text}, []*table.Table{tbl})
-		docs = append(docs, ds...)
-	}
-	p := NewPipeline()
-	seq := p.AlignAll(docs, 1)
-	par := p.AlignAll(docs, 4)
-	if len(seq) != len(par) {
-		t.Fatalf("sequential %d vs parallel %d alignments", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("alignment %d differs: %+v vs %+v", i, seq[i], par[i])
-		}
-	}
-}
-
 func TestScorePairsCoversAllPairs(t *testing.T) {
 	tbl, err := table.New("t0", "counts", [][]string{
 		{"name", "count"},

@@ -1,9 +1,9 @@
 // Package core wires the BriQ stages of Fig. 2 into an end-to-end pipeline:
 // table-text extraction (package document) → mention-pair classification
 // (packages feature + forest) → adaptive filtering (packages tagger +
-// filter) → global resolution (package graph). It also provides a concurrent
-// document processor (AlignAll) for corpus-scale throughput runs
-// (Table VIII).
+// filter) → global resolution (package graph). AlignAll aligns a corpus
+// serially; corpus-scale runs (Table VIII) fan documents out over worker
+// clones in package runtime, which must reproduce AlignAll byte for byte.
 //
 // # Stages and instrumentation
 //
@@ -28,7 +28,8 @@
 // # Concurrency contract
 //
 // A Pipeline is configured once (including Recorder) and is read-only
-// afterwards; AlignAll then shares it across workers safely. Per-document
-// mutable state (feature caches, the resolution graph) lives in values
-// created inside Align, never on the Pipeline.
+// afterwards; any number of goroutines may then call Align on it at once.
+// Per-document mutable state (feature caches, the resolution graph) lives
+// in values created inside Align, never on the Pipeline. A Clone owns
+// scratch buffers and must be used by one goroutine at a time.
 package core

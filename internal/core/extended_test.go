@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"briq/internal/document"
@@ -64,8 +65,8 @@ func TestExtendedAggregations(t *testing.T) {
 	}
 }
 
-// TestAlignAllConcurrencySafe runs the concurrent processor under the race
-// detector (go test -race) over shared tables.
+// TestAlignAllConcurrencySafe aligns documents over shared tables from many
+// goroutines on one pipeline, for the race detector (go test -race).
 func TestAlignAllConcurrencySafe(t *testing.T) {
 	tbl, err := table.New("t0", "counts recorded by group", [][]string{
 		{"group", "count", "total"},
@@ -89,7 +90,15 @@ func TestAlignAllConcurrencySafe(t *testing.T) {
 		docs = append(docs, ds...)
 	}
 	p := NewPipeline()
+	var wg sync.WaitGroup
 	for trial := 0; trial < 5; trial++ {
-		p.AlignAll(docs, 8)
+		for _, doc := range docs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Align(doc)
+			}()
+		}
 	}
+	wg.Wait()
 }

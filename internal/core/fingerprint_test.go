@@ -48,14 +48,29 @@ func TestFingerprintIgnoresServingConfig(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned pins the default pipeline's fingerprint bytes. Every
-// store records the fingerprint in its meta.json and refuses to open under a
-// different one, so any change to what Fingerprint hashes — or how — strands
-// every existing store directory. Change this value only together with a
-// store migration.
+// TestFingerprintPinned pins fingerprint bytes. Every store records the
+// fingerprint in its meta.json and refuses to open under a different one, so
+// any change to what Fingerprint hashes — or how — strands every existing
+// store directory. Change these values only together with a store migration.
+// The non-default case checks that the graph config keeps its historical
+// rendering for values other than the defaults.
 func TestFingerprintPinned(t *testing.T) {
-	const want = "fc13fb16781dce89fa2e67094fa62ddb921c6302a8975ec48e67473500b11425"
-	if got := NewPipeline().Fingerprint(); got != want {
-		t.Errorf("Fingerprint() = %s, want %s", got, want)
+	for _, tc := range []struct {
+		name      string
+		configure func(p *Pipeline)
+		want      string
+	}{
+		{"default", func(*Pipeline) {}, "fc13fb16781dce89fa2e67094fa62ddb921c6302a8975ec48e67473500b11425"},
+		{"graph_ablations", func(p *Pipeline) {
+			p.GraphConfig.Restart = 0.2
+			p.GraphConfig.DisableRewire = true
+			p.GraphConfig.DisableEntropyOrder = true
+		}, "cebfa08e891fc6d351ffe0fe93af680cc296f7e0609acd21af677f71f8b7caef"},
+	} {
+		p := NewPipeline()
+		tc.configure(p)
+		if got := p.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -25,30 +25,6 @@ func stressPage(n int) string {
 </table></body></html>`, a+b+10, a, a, b-10, a+b-10)
 }
 
-// TestAlignAllMatchesSerial asserts determinism under parallelism: a shared
-// pipeline hammered through the worker pool must produce exactly the serial
-// path's alignments.
-func TestAlignAllMatchesSerial(t *testing.T) {
-	c := corpus.Generate(corpus.TableLConfig(21, 30))
-	p := core.NewPipeline()
-	p.Recorder = obs.NewRecorder() // exercise instrumentation under concurrency
-
-	serial := p.AlignAll(c.Docs, 1)
-	if len(serial) == 0 {
-		t.Fatal("serial alignment produced nothing; corpus too small?")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		parallel := p.AlignAll(c.Docs, workers)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d: parallel alignments differ from serial (%d vs %d)",
-				workers, len(parallel), len(serial))
-		}
-	}
-	if got := p.Recorder.Snapshot()[core.StageAlign].Count; got == 0 {
-		t.Error("recorder saw no align observations")
-	}
-}
-
 // TestPipelineSharedAcrossGoroutines hammers one instrumented *Pipeline from
 // many goroutines mixing AlignAll batches and direct AlignPage calls on
 // distinct pages, asserting per-goroutine results match precomputed serial
@@ -59,7 +35,7 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 	shared := core.NewPipeline()
 	shared.Recorder = obs.NewRecorder()
 
-	wantDocs := shared.AlignAll(c.Docs, 1)
+	wantDocs := shared.AlignAll(c.Docs)
 
 	const pages = 8
 	wantPage := make([][]core.Alignment, pages)
@@ -93,7 +69,7 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			got := shared.AlignAll(c.Docs, 4)
+			got := shared.AlignAll(c.Docs)
 			if !reflect.DeepEqual(got, wantDocs) {
 				errs <- fmt.Errorf("AlignAll run %d differs from serial", i)
 			}

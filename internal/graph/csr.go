@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
 // csr is the frozen compressed-sparse-row view of the candidate graph's
 // transition structure — the hot-path representation behind RWR and Resolve.
@@ -39,24 +35,7 @@ type csr struct {
 	dirty    []bool    // row needs renormalization before the next walk
 	anyDirty bool
 
-	p, next []float64 // scratch score vectors for the sequential walker
-
-	sc       *batchScratch // lazily built lane-kernel scratch for single-worker batches
-	batchOut [][]float64   // cached result plane for RWRAll (reused across calls)
-}
-
-// batchResults returns a cached plane of m n-length vectors for batch walk
-// results whose lifetime ends with the caller (RWRAll compresses them before
-// returning). Grows on demand; one flat backing array.
-func (cs *csr) batchResults(m int) [][]float64 {
-	if len(cs.batchOut) < m {
-		flat := make([]float64, m*cs.n)
-		cs.batchOut = make([][]float64, m)
-		for i := range cs.batchOut {
-			cs.batchOut[i] = flat[i*cs.n : (i+1)*cs.n : (i+1)*cs.n]
-		}
-	}
-	return cs.batchOut[:m]
+	p, next []float64 // scratch score vectors for the walker
 }
 
 // arc is one directed transition slot. The layout mirrors the legacy edge
@@ -141,9 +120,7 @@ func (cs *csr) dropEdge(u, v int) {
 	cs.anyDirty = true
 }
 
-// flush renormalizes every dirty row. Must be called before a walk (and
-// before fanning walks out to a worker pool: after flush the csr is
-// read-only until the next dropEdge).
+// flush renormalizes every dirty row; rwr calls it before every walk.
 func (cs *csr) flush() {
 	if !cs.anyDirty {
 		return
@@ -157,12 +134,12 @@ func (cs *csr) flush() {
 	cs.anyDirty = false
 }
 
-// rwr runs one random walk with restart from node x using the caller's two
-// scratch vectors (each of length n; contents are overwritten) and returns
-// the converged score vector, which aliases one of the two. The caller must
-// flush() first; concurrent rwr calls are safe as long as each caller owns
-// its scratch vectors and no dropEdge happens in between.
-func (cs *csr) rwr(cfg *Config, x int, p, next []float64) []float64 {
+// rwr runs one random walk with restart from node x on the csr's scratch
+// vectors and returns the converged score vector, which aliases one of them:
+// it is valid until the next walk.
+func (cs *csr) rwr(cfg *Config, x int) []float64 {
+	cs.flush()
+	p, next := cs.p, cs.next
 	for i := range p {
 		p[i] = 0
 	}
@@ -208,286 +185,4 @@ func (cs *csr) rwr(cfg *Config, x int, p, next []float64) []float64 {
 		}
 	}
 	return p
-}
-
-// rwrLanes is the width of the lockstep walk kernel: rwr4 advances this many
-// independent walks through each power iteration together, amortizing the
-// arc load, bounds check and loop overhead of every edge across the lanes.
-const rwrLanes = 4
-
-// rwr4 advances four independent walks in lockstep over the frozen csr,
-// writing each walk's converged score vector into out[j] (length n). Every
-// lane performs exactly the float operations of a solo cs.rwr walk, in the
-// same order — lanes are separate accumulators, the shared u/edge iteration
-// order is the solo order, and a lane whose p[u] is zero receives +0.0
-// contributions, which are bitwise no-ops on these non-negative sums (the
-// solo walker skips such rows outright). Each lane freezes at its own
-// convergence iteration: its result is copied out and the remaining lanes
-// keep iterating, so per-lane iteration counts match the solo walks exactly.
-//
-// The caller must flush() first and own the scratch planes p4/next4 (length
-// n each); duplicate restart nodes across lanes are fine (independent lanes).
-func (cs *csr) rwr4(cfg *Config, xs [rwrLanes]int, p4, next4 [][rwrLanes]float64, out [rwrLanes][]float64) {
-	n := cs.n
-	for i := 0; i < n; i++ {
-		p4[i] = [rwrLanes]float64{}
-		next4[i] = [rwrLanes]float64{}
-	}
-	for j, x := range xs {
-		p4[x][j] = 1
-	}
-	restart := cfg.Restart
-	om := 1 - restart
-	arcs, rowStart, dangling := cs.arcs, cs.rowStart, cs.dangling
-
-	var frozen [rwrLanes]bool
-	remaining := rwrLanes
-	for iter := 0; iter < cfg.MaxIters && remaining > 0; iter++ {
-		for j, x := range xs {
-			next4[x][j] += restart
-		}
-		for u := 0; u < n; u++ {
-			pu := &p4[u]
-			s0, s1, s2, s3 := om*pu[0], om*pu[1], om*pu[2], om*pu[3]
-			if s0 == 0 && s1 == 0 && s2 == 0 && s3 == 0 {
-				continue
-			}
-			if dangling[u] {
-				// Dangling node: each lane restarts at its own origin.
-				next4[xs[0]][0] += s0
-				next4[xs[1]][1] += s1
-				next4[xs[2]][2] += s2
-				next4[xs[3]][3] += s3
-				continue
-			}
-			for _, a := range arcs[rowStart[u]:rowStart[u+1]] {
-				nx := &next4[a.to]
-				nw := a.nw
-				nx[0] += s0 * nw
-				nx[1] += s1 * nw
-				nx[2] += s2 * nw
-				nx[3] += s3 * nw
-			}
-		}
-		// Per-lane L∞ convergence probe: "max |d| < Eps" is exactly
-		// "no |d| ≥ Eps", so the scan can bail at the first exceedance —
-		// O(1) until a lane is nearly converged.
-		var conv [rwrLanes]bool
-		for j := 0; j < rwrLanes; j++ {
-			if frozen[j] {
-				continue
-			}
-			c := true
-			for i := 0; i < n; i++ {
-				if math.Abs(next4[i][j]-p4[i][j]) >= cfg.Eps {
-					c = false
-					break
-				}
-			}
-			conv[j] = c
-		}
-		for i := range p4 { // compiles to memclr
-			p4[i] = [rwrLanes]float64{}
-		}
-		p4, next4 = next4, p4
-		for j := 0; j < rwrLanes; j++ {
-			if !frozen[j] && (conv[j] || iter == cfg.MaxIters-1) {
-				frozen[j] = true
-				remaining--
-				for i := 0; i < n; i++ {
-					out[j][i] = p4[i][j]
-				}
-			}
-		}
-	}
-}
-
-// rwr2 is the two-lane variant of rwr4, used for tail blocks so that a
-// document with, say, two text mentions does not pay for four lanes. Same
-// equivalence argument, same freeze protocol.
-func (cs *csr) rwr2(cfg *Config, xs [2]int, p2, next2 [][2]float64, out [2][]float64) {
-	n := cs.n
-	for i := 0; i < n; i++ {
-		p2[i] = [2]float64{}
-		next2[i] = [2]float64{}
-	}
-	for j, x := range xs {
-		p2[x][j] = 1
-	}
-	restart := cfg.Restart
-	om := 1 - restart
-	arcs, rowStart, dangling := cs.arcs, cs.rowStart, cs.dangling
-
-	var frozen [2]bool
-	remaining := 2
-	for iter := 0; iter < cfg.MaxIters && remaining > 0; iter++ {
-		for j, x := range xs {
-			next2[x][j] += restart
-		}
-		for u := 0; u < n; u++ {
-			pu := &p2[u]
-			s0, s1 := om*pu[0], om*pu[1]
-			if s0 == 0 && s1 == 0 {
-				continue
-			}
-			if dangling[u] {
-				next2[xs[0]][0] += s0
-				next2[xs[1]][1] += s1
-				continue
-			}
-			for _, a := range arcs[rowStart[u]:rowStart[u+1]] {
-				nx := &next2[a.to]
-				nw := a.nw
-				nx[0] += s0 * nw
-				nx[1] += s1 * nw
-			}
-		}
-		var conv [2]bool
-		for j := 0; j < 2; j++ {
-			if frozen[j] {
-				continue
-			}
-			c := true
-			for i := 0; i < n; i++ {
-				if math.Abs(next2[i][j]-p2[i][j]) >= cfg.Eps {
-					c = false
-					break
-				}
-			}
-			conv[j] = c
-		}
-		for i := range p2 { // compiles to memclr
-			p2[i] = [2]float64{}
-		}
-		p2, next2 = next2, p2
-		for j := 0; j < 2; j++ {
-			if !frozen[j] && (conv[j] || iter == cfg.MaxIters-1) {
-				frozen[j] = true
-				remaining--
-				for i := 0; i < n; i++ {
-					out[j][i] = p2[i][j]
-				}
-			}
-		}
-	}
-}
-
-// batchScratch is one worker's reusable scratch for the lane kernels.
-type batchScratch struct {
-	p4, next4 [][rwrLanes]float64
-	p2, next2 [][2]float64
-	p1, next1 []float64
-	discard   []float64 // sink for padding lanes
-}
-
-func (cs *csr) newBatchScratch() *batchScratch {
-	return &batchScratch{
-		p4:      make([][rwrLanes]float64, cs.n),
-		next4:   make([][rwrLanes]float64, cs.n),
-		p2:      make([][2]float64, cs.n),
-		next2:   make([][2]float64, cs.n),
-		p1:      make([]float64, cs.n),
-		next1:   make([]float64, cs.n),
-		discard: make([]float64, cs.n),
-	}
-}
-
-// blockWidths decomposes a walk count into lane-kernel blocks: full 4-lane
-// blocks, then a tail of 3 (padded into the 4-lane kernel — one wasted lane
-// beats a 2-lane + solo pair), 2 (the 2-lane kernel) or 1 (solo walker).
-func blockWidths(m int) []int {
-	var widths []int
-	for m >= rwrLanes {
-		widths = append(widths, rwrLanes)
-		m -= rwrLanes
-	}
-	if m > 0 {
-		widths = append(widths, m)
-	}
-	return widths
-}
-
-// rwrBatchInto runs one walk per restart node — lockstep lane blocks inside
-// each worker, blocks fanned out across a worker pool — writing the converged
-// vectors into the caller-owned out slices (len(xs) slices of length n) in
-// input order. Each worker owns its own scratch planes, and the csr is
-// read-only for the duration (flush runs up front), so results are
-// bit-identical to running the walks solo in any order. Only valid when no
-// rewiring happens between the walks — the caller guarantees that (Resolve
-// uses it only with DisableRewire set).
-func (cs *csr) rwrBatchInto(cfg *Config, xs []int, workers int, out [][]float64) {
-	cs.flush()
-	widths := blockWidths(len(xs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(widths) {
-		workers = len(widths)
-	}
-
-	runBlock := func(sc *batchScratch, base, width int) {
-		switch {
-		case width >= 3: // 4-lane kernel; a width-3 tail pads lane 3
-			var bx [rwrLanes]int
-			var bo [rwrLanes][]float64
-			for j := 0; j < rwrLanes; j++ {
-				if j < width {
-					bx[j], bo[j] = xs[base+j], out[base+j]
-				} else {
-					bx[j], bo[j] = xs[base], sc.discard
-				}
-			}
-			cs.rwr4(cfg, bx, sc.p4, sc.next4, bo)
-		case width == 2:
-			bx := [2]int{xs[base], xs[base+1]}
-			bo := [2][]float64{out[base], out[base+1]}
-			cs.rwr2(cfg, bx, sc.p2, sc.next2, bo)
-		default:
-			copy(out[base], cs.rwr(cfg, xs[base], sc.p1, sc.next1))
-		}
-	}
-
-	if workers <= 1 {
-		if cs.sc == nil {
-			cs.sc = cs.newBatchScratch()
-		}
-		base := 0
-		for _, w := range widths {
-			runBlock(cs.sc, base, w)
-			base += w
-		}
-		return
-	}
-
-	type block struct{ base, width int }
-	jobs := make(chan block)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := cs.newBatchScratch()
-			for b := range jobs {
-				runBlock(sc, b.base, b.width)
-			}
-		}()
-	}
-	base := 0
-	for _, w := range widths {
-		jobs <- block{base, w}
-		base += w
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// rwrBatch is rwrBatchInto with freshly allocated result vectors.
-func (cs *csr) rwrBatch(cfg *Config, xs []int, workers int) [][]float64 {
-	out := make([][]float64, len(xs))
-	flat := make([]float64, len(xs)*cs.n) // one backing array for all results
-	for i := range out {
-		out[i] = flat[i*cs.n : (i+1)*cs.n : (i+1)*cs.n]
-	}
-	cs.rwrBatchInto(cfg, xs, workers, out)
-	return out
 }

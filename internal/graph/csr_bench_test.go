@@ -1,19 +1,39 @@
 package graph
 
-// Document-level RWR benchmarks: the CSR fast path vs the frozen reference
-// implementation on identical inputs. Run with
+// Resolution benchmarks: the CSR fast path vs the frozen reference
+// implementation on identical inputs, for one walk (RWR) and for a whole
+// document's resolution (Resolve). Run with
 //
-//	go test -bench BenchmarkResolve -benchmem ./internal/graph
+//	go test -bench 'RWR|Resolve' -benchmem -run '^$' ./internal/graph
 //
-// cmd/briq-bench runs the same comparison over a pipeline-generated corpus
-// and records it in BENCH_pipeline.json.
+// cmd/briq-bench runs the Resolve comparison over a pipeline-generated
+// corpus and records it in BENCH_pipeline.json.
 
 import (
 	"testing"
 
+	"briq/internal/corpus"
 	"briq/internal/document"
 	"briq/internal/filter"
 )
+
+// corpusDocs returns generated documents that have at least two text
+// mentions, with uniform value-match candidates (no trained models needed
+// inside the graph package).
+func corpusDocs(t testing.TB, seed int64, pages int) []*document.Document {
+	t.Helper()
+	c := corpus.Generate(corpus.TableLConfig(seed, pages))
+	var docs []*document.Document
+	for _, doc := range c.Docs {
+		if len(doc.TextMentions) >= 2 {
+			docs = append(docs, doc)
+		}
+	}
+	if len(docs) == 0 {
+		t.Fatal("corpus produced no usable documents")
+	}
+	return docs
+}
 
 func benchInputs(b *testing.B) ([]*document.Document, [][]filter.Candidate) {
 	b.Helper()
@@ -42,40 +62,6 @@ func BenchmarkResolveReference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j := i % len(docs)
 		Build(DefaultConfig(), docs[j], cands[j]).ReferenceResolve()
-	}
-}
-
-// BenchmarkRWRDoc* is the document-level RWR benchmark: one op = walking
-// every text mention of a document on its frozen graph. The CSR path batches
-// the walks across the worker pool (RWRAll); the reference path is the
-// legacy per-mention map-allocating walker. Graphs are built outside the
-// timer — this measures the walks, not graph construction.
-func BenchmarkRWRDocCSR(b *testing.B) {
-	docs, cands := benchInputs(b)
-	gs := make([]*Graph, len(docs))
-	for i := range docs {
-		gs[i] = Build(DefaultConfig(), docs[i], cands[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gs[i%len(gs)].RWRAll()
-	}
-}
-
-func BenchmarkRWRDocReference(b *testing.B) {
-	docs, cands := benchInputs(b)
-	gs := make([]*Graph, len(docs))
-	for i := range docs {
-		gs[i] = Build(DefaultConfig(), docs[i], cands[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := gs[i%len(gs)]
-		for x := 0; x < g.m; x++ {
-			g.ReferenceRWR(x)
-		}
 	}
 }
 

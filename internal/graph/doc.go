@@ -15,9 +15,10 @@
 // rewiring touched, and an early exit on convergence. Rewiring (keepOnly)
 // zeroes pruned edge slots in place instead of compacting, which keeps the
 // row layout stable and the float accumulation order — and therefore the
-// output — bit-identical to the legacy map-based walker. When the walks are
-// independent (Config.DisableRewire), Resolve fans them out across a worker
-// pool (Config.RWRWorkers).
+// output — bit-identical to the legacy map-based walker. Algorithm 1 rewires
+// the graph after every decision, so a document's walks run one after
+// another; documents run in parallel only in the corpus runtime pool
+// (internal/runtime), one graph per worker.
 //
 // The pre-CSR implementation is retained verbatim in reference.go
 // (ReferenceRWR, ReferenceResolve) as the executable specification: the
@@ -30,9 +31,8 @@
 //   - The graph is undirected: every edge appears in both adjacency lists
 //     with the same weight, before and after every rewiring step.
 //   - Resolution is deterministic: candidate order is fixed (sorted by table
-//     index) before any float accumulates, queue ties break on mention
-//     index, and parallel walks write only caller-owned vectors — serial and
-//     pooled runs are bit-for-bit identical.
+//     index) before any float accumulates and queue ties break on mention
+//     index, so repeated runs are bit-for-bit identical.
 //   - Resolve consumes the graph (rewiring prunes edges in place); run it
 //     once per Build.
 package graph

@@ -10,6 +10,7 @@ package graph_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"briq/internal/core"
@@ -83,22 +84,36 @@ func TestResolveMatchesReferenceGolden(t *testing.T) {
 	}
 }
 
-// TestResolveMatchesReferenceNoRewire covers the worker-pool path: with
-// rewiring disabled every walk is independent and Resolve prefetches them in
-// parallel; the pooled output must still equal the sequential reference.
+// TestResolveMatchesReferenceNoRewire covers the DisableRewire ablation:
+// nothing is pruned between walks, and the CSR output must still equal the
+// reference. workers is the number of goroutines resolving the same inputs
+// at once, each on its own graph, as the runtime pool's workers do: the
+// graph package starts no goroutines of its own, so any state shared across
+// graphs (a package-level scratch buffer, a write into the document or the
+// candidate slice) shows up here as a mismatch or under the race detector.
 func TestResolveMatchesReferenceNoRewire(t *testing.T) {
 	for _, seed := range goldenSeeds {
 		for _, workers := range []int{1, 4} {
 			seed, workers := seed, workers
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+				cfg := graph.DefaultConfig()
+				cfg.DisableRewire = true
 				for _, in := range pipelineInputs(t, seed, 6) {
-					cfg := graph.DefaultConfig()
-					cfg.DisableRewire = true
-					cfg.RWRWorkers = workers
-					fast := graph.Build(cfg, in.doc, in.cands).Resolve()
 					ref := graph.Build(cfg, in.doc, in.cands).ReferenceResolve()
-					if d := diffAlignments(fast, ref); d != "" {
-						t.Fatalf("doc %s: pooled CSR vs reference: %s", in.doc.ID, d)
+					got := make([][]graph.Alignment, workers)
+					var wg sync.WaitGroup
+					for w := range got {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							got[w] = graph.Build(cfg, in.doc, in.cands).Resolve()
+						}(w)
+					}
+					wg.Wait()
+					for w, fast := range got {
+						if d := diffAlignments(fast, ref); d != "" {
+							t.Fatalf("doc %s worker %d: CSR vs reference: %s", in.doc.ID, w, d)
+						}
 					}
 				}
 			})
@@ -133,34 +148,6 @@ func TestRWRMatchesReference(t *testing.T) {
 			for ti, p := range want {
 				if got[ti] != p {
 					t.Fatalf("doc %s x=%d post-rewire: π(%d) = %v, want %v", in.doc.ID, x, ti, got[ti], p)
-				}
-			}
-		}
-	}
-}
-
-// TestRWRAllMatchesReference: the pooled document-level batch walk must
-// agree with per-mention reference walks, probability by probability.
-func TestRWRAllMatchesReference(t *testing.T) {
-	for _, in := range pipelineInputs(t, goldenSeeds[2], 6) {
-		cfg := graph.DefaultConfig()
-		cfg.RWRWorkers = 4
-		fast := graph.Build(cfg, in.doc, in.cands)
-		ref := graph.Build(cfg, in.doc, in.cands)
-		all := fast.RWRAll()
-		cols := fast.CandidateTables()
-		if len(all) != len(in.doc.TextMentions) {
-			t.Fatalf("doc %s: RWRAll returned %d rows, want %d", in.doc.ID, len(all), len(in.doc.TextMentions))
-		}
-		for x, row := range all {
-			want := ref.ReferenceRWR(x)
-			if len(row) != len(cols) || len(want) != len(cols) {
-				t.Fatalf("doc %s x=%d: %d row entries, %d reference entries, %d candidate columns",
-					in.doc.ID, x, len(row), len(want), len(cols))
-			}
-			for c, ti := range cols {
-				if row[c] != want[ti] {
-					t.Fatalf("doc %s x=%d: π(%d) = %v, want %v", in.doc.ID, x, ti, row[c], want[ti])
 				}
 			}
 		}

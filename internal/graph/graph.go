@@ -51,14 +51,6 @@ type Config struct {
 	// DisableRewire skips the graph update after each alignment decision.
 	DisableEntropyOrder bool
 	DisableRewire       bool
-
-	// RWRWorkers sizes the worker pool for per-mention RWR invocations when
-	// they are independent (DisableRewire: the graph is frozen, so every
-	// restart vector can be walked concurrently with bit-identical results).
-	// ≤0 means GOMAXPROCS. Ignored when rewiring is on — Algorithm 1's
-	// sequential dependency (each decision reshapes the graph the next walk
-	// sees) makes those walks inherently ordered.
-	RWRWorkers int
 }
 
 // DefaultConfig returns the pre-tuning defaults.
@@ -276,48 +268,10 @@ func (g *Graph) ensureCSR() *csr {
 // structure with reused dense score vectors; its output is bit-identical to
 // the legacy map-based walker (ReferenceRWR).
 func (g *Graph) RWR(x int) map[int]float64 {
-	cs := g.ensureCSR()
-	cs.flush()
-	p := cs.rwr(&g.cfg, x, cs.p, cs.next)
+	p := g.ensureCSR().rwr(&g.cfg, x)
 	out := make(map[int]float64, len(g.nodeTable))
 	for nodeOff, ti := range g.nodeTable {
 		out[ti] = p[g.m+nodeOff]
-	}
-	return out
-}
-
-// CandidateTables returns the document table-mention index carried by each
-// candidate node, in node order — the column key for RWRAll's rows.
-func (g *Graph) CandidateTables() []int {
-	out := make([]int, len(g.nodeTable))
-	copy(out, g.nodeTable)
-	return out
-}
-
-// RWRAll runs the walk for every text mention of the document on the frozen
-// graph and returns, per mention, the visiting probabilities over the
-// candidate table-mention nodes: row k of the result corresponds to text
-// mention k, and column c to CandidateTables()[c]. (Probabilities on
-// non-candidate table mentions are identically zero, so this is the full
-// walk result without materializing mostly-zero vectors.) The walks are
-// independent — no rewiring happens between them — so they fan out across
-// the RWR worker pool (Config.RWRWorkers); each probability is bit-identical
-// to the one RWR would return for the same mention. This is the
-// document-level batch entry point used by cmd/briq-bench.
-func (g *Graph) RWRAll() [][]float64 {
-	cs := g.ensureCSR()
-	xs := make([]int, g.m)
-	for i := range xs {
-		xs[i] = i
-	}
-	vecs := cs.batchResults(g.m)
-	cs.rwrBatchInto(&g.cfg, xs, g.cfg.RWRWorkers, vecs)
-	out := make([][]float64, g.m)
-	nc := len(g.nodeTable)
-	flat := make([]float64, g.m*nc)
-	for i, v := range vecs {
-		out[i] = flat[i*nc : (i+1)*nc : (i+1)*nc]
-		copy(out[i], v[g.m:])
 	}
 	return out
 }
@@ -386,14 +340,13 @@ func (g *Graph) buildQueue(perText map[int][]cand) []queued {
 // candidate when it clears ε, and rewires the graph after every decision so
 // later (harder) mentions benefit from earlier (easier) ones.
 //
-// The walks run on the frozen CSR structure. With rewiring on they are
-// sequential — each decision prunes edges before the next walk, and the walk
-// for a mention always runs against the fully-rewired graph of all earlier
-// decisions (never a partially-pruned one; keepOnly completes before the
-// next walk starts). Under DisableRewire the graph is frozen for the whole
-// pass, so the per-mention walks fan out across a worker pool (RWRWorkers)
-// with bit-identical output. Resolve consumes the graph (rewiring prunes
-// edges in place): run it once per Build.
+// The walks run one after another on the frozen CSR structure: each
+// decision prunes edges before the next walk, and the walk for a mention
+// always runs against the fully-rewired graph of all earlier decisions
+// (never a partially-pruned one; keepOnly completes before the next walk
+// starts). Under DisableRewire nothing is pruned between walks, so the
+// output still equals ReferenceResolve. Resolve consumes the graph
+// (rewiring prunes edges in place): run it once per Build.
 //
 // core.Pipeline.AlignContext runs Build+Resolve on the candidates the filter
 // kept; the experiment harness's ILP baseline falls back to it when its
@@ -407,16 +360,6 @@ func (g *Graph) Resolve() []Alignment {
 
 	cs := g.ensureCSR()
 
-	// Independent walks (frozen graph): precompute them all on the pool.
-	var prefetched [][]float64
-	if g.cfg.DisableRewire && len(queue) > 1 {
-		xs := make([]int, len(queue))
-		for i, q := range queue {
-			xs[i] = q.x
-		}
-		prefetched = cs.rwrBatch(&g.cfg, xs, g.cfg.RWRWorkers)
-	}
-
 	penalty := g.cfg.ClaimedCellPenalty
 	if penalty <= 0 || penalty > 1 {
 		penalty = 1
@@ -424,15 +367,8 @@ func (g *Graph) Resolve() []Alignment {
 	claimedBy := make(map[int]int) // table mention index → aligned text mention
 
 	var alignments []Alignment
-	for qi, q := range queue {
-		var p []float64
-		if prefetched != nil {
-			p = prefetched[qi]
-		} else {
-			cs.flush()
-			p = cs.rwr(&g.cfg, q.x, cs.p, cs.next)
-		}
-
+	for _, q := range queue {
+		p := cs.rwr(&g.cfg, q.x)
 		cands := perText[q.x] // already in table order
 
 		// Normalize the visiting probabilities over this mention's own
@@ -501,9 +437,8 @@ func relDiff(a, b float64) float64 {
 // a table node (≥ g.m), so the iteration never reads a list it is writing.
 // The mutation is NOT atomic with respect to a concurrent reader, however —
 // keepOnly must only run between RWR invocations, never during one. Resolve
-// guarantees that ordering: each walk completes (and, under DisableRewire,
-// the whole prefetched batch completes) before any rewiring happens, so no
-// walk can observe a half-pruned graph. The regression tests in
+// guarantees that ordering: each walk completes before any rewiring
+// happens, so no walk can observe a half-pruned graph. The regression tests in
 // keeponly_test.go pin these postconditions down.
 func (g *Graph) keepOnly(x, keep int) {
 	var kept []edge

@@ -17,12 +17,12 @@
 //
 // # Dataflow
 //
-//	docs ──feeder──▶ [in, cap=QueueDepth] ──▶ worker₀ (clone₀, rec₀) ─┐
-//	                                      ──▶ worker₁ (clone₁, rec₁) ─┼─▶ [out, cap=QueueDepth] ──▶ Stream / AlignCorpus
-//	                                      ──▶ workerₙ (cloneₙ, recₙ) ─┘
+//	docs ──feeder──▶ [in, cap=2n] ──▶ worker₁ (clone₁, rec₁) ─┐
+//	                              ──▶ worker₂ (clone₂, rec₂) ─┼─▶ [out, cap=2n] ──▶ Stream / AlignCorpus
+//	                              ──▶ workerₙ (cloneₙ, recₙ) ─┘
 //
-// Both channels are bounded: a slow consumer parks the workers, full input
-// parks the feeder. Cancellation is observed at every arrow above plus
+// Both channels hold twice the worker count n: a slow consumer parks the
+// workers, full input parks the feeder. Cancellation is observed at every arrow above plus
 // between the classify/filter/resolve phases inside a document
 // (core.AlignContext), so a cancelled corpus run stops within one pipeline
 // phase per worker.
@@ -33,6 +33,9 @@
 // index — the shape for pipelines that post-process per document.
 // AlignCorpus is the ordered-batch collector: it restores submission order
 // and applies core.SortAlignments, making the parallel output byte-for-byte
-// identical to a serial AlignAll run (asserted in the determinism test and
-// gated in cmd/briq-bench before throughput numbers are reported).
+// identical to the serial core.Pipeline.AlignAll (asserted in the
+// determinism test and gated in cmd/briq-bench before throughput numbers are
+// reported). This pool is the only place alignment runs in parallel:
+// package core aligns one document at a time, and package graph walks a
+// document's random walks one after another.
 package runtime

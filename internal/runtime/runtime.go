@@ -17,13 +17,6 @@ type Options struct {
 	// ≤ 0 falls back to the prototype pipeline's Workers field, then to
 	// GOMAXPROCS.
 	Workers int
-
-	// QueueDepth bounds the input and output channels. A full input channel
-	// blocks the feeder (backpressure toward the document source); a full
-	// output channel parks workers until the consumer catches up, so a slow
-	// consumer cannot make the pool buffer an entire corpus of results.
-	// ≤ 0 means 2× workers.
-	QueueDepth int
 }
 
 // Pool is a corpus-scale alignment engine: a fixed set of worker goroutines,
@@ -38,7 +31,6 @@ type Options struct {
 // on an internal lock.
 type Pool struct {
 	workers int
-	depth   int
 	clones  []*core.Pipeline
 	recs    []*obs.Recorder
 
@@ -57,13 +49,8 @@ func NewPool(proto *core.Pipeline, opts Options) *Pool {
 	if workers <= 0 {
 		workers = gort.GOMAXPROCS(0)
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 2 * workers
-	}
 	p := &Pool{
 		workers: workers,
-		depth:   depth,
 		clones:  make([]*core.Pipeline, workers),
 		recs:    make([]*obs.Recorder, workers),
 	}
@@ -152,8 +139,13 @@ func (p *Pool) Stream(ctx context.Context, docs []*document.Document) *Stream {
 		idx int
 		doc *document.Document
 	}
-	in := make(chan task, p.depth)
-	out := make(chan Result, p.depth)
+	// Both channels hold 2× workers. A full input channel blocks the feeder
+	// (backpressure toward the document source); a full output channel parks
+	// workers until the consumer catches up, so a slow consumer cannot make
+	// the pool buffer an entire corpus of results.
+	depth := 2 * p.workers
+	in := make(chan task, depth)
+	out := make(chan Result, depth)
 	s := &Stream{out: out}
 
 	p.runMu.Lock()

@@ -39,7 +39,7 @@ func mustJSON(tb testing.TB, v any) []byte {
 func TestAlignCorpusDeterministic(t *testing.T) {
 	docs := benchDocs(t, 42, 4)
 	proto := core.NewPipeline()
-	serial := mustJSON(t, proto.AlignAll(docs, 1))
+	serial := mustJSON(t, proto.AlignAll(docs))
 
 	for _, workers := range []int{1, 2, 4, 7} {
 		pool := NewPool(proto, Options{Workers: workers})
@@ -55,15 +55,15 @@ func TestAlignCorpusDeterministic(t *testing.T) {
 	}
 }
 
-// TestPoolStress hammers one pool from many consumer goroutines with small
-// queue depths under the race detector: clones must stay single-owner, runs
+// TestPoolStress hammers one pool from many consumer goroutines under the
+// race detector: clones must stay single-owner, runs
 // must serialize, and every run must still be complete and correct.
 func TestPoolStress(t *testing.T) {
 	docs := benchDocs(t, 7, 3)
 	proto := core.NewPipeline()
-	want := mustJSON(t, proto.AlignAll(docs, 1))
+	want := mustJSON(t, proto.AlignAll(docs))
 
-	pool := NewPool(proto, Options{Workers: 4, QueueDepth: 1})
+	pool := NewPool(proto, Options{Workers: 4})
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -91,7 +91,7 @@ func TestPoolStress(t *testing.T) {
 // submission index appears exactly once and carries the right document ID.
 func TestStreamEmitsEveryDocumentOnce(t *testing.T) {
 	docs := benchDocs(t, 13, 3)
-	pool := NewPool(core.NewPipeline(), Options{Workers: 3, QueueDepth: 2})
+	pool := NewPool(core.NewPipeline(), Options{Workers: 3})
 
 	seen := make(map[int]string)
 	s := pool.Stream(context.Background(), docs)
@@ -129,7 +129,7 @@ func TestCancellationMidCorpus(t *testing.T) {
 		docs = append(docs, base...)
 	}
 
-	pool := NewPool(core.NewPipeline(), Options{Workers: 2, QueueDepth: 1})
+	pool := NewPool(core.NewPipeline(), Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	s := pool.Stream(ctx, docs)
 
@@ -146,9 +146,10 @@ func TestCancellationMidCorpus(t *testing.T) {
 	if err := s.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("stream err = %v, want context.Canceled", err)
 	}
-	// Workers can finish what was in flight plus what the bounded channels
-	// held, nothing more.
-	if maxEmitted := 1 + pool.Workers() + 2*2 + 2; emitted > maxEmitted {
+	// Workers can finish what was in flight (one document each) plus what
+	// the bounded channels held (2× workers each), nothing more.
+	w := pool.Workers()
+	if maxEmitted := 1 + w + 2*(2*w); emitted > maxEmitted {
 		t.Errorf("emitted %d documents after cancel, want ≤ %d", emitted, maxEmitted)
 	}
 	cancel()
@@ -209,7 +210,7 @@ func TestPoolSnapshotCountsDocuments(t *testing.T) {
 }
 
 // TestWorkerDefaults: worker resolution falls back Pipeline.Workers then
-// GOMAXPROCS, and queue depth defaults to 2× workers.
+// GOMAXPROCS.
 func TestWorkerDefaults(t *testing.T) {
 	proto := core.NewPipeline()
 	proto.Workers = 3
