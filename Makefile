@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test race bench-test bench bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
+.PHONY: all check build vet test race bench-test bench bench-e2e bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
 
 all: check
 
@@ -45,13 +45,30 @@ race:
 bench-test:
 	cd bench && $(GO) test -short ./...
 
-# Hot-path benchmark harness: runs the workload in cmd/briq-bench (CSR
-# Resolve vs the frozen reference, equivalence-gated; the pipeline stages;
-# the runtime pool against serial AlignAll; serving, resolvers, classify and
-# ingest) and writes BENCH_pipeline.json. Run it as GOMAXPROCS=1 make bench
-# to compare against the committed report.
+# Kernels against their reference oracles: cmd/briq-bench gates and times
+# CSR Resolve against ReferenceResolve and the frozen classify engine against
+# the pointer-tree reference, scores the rwr/ILP/greedy resolvers, and writes
+# BENCH_pipeline.json. Run it as GOMAXPROCS=1 make bench to compare against
+# the committed report. Speed of the served paths comes from bench-e2e.
 bench:
 	$(GO) run ./cmd/briq-bench -out BENCH_pipeline.json
+
+# The served paths end to end: one traced run of the benchmark in bench/
+# (every workload, built from this tree, checked answer by answer), folded
+# into the committed BENCH_e2e.json: the machine record, every workload's
+# end-to-end and per-layer metrics with units, its breakdown lines, and the
+# correct/attempted/failed counts. The spans in trace.json are left out. A
+# failed check exits non-zero before BENCH_e2e.json is touched.
+bench-e2e:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	bash bench/run.sh -workload all -trace 1 -out $$tmp > $$tmp/stdout; \
+	grep -v '^[#{]' $$tmp/stdout | jq -R '[splits(" +")]' \
+		| jq -s 'reduce .[] as [$$w, $$m, $$v, $$u] ({}; .[$$w].metrics[$$m] = {value: ($$v | tonumber), unit: $$u})' > $$tmp/metrics.json; \
+	tail -n 1 $$tmp/stdout > $$tmp/result.json; \
+	jq -s '.[0] as $$trace | .[1] as $$result | {generated_at: (now | todate), command: "bash bench/run.sh -workload all -trace 1", machine: $$trace.machine, correct: $$result.correct, attempted: $$result.attempted, failed: $$result.failed, workloads: (.[2] | with_entries(.value.breakdown = $$trace.breakdowns[.key]))}' \
+		$$tmp/trace.json $$tmp/result.json $$tmp/metrics.json > $$tmp/BENCH_e2e.json; \
+	mv $$tmp/BENCH_e2e.json BENCH_e2e.json; \
+	echo "wrote BENCH_e2e.json"
 
 # Side-by-side go-test micro-benchmarks of the resolution hot path, with
 # allocation counts — for inspecting individual kernels rather than the
@@ -104,7 +121,7 @@ gateway-smoke:
 	$$tmp/briq-loadgen -target http://127.0.0.1:18577 -corpus $$tmp/corpus \
 		-qps 100 -duration 2s -seed 7 -wait 30s -min-hit-rate 0.3 -max-error-rate 0; \
 	echo "gateway-smoke: killing replica 2, driving the survivor"; \
-	kill $$r2; \
+	kill $$r2; wait $$r2 2>/dev/null || true; \
 	$$tmp/briq-loadgen -target http://127.0.0.1:18577 -corpus $$tmp/corpus \
 		-qps 100 -duration 2s -seed 8 -wait 10s -min-hit-rate 0.3 -max-error-rate 0.05
 
@@ -288,6 +305,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzParseComparison$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

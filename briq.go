@@ -341,36 +341,21 @@ func IsUnalignable(err error) bool {
 // corpus run occupies one admission slot (failing fast with ErrOverloaded /
 // ErrDeadlineBudget under saturation).
 func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignment, error) {
-	if p.Gate == nil {
-		pool := runtime.NewPool(p, runtime.Options{})
-		perDoc, err := pool.AlignPerDoc(ctx, docs)
-		if p.Recorder != nil {
-			pool.MergeInto(p.Recorder)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if p.Sink != nil {
-			p.Sink.Add(serve.Key{}, docs, perDoc)
-		}
-		out := flattenAlignments(perDoc)
-		core.SortAlignments(out)
-		return out, nil
-	}
-
 	release, err := p.Gate.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 
+	// Without a gate every document is a miss, and no key is hashed.
 	keys := make([]serve.Key, len(docs))
 	perDoc := make([][]Alignment, len(docs))
 	var missDocs []*Document
 	var missIdx []int
 	for i, doc := range docs {
-		doc := doc
-		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
+		if p.Gate != nil {
+			keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
+		}
 		if v, ok := p.Gate.Lookup(keys[i]); ok {
 			perDoc[i] = v.([]Alignment)
 			continue
@@ -398,10 +383,7 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 		}
 	}
 
-	var out []Alignment
-	for _, als := range perDoc {
-		out = append(out, als...)
-	}
+	out := flattenAlignments(perDoc)
 	core.SortAlignments(out)
 	return out, nil
 }

@@ -1,25 +1,13 @@
-// Command briq-bench is the reproducible benchmark harness for the alignment
-// hot path. It generates a deterministic corpus workload, checks that the CSR
-// fast path and the frozen reference implementation agree byte-for-byte on
-// that workload, then measures both sides with testing.Benchmark and writes a
-// machine-readable report (BENCH_pipeline.json by default):
+// Command briq-bench measures the production kernels against the reference
+// oracles they must equal, and the resolver quality rows. It generates a
+// deterministic corpus workload, checks that each fast path and its frozen
+// reference agree on that workload, then measures both sides with
+// testing.Benchmark and writes a machine-readable report
+// (BENCH_pipeline.json by default):
 //
 //   - resolve — full iterative resolution (graph build + walks + rewiring),
 //     CSR Resolve vs ReferenceResolve: what the pipeline runs against the
 //     reference it must equal.
-//   - pipeline — end-to-end Align over the workload, with per-stage latency
-//     histograms (classify/filter/resolve/align) from internal/obs.
-//   - runtime — corpus throughput (docs/sec) of the internal/runtime worker
-//     pool at 1, 2, 4 and 8 workers against the serial AlignAll baseline,
-//     gated on the pool output being byte-identical to the serial output.
-//     Speedups are bounded by GOMAXPROCS: on a single-core machine every
-//     worker count measures the same core plus scheduling overhead, and the
-//     report records that honestly rather than extrapolating.
-//   - serving — the content-addressed result cache's hit path: corpus
-//     throughput of a cache-warm briq.AlignCorpus against the cold
-//     (uncached) path, gated on the warm output being byte-identical to the
-//     cold output. This is the serving layer's headline number: a hit skips
-//     the entire pipeline, so the speedup is typically orders of magnitude.
 //   - resolvers — random walks (rwr, the pipeline's resolution step) against
 //     the ILP and greedy baselines of internal/experiment behind identical
 //     classify/filter stages: gold-standard accuracy on the synthetic corpus
@@ -29,13 +17,10 @@
 //     ScorePairs cost per document, and cold end-to-end alignment
 //     throughput, gated on scores being bit-identical and alignments
 //     byte-identical across the workload.
-//   - ingest — the streaming ingestion engine behind POST /v1/ingest: cold
-//     corpus ingestion (every document aligned) against re-ingestion of the
-//     identical corpus (every document reused via its sub-document
-//     fingerprint), plus the document reuse rate of a realistic re-crawl
-//     that appends one sentence per page, gated on the incremental store
-//     answering the search/facts battery identically to a from-scratch
-//     ingest of the final corpus.
+//
+// The served paths (cold and cached alignment, ingestion, search) are
+// measured end to end over HTTP by the benchmark in bench/, whose results
+// make bench-e2e commits as BENCH_e2e.json.
 //
 // Usage:
 //
@@ -48,7 +33,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,18 +43,12 @@ import (
 	"testing"
 	"time"
 
-	"briq"
 	"briq/internal/core"
 	"briq/internal/corpus"
 	"briq/internal/document"
 	"briq/internal/experiment"
 	"briq/internal/filter"
 	"briq/internal/graph"
-	"briq/internal/ingest"
-	"briq/internal/obs"
-	"briq/internal/quantsearch"
-	brt "briq/internal/runtime"
-	"briq/internal/store"
 	"briq/internal/tagger"
 )
 
@@ -132,22 +110,6 @@ type report struct {
 	// name ("resolve").
 	Benchmarks map[string]comparison `json:"benchmarks"`
 
-	// PipelineAlign is the end-to-end Align cost per document (single
-	// implementation — Align always uses the CSR path).
-	PipelineAlign side `json:"pipeline_align"`
-
-	// Stages holds the per-stage latency histograms recorded while running
-	// the pipeline benchmark, keyed by core stage name (see core.StageNames).
-	Stages map[string]obs.HistogramSnapshot `json:"stages"`
-
-	// Runtime is the corpus-throughput scaling of the internal/runtime worker
-	// pool over the same workload, gated on pool output == serial output.
-	Runtime runtimeReport `json:"runtime"`
-
-	// Serving compares the result cache's hit path against the cold pipeline
-	// over the same corpus, gated on warm output == cold output.
-	Serving servingReport `json:"serving"`
-
 	// Resolvers compares random walks (Algorithm 1) with the ILP and greedy
 	// baselines behind identical classify/filter stages: gold-standard
 	// accuracy on the synthetic corpus and corpus alignment throughput per
@@ -159,11 +121,6 @@ type report struct {
 	// reference path, gated on bit-identical scores and byte-identical
 	// alignments across the workload.
 	Classify classifySection `json:"classify"`
-
-	// Ingest compares cold corpus ingestion against fingerprint-reuse
-	// re-ingestion of the identical corpus, gated on the incremental path
-	// matching a from-scratch ingest of the final corpus.
-	Ingest ingestSection `json:"ingest"`
 }
 
 // machineInfo records the hardware and toolchain a report was measured on,
@@ -193,27 +150,6 @@ func currentMachine() machineInfo {
 		}
 	}
 	return m
-}
-
-// ingestSection is the streaming-ingestion block of the report. The cold
-// side ingests the corpus into a fresh engine (every document goes through
-// classify/filter/resolve); the re-ingest side streams the identical corpus
-// into a warm engine, so every document is reused off its sub-document
-// fingerprint and alignment is skipped entirely. MutatedReuseRate is the
-// fraction of documents reused on a realistic re-crawl that appends one
-// sentence to one paragraph per page. EquivalentToScratch records the gate:
-// the incrementally maintained store must answer the search/facts battery
-// identically to an engine that ingested only the final corpus.
-type ingestSection struct {
-	Pages               int     `json:"pages"`
-	Documents           int     `json:"documents"`
-	ColdNsPerCorpus     float64 `json:"cold_ns_per_corpus"`
-	ColdDocsPerSec      float64 `json:"cold_docs_per_sec"`
-	ReingestNsPerCorpus float64 `json:"reingest_ns_per_corpus"`
-	ReingestDocsPerSec  float64 `json:"reingest_docs_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	MutatedReuseRate    float64 `json:"mutated_reuse_rate"`
-	EquivalentToScratch bool    `json:"equivalent_to_scratch"`
 }
 
 // classifySection is the classification-engine block of the report. The two
@@ -254,43 +190,6 @@ type classifySection struct {
 // resolverSection is the strategy-comparison block of the report.
 type resolverSection struct {
 	Strategies []experiment.ResolverComparison `json:"strategies"`
-}
-
-// servingReport is the cache-hit-path section: the cold side aligns the
-// corpus through an uncached pipeline; the hit side re-aligns it through a
-// pipeline whose cache was warmed by one prior run, so every document is
-// served from memory. EquivalentToCold records the byte-identity gate.
-type servingReport struct {
-	ColdNsPerCorpus  float64 `json:"cold_ns_per_corpus"`
-	ColdDocsPerSec   float64 `json:"cold_docs_per_sec"`
-	HitNsPerCorpus   float64 `json:"hit_ns_per_corpus"`
-	HitDocsPerSec    float64 `json:"hit_docs_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	EquivalentToCold bool    `json:"equivalent_to_cold"`
-	CacheEntries     int64   `json:"cache_entries"`
-	CacheBytes       int64   `json:"cache_bytes"`
-}
-
-// runtimeScaling is one worker-count measurement of the corpus runtime pool.
-type runtimeScaling struct {
-	Workers         int     `json:"workers"`
-	NsPerCorpus     float64 `json:"ns_per_corpus"`
-	DocsPerSec      float64 `json:"docs_per_sec"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
-// runtimeReport compares the concurrent corpus engine against the serial
-// AlignAll baseline. EquivalentToSerial records the determinism gate: the
-// pool's AlignCorpus output must be byte-identical to serial AlignAll before
-// any throughput number is reported.
-type runtimeReport struct {
-	SerialNsPerCorpus  float64          `json:"serial_ns_per_corpus"`
-	SerialDocsPerSec   float64          `json:"serial_docs_per_sec"`
-	EquivalentToSerial bool             `json:"equivalent_to_serial"`
-	Scaling            []runtimeScaling `json:"scaling"`
-	// Note flags hardware limits that cap the observable speedup, e.g. a
-	// single-core machine where all worker counts share one core.
-	Note string `json:"note,omitempty"`
 }
 
 func main() {
@@ -379,41 +278,10 @@ func run(seed int64, pages, rounds int, out string) error {
 		})
 	printComparison("resolve", rep.Benchmarks["resolve"])
 
-	// End-to-end pipeline with per-stage latency recording. The recorder is
-	// attached for the measured runs only, so stage histograms describe
-	// exactly the benchmarked work. No stage is pre-registered: the workload
-	// is already segmented, so the section lists only the stages it observes.
-	rec := obs.NewRecorder()
-	p.Recorder = rec
 	docs := make([]*document.Document, len(inputs))
 	for i, in := range inputs {
 		docs[i] = in.doc
 	}
-	rep.PipelineAlign = best(rounds, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Align(docs[i%len(docs)])
-		}
-	})
-	rep.Stages = rec.Snapshot()
-	fmt.Printf("pipeline_align: %.0f ns/op  %d allocs/op\n",
-		rep.PipelineAlign.NsPerOp, rep.PipelineAlign.AllocsPerOp)
-
-	// Corpus throughput on the concurrent runtime pool. Recording is
-	// detached so both sides measure pure alignment work.
-	p.Recorder = nil
-	rt, err := measureRuntime(rounds, p, docs)
-	if err != nil {
-		return err
-	}
-	rep.Runtime = rt
-
-	sv, err := measureServing(rounds, docs)
-	if err != nil {
-		return err
-	}
-	rep.Serving = sv
-
 	rep.Resolvers = measureResolvers(rounds, p, c, docs)
 
 	cl, err := measureClassify(rounds, p, c, docs)
@@ -421,12 +289,6 @@ func run(seed int64, pages, rounds int, out string) error {
 		return err
 	}
 	rep.Classify = cl
-
-	ig, err := measureIngest(rounds, seed, pages)
-	if err != nil {
-		return err
-	}
-	rep.Ingest = ig
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -438,137 +300,6 @@ func run(seed int64, pages, rounds int, out string) error {
 	}
 	fmt.Printf("wrote %s\n", out)
 	return nil
-}
-
-// measureRuntime benchmarks corpus throughput: the serial AlignAll baseline,
-// then the internal/runtime pool at 1, 2, 4 and 8 workers. The pools reuse
-// warm clones across benchmark iterations — the steady-state shape of the
-// server's batch path and the experiment harness.
-func measureRuntime(rounds int, p *core.Pipeline, docs []*document.Document) (runtimeReport, error) {
-	var out runtimeReport
-
-	// Determinism gate first: pooled output must match serial byte for byte.
-	serialJSON, err := json.Marshal(p.AlignAll(docs))
-	if err != nil {
-		return out, err
-	}
-	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		got, err := brt.NewPool(p, brt.Options{Workers: workers}).AlignCorpus(ctx, docs)
-		if err != nil {
-			return out, fmt.Errorf("runtime gate (workers=%d): %w", workers, err)
-		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			return out, err
-		}
-		if !bytes.Equal(gotJSON, serialJSON) {
-			return out, fmt.Errorf("runtime gate (workers=%d): pool output differs from serial AlignAll", workers)
-		}
-	}
-	out.EquivalentToSerial = true
-	fmt.Printf("runtime gate: pool output identical to serial AlignAll on %d documents\n", len(docs))
-
-	serial := best(rounds, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.AlignAll(docs)
-		}
-	})
-	out.SerialNsPerCorpus = serial.NsPerOp
-	out.SerialDocsPerSec = docsPerSec(len(docs), serial.NsPerOp)
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		pool := brt.NewPool(p, brt.Options{Workers: workers})
-		s := best(rounds, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pool.AlignCorpus(ctx, docs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		row := runtimeScaling{
-			Workers:     workers,
-			NsPerCorpus: s.NsPerOp,
-			DocsPerSec:  docsPerSec(len(docs), s.NsPerOp),
-		}
-		if s.NsPerOp > 0 {
-			row.SpeedupVsSerial = out.SerialNsPerCorpus / s.NsPerOp
-		}
-		out.Scaling = append(out.Scaling, row)
-		fmt.Printf("runtime: workers=%d  %.0f docs/sec  %.2fx vs serial\n",
-			workers, row.DocsPerSec, row.SpeedupVsSerial)
-	}
-
-	if procs := runtime.GOMAXPROCS(0); procs < 2 {
-		out.Note = fmt.Sprintf("GOMAXPROCS=%d: all worker counts share one core; "+
-			"speedup vs serial measures scheduling overhead, not parallelism", procs)
-		fmt.Println("runtime note:", out.Note)
-	}
-	return out, nil
-}
-
-// measureServing benchmarks the serving layer's cache-hit path: cold corpus
-// alignment through an uncached facade pipeline against warm re-alignment
-// through a pipeline whose per-document result cache holds the whole corpus.
-func measureServing(rounds int, docs []*document.Document) (servingReport, error) {
-	var out servingReport
-	ctx := context.Background()
-	coldP := briq.New()
-	warmP := briq.New(briq.WithCache(256 << 20))
-
-	// Byte-identity gate: the cold path, the run that warms the cache, and a
-	// fully warm run must all agree before any number is reported.
-	coldOut, err := briq.AlignCorpus(ctx, coldP, docs)
-	if err != nil {
-		return out, err
-	}
-	coldJSON, err := json.Marshal(coldOut)
-	if err != nil {
-		return out, err
-	}
-	for pass, label := range []string{"warming", "warm"} {
-		got, err := briq.AlignCorpus(ctx, warmP, docs)
-		if err != nil {
-			return out, fmt.Errorf("serving gate (%s pass): %w", label, err)
-		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			return out, err
-		}
-		if !bytes.Equal(gotJSON, coldJSON) {
-			return out, fmt.Errorf("serving gate (%s pass %d): cached output differs from cold pipeline", label, pass)
-		}
-	}
-	out.EquivalentToCold = true
-	fmt.Printf("serving gate: cache-hit output identical to cold pipeline on %d documents\n", len(docs))
-
-	cold := best(rounds, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := briq.AlignCorpus(ctx, coldP, docs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	hit := best(rounds, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := briq.AlignCorpus(ctx, warmP, docs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	out.ColdNsPerCorpus = cold.NsPerOp
-	out.ColdDocsPerSec = docsPerSec(len(docs), cold.NsPerOp)
-	out.HitNsPerCorpus = hit.NsPerOp
-	out.HitDocsPerSec = docsPerSec(len(docs), hit.NsPerOp)
-	if hit.NsPerOp > 0 {
-		out.Speedup = cold.NsPerOp / hit.NsPerOp
-	}
-	counters := warmP.Gate.Counters()
-	out.CacheEntries = counters["entries"]
-	out.CacheBytes = counters["bytes"]
-	fmt.Printf("serving: cold %.0f docs/sec | hit %.0f docs/sec | speedup %.1fx (%d entries, %d bytes cached)\n",
-		out.ColdDocsPerSec, out.HitDocsPerSec, out.Speedup, out.CacheEntries, out.CacheBytes)
-	return out, nil
 }
 
 // measureResolvers compares random walks against the ILP and greedy
@@ -704,143 +435,6 @@ func measureClassify(rounds int, base *core.Pipeline, c *corpus.Corpus, docs []*
 	}
 	fmt.Printf("classify: engine cold %.0f docs/sec | reference cold %.0f docs/sec | %.2fx\n",
 		out.EngineColdDocsPerSec, out.ReferenceColdDocsPerSec, out.ColdSpeedup)
-	return out, nil
-}
-
-// measureIngest benchmarks the streaming ingestion engine. Gate first: a
-// corpus is ingested cold, every page is re-crawled with one extra sentence,
-// and the incrementally maintained store must answer the search/facts
-// battery identically to an engine that ingested only the final corpus from
-// scratch. Then two measurements over the final corpus: cold ingestion into
-// a fresh engine per iteration, and re-ingestion of the byte-identical
-// corpus into a warm engine, where every document short-circuits on its
-// stored fingerprint.
-func measureIngest(rounds int, seed int64, pageCount int) (ingestSection, error) {
-	var out ingestSection
-	ctx := context.Background()
-	pgs := corpus.Generate(corpus.TableLConfig(seed, pageCount)).Pages
-	out.Pages = len(pgs)
-
-	newEngine := func() (*ingest.Ingestor, *store.Store, error) {
-		st, err := store.Open(store.Options{Fingerprint: "briq-bench-ingest"})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ingest.New(core.NewPipeline(), st, ingest.Options{}), st, nil
-	}
-	ingestCorpus := func(ing *ingest.Ingestor) (reused, realigned int, err error) {
-		for _, pg := range pgs {
-			res := ing.Page(ctx, pg.ID, pg.HTML())
-			if res.Error != "" {
-				return 0, 0, fmt.Errorf("ingest %s: %s", pg.ID, res.Error)
-			}
-			reused += res.Reused
-			realigned += res.Realigned
-		}
-		return reused, realigned, nil
-	}
-	// snapshot serializes the store's observable serving state — the search
-	// battery plus every entity's facts — for the equivalence gate.
-	snapshot := func(st *store.Store) ([]byte, error) {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, q := range []quantsearch.Query{
-			{Op: quantsearch.Above, Value: 0},
-			{Op: quantsearch.Below, Value: 1000},
-			{Op: quantsearch.Between, Value: 5, Value2: 500},
-			{Keywords: []string{"total"}, Op: quantsearch.Above, Value: 0},
-		} {
-			if err := enc.Encode(st.Search(q)); err != nil {
-				return nil, err
-			}
-		}
-		ents := st.Entities()
-		if err := enc.Encode(ents); err != nil {
-			return nil, err
-		}
-		for _, e := range ents {
-			if err := enc.Encode(st.FactsFor(e)); err != nil {
-				return nil, err
-			}
-		}
-		return buf.Bytes(), nil
-	}
-
-	// Equivalence gate: cold ingest, re-crawl with one sentence appended per
-	// page, then compare against a from-scratch ingest of the final corpus.
-	warm, warmStore, err := newEngine()
-	if err != nil {
-		return out, err
-	}
-	if _, _, err := ingestCorpus(warm); err != nil {
-		return out, fmt.Errorf("ingest gate (cold pass): %w", err)
-	}
-	for _, pg := range pgs {
-		pg.Paras[0] += " A follow-up note was appended on re-crawl."
-	}
-	reused, realigned, err := ingestCorpus(warm)
-	if err != nil {
-		return out, fmt.Errorf("ingest gate (mutated pass): %w", err)
-	}
-	if reused == 0 || realigned == 0 {
-		return out, fmt.Errorf("ingest gate: mutated re-crawl reused %d / realigned %d, want both > 0", reused, realigned)
-	}
-	out.MutatedReuseRate = float64(reused) / float64(reused+realigned)
-	scratch, scratchStore, err := newEngine()
-	if err != nil {
-		return out, err
-	}
-	if _, docs, err := ingestCorpus(scratch); err != nil {
-		return out, fmt.Errorf("ingest gate (scratch pass): %w", err)
-	} else {
-		out.Documents = docs
-	}
-	got, err := snapshot(warmStore)
-	if err != nil {
-		return out, err
-	}
-	want, err := snapshot(scratchStore)
-	if err != nil {
-		return out, err
-	}
-	if !bytes.Equal(got, want) {
-		return out, fmt.Errorf("ingest gate: incremental store differs from from-scratch ingest of the final corpus")
-	}
-	out.EquivalentToScratch = true
-	fmt.Printf("ingest gate: incremental state identical to from-scratch on %d pages (%.0f%% reused on re-crawl)\n",
-		out.Pages, 100*out.MutatedReuseRate)
-
-	cold := best(rounds, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ing, _, err := newEngine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, _, err := ingestCorpus(ing); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Re-ingest measures the warm engine over the byte-identical corpus:
-	// segmentation and fingerprinting run, alignment and log writes do not.
-	reingest := best(rounds, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ingestCorpus(scratch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	out.ColdNsPerCorpus = cold.NsPerOp
-	out.ColdDocsPerSec = docsPerSec(out.Documents, cold.NsPerOp)
-	out.ReingestNsPerCorpus = reingest.NsPerOp
-	out.ReingestDocsPerSec = docsPerSec(out.Documents, reingest.NsPerOp)
-	if reingest.NsPerOp > 0 {
-		out.Speedup = cold.NsPerOp / reingest.NsPerOp
-	}
-	fmt.Printf("ingest: cold %.0f docs/sec | re-ingest %.0f docs/sec | speedup %.1fx\n",
-		out.ColdDocsPerSec, out.ReingestDocsPerSec, out.Speedup)
 	return out, nil
 }
 

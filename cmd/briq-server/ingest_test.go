@@ -33,18 +33,25 @@ func decodeIngestLines(t *testing.T, body string) []ingest.Result {
 	return out
 }
 
-// TestIngestValidationLines drives the per-line failure modes: each bad line
-// answers an error line in-stream without aborting the pages after it.
-func TestIngestValidationLines(t *testing.T) {
-	srv := newTestServer()
+// ingestValidationLines are the request lines of TestIngestValidationLines
+// and the seeds of FuzzIngestLines: three bad lines, a blank one and a valid
+// page.
+func ingestValidationLines() []string {
 	okLine, _ := json.Marshal(ingestLine{PageID: "ok", HTML: testPage})
-	body := strings.Join([]string{
+	return []string{
 		`this is not json`,
 		`{"html":"<p>anonymous</p>"}`,
 		`{"page_id":"empty","html":""}`,
 		``, // blank lines are skipped, not errors
 		string(okLine),
-	}, "\n")
+	}
+}
+
+// TestIngestValidationLines drives the per-line failure modes: each bad line
+// answers an error line in-stream without aborting the pages after it.
+func TestIngestValidationLines(t *testing.T) {
+	srv := newTestServer()
+	body := strings.Join(ingestValidationLines(), "\n")
 
 	rec := do(t, srv, http.MethodPost, "/v1/ingest", body)
 	if rec.Code != http.StatusOK {

@@ -22,8 +22,9 @@
 // score. Tagging used to run inside filter.Apply and now reports here, so
 // per layer classify/gate rises while filter (and classify, which no longer
 // extracts features for gated pairs) falls. With NoClassifyGate set,
-// tagging stays in the filter stage. cmd/briq-server exposes these histograms over HTTP and
-// cmd/briq-bench writes them into BENCH_pipeline.json.
+// tagging stays in the filter stage. cmd/briq-server exposes these
+// histograms on /metrics, and the benchmark in bench/ turns their deltas
+// into the per-layer metrics that make bench-e2e commits as BENCH_e2e.json.
 //
 // # Concurrency contract
 //

@@ -9,8 +9,9 @@
 // nothing.
 //
 // HistogramSnapshot is the serialization unit: count, sum/mean/min/max and
-// p50/p90/p99 in milliseconds plus the cumulative bucket counts. The same
-// snapshot type backs the briq-server /metrics endpoint and the "stages"
-// section of cmd/briq-bench's BENCH_pipeline.json, so the two stay
-// comparable field for field.
+// p50/p90/p99 in milliseconds plus the cumulative bucket counts. It backs
+// the "stages" section of the briq-server and briq-gateway /metrics
+// endpoints; the benchmark in bench/ decodes those snapshots and takes its
+// per-layer times from their deltas, which make bench-e2e commits in
+// BENCH_e2e.json.
 package obs

@@ -33,9 +33,10 @@
 // index — the shape for pipelines that post-process per document.
 // AlignCorpus is the ordered-batch collector: it restores submission order
 // and applies core.SortAlignments, making the parallel output byte-for-byte
-// identical to the serial core.Pipeline.AlignAll (asserted in the
-// determinism test and gated in cmd/briq-bench before throughput numbers are
-// reported). This pool is the only place alignment runs in parallel:
+// identical to the serial core.Pipeline.AlignAll (asserted in
+// TestAlignCorpusDeterministic). Its throughput is measured where it is
+// served, end to end by the benchmark in bench/ (make bench-e2e, committed
+// as BENCH_e2e.json). This pool is the only place alignment runs in parallel:
 // package core aligns one document at a time, and package graph walks a
 // document's random walks one after another.
 package runtime
