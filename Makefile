@@ -70,11 +70,13 @@ bench-e2e:
 	mv $$tmp/BENCH_e2e.json BENCH_e2e.json; \
 	echo "wrote BENCH_e2e.json"
 
-# Side-by-side go-test micro-benchmarks of the resolution hot path, with
-# allocation counts — for inspecting individual kernels rather than the
-# aggregate report.
+# Side-by-side go-test micro-benchmarks of the resolution hot path and of
+# document keying (the content hash behind every store write, batch cache hit
+# and ingest reuse check), with allocation counts — for inspecting individual
+# kernels rather than the aggregate report.
 bench-compare:
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
+	$(GO) test -bench 'DocumentKey' -benchmem -run ^$$ ./internal/store
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
 bench-tables:
@@ -306,6 +308,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseComparison$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"strconv"
 
 	"briq/internal/document"
 	"briq/internal/serve"
@@ -36,20 +37,84 @@ func HashDocumentText(w io.Writer, d *document.Document) {
 
 // HashDocumentTables writes the table part of a document's content: grids,
 // headers, captions, footers, and the table-side mention list (single cells
-// and virtual aggregate cells).
+// and virtual aggregate cells). A document carries hundreds of virtual cells,
+// so the records are appended with strconv into one buffer that goes to w
+// whenever it fills, instead of one fmt call per record. The bytes are those
+// of
+//
+//	"table|%s|%s|%q|%q|%q|%d×%d|" (ID, Caption, ColHeaders, RowHeaders,
+//	                              Footers, Rows, Cols) per table,
+//	"%s\x00" per cell text, row-major, after each table record,
+//	"tm|%s|%g|%s|%v|%d|" (Key, Value, Unit, Orient, Index) per mention,
+//
+// and must stay so: they are part of every stored document key.
 func HashDocumentTables(w io.Writer, d *document.Document) {
+	b := make([]byte, 0, tableChunk)
+	flush := func() {
+		if len(b) >= tableChunk*3/4 {
+			w.Write(b)
+			b = b[:0]
+		}
+	}
 	for _, t := range d.Tables {
-		fmt.Fprintf(w, "table|%s|%s|%q|%q|%q|%d×%d|",
-			t.ID, t.Caption, t.ColHeaders, t.RowHeaders, t.Footers, t.Rows(), t.Cols())
+		b = append(b, "table|"...)
+		b = append(b, t.ID...)
+		b = append(b, '|')
+		b = append(b, t.Caption...)
+		b = append(b, '|')
+		b = appendQuotedList(b, t.ColHeaders)
+		b = append(b, '|')
+		b = appendQuotedList(b, t.RowHeaders)
+		b = append(b, '|')
+		b = appendQuotedList(b, t.Footers)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(t.Rows()), 10)
+		b = append(b, "×"...)
+		b = strconv.AppendInt(b, int64(t.Cols()), 10)
+		b = append(b, '|')
+		flush()
 		for r := 0; r < t.Rows(); r++ {
 			for c := 0; c < t.Cols(); c++ {
-				fmt.Fprintf(w, "%s\x00", t.Cell(r, c).Text)
+				b = append(b, t.Cell(r, c).Text...)
+				b = append(b, 0)
+				flush()
 			}
 		}
 	}
 	for _, m := range d.TableMentions {
-		fmt.Fprintf(w, "tm|%s|%g|%s|%v|%d|", m.Key(), m.Value, m.Unit, m.Orient, m.Index)
+		b = append(b, "tm|"...)
+		b = m.AppendKey(b)
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, m.Value, 'g', -1, 64)
+		b = append(b, '|')
+		b = append(b, m.Unit...)
+		b = append(b, '|')
+		b = append(b, m.Orient.String()...)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(m.Index), 10)
+		b = append(b, '|')
+		flush()
 	}
+	w.Write(b)
+}
+
+// tableChunk is the size of HashDocumentTables' buffer, which goes to the
+// hash once three quarters full: a document's table part takes a handful of
+// writes, and a record of tens of bytes fits in the last quarter. A longer
+// one, such as a long caption, grows the buffer instead of being split.
+const tableChunk = 4 << 10
+
+// appendQuotedList appends ss as fmt's %q renders a []string: each element
+// Go-quoted, space-separated, in brackets ("[]" for nil and empty).
+func appendQuotedList(b []byte, ss []string) []byte {
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, s)
+	}
+	return append(b, ']')
 }
 
 // DocumentParts returns the SHA-256 digests of the two sub-document content

@@ -113,12 +113,15 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	}
 
 	// Fingerprint check: a stored live identity means the whole
-	// classify/filter/resolve chain is skipped for that document.
+	// classify/filter/resolve chain is skipped for that document. The keys
+	// go on to UpsertPage, so each document is hashed once per page.
+	keys := make([]serve.Key, len(docs))
 	als := make([][]core.Alignment, len(docs))
 	var missDocs []*document.Document
 	var missIdx []int
 	for i, d := range docs {
-		if stored, ok := ing.store.Alignments(ing.store.DocumentKey(d)); ok {
+		keys[i] = ing.store.DocumentKey(d)
+		if stored, ok := ing.store.Alignments(keys[i]); ok {
 			als[i] = nil // reused; UpsertPage keeps the live record
 			res.Alignments += len(stored)
 			continue
@@ -142,7 +145,7 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 		}
 	}
 
-	up := ing.store.UpsertPage(pageID, docs, als)
+	up := ing.store.UpsertPage(pageID, docs, keys, als)
 	res.Retracted = up.Retracted
 	res.PersistErrors = up.PersistErrors
 	res.Documents = make([]DocStatus, len(docs))

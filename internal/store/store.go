@@ -573,17 +573,23 @@ type PageUpsert struct {
 // reconstructs the same latest-wins state. An empty docs slice retracts the
 // whole page.
 //
+// keys[i] must equal DocumentKey(docs[i]): callers key each document once,
+// for their own reuse check, and hand the keys over rather than have the
+// store hash every document a second time. A wrong key files the document
+// under another identity.
+//
 // Callers that pass alignments[i] == nil must have confirmed the identity
 // via Alignments first and must serialize upserts of the same page (the
 // ingest path holds a per-page lock); a nil-alignment document that lost a
 // race is registered with no alignments rather than dropped. Every document
 // the upsert stores is also offered to the Gate, so a later corpus request
 // for it is a cache hit.
-func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments [][]core.Alignment) PageUpsert {
-	keys := make([]serve.Key, len(docs))
+func (s *Store) UpsertPage(pageID string, docs []*document.Document, keys []serve.Key, alignments [][]core.Alignment) PageUpsert {
+	if len(keys) != len(docs) {
+		panic(fmt.Sprintf("store: UpsertPage got %d keys for %d documents", len(keys), len(docs)))
+	}
 	states := make([]*docState, len(docs))
 	for i, d := range docs {
-		keys[i] = s.DocumentKey(d)
 		if alignments[i] != nil {
 			states[i] = docStateOf(d, alignments[i])
 		}

@@ -10,6 +10,7 @@ import (
 
 	"briq/internal/core"
 	"briq/internal/document"
+	"briq/internal/serve"
 )
 
 // pageGroup is one page's slice of an aligned corpus, in document order.
@@ -33,6 +34,15 @@ func groupByPage(docs []*document.Document, als [][]core.Alignment) []pageGroup 
 		groups[gi].als = append(groups[gi].als, als[i])
 	}
 	return groups
+}
+
+// keysOf keys docs the way the ingest path does before calling UpsertPage.
+func keysOf(s *Store, docs []*document.Document) []serve.Key {
+	keys := make([]serve.Key, len(docs))
+	for i, d := range docs {
+		keys[i] = s.DocumentKey(d)
+	}
+	return keys
 }
 
 // mutated returns a copy of doc with its paragraph text changed — a new
@@ -109,7 +119,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 	}
 
 	for _, g := range groups {
-		up := s.UpsertPage(g.id, g.docs, g.als)
+		up := s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
 		for i, r := range up.Reused {
 			if r {
 				t.Fatalf("cold upsert of %s reports doc %d reused", g.id, i)
@@ -128,7 +138,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range groups {
-		up := s.UpsertPage(g.id, g.docs, make([][]core.Alignment, len(g.docs)))
+		up := s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), make([][]core.Alignment, len(g.docs)))
 		for i, r := range up.Reused {
 			if !r {
 				t.Fatalf("identical re-upsert of %s reports doc %d fresh", g.id, i)
@@ -148,7 +158,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 	var finalAls [][]core.Alignment
 	for _, g := range groups {
 		mdocs, mals, rebuildAls := mutatePage(g)
-		up := s.UpsertPage(g.id, mdocs, mals)
+		up := s.UpsertPage(g.id, mdocs, keysOf(s, mdocs), mals)
 		if up.Reused[0] {
 			t.Fatalf("page %s: mutated document reported reused", g.id)
 		}
@@ -220,10 +230,10 @@ func TestUpsertPageFlipReaccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.UpsertPage(g.id, g.docs, g.als)
+	s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
 
 	// Crawl B drops the first document.
-	up := s.UpsertPage(g.id, g.docs[1:], make([][]core.Alignment, len(g.docs)-1))
+	up := s.UpsertPage(g.id, g.docs[1:], keysOf(s, g.docs[1:]), make([][]core.Alignment, len(g.docs)-1))
 	if up.Retracted != 1 {
 		t.Fatalf("drop crawl retracted %d, want 1", up.Retracted)
 	}
@@ -231,7 +241,7 @@ func TestUpsertPageFlipReaccepts(t *testing.T) {
 	// Crawl A again: the dropped document returns, identical content.
 	backAls := make([][]core.Alignment, len(g.docs))
 	backAls[0] = g.als[0]
-	back := s.UpsertPage(g.id, g.docs, backAls)
+	back := s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), backAls)
 	if back.Reused[0] {
 		t.Fatal("re-added document reported reused — retraction left its key seen")
 	}
@@ -265,7 +275,7 @@ func TestUpsertPageReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range groups {
-		s.UpsertPage(g.id, g.docs, g.als)
+		s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
 	}
 
 	var finalDocs []*document.Document
@@ -277,7 +287,7 @@ func TestUpsertPageReorder(t *testing.T) {
 			rdocs[i] = g.docs[len(g.docs)-1-i]
 			rals[i] = g.als[len(g.als)-1-i]
 		}
-		up := s.UpsertPage(g.id, rdocs, make([][]core.Alignment, len(rdocs)))
+		up := s.UpsertPage(g.id, rdocs, keysOf(s, rdocs), make([][]core.Alignment, len(rdocs)))
 		for i, r := range up.Reused {
 			if !r {
 				t.Fatalf("page %s: reorder reported doc %d fresh", g.id, i)
@@ -323,7 +333,7 @@ func TestUpsertTornSupersede(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range groups {
-		s1.UpsertPage(g.id, g.docs, g.als)
+		s1.UpsertPage(g.id, g.docs, keysOf(s1, g.docs), g.als)
 	}
 	want := make([]any, len(battery()))
 	for i, q := range battery() {
@@ -346,7 +356,7 @@ func TestUpsertTornSupersede(t *testing.T) {
 		t.Fatal(err)
 	}
 	mdocs, mals, _ := mutatePage(groups[0])
-	if up := s2.UpsertPage(groups[0].id, mdocs, mals); up.Retracted == 0 {
+	if up := s2.UpsertPage(groups[0].id, mdocs, keysOf(s2, mdocs), mals); up.Retracted == 0 {
 		t.Fatal("mutated upsert retracted nothing — test shape is wrong")
 	}
 	if err := s2.Close(); err != nil {
@@ -409,9 +419,9 @@ func TestConcurrentUpsertSearchReplay(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.UpsertPage(g.id, g.docs, g.als)
+			s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
 			mdocs, mals, rebuildAls := mutatePage(g)
-			s.UpsertPage(g.id, mdocs, mals)
+			s.UpsertPage(g.id, mdocs, keysOf(s, mdocs), mals)
 			finalMu.Lock()
 			finalDocs = append(finalDocs, mdocs...)
 			finalAls = append(finalAls, rebuildAls...)

@@ -1,7 +1,7 @@
 package table
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"briq/internal/quantity"
@@ -48,19 +48,39 @@ type Mention struct {
 func (m *Mention) IsVirtual() bool { return m.Agg != quantity.SingleCell }
 
 // Key returns a stable identifier, e.g. "t0:cell(1,2)" or "t0:sum(col 3)".
-func (m *Mention) Key() string {
+func (m *Mention) Key() string { return string(m.AppendKey(nil)) }
+
+// AppendKey appends Key's identifier to b and returns the extended slice. It
+// is the one definition of the mention-key format: alignments' table keys and
+// the document content hash both go through it, and every stored document
+// key depends on its bytes.
+func (m *Mention) AppendKey(b []byte) []byte {
+	b = append(b, m.Table.ID...)
+	b = append(b, ':')
 	if !m.IsVirtual() {
-		return fmt.Sprintf("%s:cell(%d,%d)", m.Table.ID, m.Cells[0].Row, m.Cells[0].Col)
+		b = append(b, "cell("...)
+		return append(appendCellRef(b, m.Cells[0]), ')')
 	}
+	b = append(b, m.Agg.String()...)
+	b = append(b, '(')
 	if len(m.Cells) == 2 {
-		return fmt.Sprintf("%s:%s(%d,%d|%d,%d)", m.Table.ID, m.Agg,
-			m.Cells[0].Row, m.Cells[0].Col, m.Cells[1].Row, m.Cells[1].Col)
+		b = append(appendCellRef(b, m.Cells[0]), '|')
+		return append(appendCellRef(b, m.Cells[1]), ')')
 	}
 	fix := m.Cells[0].Col
 	if m.Orient == OrientRow {
 		fix = m.Cells[0].Row
 	}
-	return fmt.Sprintf("%s:%s(%s %d)", m.Table.ID, m.Agg, m.Orient, fix)
+	b = append(b, m.Orient.String()...)
+	b = append(b, ' ')
+	return append(strconv.AppendInt(b, int64(fix), 10), ')')
+}
+
+// appendCellRef appends "row,col".
+func appendCellRef(b []byte, ref CellRef) []byte {
+	b = strconv.AppendInt(b, int64(ref.Row), 10)
+	b = append(b, ',')
+	return strconv.AppendInt(b, int64(ref.Col), 10)
 }
 
 // Surface returns a textual rendering of the mention value for string

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -296,6 +297,62 @@ func TestMentionKeyStable(t *testing.T) {
 		if !strings.HasPrefix(k, "t7:") {
 			t.Errorf("key %q missing table prefix", k)
 		}
+	}
+}
+
+// keySprintf is Key as it was written with fmt, one Sprintf form per key
+// shape. Alignments' table keys and every stored document key carry these
+// bytes, so AppendKey must reproduce them exactly.
+func keySprintf(m *Mention) string {
+	if !m.IsVirtual() {
+		return fmt.Sprintf("%s:cell(%d,%d)", m.Table.ID, m.Cells[0].Row, m.Cells[0].Col)
+	}
+	if len(m.Cells) == 2 {
+		return fmt.Sprintf("%s:%s(%d,%d|%d,%d)", m.Table.ID, m.Agg,
+			m.Cells[0].Row, m.Cells[0].Col, m.Cells[1].Row, m.Cells[1].Col)
+	}
+	fix := m.Cells[0].Col
+	if m.Orient == OrientRow {
+		fix = m.Cells[0].Row
+	}
+	return fmt.Sprintf("%s:%s(%s %d)", m.Table.ID, m.Agg, m.Orient, fix)
+}
+
+func TestMentionKeyMatchesSprintf(t *testing.T) {
+	opts := ExtendedVirtualOptions()
+	opts.PairSums = true
+	ms := mustNew(t, "pg-t3", "", fig1cGrid()).Mentions(opts)
+	odd := &Table{ID: "p\"g\x00\xff-t12"}
+	for _, m := range []*Mention{
+		{Table: odd, Agg: quantity.SingleCell, Cells: []CellRef{{-1, 1234567}}},
+		{Table: odd, Agg: quantity.Ratio, Cells: []CellRef{{0, 2}, {10, 2}}},
+		{Table: odd, Agg: quantity.Agg(99), Cells: []CellRef{{3, 1}, {3, 4}}, Orient: OrientRow},
+		{Table: odd, Agg: quantity.Agg(-2), Cells: []CellRef{{0, 5}, {1, 5}, {2, 5}}, Orient: OrientCol},
+		{Table: odd, Agg: quantity.Max, Cells: []CellRef{{7, 0}, {7, 1}, {7, 2}}, Orient: OrientRow},
+		{Table: odd, Agg: quantity.Avg, Cells: []CellRef{{0, 3}, {1, 3}, {2, 3}}, Orient: Orientation(9)},
+	} {
+		ms = append(ms, m)
+	}
+	shapes := map[string]bool{}
+	for _, m := range ms {
+		want := keySprintf(m)
+		if got := m.Key(); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
+		}
+		if got := string(m.AppendKey([]byte("tm|"))); got != "tm|"+want {
+			t.Errorf("AppendKey after a prefix = %q, want %q", got, "tm|"+want)
+		}
+		switch {
+		case !m.IsVirtual():
+			shapes["cell"] = true
+		case len(m.Cells) == 2:
+			shapes["pair"] = true
+		default:
+			shapes["line"] = true
+		}
+	}
+	if len(shapes) != 3 {
+		t.Errorf("covered key shapes %v, want cell, pair and line", shapes)
 	}
 }
 
