@@ -12,7 +12,7 @@ all: check
 # (loadgen-smoke), the sharded fleet behind briq-gateway including a
 # replica kill (gateway-smoke), the persistent aligned-corpus store across
 # a server restart (store-smoke), and streaming re-crawl ingestion with
-# fingerprint reuse (ingest-smoke). The runtime pool (the only place
+# fingerprint reuse (ingest-smoke). internal/runtime (the only place
 # alignment runs in parallel), serving layer and server handlers are
 # concurrency-bearing, so a non-race test run is not a complete check.
 check: fmt-check vet build race bench-test fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
@@ -28,9 +28,9 @@ test: build vet
 	$(GO) test ./...
 
 # Race-enabled suite — the concurrency contract (shared read-only Pipeline,
-# the internal/runtime clone pool, server handlers) is only trusted if this
-# passes. Includes the pool stress test in internal/runtime and the
-# shared-pipeline stress test in internal/core.
+# internal/runtime's per-goroutine clones, server handlers) is only trusted
+# if this passes. Includes the concurrent-run stress test in internal/runtime
+# and the shared-pipeline stress test in internal/core.
 # The tuning sweeps in internal/experiment run ~6x slower under the race
 # detector; on small machines they overrun go test's default 10m per-binary
 # timeout, so the race target sets its own.
@@ -310,6 +310,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutingIdentity$$' -fuzztime 5s ./internal/gateway
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

@@ -13,7 +13,7 @@
 //	tagger     the text-mention aggregation tagger
 //	filter     adaptive candidate filtering
 //	graph      candidate graph + random walks with restart (Algorithm 1)
-//	runtime    corpus-scale concurrent alignment (worker pool of clones)
+//	runtime    corpus-scale concurrent alignment (one clone per goroutine)
 //	serve      the traffic layer: result cache, single-flight, admission
 //	corpus     the synthetic Common-Crawl-style corpus with ground truth
 //	experiment the harness reproducing the paper's Tables I–IX
@@ -131,7 +131,7 @@ func WithTrainedSeed(seed int64) Option {
 }
 
 // WithWorkers sets the default fan-out width for corpus-scale alignment
-// (AlignCorpus and the batch paths built on the internal runtime pool).
+// (AlignCorpus and the batch paths built on internal/runtime).
 // A width below 1 is invalid: it is clamped to the GOMAXPROCS default and
 // recorded in the pipeline's ConfigWarnings.
 func WithWorkers(n int) Option {
@@ -146,9 +146,8 @@ func WithWorkers(n int) Option {
 }
 
 // WithRecorder attaches a latency Recorder: every aligned document reports
-// its per-stage timings (classify, filter, resolve/rwr, …) to it. Corpus
-// runs record into per-worker recorders and merge into r when the run
-// completes.
+// its per-stage timings (classify, filter, resolve/rwr, …) to it, including
+// each document of a corpus run as it completes.
 func WithRecorder(r *Recorder) Option {
 	return func(c *config) { c.recorder = r }
 }
@@ -328,16 +327,15 @@ func IsUnalignable(err error) bool {
 	return errors.Is(err, ErrNoTables) || errors.Is(err, ErrNoMentions)
 }
 
-// AlignCorpus aligns a document corpus concurrently on the internal runtime
-// pool — per-worker pipeline clones fed through bounded channels — using the
-// pipeline's Workers as the fan-out width. The result order is deterministic
-// (document ID, then text mention) and byte-for-byte identical to a serial
-// run. On cancellation it returns ctx.Err(); stage latencies merge into the
-// pipeline's Recorder when one is attached.
+// AlignCorpus aligns a document corpus concurrently — one pipeline clone per
+// goroutine — using the pipeline's Workers as the fan-out width. The result
+// order is deterministic (document ID, then text mention) and byte-for-byte
+// identical to a serial run. On cancellation it returns ctx.Err(); stage
+// latencies go to the pipeline's Recorder when one is attached.
 //
 // On a pipeline with a serving layer, each document is content-addressed
 // individually: documents already aligned under the same models are served
-// from the cache and only the misses fan out over the pool, and the whole
+// from the cache and only the misses fan out over the clones, and the whole
 // corpus run occupies one admission slot (failing fast with ErrOverloaded /
 // ErrDeadlineBudget under saturation).
 func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignment, error) {
@@ -365,11 +363,7 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	}
 
 	if len(missDocs) > 0 {
-		pool := runtime.NewPool(p, runtime.Options{})
-		fresh, err := pool.AlignPerDoc(ctx, missDocs)
-		if p.Recorder != nil {
-			pool.MergeInto(p.Recorder)
-		}
+		fresh, err := runtime.AlignPerDoc(ctx, p, missDocs, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -215,11 +215,10 @@ func TestIngestStreamEquivalence(t *testing.T) {
 }
 
 // TestIngestRecordsStageHistograms: documents realigned through POST
-// /v1/ingest run on the ingestor's own worker pool, and /metrics must still
-// count them under stages. One ingest that realigns N documents grows
-// stages.classify.count by exactly N, and a repeated scrape without traffic
-// reads the same count — the cumulative pool recorders are never merged
-// into the server's recorder twice.
+// /v1/ingest run on the ingestor's clones of the server's pipeline, and
+// /metrics must count them under stages. One ingest that realigns N
+// documents grows stages.classify.count by exactly N, and a repeated scrape
+// without traffic reads the same count.
 func TestIngestRecordsStageHistograms(t *testing.T) {
 	srv := newTestServer()
 	classifyCount := func() float64 {

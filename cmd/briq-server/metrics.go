@@ -5,7 +5,6 @@ import (
 
 	"briq/internal/api"
 	"briq/internal/core"
-	"briq/internal/ingest"
 	"briq/internal/obs"
 )
 
@@ -40,21 +39,17 @@ func newMetrics() *metrics {
 // golden schema test on purpose: update testdata/metrics_schema.golden in the
 // same commit as the dashboards that read it.
 //
-// The stages section covers every alignment the server ran: the request
-// paths record into m.stages, and the ingestor's re-alignment pool into its
-// own per-worker recorders. Both are cumulative, so they are merged into a
-// fresh recorder on every scrape rather than into each other.
-func (m *metrics) snapshot(ing *ingest.Ingestor) map[string]any {
-	stages := obs.NewRecorder()
-	stages.Merge(m.stages)
-	ing.MergeStagesInto(stages)
+// The stages section covers every alignment the server ran: the align
+// handlers, the batch clones and the ingestor's clones all record into
+// m.stages, the pipeline's Recorder.
+func (m *metrics) snapshot() map[string]any {
 	return map[string]any{
 		"uptime_seconds": time.Since(m.start).Seconds(),
 		"requests":       m.requests.Snapshot(),
 		"errors":         m.errors.Snapshot(),
 		"batch":          m.batch.Snapshot(),
 		"ingest":         m.ingest.Snapshot(),
-		"stages":         stages.Snapshot(),
+		"stages":         m.stages.Snapshot(),
 		"handlers":       m.handlers.Snapshot(),
 	}
 }

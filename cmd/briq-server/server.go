@@ -83,8 +83,9 @@ type server struct {
 // /v1/search and /v1/facts work either way) before any request runs; after
 // that the pipeline is shared read-only across handler goroutines. The align
 // endpoints write to the store through the Sink, /v1/ingest through the
-// ingestor's UpsertPage. The pipeline's Workers sizes both the batch and the
-// ingest worker pools.
+// ingestor's UpsertPage. The pipeline's Workers sizes the fan-out of both the
+// batch and the ingest paths, and every path records its stage latencies
+// into the server's metrics through the pipeline's Recorder.
 func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	if opts.logger == nil {
 		opts.logger = log.New(io.Discard, "", 0)
@@ -267,11 +268,11 @@ type batchPageResult struct {
 }
 
 // handleAlignBatch aligns many pages in one request: each page is segmented,
-// then all documents go through the facade's corpus path — fanning out over a
-// pool of pipeline clones, consulting the serving layer's per-document result
-// cache when one is configured, and occupying one admission slot for the
-// whole corpus. The request context cancels the run mid-corpus, and stage
-// observations merge into the server metrics when the run ends.
+// then all documents go through the facade's corpus path — fanning out over
+// pipeline clones, consulting the serving layer's per-document result cache
+// when one is configured, and occupying one admission slot for the whole
+// corpus. The request context cancels the run mid-corpus, and each document's
+// stage latencies reach the server metrics as it completes.
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, codeMethodNotAllowed, `POST JSON {"pages": [{"id": ..., "html": ...}]}`)
@@ -532,7 +533,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeMethodNotAllowed, "GET only")
 		return
 	}
-	snap := s.metrics.snapshot(s.ingestor)
+	snap := s.metrics.snapshot()
 	snap["serving"] = s.pipeline.Gate.Counters() // nil-safe: full zeroed schema without a gate
 	snap["store"] = s.store.Counters()           // nil-safe: full zeroed schema without a store
 	snap["model"] = map[string]string{"fingerprint": s.pipeline.Fingerprint()}

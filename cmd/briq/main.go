@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"briq"
-	"briq/internal/experiment"
 )
 
 func main() {
@@ -58,16 +57,12 @@ func main() {
 	pipeline := briq.New()
 	switch {
 	case *model != "":
-		f, err := os.Open(*model)
-		if err != nil {
+		if *trained {
+			log.Fatal("-model and -trained are mutually exclusive")
+		}
+		if pipeline, err = briq.NewFromModelFile(*model); err != nil {
 			log.Fatal(err)
 		}
-		tr, err := experiment.LoadModels(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("load model: %v", err)
-		}
-		pipeline = experiment.NewBriQ(tr).P
 	case *trained:
 		pipeline = briq.New(briq.WithTrainedSeed(*seed))
 	}

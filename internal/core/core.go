@@ -90,9 +90,9 @@ type Pipeline struct {
 	// pipeline is read-only and the Recorder itself is concurrency-safe.
 	Recorder *obs.Recorder
 
-	// Workers is the default fan-out width of the internal/runtime pool,
-	// which briq.AlignCorpus, the batch paths and ingestion align on. Zero
-	// or negative means GOMAXPROCS.
+	// Workers is the default fan-out width of internal/runtime's
+	// AlignPerDoc and AlignCorpus, which briq.AlignCorpus, the batch paths
+	// and ingestion align on. Zero or negative means GOMAXPROCS.
 	Workers int
 
 	// Gate, when non-nil, is the serving layer the page- and corpus-level
@@ -183,14 +183,14 @@ func (c *frozenCache) engineFor(f *forest.Forest) *forest.Frozen {
 }
 
 // Clone returns a shallow copy of the pipeline for a dedicated worker
-// goroutine. Models and configuration are shared read-only with the
-// original; the clone gets its own scratch buffers (kept warm across the
-// documents it aligns) and its own Recorder slot, so a worker records stage
-// latencies without cross-worker contention.
+// goroutine. Models, configuration and the Recorder are shared with the
+// original; the clone gets its own scratch buffers, kept warm across the
+// documents it aligns. Setting the clone's Recorder field redirects its
+// stage latencies without touching the original.
 //
 // Unlike a NewPipeline instance, a clone must NOT be used for concurrent
-// Align calls: its scratch is single-owner by design. The runtime pool gives
-// each worker exactly one clone.
+// Align calls: its scratch is single-owner by design. internal/runtime gives
+// each of its goroutines exactly one clone.
 func (p *Pipeline) Clone() *Pipeline {
 	c := *p
 	c.local = &localScratch{}
@@ -557,8 +557,8 @@ func (p *Pipeline) EnsureTrained() error {
 }
 
 // AlignAll aligns docs one after another and returns all alignments sorted
-// by document ID then text mention. It is the serial reference the corpus
-// runtime pool (internal/runtime) must reproduce byte for byte.
+// by document ID then text mention. It is the serial reference the parallel
+// corpus runs of internal/runtime must reproduce byte for byte.
 func (p *Pipeline) AlignAll(docs []*document.Document) []Alignment {
 	var out []Alignment
 	for _, doc := range docs {
@@ -569,8 +569,8 @@ func (p *Pipeline) AlignAll(docs []*document.Document) []Alignment {
 }
 
 // SortAlignments orders alignments by document ID then text mention — the
-// order AlignAll and the runtime's ordered-batch collector both return, so
-// serial and pooled runs are bit-for-bit identical.
+// order AlignAll and runtime.AlignCorpus both return, so serial and
+// parallel runs are bit-for-bit identical.
 func SortAlignments(out []Alignment) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].DocID != out[j].DocID {

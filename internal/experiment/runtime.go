@@ -37,12 +37,9 @@ func RunTableVIII(c *corpus.Corpus, pipeline *core.Pipeline, workers int) (*Repo
 	// Route all timing through the shared obs instrumentation (the same
 	// Recorder the server's /metrics endpoint reads) instead of ad-hoc
 	// timers: per-domain batch wall time lands in a "batch:<domain>"
-	// histogram next to the per-stage histograms core reports. The corpus
-	// itself runs on the concurrent runtime pool — the same engine behind
-	// briq.AlignCorpus and the server's batch endpoint — with one set of
-	// warm worker clones reused across every domain batch.
+	// histogram. The corpus itself runs on runtime.AlignCorpus — the same
+	// engine behind briq.AlignCorpus and the server's batch endpoint.
 	rec := obs.NewRecorder()
-	pool := runtime.NewPool(pipeline, runtime.Options{Workers: workers})
 
 	var rows []ThroughputRow
 	var totalDocs, totalPages, totalMentions int
@@ -57,7 +54,7 @@ func RunTableVIII(c *corpus.Corpus, pipeline *core.Pipeline, workers int) (*Repo
 			mentions += len(doc.TextMentions)
 		}
 		stop := rec.Time("batch:" + d.String())
-		if _, err := pool.AlignCorpus(context.Background(), docs); err != nil {
+		if _, err := runtime.AlignCorpus(context.Background(), pipeline, docs, workers); err != nil {
 			// Only context cancellation can fail a corpus, and this run
 			// uses the background context.
 			panic("experiment: corpus alignment failed: " + err.Error())
@@ -176,18 +173,20 @@ func MeasureThroughput(sys System, docs []*document.Document) float64 {
 	return perMinute(len(docs), time.Duration(h.Snapshot().SumMillis*float64(time.Millisecond)))
 }
 
-// RunStageBreakdown aligns the corpus on an instrumented runtime pool and
-// reports where per-document time goes, stage by stage (classify → filter →
-// rwr), from the merged per-worker obs.Recorder instrumentation — the same
-// numbers the briq-server /metrics endpoint exposes. The companion to Table
-// VIII: the throughput table says how fast, this says why.
+// RunStageBreakdown aligns the corpus with runtime.AlignCorpus on a clone
+// of pipeline that records into a fresh obs.Recorder, and reports where
+// per-document time goes, stage by stage (classify → filter → rwr) — the
+// same numbers the briq-server /metrics endpoint exposes. The companion to
+// Table VIII: the throughput table says how fast, this says why.
 func RunStageBreakdown(c *corpus.Corpus, pipeline *core.Pipeline, workers int) (*Report, map[string]obs.HistogramSnapshot) {
-	pool := runtime.NewPool(pipeline, runtime.Options{Workers: workers})
-	if _, err := pool.AlignCorpus(context.Background(), c.Docs); err != nil {
+	rec := obs.NewRecorder(core.StageNames()...)
+	timed := pipeline.Clone()
+	timed.Recorder = rec
+	if _, err := runtime.AlignCorpus(context.Background(), timed, c.Docs, workers); err != nil {
 		panic("experiment: corpus alignment failed: " + err.Error())
 	}
 
-	snap := pool.Snapshot()
+	snap := rec.Snapshot()
 	r := &Report{
 		Title:  "Stage breakdown: per-document latency by pipeline stage",
 		Header: []string{"stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "total ms"},

@@ -17,8 +17,8 @@
 // row layout stable and the float accumulation order — and therefore the
 // output — bit-identical to the legacy map-based walker. Algorithm 1 rewires
 // the graph after every decision, so a document's walks run one after
-// another; documents run in parallel only in the corpus runtime pool
-// (internal/runtime), one graph per worker.
+// another; documents run in parallel only in internal/runtime, one graph
+// per goroutine.
 //
 // The pre-CSR implementation is retained verbatim in reference.go
 // (ReferenceRWR, ReferenceResolve) as the executable specification: the

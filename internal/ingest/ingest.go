@@ -7,10 +7,11 @@
 // documents of a previous crawl are retracted, unchanged ones reused
 // byte-for-byte.
 //
-// Re-alignment runs on one shared runtime.Pool, which both bounds memory
-// (one page's miss set in flight at a time) and keeps worker clones warm
-// across pages. Upserts of the same page are serialized on a per-page lock
-// so the store's reuse check and the upsert are atomic with respect to each
+// Re-alignment fans a page's misses out with runtime.AlignPerDoc under one
+// Ingestor-wide lock, which bounds memory: one page's miss set is in flight
+// at a time across all connections. Stage latencies go to the pipeline's
+// Recorder. Upserts of the same page are serialized on a per-page lock so
+// the store's reuse check and the upsert are atomic with respect to each
 // other; distinct pages proceed concurrently.
 package ingest
 
@@ -24,7 +25,6 @@ import (
 	"briq/internal/core"
 	"briq/internal/document"
 	"briq/internal/htmlx"
-	"briq/internal/obs"
 	"briq/internal/runtime"
 	"briq/internal/serve"
 	"briq/internal/store"
@@ -53,7 +53,7 @@ type Result struct {
 
 // Options configure an Ingestor.
 type Options struct {
-	// Workers is the re-alignment pool width; ≤ 0 falls back to the
+	// Workers is the re-alignment fan-out width; ≤ 0 falls back to the
 	// pipeline's Workers, then GOMAXPROCS.
 	Workers int
 }
@@ -65,30 +65,23 @@ const pageShards = 64
 // Ingestor ingests pages into a store, reusing stored alignments for
 // unchanged documents. Safe for concurrent use.
 type Ingestor struct {
-	store *store.Store
-	seg   *document.Segmenter
-	pool  *runtime.Pool
-	locks [pageShards]sync.Mutex
+	store   *store.Store
+	seg     *document.Segmenter
+	proto   *core.Pipeline
+	workers int
+	alignMu sync.Mutex // one page's misses align at a time
+	locks   [pageShards]sync.Mutex
 }
 
 // New builds an Ingestor over the pipeline's models and the given store.
+// Re-alignments record their stage latencies into the pipeline's Recorder.
 func New(proto *core.Pipeline, st *store.Store, opts Options) *Ingestor {
 	seg := proto.Segmenter
 	if seg == nil {
 		seg = document.NewSegmenter()
 	}
-	return &Ingestor{
-		store: st,
-		seg:   seg,
-		pool:  runtime.NewPool(proto, runtime.Options{Workers: opts.Workers}),
-	}
+	return &Ingestor{store: st, seg: seg, proto: proto, workers: opts.Workers}
 }
-
-// MergeStagesInto folds the stage latencies recorded by the re-alignment
-// pool's workers into dst. The worker recorders are cumulative, so dst must
-// be a fresh recorder for every read (the server builds one per /metrics
-// scrape); merging twice into the same recorder double-counts.
-func (ing *Ingestor) MergeStagesInto(dst *obs.Recorder) { ing.pool.MergeInto(dst) }
 
 func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
 	h := fnv.New32a()
@@ -131,7 +124,9 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	}
 
 	if len(missDocs) > 0 {
-		fresh, err := ing.pool.AlignPerDoc(ctx, missDocs)
+		ing.alignMu.Lock()
+		fresh, err := runtime.AlignPerDoc(ctx, ing.proto, missDocs, ing.workers)
+		ing.alignMu.Unlock()
 		if err != nil {
 			res.Error, res.Code = err.Error(), alignCode(err)
 			return res

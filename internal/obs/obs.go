@@ -180,54 +180,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 }
 
-// Merge folds every observation recorded in src into h. Both histograms may
-// keep receiving concurrent Observe calls; like Snapshot, the merged state is
-// near-consistent rather than a single atomic cut. Merging a histogram into
-// itself is not supported. A nil src is a no-op.
-//
-// This is how the runtime pool combines per-worker recorders into one
-// pool-level view: workers record contention-free into private histograms,
-// and the pool merges them on demand.
-//
-// Both histograms must share the same bucket layout; merging across layouts
-// panics (bucket counts cannot be redistributed after the fact).
-func (h *Histogram) Merge(src *Histogram) {
-	if src == nil {
-		return
-	}
-	if len(h.bounds) != len(src.bounds) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != src.bounds[i] {
-			panic("obs: merging histograms with different bucket layouts")
-		}
-	}
-	n := src.count.Load()
-	if n == 0 {
-		return
-	}
-	h.count.Add(n)
-	h.sum.Add(src.sum.Load())
-	for v := src.min.Load(); ; {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for v := src.max.Load(); ; {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for i := range src.buckets {
-		if c := src.buckets[i].Load(); c > 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-}
-
 // Bucket is one cumulative histogram bucket: the number of observations at or
 // below the upper bound. Only finite bounds are emitted; the overflow count is
 // the snapshot's Count minus the last bucket's cumulative Count.
@@ -340,12 +292,13 @@ func quantile(bounds []int64, counts []int64, total int64, q float64) float64 {
 // the quantiles are re-estimated from the merged buckets with the same
 // estimator Snapshot uses. This is the aggregation path for snapshots that
 // crossed a process boundary — briq-gateway merges the /metrics scrapes of
-// its replicas this way, where the live *Histogram (and Histogram.Merge) is
-// out of reach.
+// its replicas this way, where the live *Histogram is out of reach. Within
+// one process there is nothing to merge: concurrent writers share one
+// Recorder.
 //
-// Unlike Histogram.Merge, a layout mismatch returns an error instead of
-// panicking: scraped payloads are runtime input, not program configuration.
-// An empty side (Count == 0, no buckets) merges to the other side unchanged.
+// A layout mismatch returns an error rather than panicking: scraped payloads
+// are runtime input, not program configuration. An empty side (Count == 0,
+// no buckets) merges to the other side unchanged.
 func MergeSnapshots(a, b HistogramSnapshot) (HistogramSnapshot, error) {
 	if len(a.Buckets) == 0 && a.Count == 0 {
 		return b, nil
@@ -450,26 +403,6 @@ func (r *Recorder) Time(stage string) func() {
 	return func() { r.Observe(stage, time.Since(start)) }
 }
 
-// Merge folds every stage histogram of src into r, creating stages r has not
-// seen. No-op when r or src is nil. Merging the same src into the same dst
-// twice double-counts; callers own that discipline (the runtime pool merges
-// each per-worker recorder exactly once per run, or merges into a fresh
-// Recorder for read-only snapshots).
-func (r *Recorder) Merge(src *Recorder) {
-	if r == nil || src == nil {
-		return
-	}
-	src.mu.RLock()
-	stages := make(map[string]*Histogram, len(src.stages))
-	for name, h := range src.stages {
-		stages[name] = h
-	}
-	src.mu.RUnlock()
-	for name, h := range stages {
-		r.Stage(name).Merge(h)
-	}
-}
-
 // Snapshot captures every registered stage histogram, keyed by stage name.
 func (r *Recorder) Snapshot() map[string]HistogramSnapshot {
 	if r == nil {
@@ -482,19 +415,4 @@ func (r *Recorder) Snapshot() map[string]HistogramSnapshot {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// StageNames returns the registered stage names in sorted order.
-func (r *Recorder) StageNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.stages))
-	for name := range r.stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -104,9 +104,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if snap := r.Snapshot(); len(snap) != 0 {
 		t.Errorf("nil recorder snapshot = %v, want empty", snap)
 	}
-	if names := r.StageNames(); names != nil {
-		t.Errorf("nil recorder stages = %v, want nil", names)
-	}
 }
 
 func TestRecorderPreRegistersStages(t *testing.T) {
@@ -152,123 +149,6 @@ func TestTimeRecordsElapsed(t *testing.T) {
 	s := r.Snapshot()["stage"]
 	if s.Count != 1 || s.SumMillis < 1 {
 		t.Errorf("timer recorded %+v, want one observation ≥ 1ms", s)
-	}
-}
-
-// TestHistogramMerge folds two histograms together and checks the merged
-// state is indistinguishable from one histogram that saw every observation.
-func TestHistogramMerge(t *testing.T) {
-	obsA := []time.Duration{time.Millisecond, 80 * time.Millisecond}
-	obsB := []time.Duration{30 * time.Microsecond, 7 * time.Second, 3 * time.Millisecond}
-
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for _, d := range obsA {
-		a.Observe(d)
-		all.Observe(d)
-	}
-	for _, d := range obsB {
-		b.Observe(d)
-		all.Observe(d)
-	}
-
-	a.Merge(b)
-	got, want := a.Snapshot(), all.Snapshot()
-	if got.Count != want.Count || got.SumMillis != want.SumMillis ||
-		got.MinMillis != want.MinMillis || got.MaxMillis != want.MaxMillis {
-		t.Errorf("merged summary = %+v, want %+v", got, want)
-	}
-	if got.P50Millis != want.P50Millis || got.P90Millis != want.P90Millis || got.P99Millis != want.P99Millis {
-		t.Errorf("merged quantiles = %v/%v/%v, want %v/%v/%v",
-			got.P50Millis, got.P90Millis, got.P99Millis,
-			want.P50Millis, want.P90Millis, want.P99Millis)
-	}
-	for i := range want.Buckets {
-		if got.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("bucket %d = %+v, want %+v", i, got.Buckets[i], want.Buckets[i])
-		}
-	}
-}
-
-// TestHistogramMergeEmpty checks that merging an empty histogram neither
-// corrupts min/max nor invents observations, and that merging into an empty
-// histogram copies the source.
-func TestHistogramMergeEmpty(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(5 * time.Millisecond)
-	h.Merge(NewHistogram())
-	h.Merge(nil)
-	s := h.Snapshot()
-	if s.Count != 1 || s.MinMillis != 5 || s.MaxMillis != 5 {
-		t.Errorf("merge of empty changed state: %+v", s)
-	}
-
-	dst := NewHistogram()
-	dst.Merge(h)
-	if ds := dst.Snapshot(); ds.Count != 1 || ds.MinMillis != 5 || ds.MaxMillis != 5 {
-		t.Errorf("merge into empty = %+v, want copy of source", ds)
-	}
-}
-
-// TestRecorderMerge merges per-worker recorders into a fresh one — the pool
-// snapshot path — including a stage the destination has never seen.
-func TestRecorderMerge(t *testing.T) {
-	w1, w2 := NewRecorder(), NewRecorder()
-	w1.Observe("classify", 2*time.Millisecond)
-	w1.Observe("rwr", 10*time.Millisecond)
-	w2.Observe("classify", 4*time.Millisecond)
-	w2.Observe("filter", time.Millisecond)
-
-	pool := NewRecorder()
-	pool.Merge(w1)
-	pool.Merge(w2)
-
-	snap := pool.Snapshot()
-	if got := snap["classify"].Count; got != 2 {
-		t.Errorf("classify count = %d, want 2", got)
-	}
-	if got := snap["classify"].SumMillis; got != 6 {
-		t.Errorf("classify sum = %v ms, want 6", got)
-	}
-	if snap["rwr"].Count != 1 || snap["filter"].Count != 1 {
-		t.Errorf("per-worker stages missing after merge: %v", snap)
-	}
-
-	// Nil endpoints must be safe: instrumented code never checks.
-	var nilRec *Recorder
-	nilRec.Merge(w1)
-	pool.Merge(nil)
-}
-
-// TestRecorderMergeConcurrent races Merge against live Observe traffic on
-// both sides; the race detector is the assertion.
-func TestRecorderMergeConcurrent(t *testing.T) {
-	src, dst := NewRecorder(), NewRecorder()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				src.Observe("align", time.Millisecond)
-				dst.Observe("align", time.Millisecond)
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			dst.Merge(src)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if dst.Snapshot()["align"].Count == 0 {
-		t.Error("no observations survived the concurrent merge")
 	}
 }
 
@@ -347,13 +227,4 @@ func TestSnapshotQuantileExport(t *testing.T) {
 	if (HistogramSnapshot{}).Quantile(0.5) != 0 {
 		t.Error("empty snapshot quantile should be 0")
 	}
-}
-
-func TestMergeMismatchedBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("merging mismatched layouts did not panic")
-		}
-	}()
-	NewHistogram().Merge(NewHistogramBounds([]int64{1, 2, 3}))
 }

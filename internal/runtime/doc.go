@@ -1,42 +1,42 @@
-// Package runtime is the corpus-scale concurrent alignment engine: it fans
-// documents out over a pool of per-worker pipeline clones with bounded
-// channels for backpressure, cooperative context cancellation at pipeline
-// phase boundaries, and per-worker observability merged into a pool-level
-// snapshot.
+// Package runtime fans a corpus of independent documents out over cores:
+// AlignPerDoc and AlignCorpus each start up to a given number of goroutines,
+// wait for them and return, with cooperative context cancellation at
+// pipeline phase boundaries.
 //
-// # Why a pool of clones
+// # Why clones
 //
 // core.Pipeline is safe for concurrent Align calls, but sharing one instance
-// across goroutines forfeits two things: reusable scratch (the per-document
-// candidate slice must be freshly allocated when anyone might race on it)
-// and contention-free latency recording (all workers would hammer one set of
-// histograms). A clone (core.Pipeline.Clone) shares every model read-only
-// and owns exactly those two pieces of mutable state; the pool gives each
-// worker goroutine one clone for its lifetime, so buffers stay warm across
-// the documents a worker processes and recording never crosses cores.
+// across goroutines forfeits reusable scratch: the per-document candidate
+// slice and the classify batch matrices must be freshly allocated when anyone
+// might race on them. A clone (core.Pipeline.Clone) shares every model
+// read-only and owns that scratch, so each goroutine of a call aligns on its
+// own clone and its buffers stay warm across the documents it takes. Clones
+// record stage latencies into the pipeline's own Recorder, the one every
+// /v1/align handler goroutine already shares, so a corpus run needs no
+// recorder of its own and nothing to merge afterwards.
 //
 // # Dataflow
 //
-//	docs ──feeder──▶ [in, cap=2n] ──▶ worker₁ (clone₁, rec₁) ─┐
-//	                              ──▶ worker₂ (clone₂, rec₂) ─┼─▶ [out, cap=2n] ──▶ Stream / AlignCorpus
-//	                              ──▶ workerₙ (cloneₙ, recₙ) ─┘
+//	docs[0..n) ◀── next index ──┬── goroutine₁ (clone₁) ─┐
+//	                            ├── goroutine₂ (clone₂) ─┼─▶ perDoc[i] ──▶ AlignPerDoc / AlignCorpus
+//	                            └── goroutineₖ (cloneₖ) ─┘
 //
-// Both channels hold twice the worker count n: a slow consumer parks the
-// workers, full input parks the feeder. Cancellation is observed at every arrow above plus
-// between the classify/filter/resolve phases inside a document
-// (core.AlignContext), so a cancelled corpus run stops within one pipeline
-// phase per worker.
+// Each goroutine claims the next unaligned document index and writes its
+// result at that index, so no channel or reorder buffer is needed and a
+// call holds at most k documents in flight. Cancellation is observed between
+// the classify/filter/resolve phases inside a document (core.AlignContext),
+// so a cancelled run stops within one pipeline phase per goroutine.
 //
 // # Consuming results
 //
-// Stream yields results in completion order, each tagged with its submission
-// index — the shape for pipelines that post-process per document.
-// AlignCorpus is the ordered-batch collector: it restores submission order
-// and applies core.SortAlignments, making the parallel output byte-for-byte
-// identical to the serial core.Pipeline.AlignAll (asserted in
-// TestAlignCorpusDeterministic). Its throughput is measured where it is
-// served, end to end by the benchmark in bench/ (make bench-e2e, committed
-// as BENCH_e2e.json). This pool is the only place alignment runs in parallel:
-// package core aligns one document at a time, and package graph walks a
-// document's random walks one after another.
+// AlignPerDoc keeps each document's alignments at its submitted index — the
+// shape the serving layer's per-document cache and ingestion need.
+// AlignCorpus flattens them and applies core.SortAlignments, making the
+// parallel output byte-for-byte identical to the serial
+// core.Pipeline.AlignAll (asserted in TestAlignCorpusDeterministic). Its
+// throughput is measured where it is served, end to end by the benchmark in
+// bench/ (make bench-e2e, committed as BENCH_e2e.json). This package is the
+// only place alignment runs in parallel: package core aligns one document at
+// a time, and package graph walks a document's random walks one after
+// another.
 package runtime

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	gort "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -33,44 +34,46 @@ func mustJSON(tb testing.TB, v any) []byte {
 	return data
 }
 
-// TestAlignCorpusDeterministic is the ordered-batch determinism gate: pooled
-// output must equal the serial AlignAll output byte for byte, across worker
-// counts and repeated runs over the same warm clones.
+// TestAlignCorpusDeterministic is the ordered-batch determinism gate:
+// parallel output must equal the serial AlignAll output byte for byte,
+// across worker counts and repeated runs on the same pipeline.
 func TestAlignCorpusDeterministic(t *testing.T) {
 	docs := benchDocs(t, 42, 4)
 	proto := core.NewPipeline()
 	serial := mustJSON(t, proto.AlignAll(docs))
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		pool := NewPool(proto, Options{Workers: workers})
 		for round := 0; round < 2; round++ {
-			got, err := pool.AlignCorpus(context.Background(), docs)
+			got, err := AlignCorpus(context.Background(), proto, docs, workers)
 			if err != nil {
 				t.Fatalf("workers=%d round=%d: %v", workers, round, err)
 			}
 			if !bytes.Equal(mustJSON(t, got), serial) {
-				t.Fatalf("workers=%d round=%d: pooled output != serial output", workers, round)
+				t.Fatalf("workers=%d round=%d: parallel output != serial output", workers, round)
 			}
 		}
 	}
 }
 
-// TestPoolStress hammers one pool from many consumer goroutines under the
-// race detector: clones must stay single-owner, runs
-// must serialize, and every run must still be complete and correct.
+// TestPoolStress runs AlignCorpus from many goroutines on one pipeline under
+// the race detector: every run must still be complete and correct, and the
+// Recorder all their clones share must count each aligned document exactly
+// once.
 func TestPoolStress(t *testing.T) {
 	docs := benchDocs(t, 7, 3)
 	proto := core.NewPipeline()
 	want := mustJSON(t, proto.AlignAll(docs))
+	rec := obs.NewRecorder(core.StageNames()...)
+	proto.Recorder = rec
 
-	pool := NewPool(proto, Options{Workers: 4})
+	const runs = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	errs := make(chan error, runs)
+	for range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := pool.AlignCorpus(context.Background(), docs)
+			out, err := AlignCorpus(context.Background(), proto, docs, 4)
 			if err != nil {
 				errs <- err
 				return
@@ -85,84 +88,88 @@ func TestPoolStress(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	if got, want := rec.Snapshot()[core.StageAlign].Count, int64(runs*len(docs)); got != want {
+		t.Errorf("shared recorder %s count = %d, want %d", core.StageAlign, got, want)
+	}
 }
 
-// TestStreamEmitsEveryDocumentOnce checks the streaming iterator: every
-// submission index appears exactly once and carries the right document ID.
+// TestStreamEmitsEveryDocumentOnce checks result placement: AlignPerDoc
+// returns one slot per submitted document, and slot i holds exactly what
+// aligning docs[i] alone yields.
 func TestStreamEmitsEveryDocumentOnce(t *testing.T) {
 	docs := benchDocs(t, 13, 3)
-	pool := NewPool(core.NewPipeline(), Options{Workers: 3})
+	proto := core.NewPipeline()
 
-	seen := make(map[int]string)
-	s := pool.Stream(context.Background(), docs)
-	for r, ok := s.Next(); ok; r, ok = s.Next() {
-		if r.Err != nil {
-			t.Fatalf("doc %s: %v", r.DocID, r.Err)
-		}
-		if prev, dup := seen[r.Index]; dup {
-			t.Fatalf("index %d emitted twice (%s, %s)", r.Index, prev, r.DocID)
-		}
-		seen[r.Index] = r.DocID
+	perDoc, err := AlignPerDoc(context.Background(), proto, docs, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("stream err = %v", err)
-	}
-	if len(seen) != len(docs) {
-		t.Fatalf("emitted %d documents, want %d", len(seen), len(docs))
+	if len(perDoc) != len(docs) {
+		t.Fatalf("returned %d documents, want %d", len(perDoc), len(docs))
 	}
 	for i, doc := range docs {
-		if seen[i] != doc.ID {
-			t.Errorf("index %d = %q, want %q", i, seen[i], doc.ID)
+		for _, a := range perDoc[i] {
+			if a.DocID != doc.ID {
+				t.Fatalf("index %d holds an alignment of %q, want %q", i, a.DocID, doc.ID)
+			}
+		}
+		if got, want := mustJSON(t, perDoc[i]), mustJSON(t, proto.Align(doc)); !bytes.Equal(got, want) {
+			t.Errorf("index %d (%s) differs from a serial Align", i, doc.ID)
 		}
 	}
 }
 
-// TestCancellationMidCorpus cancels a large run after the first result. The
-// stream must terminate promptly, report the cancellation, and drop most of
-// the corpus on the floor instead of finishing it.
+// TestCancellationMidCorpus cancels a large run once the first document has
+// aligned. The run must terminate promptly, report the cancellation, and
+// drop most of the corpus on the floor instead of finishing it.
 func TestCancellationMidCorpus(t *testing.T) {
 	// Many copies of a real corpus: big enough that finishing it all before
-	// the cancel lands is impossible within the bounded channels.
+	// the cancel lands is impossible.
 	base := benchDocs(t, 42, 4)
 	var docs []*document.Document
 	for len(docs) < 300 {
 		docs = append(docs, base...)
 	}
 
-	pool := NewPool(core.NewPipeline(), Options{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	s := pool.Stream(ctx, docs)
+	const workers = 2
+	proto := core.NewPipeline()
+	rec := obs.NewRecorder(core.StageNames()...)
+	proto.Recorder = rec
+	aligned := func() int64 { return rec.Stage(core.StageAlign).Snapshot().Count }
 
-	emitted := 0
-	for r, ok := s.Next(); ok; r, ok = s.Next() {
-		if r.Err != nil {
-			t.Fatalf("doc %s: %v", r.DocID, r.Err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := AlignCorpus(ctx, proto, docs, workers)
+		done <- err
+	}()
+	for aligned() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("run ended (err %v) before the recorder counted an align", err)
+		default:
+			gort.Gosched()
 		}
-		emitted++
-		if emitted == 1 {
-			cancel()
-		}
-	}
-	if err := s.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("stream err = %v, want context.Canceled", err)
-	}
-	// Workers can finish what was in flight (one document each) plus what
-	// the bounded channels held (2× workers each), nothing more.
-	w := pool.Workers()
-	if maxEmitted := 1 + w + 2*(2*w); emitted > maxEmitted {
-		t.Errorf("emitted %d documents after cancel, want ≤ %d", emitted, maxEmitted)
 	}
 	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The first document, one in flight per worker, and 4× workers of slack
+	// for documents that finish between the first align and the cancel.
+	if n, maxAligned := aligned(), int64(1+5*workers); n > maxAligned {
+		t.Errorf("aligned %d documents after cancel, want ≤ %d", n, maxAligned)
+	}
 }
 
 // TestCancelledBeforeRun: a dead context aligns nothing and AlignCorpus
 // reports it.
 func TestCancelledBeforeRun(t *testing.T) {
 	docs := benchDocs(t, 42, 2)
-	pool := NewPool(core.NewPipeline(), Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := pool.AlignCorpus(ctx, docs)
+	out, err := AlignCorpus(ctx, core.NewPipeline(), docs, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -174,54 +181,48 @@ func TestCancelledBeforeRun(t *testing.T) {
 // TestAlignCorpusDeadline: context deadlines behave like cancellation.
 func TestAlignCorpusDeadline(t *testing.T) {
 	docs := benchDocs(t, 42, 2)
-	pool := NewPool(core.NewPipeline(), Options{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	if _, err := pool.AlignCorpus(ctx, docs); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := AlignCorpus(ctx, core.NewPipeline(), docs, 2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestPoolSnapshotCountsDocuments: the merged pool-level snapshot must
-// account for every aligned document across all per-worker recorders.
+// TestPoolSnapshotCountsDocuments: the clones of a run record into the
+// pipeline's Recorder, which must account for every aligned document.
 func TestPoolSnapshotCountsDocuments(t *testing.T) {
 	docs := benchDocs(t, 21, 3)
-	pool := NewPool(core.NewPipeline(), Options{Workers: 3})
-	if _, err := pool.AlignCorpus(context.Background(), docs); err != nil {
+	proto := core.NewPipeline()
+	rec := obs.NewRecorder(core.StageNames()...)
+	proto.Recorder = rec
+	if _, err := AlignCorpus(context.Background(), proto, docs, 3); err != nil {
 		t.Fatal(err)
 	}
 
-	snap := pool.Snapshot()
-	if got := snap[core.StageAlign].Count; got != int64(len(docs)) {
-		t.Errorf("pool %s count = %d, want %d", core.StageAlign, got, len(docs))
-	}
-	for _, stage := range []string{core.StageClassify, core.StageFilter, core.StageResolve} {
-		if snap[stage].Count != int64(len(docs)) {
-			t.Errorf("pool %s count = %d, want %d", stage, snap[stage].Count, len(docs))
+	snap := rec.Snapshot()
+	for _, stage := range []string{core.StageAlign, core.StageClassify, core.StageFilter, core.StageResolve} {
+		if got := snap[stage].Count; got != int64(len(docs)) {
+			t.Errorf("%s count = %d, want %d", stage, got, len(docs))
 		}
-	}
-
-	// MergeInto carries the same totals to an external recorder.
-	dst := obs.NewRecorder()
-	pool.MergeInto(dst)
-	if got := dst.Snapshot()[core.StageAlign].Count; got != int64(len(docs)) {
-		t.Errorf("merged %s count = %d, want %d", core.StageAlign, got, len(docs))
 	}
 }
 
-// TestWorkerDefaults: worker resolution falls back Pipeline.Workers then
-// GOMAXPROCS.
+// TestWorkerDefaults: width resolution falls back Pipeline.Workers then
+// GOMAXPROCS, and never exceeds the document count.
 func TestWorkerDefaults(t *testing.T) {
 	proto := core.NewPipeline()
 	proto.Workers = 3
-	if got := NewPool(proto, Options{}).Workers(); got != 3 {
-		t.Errorf("workers = %d, want pipeline default 3", got)
+	if got := width(proto, 0, 100); got != 3 {
+		t.Errorf("width = %d, want pipeline default 3", got)
 	}
-	if got := NewPool(proto, Options{Workers: 5}).Workers(); got != 5 {
-		t.Errorf("workers = %d, want explicit 5", got)
+	if got := width(proto, 5, 100); got != 5 {
+		t.Errorf("width = %d, want explicit 5", got)
+	}
+	if got := width(proto, 5, 2); got != 2 {
+		t.Errorf("width = %d, want document count 2", got)
 	}
 	proto.Workers = 0
-	if got := NewPool(proto, Options{}).Workers(); got < 1 {
-		t.Errorf("workers = %d, want ≥ 1 from GOMAXPROCS", got)
+	if got, want := width(proto, 0, 100), min(gort.GOMAXPROCS(0), 100); got != want {
+		t.Errorf("width = %d, want GOMAXPROCS %d", got, want)
 	}
 }
