@@ -70,13 +70,14 @@ bench-e2e:
 	mv $$tmp/BENCH_e2e.json BENCH_e2e.json; \
 	echo "wrote BENCH_e2e.json"
 
-# Side-by-side go-test micro-benchmarks of the resolution hot path and of
+# Side-by-side go-test micro-benchmarks of the resolution hot path, of
 # document keying (the content hash behind every store write, batch cache hit
-# and ingest reuse check), with allocation counts — for inspecting individual
-# kernels rather than the aggregate report.
+# and ingest reuse check) and of page segmentation, with allocation counts —
+# for inspecting individual kernels rather than the aggregate report.
 bench-compare:
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench 'DocumentKey' -benchmem -run ^$$ ./internal/store
+	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
 bench-tables:

@@ -49,6 +49,10 @@ func ndjsonBody(pages []*corpus.Page) string {
 // "kind key" line per log record. Regenerate deliberately with:
 //
 //	go test ./cmd/briq-server -run TestStoreLogGolden -update
+//
+// which also rewrites the log itself as internal/store's
+// testdata/store_log.ndjson, the seed of FuzzReplayLog and the input of
+// TestReplayTruncatedLog.
 func TestStoreLogGolden(t *testing.T) {
 	dir := t.TempDir()
 	cfg := corpus.TableSConfig(71)
@@ -143,6 +147,9 @@ func TestStoreLogGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "store_log.golden")
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("..", "..", "internal", "store", "testdata", "store_log.ndjson"), log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

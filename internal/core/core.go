@@ -504,30 +504,29 @@ func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page
 	return res.Docs, perDoc, nil
 }
 
+// ExtractionVersion names the behaviour of the code that turns a page into
+// documents: cell parsing, unit propagation and virtual-cell generation
+// (table.Table.Mentions). Document keys hash each table's source, not the
+// mentions extracted from it, so a change to that code moves no key by
+// itself. Fingerprint hashes this constant instead: bump it with any change
+// that alters a document's TableMentions (TestExtractionPinned fails until
+// then), which re-scopes every cache and store key.
+const ExtractionVersion = 1
+
 // Fingerprint returns a stable content hash of everything that determines
 // the pipeline's output for a given input: stage configurations, the feature
-// mask, the segmenter, and the full serialized models (classifier and
-// learned tagger). It scopes serving-layer cache keys, so two pipelines
-// share cached results iff they would compute identical alignments.
+// mask, the segmenter, the extraction version, and the full serialized
+// models (classifier and learned tagger). It scopes serving-layer cache
+// keys, so two pipelines share cached results iff they would compute
+// identical alignments.
 //
 // The hash covers trained models byte-for-byte (via their Save encoding), so
 // computing it on a trained pipeline costs a few milliseconds; callers cache
 // it (the serve.Engine takes it once at construction).
 func (p *Pipeline) Fingerprint() string {
-	// graph.Config once ended in a walk worker-count field that was 0 in
-	// every fingerprinted pipeline. Every store pins the fingerprint in its
-	// meta.json, so both segments that hash the config render it as it
-	// printed then.
-	gc := fmt.Sprintf("%+v", p.GraphConfig)
-	gc = gc[:len(gc)-1] + " RWRWorkers:0}"
 	h := sha256.New()
-	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%s",
-		p.Features, p.Mask, p.FilterConfig, gc)
-	// The resolver segment adds nothing the graph segment does not already
-	// cover, but its bytes — hex(SHA-256("rwr|" + gc)) — must not change
-	// either.
-	rparams := sha256.Sum256([]byte("rwr|" + gc))
-	fmt.Fprintf(h, "|resolver=rwr|rparams=%s", hex.EncodeToString(rparams[:]))
+	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%+v|extraction=%d",
+		p.Features, p.Mask, p.FilterConfig, p.GraphConfig, ExtractionVersion)
 	if p.Segmenter != nil {
 		fmt.Fprintf(h, "|segmenter=%+v", *p.Segmenter)
 	}

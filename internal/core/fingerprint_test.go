@@ -51,21 +51,21 @@ func TestFingerprintIgnoresServingConfig(t *testing.T) {
 // TestFingerprintPinned pins fingerprint bytes. Every store records the
 // fingerprint in its meta.json and refuses to open under a different one, so
 // any change to what Fingerprint hashes — or how — strands every existing
-// store directory. Change these values only together with a store migration.
-// The non-default case checks that the graph config keeps its historical
-// rendering for values other than the defaults.
+// store directory. Change these values only together with a store migration
+// (they last changed with store format v3). The non-default case checks that
+// graph config values other than the defaults are hashed.
 func TestFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		configure func(p *Pipeline)
 		want      string
 	}{
-		{"default", func(*Pipeline) {}, "fc13fb16781dce89fa2e67094fa62ddb921c6302a8975ec48e67473500b11425"},
+		{"default", func(*Pipeline) {}, "338fac9baf67649a70fde8eae58e4948a62d39872cf16f5883f48e11d79ddba0"},
 		{"graph_ablations", func(p *Pipeline) {
 			p.GraphConfig.Restart = 0.2
 			p.GraphConfig.DisableRewire = true
 			p.GraphConfig.DisableEntropyOrder = true
-		}, "cebfa08e891fc6d351ffe0fe93af680cc296f7e0609acd21af677f71f8b7caef"},
+		}, "d71018736d79d4019f833075f42be6d2edb6997f2a10668a019c63b239f6c07a"},
 	} {
 		p := NewPipeline()
 		tc.configure(p)

@@ -27,7 +27,9 @@ type AlignmentSink interface {
 // prose and the quantity mentions extracted from it. Together with
 // HashDocumentTables it decomposes per-document identity into the two units
 // of change a re-crawled page exhibits: an edited paragraph moves only the
-// text digest, an edited table only the table digest.
+// text digest, an edited table only the table digest. The text mentions stay
+// in the key although they derive from the prose: corpus.PerturbDocs builds
+// documents whose mentions differ while their text does not.
 func HashDocumentText(w io.Writer, d *document.Document) {
 	fmt.Fprintf(w, "text|%s|", d.Text)
 	for _, m := range d.TextMentions {
@@ -35,17 +37,16 @@ func HashDocumentText(w io.Writer, d *document.Document) {
 	}
 }
 
-// HashDocumentTables writes the table part of a document's content: grids,
-// headers, captions, footers, and the table-side mention list (single cells
-// and virtual aggregate cells). A document carries hundreds of virtual cells,
-// so the records are appended with strconv into one buffer that goes to w
-// whenever it fills, instead of one fmt call per record. The bytes are those
-// of
+// HashDocumentTables writes the table part of a document's content: each
+// table's source — ID, caption, headers, footers, dimensions and cell texts.
+// The table mentions (single and virtual cells) are not written; see
+// HashDocument for why the key need not cover them. The records are appended
+// with strconv into one buffer that goes to w whenever it fills, instead of
+// one fmt call per record. The bytes are those of
 //
 //	"table|%s|%s|%q|%q|%q|%d×%d|" (ID, Caption, ColHeaders, RowHeaders,
 //	                              Footers, Rows, Cols) per table,
 //	"%s\x00" per cell text, row-major, after each table record,
-//	"tm|%s|%g|%s|%v|%d|" (Key, Value, Unit, Orient, Index) per mention,
 //
 // and must stay so: they are part of every stored document key.
 func HashDocumentTables(w io.Writer, d *document.Document) {
@@ -80,20 +81,6 @@ func HashDocumentTables(w io.Writer, d *document.Document) {
 				flush()
 			}
 		}
-	}
-	for _, m := range d.TableMentions {
-		b = append(b, "tm|"...)
-		b = m.AppendKey(b)
-		b = append(b, '|')
-		b = strconv.AppendFloat(b, m.Value, 'g', -1, 64)
-		b = append(b, '|')
-		b = append(b, m.Unit...)
-		b = append(b, '|')
-		b = append(b, m.Orient.String()...)
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(m.Index), 10)
-		b = append(b, '|')
-		flush()
 	}
 	w.Write(b)
 }
@@ -135,10 +122,17 @@ func DocumentParts(d *document.Document) (text, tables [sha256.Size]byte) {
 // two documents share a cache key iff the pipeline would see identical input.
 // It is the single definition of per-document request identity: the facade's
 // corpus path and the persistent store both derive their serve.Key by
-// hashing it through serve.KeyOf.
+// hashing it through serve.KeyOf, which adds the pipeline's Fingerprint.
+//
+// The key covers a document's tables by their source, not by the table
+// mentions extracted from them (store format v3). Those mentions are a pure
+// function of what the key does cover — the table records — and of two
+// things the Fingerprint covers: the segmenter's VirtualOpts, and the
+// extraction code, named by ExtractionVersion. A change to any of the three
+// therefore moves the key or the fingerprint.
 func HashDocument(w io.Writer, d *document.Document) {
 	text, tables := DocumentParts(d)
-	fmt.Fprintf(w, "docv2|%s|%s|", d.ID, d.PageID)
+	fmt.Fprintf(w, "docv3|%s|%s|", d.ID, d.PageID)
 	w.Write(text[:])
 	w.Write(tables[:])
 }

@@ -2,9 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"testing"
 
@@ -29,9 +30,6 @@ func hashDocumentTablesFmt(w io.Writer, d *document.Document) {
 			}
 		}
 	}
-	for _, m := range d.TableMentions {
-		fmt.Fprintf(w, "tm|%s|%g|%s|%v|%d|", m.Key(), m.Value, m.Unit, m.Orient, m.Index)
-	}
 }
 
 // requireFmtTableBytes fails unless HashDocumentTables writes exactly the
@@ -54,56 +52,95 @@ func requireFmtTableBytes(t *testing.T, label string, d *document.Document) {
 		label, i, len(g), len(w), g[lo:min(len(g), i+40)], w[lo:min(len(w), i+40)])
 }
 
-// TestHashDocumentTablesMatchesFmt segments generated corpora twice — with
-// the default segmenter, and with every aggregation plus two-cell sums — and
-// requires the oracle's bytes for every document.
-func TestHashDocumentTablesMatchesFmt(t *testing.T) {
+type namedSegmenter struct {
+	name string
+	seg  *document.Segmenter
+}
+
+// segmenters are the two configurations the key tests segment corpora
+// under: the default, and every aggregation plus two-cell sums.
+func segmenters() []namedSegmenter {
 	extended := document.NewSegmenter()
 	extended.VirtualOpts = table.ExtendedVirtualOptions()
 	extended.VirtualOpts.PairSums = true
-	segmenters := []struct {
-		name string
-		seg  *document.Segmenter
-	}{{"default", document.NewSegmenter()}, {"extended", extended}}
+	return []namedSegmenter{{"default", document.NewSegmenter()}, {"extended", extended}}
+}
 
-	aggs := map[string]bool{}
-	docs := 0
+// segmentedCorpora calls fn with every document of tableS seeds 1–3 at 60
+// pages, segmented by seg.
+func segmentedCorpora(t *testing.T, seg *document.Segmenter, fn func(seed int64, d *document.Document)) {
+	t.Helper()
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := corpus.TableSConfig(seed)
 		cfg.Pages = 60
 		for _, pg := range corpus.Generate(cfg).Pages {
-			page := htmlx.ParseString(pg.HTML())
-			for _, s := range segmenters {
-				ds, err := s.seg.SegmentPage(pg.ID, page)
-				if err != nil {
-					t.Fatalf("seed %d page %s: %v", seed, pg.ID, err)
-				}
-				for _, d := range ds {
-					requireFmtTableBytes(t, fmt.Sprintf("seed %d %s segmenter doc %s", seed, s.name, d.ID), d)
-					docs++
-					for _, m := range d.TableMentions {
-						name := m.Agg.String()
-						if m.Agg == quantity.Sum && len(m.Cells) == 2 {
-							name = "pair-sum"
-						}
-						aggs[name] = true
-					}
-				}
+			ds, err := seg.SegmentPage(pg.ID, htmlx.ParseString(pg.HTML()))
+			if err != nil {
+				t.Fatalf("seed %d page %s: %v", seed, pg.ID, err)
+			}
+			for _, d := range ds {
+				fn(seed, d)
 			}
 		}
 	}
-	for _, want := range []string{"single-cell", "sum", "pair-sum", "diff", "percent", "ratio", "avg", "min", "max"} {
-		if !aggs[want] {
-			t.Errorf("no %s mention in %d documents: the corpus does not exercise every key shape", want, docs)
+}
+
+// TestHashDocumentTablesMatchesFmt segments generated corpora under both
+// segmenters and requires the oracle's bytes for every document.
+func TestHashDocumentTablesMatchesFmt(t *testing.T) {
+	for _, s := range segmenters() {
+		segmentedCorpora(t, s.seg, func(seed int64, d *document.Document) {
+			requireFmtTableBytes(t, fmt.Sprintf("seed %d %s segmenter doc %s", seed, s.name, d.ID), d)
+		})
+	}
+}
+
+// TestExtractionPinned pins what extraction makes of the generated corpora:
+// one SHA-256 per segmenter over a "doc|%s|" record per document (ID)
+// followed by its table mentions, each written as "tm|%s|%g|%s|%v|" (Key,
+// Value, Unit, Orient). Document keys cover a table's source, not its
+// mentions, so a change to cell parsing, unit propagation or virtual-cell
+// generation moves no key by itself; it must bump ExtractionVersion, which
+// Fingerprint hashes, or cached and stored results of the old extraction
+// would be served for the new one.
+func TestExtractionPinned(t *testing.T) {
+	want := map[string]string{
+		"default":  "1625bbb19e2cb841fe6773b91a371cf9da20a819e22170eb85ddc3896b8796a6",
+		"extended": "18ec61ec3a5670c86c239526d591b9305f4d62f238aaafef840cd50486173218",
+	}
+	aggs := map[string]bool{}
+	for _, s := range segmenters() {
+		h := sha256.New()
+		docs := 0
+		segmentedCorpora(t, s.seg, func(_ int64, d *document.Document) {
+			docs++
+			fmt.Fprintf(h, "doc|%s|", d.ID)
+			for _, m := range d.TableMentions {
+				fmt.Fprintf(h, "tm|%s|%g|%s|%v|", m.Key(), m.Value, m.Unit, m.Orient)
+				name := m.Agg.String()
+				if m.Agg == quantity.Sum && len(m.Cells) == 2 {
+					name = "pair-sum"
+				}
+				aggs[name] = true
+			}
+		})
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[s.name] {
+			t.Errorf("%s segmenter: table mentions of %d documents hash to %s, want %s.\n"+
+				"Extraction changed: bump core.ExtractionVersion and re-pin this test.",
+				s.name, docs, got, want[s.name])
+		}
+	}
+	for _, name := range []string{"single-cell", "sum", "pair-sum", "diff", "percent", "ratio", "avg", "min", "max"} {
+		if !aggs[name] {
+			t.Errorf("no %s mention: the corpora do not exercise every aggregation", name)
 		}
 	}
 }
 
 // TestHashDocumentTablesEdgeBytes covers what generated corpora never hold:
-// non-finite, signed-zero and exponent-form values; quotes, backslashes, NUL
-// and invalid UTF-8 in the caption, headers, footers, cells and units; nil
-// and empty header slices; a caption longer than the writer's buffer; an
-// out-of-range aggregation and orientation.
+// quotes, backslashes, NUL and invalid UTF-8 in the caption, headers,
+// footers and cells; nil and empty header slices; a caption longer than the
+// writer's buffer.
 func TestHashDocumentTablesEdgeBytes(t *testing.T) {
 	odd := "say \"hi\" C:\\dir\x00nul \xff\xfe\xc3 é\u2028end"
 	t0, err := table.New("pg-t0", "caption "+odd, [][]string{
@@ -121,40 +158,16 @@ func TestHashDocumentTablesEdgeBytes(t *testing.T) {
 	}
 	t1.ColHeaders, t1.RowHeaders, t1.Footers = nil, []string{}, nil
 
-	refs := func(rc ...int) []table.CellRef {
-		var out []table.CellRef
-		for i := 0; i < len(rc); i += 2 {
-			out = append(out, table.CellRef{Row: rc[i], Col: rc[i+1]})
-		}
-		return out
-	}
-	var ms []*table.Mention
-	add := func(m *table.Mention) {
-		m.Index = len(ms)
-		ms = append(ms, m)
-	}
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
-		1e21, 1e20, 1e-7, 1e-4, 123.456, -2.5e-300, math.MaxFloat64, math.SmallestNonzeroFloat64} {
-		add(&table.Mention{Table: t0, Agg: quantity.SingleCell, Cells: refs(0, 1), Value: v, Unit: odd})
-	}
-	add(&table.Mention{Table: t0, Agg: quantity.Sum, Cells: refs(0, 0, 1, 0), Value: 15.5, Orient: table.OrientCol})
-	add(&table.Mention{Table: t0, Agg: quantity.Avg, Cells: refs(1, 0, 1, 1, 1, 2), Value: math.NaN(), Orient: table.OrientRow})
-	add(&table.Mention{Table: t1, Agg: quantity.Agg(42), Cells: refs(0, 1, 1, 1, 1, 0), Value: math.Inf(1), Orient: table.Orientation(7)})
-	add(&table.Mention{Table: t1, Agg: quantity.Diff, Cells: refs(0, 0, 0, 1), Value: -1, Unit: "%"})
-	ms = append(ms, t1.Mentions(table.ExtendedVirtualOptions())...)
-
 	requireFmtTableBytes(t, "edge document", &document.Document{
 		ID: "pg-d0", PageID: "pg", Text: odd,
-		Tables:        []*table.Table{t0, t1},
-		TableMentions: ms,
+		Tables: []*table.Table{t0, t1},
 	})
 	requireFmtTableBytes(t, "no tables", &document.Document{ID: "pg-d1"})
 }
 
 // FuzzHashDocumentTables builds a table from a caption, a tab-separated
 // header row and a tab-separated grid of cells (rows of the header's width,
-// at most four), generates its mentions with the default virtual options, and
-// requires the oracle's bytes.
+// at most four), and requires the oracle's bytes.
 func FuzzHashDocumentTables(f *testing.F) {
 	f.Add("side effects reported by patients", "side effects\tmale\tfemale\ttotal",
 		"Rash\t15\t20\t35\tDepression\t13\t25\t38\tNausea\t5\t6\t11")
@@ -180,8 +193,7 @@ func FuzzHashDocumentTables(f *testing.F) {
 		}
 		requireFmtTableBytes(t, "fuzzed table", &document.Document{
 			ID: "pg-d0", PageID: "pg",
-			Tables:        []*table.Table{tbl},
-			TableMentions: tbl.Mentions(table.DefaultVirtualOptions()),
+			Tables: []*table.Table{tbl},
 		})
 	})
 }

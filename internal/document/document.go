@@ -16,13 +16,19 @@ import (
 
 // Document is a coherent unit of alignment: one paragraph plus its related
 // tables, with all quantity mentions extracted.
+//
+// Segmentation builds each table's mentions once per page: the documents of
+// a page that relate to one table share its *table.Mention values, so treat
+// TableMentions as read-only. The mentions are a function of the table
+// records, Segmenter.VirtualOpts and the extraction code, which is why
+// document keys (core.HashDocument) cover the tables and not the mentions.
 type Document struct {
 	ID            string
 	PageID        string
 	Text          string             // the paragraph text
 	Tables        []*table.Table     // related tables (≥1)
 	TextMentions  []quantity.Mention // mentions extracted from Text, in order
-	TableMentions []*table.Mention   // single + virtual cells across Tables
+	TableMentions []*table.Mention   // single + virtual cells across Tables, shared
 	TextTokens    []string           // lowercase word tokens of Text (cached)
 }
 
@@ -134,15 +140,16 @@ func (s *Segmenter) segment(pageID string, paras []string, paraBlock []int, tabl
 		tableTokens[i] = t.Tokens()
 	}
 
+	mentions := make([][]*table.Mention, len(tables)) // built on first use
 	var docs []*Document
 	for pi, para := range paras {
 		paraTokens := nlp.Words(para)
-		var related []*table.Table
-		for ti, t := range tables {
+		var related []int
+		for ti := range tables {
 			sim := nlp.JaccardTokens(paraTokens, tableTokens[ti])
 			adjacent := s.AttachAdjacent && isAdjacent(paraBlock[pi], tableBlock[ti], paraBlock, tableBlock)
 			if sim >= s.SimilarityThreshold || adjacent {
-				related = append(related, t)
+				related = append(related, ti)
 			}
 		}
 		if len(related) == 0 {
@@ -152,19 +159,18 @@ func (s *Segmenter) segment(pageID string, paras []string, paraBlock []int, tabl
 			ID:         fmt.Sprintf("%s-d%d", pageID, len(docs)),
 			PageID:     pageID,
 			Text:       para,
-			Tables:     related,
 			TextTokens: paraTokens,
 		}
 		doc.TextMentions = quantity.ExtractText(para)
 		if len(doc.TextMentions) < s.MinTextMentions {
 			continue
 		}
-		for _, t := range related {
-			doc.TableMentions = append(doc.TableMentions, t.Mentions(s.VirtualOpts)...)
-		}
-		// Re-index mentions across the union of tables.
-		for i, m := range doc.TableMentions {
-			m.Index = i
+		for _, ti := range related {
+			if mentions[ti] == nil {
+				mentions[ti] = tables[ti].Mentions(s.VirtualOpts)
+			}
+			doc.Tables = append(doc.Tables, tables[ti])
+			doc.TableMentions = append(doc.TableMentions, mentions[ti]...)
 		}
 		docs = append(docs, doc)
 	}

@@ -63,12 +63,11 @@ var ErrNotStore = errors.New("store: directory is not a store (no meta.json)")
 const (
 	logName  = "corpus.ndjson"
 	metaName = "meta.json"
-	// version 2: per-part document identity (core.HashDocument over the text
-	// and table part digests) changed every document key, and records gained
-	// supersedes/page_docs upsert fields.
-	// Version-1 stores are refused rather than silently re-aligned under
-	// mismatched keys.
-	version = 2
+	// version 3: document keys cover each table's source instead of its
+	// virtual cells (core.HashDocument), and the fingerprint gained the
+	// extraction version, so every key changed. Older stores are refused
+	// rather than silently re-aligned under mismatched keys.
+	version = 3
 )
 
 // Options configures Open.

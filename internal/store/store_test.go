@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -195,6 +196,20 @@ func TestFingerprintMismatch(t *testing.T) {
 	defer s2.Close()
 	if s2.Fingerprint() != "fp-a" {
 		t.Errorf("adopted fingerprint = %q, want fp-a", s2.Fingerprint())
+	}
+}
+
+// TestOpenRefusesOlderVersion: a directory written under an older store
+// format holds document keys the running code no longer computes, so Open
+// refuses it instead of serving or extending it.
+func TestOpenRefusesOlderVersion(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, metaName), []byte(`{"version":2,"fingerprint":"`+testFP+`"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("Open on a version-2 directory: err = %v, want one saying version 2, want 3", err)
 	}
 }
 

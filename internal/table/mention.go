@@ -41,7 +41,6 @@ type Mention struct {
 	Value  float64      // the (computed) quantity value
 	Unit   string       // canonical unit, "" if unknown
 	Orient Orientation  // row/column orientation for composites
-	Index  int          // position in the table's mention list
 }
 
 // IsVirtual reports whether the mention is a composite (virtual cell).
@@ -51,9 +50,8 @@ func (m *Mention) IsVirtual() bool { return m.Agg != quantity.SingleCell }
 func (m *Mention) Key() string { return string(m.AppendKey(nil)) }
 
 // AppendKey appends Key's identifier to b and returns the extended slice. It
-// is the one definition of the mention-key format: alignments' table keys and
-// the document content hash both go through it, and every stored document
-// key depends on its bytes.
+// is the one definition of the mention-key format: alignments' table keys go
+// through it, and every stored alignment carries its bytes.
 func (m *Mention) AppendKey(b []byte) []byte {
 	b = append(b, m.Table.ID...)
 	b = append(b, ':')
@@ -199,14 +197,10 @@ func ExtendedVirtualOptions() VirtualOptions {
 // mix incompatible units.
 func (t *Table) Mentions(opts VirtualOptions) []*Mention {
 	var out []*Mention
-	add := func(m *Mention) {
-		m.Index = len(out)
-		out = append(out, m)
-	}
 
 	// Single cells.
 	for _, cell := range t.NumericCells() {
-		add(&Mention{
+		out = append(out, &Mention{
 			Table: t,
 			Agg:   quantity.SingleCell,
 			Cells: []CellRef{{cell.Row, cell.Col}},
@@ -261,7 +255,7 @@ func (t *Table) Mentions(opts VirtualOptions) []*Mention {
 			return false
 		}
 		virtualCount++
-		add(m)
+		out = append(out, m)
 		return true
 	}
 

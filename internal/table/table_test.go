@@ -180,9 +180,6 @@ func TestMentionsSingleCells(t *testing.T) {
 		if m.IsVirtual() {
 			t.Errorf("mention %d should not be virtual", i)
 		}
-		if m.Index != i {
-			t.Errorf("mention %d has Index %d", i, m.Index)
-		}
 	}
 }
 
@@ -301,8 +298,8 @@ func TestMentionKeyStable(t *testing.T) {
 }
 
 // keySprintf is Key as it was written with fmt, one Sprintf form per key
-// shape. Alignments' table keys and every stored document key carry these
-// bytes, so AppendKey must reproduce them exactly.
+// shape. Alignments' table keys carry these bytes, so AppendKey must
+// reproduce them exactly.
 func keySprintf(m *Mention) string {
 	if !m.IsVirtual() {
 		return fmt.Sprintf("%s:cell(%d,%d)", m.Table.ID, m.Cells[0].Row, m.Cells[0].Col)
