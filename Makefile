@@ -72,12 +72,15 @@ bench-e2e:
 
 # Side-by-side go-test micro-benchmarks of the resolution hot path, of
 # document keying (the content hash behind every store write, batch cache hit
-# and ingest reuse check) and of page segmentation, with allocation counts —
-# for inspecting individual kernels rather than the aggregate report.
+# and ingest reuse check), of page segmentation, and of the read path behind
+# /v1/search and /v1/facts (store queries and the shared response writer),
+# with allocation counts — for inspecting individual kernels rather than the
+# aggregate report.
 bench-compare:
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
-	$(GO) test -bench 'DocumentKey' -benchmem -run ^$$ ./internal/store
+	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
+	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
 bench-tables:
@@ -312,6 +315,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingIdentity$$' -fuzztime 5s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/api
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

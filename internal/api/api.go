@@ -128,17 +128,67 @@ func WriteError(w http.ResponseWriter, code, message string) {
 
 // WriteJSON encodes v to a buffer first, so an encoding failure can still
 // produce a clean 500 — once WriteHeader has fired the status is committed
-// and a half-written body is all the client would get.
+// and a half-written body is all the client would get. The body is exactly
+// what json.MarshalIndent(v, "", "  ") writes, plus a newline.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("encode response: %v", err), http.StatusInternalServerError)
 		return
 	}
+	body := appendIndent(make([]byte, 0, 2*len(data)+1), data)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(append(data, '\n')); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		// Headers are gone; nothing to do but note the broken pipe.
 		log.Printf("write response: %v", err)
 	}
+}
+
+// appendIndent appends src, the output of json.Marshal, to dst indented as
+// json.MarshalIndent(v, "", "  ") indents it: a newline and two spaces per
+// depth after every '{', '[' and ',' and before every '}' and ']' outside
+// strings, "": " after a key, and "{}" and "[]" for empty containers. String
+// contents, escapes included, and scalars are copied unchanged. One pass,
+// no validation: json.Marshal output is compact, valid JSON.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	start := 0 // src[start:i] is still to be copied
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			for i++; src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if c := src[i+1]; c == '}' || c == ']' {
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, src[start:i]...), depth)
+			start = i
+		case ',':
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case ':':
+			dst = append(append(dst, src[start:i+1]...), ' ')
+			start = i + 1
+		}
+	}
+	return append(dst, src[start:]...)
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for i := 0; i < depth; i++ {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }

@@ -12,6 +12,8 @@
 package facts
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,9 +187,13 @@ func Dedupe(facts []Fact) []Fact {
 // Add/Remove sequence equals Dedupe over the surviving facts — retracting a
 // page's stale facts during re-ingestion restores exactly the state a
 // from-scratch build of the final corpus would reach.
+//
+// Keys are grouped by entity, so a per-entity read touches only that
+// entity's keys; an entity leaves the view with its last key.
 type View struct {
-	all   map[viewKey][]Fact
-	count int // facts held: offered via Add, minus removed
+	byEntity map[string]map[slotKey][]Fact
+	size     int // distinct (entity, measure, value, unit) keys held
+	count    int // facts held: offered via Add, minus removed
 }
 
 type viewKey struct {
@@ -195,9 +201,15 @@ type viewKey struct {
 	value                 float64
 }
 
+// slotKey is one entity's part of a viewKey.
+type slotKey struct {
+	measure, unit string
+	value         float64
+}
+
 // NewView returns an empty per-entity facts view.
 func NewView() *View {
-	return &View{all: make(map[viewKey][]Fact)}
+	return &View{byEntity: make(map[string]map[slotKey][]Fact)}
 }
 
 // bestOf returns the winning fact of one key's multiset; facts must be
@@ -218,26 +230,39 @@ func (v *View) Add(facts []Fact) int {
 	changed := 0
 	for _, f := range facts {
 		v.count++
-		k := viewKey{f.Entity, f.Measure, f.Unit, f.Value}
-		cur, ok := v.all[k]
+		slots := v.byEntity[f.Entity]
+		if slots == nil {
+			slots = make(map[slotKey][]Fact)
+			v.byEntity[f.Entity] = slots
+		}
+		k := slotKey{f.Measure, f.Unit, f.Value}
+		cur, ok := slots[k]
+		if !ok {
+			v.size++
+		}
 		if !ok || better(f, bestOf(cur)) {
 			changed++
 		}
-		v.all[k] = append(cur, f)
+		slots[k] = append(cur, f)
 	}
 	return changed
 }
 
 // Remove retracts previously added facts. Each fact is matched exactly
 // (Fact is a comparable struct) and one matching copy is dropped from its
-// key's multiset; keys left empty disappear. It returns how many facts were
-// actually removed — fewer than len(facts) only if a fact was never added,
-// which callers treat as a consistency bug.
+// key's multiset; keys left empty disappear, and so do entities left without
+// keys. It returns how many facts were actually removed — fewer than
+// len(facts) only if a fact was never added, which callers treat as a
+// consistency bug.
 func (v *View) Remove(facts []Fact) int {
 	removed := 0
 	for _, f := range facts {
-		k := viewKey{f.Entity, f.Measure, f.Unit, f.Value}
-		list := v.all[k]
+		slots := v.byEntity[f.Entity]
+		k := slotKey{f.Measure, f.Unit, f.Value}
+		list, ok := slots[k]
+		if !ok {
+			continue
+		}
 		for i := range list {
 			if list[i] == f {
 				list[i] = list[len(list)-1]
@@ -247,10 +272,15 @@ func (v *View) Remove(facts []Fact) int {
 				break
 			}
 		}
-		if len(list) == 0 {
-			delete(v.all, k)
-		} else {
-			v.all[k] = list
+		switch {
+		case len(list) > 0:
+			slots[k] = list
+		case len(slots) > 1:
+			delete(slots, k)
+			v.size--
+		default:
+			delete(v.byEntity, f.Entity)
+			v.size--
 		}
 	}
 	return removed
@@ -260,52 +290,58 @@ func (v *View) Remove(facts []Fact) int {
 // confidence descending (ties by measure, then unit, then value) — a
 // deterministic per-entity slice of the Dedupe ordering.
 func (v *View) Entity(name string) []Fact {
-	var out []Fact
-	for k, list := range v.all {
-		if k.entity == name {
-			out = append(out, bestOf(list))
-		}
+	slots := v.byEntity[name]
+	if len(slots) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
+	out := make([]Fact, 0, len(slots))
+	for _, list := range slots {
+		out = append(out, bestOf(list))
+	}
+	slices.SortFunc(out, func(a, b Fact) int {
+		if a.Confidence != b.Confidence {
+			if a.Confidence > b.Confidence {
+				return -1
+			}
+			return 1
 		}
-		if out[i].Measure != out[j].Measure {
-			return out[i].Measure < out[j].Measure
+		if c := strings.Compare(a.Measure, b.Measure); c != 0 {
+			return c
 		}
-		if out[i].Unit != out[j].Unit {
-			return out[i].Unit < out[j].Unit
+		if c := strings.Compare(a.Unit, b.Unit); c != 0 {
+			return c
 		}
-		return out[i].Value < out[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 	return out
 }
 
 // Entities returns the sorted list of entity names with at least one fact.
 func (v *View) Entities() []string {
-	seen := map[string]bool{}
-	for k := range v.all {
-		seen[k.entity] = true
-	}
-	out := make([]string, 0, len(seen))
-	for e := range seen {
+	out := make([]string, 0, len(v.byEntity))
+	for e := range v.byEntity {
 		out = append(out, e)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// EntityCount returns the number of entity names with at least one fact.
+func (v *View) EntityCount() int { return len(v.byEntity) }
+
 // Size returns the number of deduplicated facts held by the view.
-func (v *View) Size() int { return len(v.all) }
+func (v *View) Size() int { return v.size }
 
 // Offered returns the number of facts fed to Add and not since removed.
 func (v *View) Offered() int { return v.count }
 
 // All returns every deduplicated fact in the Dedupe ordering.
 func (v *View) All() []Fact {
-	out := make([]Fact, 0, len(v.all))
-	for _, list := range v.all {
-		out = append(out, bestOf(list))
+	out := make([]Fact, 0, v.size)
+	for _, slots := range v.byEntity {
+		for _, list := range slots {
+			out = append(out, bestOf(list))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {

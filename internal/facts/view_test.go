@@ -128,3 +128,104 @@ func TestViewFromExtract(t *testing.T) {
 		t.Error("no facts for 'bed bath'")
 	}
 }
+
+// referenceEntity is the full-scan Entity of the flat (entity, measure,
+// value, unit) → facts map the view used to keep: the oracle for
+// View.Entity.
+func referenceEntity(all map[viewKey][]Fact, name string) []Fact {
+	var out []Fact
+	for k, list := range all {
+		if k.entity == name {
+			out = append(out, bestOf(list))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Confidence != out[j].Confidence {
+			return out[i].Confidence > out[j].Confidence
+		}
+		if out[i].Measure != out[j].Measure {
+			return out[i].Measure < out[j].Measure
+		}
+		if out[i].Unit != out[j].Unit {
+			return out[i].Unit < out[j].Unit
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out
+}
+
+// TestViewEntityMatchesFullScan drives a view through a seeded sequence of
+// Add and Remove calls, some of which empty an entity, and after each call
+// requires Entity to match the full-scan oracle for every entity ever seen,
+// and Entities, Size and Offered to match a fresh view of the surviving
+// facts.
+func TestViewEntityMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	v := NewView()
+	var live []Fact
+	names := map[string]bool{}
+	emptied := 0
+	for step := 0; step < 400; step++ {
+		var removed []Fact
+		switch op := rng.Intn(4); {
+		case op == 0 && len(live) > 0:
+			// Retract every fact of one entity.
+			ent := live[rng.Intn(len(live))].Entity
+			kept := live[:0]
+			for _, f := range live {
+				if f.Entity == ent {
+					removed = append(removed, f)
+				} else {
+					kept = append(kept, f)
+				}
+			}
+			live = kept
+			emptied++
+		case op == 1 && len(live) > 0:
+			for n := 1 + rng.Intn(6); n > 0 && len(live) > 0; n-- {
+				i := rng.Intn(len(live))
+				removed = append(removed, live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+		default:
+			fs := randomFacts(rng, 1+rng.Intn(8))
+			for _, f := range fs {
+				names[f.Entity] = true
+			}
+			v.Add(fs)
+			live = append(live, fs...)
+		}
+		if got := v.Remove(removed); got != len(removed) {
+			t.Fatalf("step %d: Remove dropped %d of %d facts", step, got, len(removed))
+		}
+
+		all := map[viewKey][]Fact{}
+		for _, f := range live {
+			k := viewKey{f.Entity, f.Measure, f.Unit, f.Value}
+			all[k] = append(all[k], f)
+		}
+		fresh := NewView()
+		fresh.Add(live)
+		if got, want := v.Entities(), fresh.Entities(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Entities() = %v, fresh view has %v", step, got, want)
+		}
+		if v.EntityCount() != len(fresh.Entities()) {
+			t.Fatalf("step %d: EntityCount() = %d, want %d", step, v.EntityCount(), len(fresh.Entities()))
+		}
+		if v.Size() != fresh.Size() || v.Size() != len(all) {
+			t.Fatalf("step %d: Size() = %d, fresh view %d, distinct keys %d", step, v.Size(), fresh.Size(), len(all))
+		}
+		if v.Offered() != len(live) {
+			t.Fatalf("step %d: Offered() = %d, want %d", step, v.Offered(), len(live))
+		}
+		for name := range names {
+			if got, want := v.Entity(name), referenceEntity(all, name); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Entity(%q) = %+v, full scan %+v", step, name, got, want)
+			}
+		}
+	}
+	if emptied == 0 {
+		t.Fatal("the sequence never emptied an entity")
+	}
+}

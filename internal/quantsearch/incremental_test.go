@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"briq/internal/corpus"
@@ -27,6 +28,9 @@ func referenceSearch(ix *Index, q Query) []Result {
 	}
 	var out []Result
 	for id, matched := range counts {
+		if ix.dead[id] {
+			continue
+		}
 		e := ix.entries[id]
 		if q.Unit != "" && e.Unit != "" && !quantity.UnitsCompatible(q.Unit, e.Unit) {
 			continue
@@ -52,8 +56,10 @@ func sortResults(out []Result) {
 				less = a.Value > b.Value
 			case a.TableID != b.TableID:
 				less = a.TableID < b.TableID
+			case a.Row != b.Row:
+				less = a.Row < b.Row
 			default:
-				less = a.Row*1000+a.Col < b.Row*1000+b.Col
+				less = a.Col < b.Col
 			}
 			if less {
 				break
@@ -84,7 +90,9 @@ func queryBattery(ix *Index) []Query {
 }
 
 // TestSearchMatchesReferenceScan checks the posting-based candidate
-// selection against the full-scan oracle over a generated corpus.
+// selection against the full-scan oracle over a generated corpus: with
+// sorted value postings, after a retraction, and while the postings are
+// dirty.
 func TestSearchMatchesReferenceScan(t *testing.T) {
 	cfg := corpus.TableSConfig(7)
 	cfg.Pages = 30
@@ -93,23 +101,107 @@ func TestSearchMatchesReferenceScan(t *testing.T) {
 	if ix.Size() == 0 {
 		t.Fatal("empty index")
 	}
-	for _, q := range queryBattery(ix) {
+	check := func(stage string, q Query) {
+		t.Helper()
 		got := ix.Search(q)
 		want := referenceSearch(ix, q)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Search(%+v): %d results, reference %d results", q, len(got), len(want))
+			t.Errorf("%s: Search(%+v): %d results, reference %d results", stage, q, len(got), len(want))
 		}
 	}
-	// Randomized ranges.
+	// Keywords taken from the index itself, so multi-keyword queries have
+	// entries matching one, several, or a repeated keyword.
+	var words []string
+	for w := range ix.byToken {
+		words = append(words, w)
+	}
+	sort.Strings(words)
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 50; i++ {
-		a := ix.entries[rng.Intn(len(ix.entries))].Value * (0.5 + rng.Float64())
-		b := a + rng.Float64()*1e4
-		q := Query{Op: Comparison(rng.Intn(4)), Value: a, Value2: b}
-		got := ix.Search(q)
-		want := referenceSearch(ix, q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("random Search(%+v) diverges from reference", q)
+	battery := func() []Query {
+		qs := queryBattery(ix)
+		for i := 0; i < 20; i++ {
+			kws := []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]}
+			if i%4 == 0 {
+				kws = append(kws, kws[0]) // a repeated keyword counts twice
+			}
+			if i%5 == 0 {
+				kws = append(kws, "nonexistent")
+			}
+			qs = append(qs, Query{Keywords: kws, Op: Comparison(rng.Intn(4)), Value: ix.entries[rng.Intn(len(ix.entries))].Value, Value2: 1e9})
+		}
+		// Randomized ranges.
+		for i := 0; i < 50; i++ {
+			a := ix.entries[rng.Intn(len(ix.entries))].Value * (0.5 + rng.Float64())
+			b := a + rng.Float64()*1e4
+			qs = append(qs, Query{Op: Comparison(rng.Intn(4)), Value: a, Value2: b})
+		}
+		return qs
+	}
+	for _, q := range battery() {
+		check("sorted", q)
+	}
+
+	// Retract a third of the tables: the oracle skips tombstones.
+	var tables []string
+	for tid := range ix.byTable {
+		tables = append(tables, tid)
+	}
+	sort.Strings(tables)
+	var gone []string
+	for i, tid := range tables {
+		if i%3 == 0 {
+			gone = append(gone, tid)
+		}
+	}
+	if ix.RemoveTables(gone) == 0 {
+		t.Fatal("RemoveTables retracted nothing")
+	}
+	for _, q := range battery() {
+		check("after RemoveTables", q)
+	}
+
+	// Re-adding the retracted tables leaves the value postings dirty.
+	for _, doc := range c.Docs {
+		ix.Add(doc)
+	}
+	if !ix.valueDirty {
+		t.Fatal("re-adding tables should leave the value postings dirty")
+	}
+	for _, q := range battery() {
+		check("dirty", q)
+	}
+}
+
+// TestSearchTieBreakWideTable pins the last tie-break, row then column, on a
+// table wider than 1,000 columns: cells (0, 1000) and (1, 0) share a value
+// and every keyword match, and (0, 1000) must rank first on every search.
+func TestSearchTieBreakWideTable(t *testing.T) {
+	const rows, cols = 2, 1001
+	var entries []Entry
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := float64(r*cols + c)
+			if r == 0 && c == 1000 || r == 1 && c == 0 {
+				v = 1e9
+			}
+			entries = append(entries, Entry{TableID: "wide", Row: r, Col: c, Value: v, Caption: "width test"})
+		}
+	}
+	ix := NewIndex()
+	ix.AddEntries(entries)
+	ix.EnsureValueOrder()
+	for _, q := range []Query{
+		{Keywords: []string{"width"}, Op: Above, Value: 0},
+		{Op: Above, Value: 0},
+	} {
+		for i := 0; i < 200; i++ {
+			got := ix.Search(q)
+			if len(got) != rows*cols-1 {
+				t.Fatalf("search %d of %+v: %d results, want %d", i, q, len(got), rows*cols-1)
+			}
+			if got[0].Row != 0 || got[0].Col != 1000 || got[1].Row != 1 || got[1].Col != 0 {
+				t.Fatalf("search %d of %+v: top two are %+v, want cells (0, 1000) then (1, 0)", i, q, got[:2])
+			}
 		}
 	}
 }

@@ -12,7 +12,9 @@
 package quantsearch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,7 +47,7 @@ type Entry struct {
 // where a page's tables mostly survive re-ingestion.
 type Index struct {
 	entries []Entry
-	byToken map[string][]int // lowercase token → entry ids (append order)
+	byToken map[string][]int // lowercase token → entry ids, each once, ascending
 	byUnit  map[string][]int // canonical unit ("" = unknown) → entry ids
 	byTable map[string][]int // table ID → entry ids (the removal postings)
 	byValue []int            // entry ids; ordered by (Value, id) unless valueDirty
@@ -406,65 +408,98 @@ type Result struct {
 // ranked by keyword matches (entries matching no keyword are excluded when
 // the query has keywords). The ranking is deterministic and independent of
 // insertion order: keyword matches descending, then value descending, then
-// table ID, then cell position.
+// table ID, then row, then column. It returns nil when nothing matches.
 func (ix *Index) Search(q Query) []Result {
-	// Candidate set: union of keyword postings, or — without keywords — the
-	// value-ordered postings restricted to the numeric range and the unit
-	// buckets compatible with the query unit. While the value postings are
-	// dirty (adds since the last EnsureValueOrder) the range restriction is
-	// skipped and every entry is a candidate — the loop below re-applies the
-	// exact unit and value predicates, so the results are identical; Search
-	// itself never mutates the index.
-	counts := map[int]int{}
-	if len(q.Keywords) == 0 {
-		if ix.valueDirty {
-			for id := range ix.entries {
-				counts[id] = 0
-			}
-		} else {
-			compat := ix.compatibleUnits(q.Unit)
-			for _, id := range ix.valueRange(q) {
-				if compat[ix.entries[id].Unit] {
-					counts[id] = 0
-				}
+	// Candidates are ranked as (id, matched) hits and become Results only
+	// once, in rank order. Each keyword posting lists an entry id at most
+	// once, in ascending order (add dedups tokens and ids only grow), so one
+	// keyword's posting is its hit list and, for several, a run of equal ids
+	// in the sorted concatenation counts that entry's matches — a keyword
+	// repeated in the query counts twice. Without keywords the candidates are
+	// the value-ordered postings restricted to the numeric range and the unit
+	// buckets compatible with the query unit; while those postings are dirty
+	// (adds since the last EnsureValueOrder) every entry is a candidate.
+	// admit re-applies the exact unit and value predicates either way, so the
+	// results are identical; Search itself never mutates the index.
+	var hits []hit
+	switch {
+	case len(q.Keywords) == 1:
+		for _, id := range ix.byToken[q.Keywords[0]] {
+			if ix.admit(q, id) {
+				hits = append(hits, hit{id, 1})
 			}
 		}
-	} else {
+	case len(q.Keywords) > 1:
+		var ids []int
 		for _, kw := range q.Keywords {
-			for _, id := range ix.byToken[kw] {
-				counts[id]++
+			ids = append(ids, ix.byToken[kw]...)
+		}
+		slices.Sort(ids)
+		for i, j := 0, 0; i < len(ids); i = j {
+			for j = i + 1; j < len(ids) && ids[j] == ids[i]; j++ {
+			}
+			if ix.admit(q, ids[i]) {
+				hits = append(hits, hit{ids[i], j - i})
+			}
+		}
+	case ix.valueDirty:
+		for id := range ix.entries {
+			if ix.admit(q, id) {
+				hits = append(hits, hit{id, 0})
+			}
+		}
+	default:
+		compat := ix.compatibleUnits(q.Unit)
+		for _, id := range ix.valueRange(q) {
+			if compat[ix.entries[id].Unit] && ix.admit(q, id) {
+				hits = append(hits, hit{id, 0})
 			}
 		}
 	}
-
-	var out []Result
-	for id, matched := range counts {
-		if ix.dead[id] {
-			continue
-		}
-		e := ix.entries[id]
-		if q.Unit != "" && e.Unit != "" && !quantity.UnitsCompatible(q.Unit, e.Unit) {
-			continue
-		}
-		if !matchesValue(q, e.Value) {
-			continue
-		}
-		out = append(out, Result{Entry: e, Matched: matched})
+	if len(hits) == 0 {
+		return nil
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Matched != out[j].Matched {
-			return out[i].Matched > out[j].Matched
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.matched != b.matched {
+			return cmp.Compare(b.matched, a.matched)
 		}
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
+		ea, eb := &ix.entries[a.id], &ix.entries[b.id]
+		if ea.Value != eb.Value {
+			if ea.Value > eb.Value {
+				return -1
+			}
+			return 1
 		}
-		if out[i].TableID != out[j].TableID {
-			return out[i].TableID < out[j].TableID
+		if c := strings.Compare(ea.TableID, eb.TableID); c != 0 {
+			return c
 		}
-		return out[i].Row*1000+out[i].Col < out[j].Row*1000+out[j].Col
+		if ea.Row != eb.Row {
+			return cmp.Compare(ea.Row, eb.Row)
+		}
+		return cmp.Compare(ea.Col, eb.Col)
 	})
+	out := make([]Result, len(hits))
+	for i, h := range hits {
+		out[i] = Result{Entry: ix.entries[h.id], Matched: h.matched}
+	}
 	return out
+}
+
+// hit is one ranked candidate of Search: an entry id and its keyword matches.
+type hit struct{ id, matched int }
+
+// admit reports whether entry id is live and passes the query's unit and
+// value predicates.
+func (ix *Index) admit(q Query, id int) bool {
+	if ix.dead[id] {
+		return false
+	}
+	e := &ix.entries[id]
+	if q.Unit != "" && e.Unit != "" && !quantity.UnitsCompatible(q.Unit, e.Unit) {
+		return false
+	}
+	return matchesValue(q, e.Value)
 }
 
 func matchesValue(q Query, v float64) bool {

@@ -24,9 +24,11 @@
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
 // alignment but never fail it: persistence errors are counted and logged,
-// and a torn final line (crash mid-append) is skipped on replay. A torn
-// supersede record leaves the previous page version fully intact — the
-// retraction and the first fresh document travel on one line.
+// and a torn final line (crash mid-append) is skipped on replay; the first
+// append after it starts a new line, so the torn bytes never swallow a
+// record written later. A torn supersede record leaves the previous page
+// version fully intact — the retraction and the first fresh document travel
+// on one line.
 package store
 
 import (
@@ -102,6 +104,12 @@ type Store struct {
 	pages map[string][]serve.Key  // page ID → final ordered doc keys
 	// pageKeys holds the serve page keys already logged as "cache" records.
 	pageKeys map[serve.Key]bool
+
+	// unterminated reports that the log does not end in a newline: a crash
+	// tore its last append, or the last write failed. The next append
+	// writes a newline first, so its record starts a line of its own
+	// instead of sharing the torn one and being dropped at replay.
+	unterminated bool
 
 	// firstPersistErr logs the first failed append through the standard
 	// logger exactly once, so silent data loss is visible even when
@@ -251,7 +259,8 @@ func (s *Store) checkMeta() error {
 // replay streams the log, rebuilding in-memory state and warming the gate.
 // Undecodable lines (torn final append after a crash) are counted and
 // skipped. Supersede records re-apply their retractions so the final state
-// is the latest-wins view of every page.
+// is the latest-wins view of every page. It also notes whether the log ends
+// in a newline (see Store.unterminated).
 func (s *Store) replay() error {
 	f, err := os.Open(filepath.Join(s.dir, logName))
 	if os.IsNotExist(err) {
@@ -327,6 +336,17 @@ func (s *Store) replay() error {
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: replaying log: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if n := fi.Size(); n > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], n-1); err != nil {
+			return fmt.Errorf("store: reading log tail: %w", err)
+		}
+		s.unterminated = last[0] != '\n'
 	}
 	// One batch sort for the whole replay instead of per-record inserts.
 	s.index.EnsureValueOrder()
@@ -694,7 +714,12 @@ func (s *Store) append(r record) {
 	}
 	b, err := json.Marshal(r)
 	if err == nil {
-		_, err = s.logF.Write(append(b, '\n'))
+		line := append(b, '\n')
+		if s.unterminated {
+			line = append([]byte{'\n'}, line...)
+		}
+		_, err = s.logF.Write(line)
+		s.unterminated = err != nil
 	}
 	if err != nil {
 		s.c.persistErrors++
@@ -777,7 +802,7 @@ func (s *Store) Counters() map[string]int64 {
 	out["retracted_documents"] = s.c.retractedDocs
 	out["live_documents"] = int64(len(s.docs))
 	out["index_entries"] = int64(s.index.Size())
-	out["fact_entities"] = int64(len(s.view.Entities()))
+	out["fact_entities"] = int64(s.view.EntityCount())
 	out["facts"] = int64(s.view.Size())
 	if s.logF != nil {
 		out["persistent"] = 1

@@ -144,37 +144,74 @@ func TestIncrementalVsRebuild(t *testing.T) {
 	}
 }
 
+// TestTornTailSkipped: a crash that tears the log's last append leaves
+// either a torn line, which replay skips, or a final record lacking only
+// its newline, which replay applies. Either way the next Open's first
+// append must start a line of its own, so the document it records is live
+// after the following replay and nothing more is skipped.
 func TestTornTailSkipped(t *testing.T) {
 	docs, als := alignedCorpus(t, 7, 4)
-	dir := t.TempDir()
-	s1, err := Open(Options{Dir: dir, Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, doc := range docs {
-		addDoc(s1, doc, als[i])
-	}
-	want := s1.Search(battery()[0])
-	s1.Close()
+	last := len(docs) - 1
+	for _, tc := range []struct {
+		name        string
+		tear        func(log []byte) []byte
+		wantSkipped int64
+	}{
+		{"torn line", func(log []byte) []byte {
+			return append(log, `{"kind":"doc","key":"abc123","trunc`...)
+		}, 1},
+		{"newline missing", func(log []byte) []byte {
+			return log[:len(log)-1]
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := Open(Options{Dir: dir, Fingerprint: testFP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, doc := range docs[:last] {
+				addDoc(s1, doc, als[i])
+			}
+			want := s1.Search(battery()[0])
+			live := s1.Counters()["live_documents"]
+			s1.Close()
 
-	// Simulate a crash mid-append: a torn, non-JSON final line.
-	f, err := os.OpenFile(filepath.Join(dir, "corpus.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"kind":"doc","key":"abc123","trunc`)
-	f.Close()
+			path := filepath.Join(dir, logName)
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.tear(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, err := Open(Options{Dir: dir, Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Counters()["replay_skipped"]; got != 1 {
-		t.Errorf("replay_skipped = %d, want 1", got)
-	}
-	if got := s2.Search(battery()[0]); !reflect.DeepEqual(got, want) {
-		t.Error("torn tail corrupted replayed state")
+			s2, err := Open(Options{Dir: dir, Fingerprint: testFP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s2.Counters()["replay_skipped"]; got != tc.wantSkipped {
+				t.Errorf("replay_skipped = %d, want %d", got, tc.wantSkipped)
+			}
+			if got := s2.Search(battery()[0]); !reflect.DeepEqual(got, want) {
+				t.Error("torn tail corrupted replayed state")
+			}
+			addDoc(s2, docs[last], als[last])
+			s2.Close()
+
+			s3, err := Open(Options{Dir: dir, Fingerprint: testFP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s3.Close()
+			c := s3.Counters()
+			if c["live_documents"] != live+1 {
+				t.Errorf("live_documents = %d after the append and a reopen, want %d", c["live_documents"], live+1)
+			}
+			if c["replay_skipped"] != tc.wantSkipped {
+				t.Errorf("replay_skipped = %d after the append and a reopen, want %d", c["replay_skipped"], tc.wantSkipped)
+			}
+		})
 	}
 }
 
