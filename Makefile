@@ -72,11 +72,13 @@ bench-e2e:
 
 # Side-by-side go-test micro-benchmarks of the resolution hot path, of
 # document keying (the content hash behind every store write, batch cache hit
-# and ingest reuse check), of page segmentation, and of the read path behind
+# and ingest reuse check), of page segmentation, of the read path behind
 # /v1/search and /v1/facts (store queries and the shared response writer),
+# and of one trained document's whole align (classify, filter and resolve),
 # with allocation counts — for inspecting individual kernels rather than the
 # aggregate report.
 bench-compare:
+	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
@@ -306,6 +308,7 @@ bench-gateway:
 # invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/forest
+	$(GO) test -run '^$$' -fuzz '^FuzzPositiveProbaBatch$$' -fuzztime 5s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCell$$' -fuzztime 5s ./internal/quantity
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime 5s ./internal/quantity
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 5s ./internal/quantsearch

@@ -33,6 +33,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -215,6 +216,7 @@ func run(seed int64, pages, rounds int, out string) error {
 	c := corpus.Generate(corpus.TableLConfig(seed, pages))
 	p := core.NewPipeline()
 	cfg := p.GraphConfig
+	ctx := context.Background()
 
 	var rep report
 	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
@@ -246,7 +248,10 @@ func run(seed int64, pages, rounds int, out string) error {
 	// Equivalence gate: the fast path must reproduce the reference exactly
 	// on every workload document before any number is reported.
 	for _, in := range inputs {
-		fast := graph.Build(cfg, in.doc, in.cands).Resolve()
+		fast, err := graph.Build(cfg, in.doc, in.cands).Resolve(ctx)
+		if err != nil {
+			return fmt.Errorf("doc %s: resolve: %w", in.doc.ID, err)
+		}
 		ref := graph.Build(cfg, in.doc, in.cands).ReferenceResolve()
 		if len(fast) != len(ref) {
 			return fmt.Errorf("doc %s: CSR produced %d alignments, reference %d", in.doc.ID, len(fast), len(ref))
@@ -266,7 +271,7 @@ func run(seed int64, pages, rounds int, out string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				in := inputs[i%len(inputs)]
-				graph.Build(cfg, in.doc, in.cands).Resolve()
+				_, _ = graph.Build(cfg, in.doc, in.cands).Resolve(ctx) // background ctx: cannot fail
 			}
 		},
 		func(b *testing.B) {

@@ -18,6 +18,7 @@ import (
 	"briq/internal/corpus"
 	"briq/internal/document"
 	"briq/internal/experiment"
+	"briq/internal/filter"
 	"briq/internal/quantity"
 	"briq/internal/tagger"
 )
@@ -130,11 +131,38 @@ func gateablePairs(doc *document.Document, tags []quantity.Agg) (unit, tag int) 
 	return unit, tag
 }
 
+// earlyStops counts the rows of the gated classify stage whose score is
+// below the exact one: each is a row with a minimum score (filter.MinScore)
+// whose forest walk stopped early. It fails t unless every such row has a
+// minimum that its exact score is below, and every other row scores
+// bit-identically.
+func earlyStops(t *testing.T, p *core.Pipeline, doc *document.Document) int {
+	t.Helper()
+	exact := p.ScorePairs(doc) // every pair, text-major
+	stops := 0
+	for _, c := range p.GatedScores(doc) {
+		want := exact[c.Text*len(doc.TableMentions)+c.Table].Score
+		if math.Float64bits(c.Score) == math.Float64bits(want) {
+			continue
+		}
+		x, tm := &doc.TextMentions[c.Text], doc.TableMentions[c.Table]
+		minScore, ok := filter.MinScore(p.FilterConfig, x, tm)
+		if !ok || !(want < minScore) || !(c.Score < want) {
+			t.Fatalf("doc %s pair (%d,%d): gated score %v, exact %v (minimum %v, %v)",
+				doc.ID, c.Text, c.Table, c.Score, want, minScore, ok)
+		}
+		stops++
+	}
+	return stops
+}
+
 // TestGateDecisionIdentity: gate-on (the default align path), gate-off, and
 // the full reference path produce byte-identical alignments on every corpus
 // document — the gate may only skip work, never change a decision. It runs
 // under both the rule-based and the trained tagger, since the tag gate prunes
-// on whatever the configured tagger predicts.
+// on whatever the configured tagger predicts, and requires each shortcut of
+// the gated path to fire: unit and tag gating, and forest walks of value-far
+// rows that stopped early.
 func TestGateDecisionIdentity(t *testing.T) {
 	c, trained := eqFixture(t)
 	learned, ok := trained.Tagger.(*tagger.Learned)
@@ -157,7 +185,7 @@ func TestGateDecisionIdentity(t *testing.T) {
 			ref := referenceCopy(&p)
 			ref.NoClassifyGate = true
 
-			unitGated, tagGated := 0, 0
+			unitGated, tagGated, stopped := 0, 0, 0
 			for _, doc := range c.Docs {
 				gated := p.Align(doc)
 				ungated := gateOff.Align(doc)
@@ -175,6 +203,7 @@ func TestGateDecisionIdentity(t *testing.T) {
 				unit, tag := gateablePairs(doc, tagger.TagAll(tc.tag, doc))
 				unitGated += unit
 				tagGated += tag
+				stopped += earlyStops(t, &p, doc)
 			}
 			if unitGated == 0 {
 				t.Fatal("no corpus pair is unit-incompatible; the unit gate test is vacuous")
@@ -182,7 +211,11 @@ func TestGateDecisionIdentity(t *testing.T) {
 			if tagGated == 0 {
 				t.Fatal("no corpus pair is tag-pruned; the tag gate test is vacuous")
 			}
-			t.Logf("gate skips %d unit-incompatible and %d tag-pruned pairs across the corpus", unitGated, tagGated)
+			if stopped == 0 {
+				t.Fatal("no value-far row stopped its forest walk early; the vote-floor test is vacuous")
+			}
+			t.Logf("gate skips %d unit-incompatible and %d tag-pruned pairs across the corpus; %d value-far walks stopped early",
+				unitGated, tagGated, stopped)
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -147,13 +148,12 @@ type Pipeline struct {
 
 // localScratch holds buffers a single-goroutine pipeline clone reuses across
 // documents, so corpus runs stop paying the per-document allocation for the
-// |X|·|T| candidate slice and the classify batch matrices.
+// candidate slice and the classify batch matrices.
 type localScratch struct {
 	candidates []filter.Candidate
-	live       []int     // candidate indices that passed the gate
-	feats      []float64 // row-major masked feature matrix, one row per live pair
+	floors     []int32   // per-candidate vote floor of the batch walk
+	feats      []float64 // row-major masked feature matrix, one row per candidate
 	scores     []float64 // batch classifier output
-	votes      []float64 // per-class vote scratch of the batch walk
 }
 
 // frozenCache lazily compiles the pipeline's classifier into its flat-array
@@ -168,10 +168,12 @@ type frozenCache struct {
 }
 
 // engineFor returns the frozen engine for f, compiling it on first use or
-// when f differs from the cached source. A nil cache or nil forest yields
-// nil, which callers treat as "use the reference path".
+// when f differs from the cached source. A nil cache, a nil forest or a
+// forest with other than 2 classes (the pair classifier is binary, and only
+// a binary batch walk stops early) yields nil, which callers treat as "use
+// the reference path".
 func (c *frozenCache) engineFor(f *forest.Forest) *forest.Frozen {
-	if c == nil || f == nil {
+	if c == nil || f == nil || f.Classes() != 2 {
 		return nil
 	}
 	c.mu.Lock()
@@ -217,130 +219,167 @@ func NewPipeline() *Pipeline {
 // RF-only baseline threshold raw scores and must observe them even for pairs
 // the align path would discard.
 func (p *Pipeline) ScorePairs(doc *document.Document) []filter.Candidate {
-	out, _ := p.scorePairs(doc, false)
+	out, _, _ := p.scorePairs(context.Background(), doc, false) // background ctx: cannot fail
 	return out
 }
 
-// scorePairs is the classify stage. With gated=true (the internal align
-// path, unless NoClassifyGate is set) it first tags every text mention, then
-// skips f1–f12 feature computation entirely for two kinds of pairs, which
-// keep a zero score:
+// scorePairs is the classify stage. Ungated (ScorePairs, or NoClassifyGate)
+// it builds and scores one candidate for every (text, table) mention pair,
+// in text-then-table order. Gated (the internal align path) it first tags
+// every text mention, then builds, in the same order, only the pairs that
+// pass the filter's score-independent rules: a pair that filter.TagPruned
+// or filter.UnitPruned drops is never built. Those rules drop a pair
+// whatever its score, and the filter's mention-type vote, entropy and
+// top-k read only survivors, so filter.ApplyTagged keeps the same pairs as
+// on the full candidate set; its Dropped counter counts only the pairs
+// built here. The tags are returned so the filter stage reuses them
+// instead of tagging again; ungated calls return nil tags.
 //
-//   - tag-pruned: the table mention is virtual and its aggregation differs
-//     from the text mention's tag (step 1 of filter.Apply);
-//   - unit-pruned: units are specified on both sides and incompatible
-//     (step 2 of filter.Apply).
+// Scoring runs through the frozen flat-array engine in batch — one masked
+// feature matrix per text mention — unless ReferenceClassify is set or no
+// engine is available, in which case the per-pair pointer-tree reference
+// path runs. Both produce bit-identical scores (the equivalence suite pins
+// this). One shortcut is gated-engine-only: step 2 reads the score of a
+// pair for which filter.MinScore reports a minimum only to test it against
+// that minimum, so the pair's forest walk stops as soon as its score can no
+// longer reach it. Its score is then a partial vote count, still below the
+// minimum, and step 2 drops it as before; a pair that reaches the minimum
+// keeps its exact score.
 //
-// The filter stage drops exactly those pairs whatever their score, and its
-// mention-type vote, entropy and top-k read only survivors, so gating is
-// decision-identical to scoring everything. The candidate row still exists,
-// keeping filter counters unchanged. The tags are returned so the filter
-// stage reuses them instead of tagging again; ungated calls return nil tags.
-//
-// Scoring itself runs through the frozen flat-array engine in batch — one
-// masked feature matrix, one scratch — unless ReferenceClassify is set or no
-// engine is available, in which case the per-pair pointer-tree reference path
-// runs. Both paths produce bit-identical scores (the equivalence suite pins
-// this), so callers cannot tell them apart except by speed.
-func (p *Pipeline) scorePairs(doc *document.Document, gated bool) ([]filter.Candidate, []quantity.Agg) {
-	ext := feature.NewExtractor(p.Features, doc)
-	n := len(doc.TextMentions) * len(doc.TableMentions)
+// ctx is checked once per text mention while building pairs and while
+// scoring them; on cancellation scorePairs returns ctx.Err().
+func (p *Pipeline) scorePairs(ctx context.Context, doc *document.Document, gated bool) ([]filter.Candidate, []quantity.Agg, error) {
+	// A clone reuses its buffers across documents: safe because the filter
+	// stage regroups candidates into fresh slices and nothing downstream
+	// retains them past the Align call.
 	local := p.local
-	var out []filter.Candidate
-	var live []int
-	if local != nil {
-		// Clone-owned buffers: safe to reuse across documents because the
-		// filter stage regroups candidates into fresh slices and nothing
-		// downstream retains them past the Align call.
-		if cap(local.candidates) < n {
-			local.candidates = make([]filter.Candidate, 0, n)
-		}
-		out = local.candidates[:0]
-		live = local.live[:0]
-		defer func() {
-			local.candidates = out[:0]
-			local.live = live[:0]
-		}()
-	} else {
-		out = make([]filter.Candidate, 0, n)
-		live = make([]int, 0, n)
+	if local == nil {
+		local = &localScratch{}
 	}
-
-	gated = gated && !p.NoClassifyGate
-	var tags []quantity.Agg
-	gateStart := time.Now()
-	if gated {
-		tags = tagger.TagAll(p.Tagger, doc)
-	}
-	for xi := range doc.TextMentions {
-		x := &doc.TextMentions[xi]
-		for ti, tm := range doc.TableMentions {
-			if gated && (filter.TagPruned(tm, tags[xi]) || filter.UnitPruned(x, tm)) {
-				out = append(out, filter.Candidate{Text: xi, Table: ti})
-				continue
-			}
-			live = append(live, len(out))
-			out = append(out, filter.Candidate{Text: xi, Table: ti})
-		}
-	}
-	if gated {
-		p.Recorder.Observe(StageClassifyGate, time.Since(gateStart))
-	}
-
 	var engine *forest.Frozen
 	if p.Classifier != nil && !p.ReferenceClassify {
 		engine = p.frozen.engineFor(p.Classifier)
 	}
-	if engine == nil {
-		// Reference path: per-pair vectors through Mask.Apply and the
-		// pointer-tree walker (or the heuristic goodness mean).
-		var vec [feature.NumFeatures]float64
-		for _, idx := range live {
-			c := &out[idx]
-			c.Score = p.score(ext.VectorInto(c.Text, c.Table, vec[:]))
-		}
-		return out, tags
-	}
 
-	// Batch path: project each live pair's vector onto the mask into one
-	// row-major matrix, then run all rows through the flat forest with a
-	// single vote scratch. The projection loop appends kept features in index
-	// order — the same order Mask.Apply produces.
-	m := p.Mask.Count()
-	nLive := len(live)
-	var feats, scores, votes []float64
-	if local != nil {
-		feats, scores, votes = local.feats, local.scores, local.votes
-	}
-	if cap(feats) < nLive*m {
-		feats = make([]float64, nLive*m)
+	gated = gated && !p.NoClassifyGate
+	var tags []quantity.Agg
+	var out []filter.Candidate
+	var floors []int32
+	if gated {
+		gateStart := time.Now()
+		tags = tagger.TagAll(p.Tagger, doc)
+		out = local.candidates[:0]
+		if engine != nil {
+			floors = local.floors[:0]
+		}
+		// The vote floor of the last minimum score seen: every value-far
+		// pair has the same one.
+		lastMin, lastFloor := math.NaN(), int32(0)
+		for xi, tag := range tags {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			x := &doc.TextMentions[xi]
+			for ti, tm := range doc.TableMentions {
+				if filter.TagPruned(tm, tag) || filter.UnitPruned(x, tm) {
+					continue
+				}
+				out = append(out, filter.Candidate{Text: xi, Table: ti})
+				if engine == nil {
+					continue
+				}
+				floor := int32(0)
+				if minScore, ok := filter.MinScore(p.FilterConfig, x, tm); ok {
+					if minScore != lastMin {
+						lastMin, lastFloor = minScore, engine.VotesFor(minScore)
+					}
+					floor = lastFloor
+				}
+				floors = append(floors, floor)
+			}
+		}
+		if engine != nil {
+			local.floors = floors
+		}
+		p.Recorder.Observe(StageClassifyGate, time.Since(gateStart))
 	} else {
-		feats = feats[:nLive*m]
-	}
-	var full [feature.NumFeatures]float64
-	for r, idx := range live {
-		c := &out[idx]
-		vec := ext.VectorInto(c.Text, c.Table, full[:])
-		dst := feats[r*m : (r+1)*m]
-		k := 0
-		for i, v := range vec {
-			if p.Mask[i] {
-				dst[k] = v
-				k++
+		out = growCandidates(local.candidates, len(doc.TextMentions)*len(doc.TableMentions))
+		for xi := range doc.TextMentions {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			for ti := range doc.TableMentions {
+				out = append(out, filter.Candidate{Text: xi, Table: ti})
 			}
 		}
 	}
-	if cap(votes) < engine.BatchScratchLen() {
-		votes = make([]float64, engine.BatchScratchLen())
+	local.candidates = out
+
+	ext := feature.NewExtractor(p.Features, doc)
+	m := p.Mask.Count()
+	var full [feature.NumFeatures]float64
+	// Rows of one text mention are contiguous; score them as one batch.
+	for lo := 0; lo < len(out); {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		hi := lo + 1
+		for hi < len(out) && out[hi].Text == out[lo].Text {
+			hi++
+		}
+		rows := out[lo:hi]
+		if engine == nil {
+			// Reference path: per-pair vectors through Mask.Apply and the
+			// pointer-tree walker (or the heuristic goodness mean).
+			for i := range rows {
+				c := &rows[i]
+				c.Score = p.score(ext.VectorInto(c.Text, c.Table, full[:]))
+			}
+			lo = hi
+			continue
+		}
+		// Batch path: project each row's vector onto the mask into one
+		// row-major matrix, then walk all rows through the flat forest. The
+		// projection appends kept features in index order — the same order
+		// Mask.Apply produces.
+		feats := local.feats
+		if cap(feats) < len(rows)*m {
+			feats = make([]float64, len(rows)*m)
+		} else {
+			feats = feats[:len(rows)*m]
+		}
+		for r, c := range rows {
+			vec := ext.VectorInto(c.Text, c.Table, full[:])
+			dst := feats[r*m : (r+1)*m]
+			k := 0
+			for i, v := range vec {
+				if p.Mask[i] {
+					dst[k] = v
+					k++
+				}
+			}
+		}
+		var rowFloors []int32
+		if floors != nil {
+			rowFloors = floors[lo:hi]
+		}
+		local.scores = engine.PositiveProbaBatch(feats, len(rows), rowFloors, local.scores)
+		for r := range rows {
+			rows[r].Score = local.scores[r]
+		}
+		local.feats = feats
+		lo = hi
 	}
-	scores = engine.PositiveProbaBatch(feats, nLive, scores, votes)
-	for r, idx := range live {
-		out[idx].Score = scores[r]
+	return out, tags, nil
+}
+
+// growCandidates returns buf emptied, with capacity for at least n
+// candidates.
+func growCandidates(buf []filter.Candidate, n int) []filter.Candidate {
+	if cap(buf) < n {
+		return make([]filter.Candidate, 0, n)
 	}
-	if local != nil {
-		local.feats, local.scores, local.votes = feats, scores, votes
-	}
-	return out, tags
+	return buf[:0]
 }
 
 // score maps a full feature vector to a pair confidence: the trained
@@ -375,10 +414,12 @@ func (p *Pipeline) Align(doc *document.Document) []Alignment {
 }
 
 // AlignContext is Align with cooperative cancellation: the context is checked
-// before each pipeline phase (classify → filter → resolve), so a canceled
-// corpus run stops within one phase of the current document instead of
-// finishing it. On cancellation it returns ctx.Err(); the phases themselves
-// are CPU-bound and run to completion once started.
+// before each pipeline phase (classify → filter → resolve), once per text
+// mention inside classify and before each random walk inside resolve, so a
+// canceled run or a passed deadline stops the current document within one
+// text mention's classify work or one walk. On cancellation it returns
+// ctx.Err(). The filter stage and the graph build run to completion once
+// started.
 func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]Alignment, error) {
 	alignStart := time.Now()
 	kept, err := p.Candidates(ctx, doc)
@@ -390,7 +431,10 @@ func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]
 		return nil, err
 	}
 	start := time.Now()
-	resolved := graph.Build(p.GraphConfig, doc, kept).Resolve()
+	resolved, err := graph.Build(p.GraphConfig, doc, kept).Resolve(ctx)
+	if err != nil {
+		return nil, err
+	}
 	p.Recorder.Observe(StageResolve, time.Since(start))
 
 	out := make([]Alignment, 0, len(resolved))
@@ -413,7 +457,10 @@ func (p *Pipeline) Candidates(ctx context.Context, doc *document.Document) ([]fi
 		return nil, err
 	}
 	start := time.Now()
-	candidates, tags := p.scorePairs(doc, true)
+	candidates, tags, err := p.scorePairs(ctx, doc, true)
+	if err != nil {
+		return nil, err
+	}
 	p.Recorder.Observe(StageClassify, time.Since(start))
 
 	if err := ctx.Err(); err != nil {

@@ -18,12 +18,12 @@
 // candidates for comparison.
 //
 // StageClassifyGate is the pre-classifier gate inside classify: it tags
-// every text mention and marks the pairs the filter drops whatever their
-// score. Tagging used to run inside filter.Apply and now reports here, so
-// per layer classify/gate rises while filter (and classify, which no longer
-// extracts features for gated pairs) falls. With NoClassifyGate set,
-// tagging stays in the filter stage. cmd/briq-server exposes these
-// histograms on /metrics, and the benchmark in bench/ turns their deltas
+// every text mention and builds only the pairs that the filter's
+// score-independent rules keep. Tagging used to run inside filter.Apply and
+// now reports here, so per layer classify/gate rises while filter (which
+// groups only the pairs built) and classify (which extracts no features for
+// gated pairs) fall. With NoClassifyGate set, tagging stays in the filter
+// stage. cmd/briq-server exposes these histograms on /metrics, and the benchmark in bench/ turns their deltas
 // into the per-layer metrics that make bench-e2e commits as BENCH_e2e.json.
 //
 // # Concurrency contract

@@ -114,7 +114,8 @@ func (s *ILP) resolve(doc *document.Document, kept []filter.Candidate) []graph.A
 	if err != nil {
 		// With a background context and a non-empty problem the only error
 		// is ilp.ErrBudgetExhausted: resolve with random walks instead.
-		return graph.Build(s.P.GraphConfig, doc, kept).Resolve()
+		resolved, _ := graph.Build(s.P.GraphConfig, doc, kept).Resolve(context.Background()) // background ctx: cannot fail
+		return resolved
 	}
 	var out []graph.Alignment
 	for i, ci := range sol.Assignment {

@@ -86,7 +86,11 @@ func TestRWRILPAgreement(t *testing.T) {
 		for _, a := range exact.resolve(in.doc, in.kept) {
 			ilpOf[a.Text] = a.Table
 		}
-		for _, a := range graph.Build(p.GraphConfig, in.doc, in.kept).Resolve() {
+		resolved, err := graph.Build(p.GraphConfig, in.doc, in.kept).Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range resolved {
 			if a.Score < 0.6 { // only clear-cut rwr decisions
 				continue
 			}
@@ -138,7 +142,10 @@ func TestILPFallsBackToRWROnBudgetExhaustion(t *testing.T) {
 				})
 			}
 		}
-		want := graph.Build(p.GraphConfig, in.doc, dense).Resolve()
+		want, err := graph.Build(p.GraphConfig, in.doc, dense).Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := exhausted.resolve(in.doc, dense); !reflect.DeepEqual(got, want) {
 			t.Fatalf("doc %s: budget-exhausted ilp %+v, want rwr fallback %+v", in.doc.ID, got, want)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -171,9 +172,9 @@ func (r *RWROnly) Predict(doc *document.Document) []Prediction {
 			cands = append(cands, filter.Candidate{Text: xi, Table: ti, Score: score})
 		}
 	}
-	g := graph.Build(r.Graph, doc, cands)
+	resolved, _ := graph.Build(r.Graph, doc, cands).Resolve(context.Background()) // background ctx: cannot fail
 	var out []Prediction
-	for _, a := range g.Resolve() {
+	for _, a := range resolved {
 		out = append(out, Prediction{
 			DocID: doc.ID, TextIndex: a.Text,
 			TableKey: doc.TableMentions[a.Table].Key(), Score: a.Score,

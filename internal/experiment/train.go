@@ -117,9 +117,10 @@ func BuildTaggerExamples(c *corpus.Corpus, docs []*document.Document) []tagger.E
 		// Emit in text-mention order, not map order: the example sequence
 		// feeds the forest's bootstrap sampler, so iteration order must be
 		// deterministic for identical seeds to train identical models.
+		prepared := tagger.Prepare(doc)
 		for xi := range doc.TextMentions {
 			if agg, ok := byText[xi]; ok {
-				out = append(out, tagger.Example{Features: tagger.Features(doc, xi), Label: agg})
+				out = append(out, tagger.Example{Features: prepared.Features(xi), Label: agg})
 			}
 		}
 	}

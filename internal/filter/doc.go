@@ -23,8 +23,12 @@
 // repeated cost of the stage. The memo is call-local, so Apply stays safe to
 // run concurrently on different documents.
 //
-// Step 1 and the unit check of step 2 never read the classifier score.
-// TagPruned and UnitPruned expose them, so the align path in package core
-// can skip classifying those pairs, and ApplyTagged takes the tags it
-// already computed instead of tagging every text mention again.
+// Step 1 and the unit check of step 2 never read the classifier score, and
+// the value check of step 2 reads it only to compare it with p. TagPruned,
+// UnitPruned and MinScore expose the three rules, so the align path in
+// package core never builds a pair that step 1 or the unit check drops,
+// and stops the forest walk of a pair with a minimum score once that score
+// is out of reach. ApplyTagged takes the tags it already computed instead
+// of tagging every text mention again, and its counters (Dropped) count
+// only the pairs it is handed.
 package filter

@@ -77,10 +77,12 @@ func DefaultConfig() Config {
 
 // Result is the outcome of filtering one document.
 type Result struct {
-	Kept    []Candidate
-	Types   map[int]MentionType  // mention type per text-mention index
-	Tags    map[int]quantity.Agg // tagger prediction per text-mention index
-	Dropped int                  // number of pruned candidates
+	Kept  []Candidate
+	Types map[int]MentionType  // mention type per text-mention index
+	Tags  map[int]quantity.Agg // tagger prediction per text-mention index
+	// Dropped is the number of candidates passed in that were pruned; a
+	// caller that never builds a pair does not count it here.
+	Dropped int
 }
 
 // TagPruned reports whether step 1 drops a pair of table mention tm with a
@@ -96,6 +98,18 @@ func UnitPruned(x *quantity.Mention, tm *table.Mention) bool {
 	return x.Unit != "" && tm.Unit != "" && !quantity.UnitsCompatible(x.Unit, tm.Unit)
 }
 
+// MinScore reports the classifier score a pair of text mention x and table
+// mention tm must reach to survive the value check of step 2: when their
+// relative value difference exceeds cfg.ValueDiffMax (v), the pair is
+// dropped unless its score reaches cfg.MinScoreLooseValue (p). ok is false
+// when the value check keeps the pair whatever its score.
+func MinScore(cfg Config, x *quantity.Mention, tm *table.Mention) (score float64, ok bool) {
+	if quantity.RelativeDifference(x.Value, tm.Value) > cfg.ValueDiffMax {
+		return cfg.MinScoreLooseValue, true
+	}
+	return 0, false
+}
+
 // Apply filters the candidates of one document. The tagger tags each text
 // mention; candidates must carry classifier scores.
 func Apply(cfg Config, doc *document.Document, tag tagger.Tagger, candidates []Candidate) Result {
@@ -104,8 +118,9 @@ func Apply(cfg Config, doc *document.Document, tag tagger.Tagger, candidates []C
 
 // ApplyTagged is Apply with the tagger's predictions already computed:
 // tags[xi] is the predicted aggregation of text mention xi. The align path
-// tags once before classification, gates on the tags, and hands the same
-// slice here.
+// tags once before classification, builds only the pairs that step 1 and
+// the unit check of step 2 keep, and hands the same tags here. A text
+// mention with no candidate gets no entry in Types or Tags.
 func ApplyTagged(cfg Config, doc *document.Document, tags []quantity.Agg, candidates []Candidate) Result {
 	res := Result{
 		Types: make(map[int]MentionType),
@@ -151,8 +166,7 @@ func ApplyTagged(cfg Config, doc *document.Document, tags []quantity.Agg, candid
 		step2 := step1[:0]
 		for _, c := range step1 {
 			tm := doc.TableMentions[c.Table]
-			relDiff := quantity.RelativeDifference(x.Value, tm.Value)
-			if relDiff > cfg.ValueDiffMax && c.Score < cfg.MinScoreLooseValue {
+			if floor, ok := MinScore(cfg, x, tm); ok && c.Score < floor {
 				continue
 			}
 			if UnitPruned(x, tm) {

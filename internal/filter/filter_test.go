@@ -1,11 +1,13 @@
 package filter
 
 import (
+	"math"
 	"testing"
 
 	"briq/internal/document"
 	"briq/internal/quantity"
 	"briq/internal/table"
+	"briq/internal/tagger"
 )
 
 func buildDoc(t *testing.T, text string) *document.Document {
@@ -42,7 +44,7 @@ func allCandidates(doc *document.Document, score float64) []Candidate {
 
 type fixedTagger map[int]quantity.Agg
 
-func (f fixedTagger) Tag(_ *document.Document, xi int) quantity.Agg {
+func (f fixedTagger) Tag(_ *tagger.Prepared, xi int) quantity.Agg {
 	if agg, ok := f[xi]; ok {
 		return agg
 	}
@@ -135,6 +137,38 @@ func TestHighScoreSurvivesValuePruning(t *testing.T) {
 	}
 	if !farKept {
 		t.Error("confident far-value pair was pruned")
+	}
+}
+
+// TestMinScore: MinScore reports p exactly for the pairs whose relative
+// value difference exceeds v, and a far pair scoring exactly that minimum
+// survives step 2 while one scoring just below it does not.
+func TestMinScore(t *testing.T) {
+	doc := buildDoc(t, "Rash hit 35 patients in the trial.")
+	cfg := DefaultConfig()
+	cfg.KSmall, cfg.KExact, cfg.KApprox, cfg.KLarge = 1000, 1000, 1000, 1000 // no top-k cut
+	x := &doc.TextMentions[0]
+	far, other := 0, 0
+	for ti, tm := range doc.TableMentions {
+		minScore, ok := MinScore(cfg, x, tm)
+		rel := quantity.RelativeDifference(x.Value, tm.Value)
+		if ok != (rel > cfg.ValueDiffMax) || (ok && minScore != cfg.MinScoreLooseValue) {
+			t.Fatalf("table mention %d (rel %v): MinScore = %v, %v", ti, rel, minScore, ok)
+		}
+		if !ok || UnitPruned(x, tm) || TagPruned(tm, quantity.SingleCell) {
+			other++
+			continue
+		}
+		far++
+		for _, score := range []float64{minScore, math.Nextafter(minScore, 0)} {
+			res := Apply(cfg, doc, fixedTagger{}, []Candidate{{Text: 0, Table: ti, Score: score}})
+			if kept := len(res.Kept) == 1; kept != (score >= minScore) {
+				t.Fatalf("table mention %d at score %v (minimum %v): kept %v", ti, score, minScore, kept)
+			}
+		}
+	}
+	if far == 0 || other == 0 {
+		t.Fatalf("%d far and %d other table mentions; want both", far, other)
 	}
 }
 

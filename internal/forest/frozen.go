@@ -161,142 +161,81 @@ func (z *Frozen) PositiveProba(x []float64) float64 {
 	return votes[1%z.classes] / float64(z.nTrees)
 }
 
-// batchBlock is the number of rows walked together through each tree. The
-// compiled forest (80 trees × depth 12 at the default config) is far larger
-// than L1/L2, so a row-at-a-time batch re-streams every tree from memory for
-// every row. Walking a block of rows through one tree before moving to the
-// next keeps the tree's hot nodes cached across the block and gives the CPU
-// independent root-to-leaf chains to overlap. Vote totals per row are
-// unchanged — each row still collects exactly one vote per tree, and the
-// integer-valued float increments commute exactly — so blocking preserves
-// the bit-identity contract.
-const batchBlock = 32
-
-// voteBlock walks every tree for the b rows starting at xs row r0 and
-// accumulates votes into vb, which holds b rows of z.classes counters.
-func (z *Frozen) voteBlock(xs []float64, r0, b int, vb []float64) {
-	nodes := z.nodes
-	nf := z.nFeatures
-	cls := z.classes
-	for r := 0; r < b; r++ {
-		x := xs[(r0+r)*nf : (r0+r+1)*nf]
-		for _, root := range z.roots {
-			i := root
-			for {
-				n := &nodes[i]
-				if n.feat < 0 {
-					vb[r*cls+int(n.class)]++
-					break
-				}
-				if x[n.feat] <= n.thresh {
-					i = n.left
-				} else {
-					i = n.right
-				}
-			}
-		}
-	}
-}
-
-// PredictProbaBatch evaluates n feature vectors laid out row-major in xs
-// (len ≥ n*NumFeatures) and writes n rows of class probabilities row-major
-// into out (len ≥ n*Classes), reusing out's backing array when capacity
-// allows. Each row is bit-identical to Forest.PredictProba on that vector.
-// It returns the out slice used.
-func (z *Frozen) PredictProbaBatch(xs []float64, n int, out []float64) []float64 {
-	need := n * z.classes
-	if cap(out) < need {
-		out = make([]float64, need)
-	} else {
-		out = out[:need]
-	}
-	// out doubles as the vote accumulator: zero it, walk blocks of rows
-	// through each tree, then divide in place.
-	for i := range out {
-		out[i] = 0
-	}
+// VotesFor returns the fewest positive votes k whose score
+// float64(k)/Trees() reaches score, or 0 when no vote count up to Trees()
+// does (a floor of 0 walks every tree). It is the vote floor that
+// PositiveProbaBatch stops against for a caller that only tests a row's
+// score against score.
+func (z *Frozen) VotesFor(score float64) int32 {
 	div := float64(z.nTrees)
-	for r0 := 0; r0 < n; r0 += batchBlock {
-		b := n - r0
-		if b > batchBlock {
-			b = batchBlock
+	for k := 0; k <= z.nTrees; k++ {
+		if float64(k)/div >= score {
+			return int32(k)
 		}
-		z.voteBlock(xs, r0, b, out[r0*z.classes:(r0+b)*z.classes])
 	}
-	for i := range out {
-		out[i] /= div
-	}
-	return out
+	return 0
 }
-
-// BatchScratchLen returns the minimum length of the votes scratch buffer for
-// PositiveProbaBatch, letting callers pre-size a reusable slice.
-func (z *Frozen) BatchScratchLen() int { return batchBlock * z.classes }
 
 // PositiveProbaBatch evaluates n feature vectors laid out row-major in xs
-// (len ≥ n*NumFeatures) and writes the class-1 probability of each into out
-// (len ≥ n), reusing out's backing array when capacity allows. votes is the
-// single scratch buffer of the batch — one block of per-class counters
-// (BatchScratchLen long) reused across all row blocks, allocated when too
-// small. Each score is bit-identical to Forest.PositiveProba on that vector.
-// It returns the out slice used.
-func (z *Frozen) PositiveProbaBatch(xs []float64, n int, out, votes []float64) []float64 {
+// (len ≥ n*NumFeatures) and writes the PositiveProba of each into out
+// (len ≥ n), reusing out's backing array when capacity allows. It returns
+// the out slice used.
+//
+// floors holds one vote floor per row; nil means 0 for every row. A row
+// whose floor is 0 or below walks every tree, and its score is bit-identical
+// to Forest.PositiveProba on that vector. On a binary forest, a row with
+// floor f > 0 stops walking once its positive votes plus its remaining
+// trees fall below f: its full score would be below f/Trees(), and so is
+// the partial count over Trees() written in its place. A row that reaches f
+// walks every tree and keeps its exact score. A forest with another class
+// count walks every tree of every row.
+func (z *Frozen) PositiveProbaBatch(xs []float64, n int, floors []int32, out []float64) []float64 {
 	if cap(out) < n {
 		out = make([]float64, n)
 	} else {
 		out = out[:n]
 	}
-	need := batchBlock * z.classes
-	if cap(votes) < need {
-		votes = make([]float64, need)
-	} else {
-		votes = votes[:need]
-	}
-	div := float64(z.nTrees)
-	if z.classes == 2 {
-		// Binary fast path: the class-1 vote count is the only number the
-		// caller needs, and leaf classes are 0 or 1, so one integer counter
-		// per row replaces the per-class accumulator. float64(count)/trees is
-		// bit-identical to the generic path's votes[1]/trees — both divide
-		// the same integer-valued numerator.
-		nodes := z.nodes
-		nf := z.nFeatures
-		for r := 0; r < n; r++ {
-			x := xs[r*nf : (r+1)*nf]
-			cnt := int32(0)
-			for _, root := range z.roots {
-				i := root
-				for {
-					nd := &nodes[i]
-					if nd.feat < 0 {
-						cnt += nd.class
-						break
-					}
-					if x[nd.feat] <= nd.thresh {
-						i = nd.left
-					} else {
-						i = nd.right
-					}
-				}
-			}
-			out[r] = float64(cnt) / div
+	nf := z.nFeatures
+	if z.classes != 2 {
+		for r := range out {
+			out[r] = z.PositiveProba(xs[r*nf : (r+1)*nf])
 		}
 		return out
 	}
-	pos := 1 % z.classes
-	for r0 := 0; r0 < n; r0 += batchBlock {
-		b := n - r0
-		if b > batchBlock {
-			b = batchBlock
+	// Leaf classes are 0 or 1, so one integer counter per row holds the
+	// class-1 votes; float64(count)/trees is bit-identical to the reference's
+	// votes[1]/trees, which divides the same integer-valued numerator.
+	div := float64(z.nTrees)
+	nodes := z.nodes
+	for r := 0; r < n; r++ {
+		x := xs[r*nf : (r+1)*nf]
+		// maxMiss is the most negative votes a row can take and still
+		// reach its floor; walked-cnt counts the negative votes so far.
+		maxMiss := int32(z.nTrees)
+		if floors != nil && floors[r] > 0 {
+			maxMiss -= floors[r]
 		}
-		vb := votes[:b*z.classes]
-		for i := range vb {
-			vb[i] = 0
+		cnt, walked := int32(0), int32(0)
+		for _, root := range z.roots {
+			if walked-cnt > maxMiss {
+				break
+			}
+			i := root
+			for {
+				nd := &nodes[i]
+				if nd.feat < 0 {
+					cnt += nd.class
+					break
+				}
+				if x[nd.feat] <= nd.thresh {
+					i = nd.left
+				} else {
+					i = nd.right
+				}
+			}
+			walked++
 		}
-		z.voteBlock(xs, r0, b, vb)
-		for r := 0; r < b; r++ {
-			out[r0+r] = vb[r*z.classes+pos] / div
-		}
+		out[r] = float64(cnt) / div
 	}
 	return out
 }

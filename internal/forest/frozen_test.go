@@ -20,8 +20,18 @@ import (
 // deterministic and identical on both engines even for garbage input).
 func randomForest(t *testing.T, seed int64) (*Forest, [][]float64) {
 	t.Helper()
+	return randomForestOf(t, seed, 0)
+}
+
+// randomForestOf is randomForest with a fixed class count; 0 draws 2–4
+// classes from the seed.
+func randomForestOf(t *testing.T, seed int64, classes int) (*Forest, [][]float64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	classes := 2 + rng.Intn(3)
+	drawn := 2 + rng.Intn(3)
+	if classes == 0 {
+		classes = drawn
+	}
 	nFeatures := 3 + rng.Intn(10)
 	nSamples := 40 + rng.Intn(120)
 	samples := make([]Sample, nSamples)
@@ -93,38 +103,105 @@ func TestFrozenBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestFrozenBatchMatchesSingle: the batch entry points over a row-major
-// matrix agree exactly with per-vector calls, with scratch reused across
-// calls and rows.
+// TestFrozenBatchMatchesSingle: PositiveProbaBatch over a row-major matrix
+// agrees exactly with per-vector calls, with out reused across calls and
+// with nil or all-zero floors. On 3- and 4-class forests it walks every
+// tree whatever the floors, so all-trees floors change nothing there.
 func TestFrozenBatchMatchesSingle(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		f, probes := randomForest(t, seed)
-		z := f.Frozen()
-		nf := z.NumFeatures()
-		xs := make([]float64, 0, len(probes)*nf)
-		for _, x := range probes {
-			xs = append(xs, x...)
-		}
+	for _, classes := range []int{2, 3, 4} {
+		for seed := int64(1); seed <= 6; seed++ {
+			f, probes := randomForestOf(t, seed, classes)
+			z := f.Frozen()
+			nf := z.NumFeatures()
+			xs := make([]float64, 0, len(probes)*nf)
+			for _, x := range probes {
+				xs = append(xs, x...)
+			}
 
-		var probaOut, posOut, votes []float64
-		// Two passes through the same scratch: the second must not see the
-		// first pass's values (the stale-scratch hazard of buffer reuse).
-		for pass := 0; pass < 2; pass++ {
-			probaOut = z.PredictProbaBatch(xs, len(probes), probaOut)
-			posOut = z.PositiveProbaBatch(xs, len(probes), posOut, votes)
-			for r, x := range probes {
-				want := f.PredictProba(x)
-				row := probaOut[r*z.Classes() : (r+1)*z.Classes()]
-				for c := range want {
-					if !bitEqual(row[c], want[c]) {
-						t.Fatalf("seed %d pass %d row %d class %d: batch %v, reference %v",
-							seed, pass, r, c, row[c], want[c])
+			var out []float64
+			zeros := make([]int32, len(probes))
+			floorSets := [][]int32{nil, zeros}
+			if classes != 2 {
+				all := make([]int32, len(probes))
+				for i := range all {
+					all[i] = int32(z.Trees())
+				}
+				floorSets = append(floorSets, all)
+			}
+			// Two passes through the same out: the second must not see the
+			// first pass's values (the stale-scratch hazard of buffer reuse).
+			for pass := 0; pass < 2; pass++ {
+				for _, floors := range floorSets {
+					out = z.PositiveProbaBatch(xs, len(probes), floors, out)
+					for r, x := range probes {
+						if want := f.PositiveProba(x); !bitEqual(out[r], want) {
+							t.Fatalf("%d classes seed %d pass %d row %d: batch positive %v, reference %v",
+								classes, seed, pass, r, out[r], want)
+						}
 					}
 				}
-				if want := f.PositiveProba(x); !bitEqual(posOut[r], want) {
-					t.Fatalf("seed %d pass %d row %d: batch positive %v, reference %v",
-						seed, pass, r, posOut[r], want)
-				}
+			}
+		}
+	}
+}
+
+// checkFloors runs rows through PositiveProbaBatch in one batch with the
+// given per-row floors and checks each against Forest.PositiveProba: a row
+// scores below floor/trees exactly when its full score does, and
+// bit-identically to the full score otherwise (so always, for a floor of 0
+// or below).
+func checkFloors(t *testing.T, f *Forest, z *Frozen, rows [][]float64, floors []int32) {
+	t.Helper()
+	xs := make([]float64, 0, len(rows)*z.NumFeatures())
+	for _, x := range rows {
+		xs = append(xs, x...)
+	}
+	got := z.PositiveProbaBatch(xs, len(rows), floors, nil)
+	trees := float64(z.Trees())
+	for r, x := range rows {
+		want := f.PositiveProba(x)
+		thr := float64(floors[r]) / trees
+		if want < thr {
+			if !(got[r] < thr) {
+				t.Fatalf("row %d %v floor %d: full score %v is below %v, floored score %v is not",
+					r, x, floors[r], want, thr, got[r])
+			}
+			continue
+		}
+		if !bitEqual(got[r], want) {
+			t.Fatalf("row %d %v floor %d: floored score %v, full score %v (at or above %v)",
+				r, x, floors[r], got[r], want, thr)
+		}
+	}
+}
+
+// TestPositiveProbaBatchFloors: on random binary forests and probe rows
+// (NaN and ±Inf included), random per-row vote floors stop a row's walk
+// only when its full score is below the floor, and VotesFor is the
+// smallest vote count whose score reaches a threshold.
+func TestPositiveProbaBatchFloors(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f, probes := randomForestOf(t, seed, 2)
+		z := f.Frozen()
+		rng := rand.New(rand.NewSource(seed + 1000))
+		trees := z.Trees()
+		floors := make([]int32, len(probes))
+		for i := range floors {
+			floors[i] = int32(rng.Intn(trees+5) - 2) // -2 .. trees+2
+		}
+		checkFloors(t, f, z, probes, floors)
+
+		for _, p := range []float64{-1, 0, 0.3, 0.55, 0.5, 1, 1.5, math.NaN()} {
+			k := z.VotesFor(p)
+			div := float64(trees)
+			if k < 0 || int(k) > trees {
+				t.Fatalf("seed %d: VotesFor(%v) = %d outside [0, %d]", seed, p, k, trees)
+			}
+			if k > 0 && (float64(k)/div < p || float64(k-1)/div >= p) {
+				t.Fatalf("seed %d: VotesFor(%v) = %d is not the fewest votes reaching it", seed, p, k)
+			}
+			if k == 0 && p > 0 && float64(trees)/div >= p {
+				t.Fatalf("seed %d: VotesFor(%v) = 0, but %d votes reach it", seed, p, trees)
 			}
 		}
 	}

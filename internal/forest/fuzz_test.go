@@ -1,13 +1,14 @@
 package forest
 
-// Fuzz harness for the model (de)serialization boundary. Load consumes
-// model files shipped to replicas and handed over the persist API, so it
-// must hold two properties under arbitrary bytes: malformed input errors —
-// never panics, never hangs the prediction walk (the forward-children
-// invariant) — and anything it accepts behaves like a real model: it
-// round-trips through Save bit-identically and its Frozen compilation
-// agrees with the pointer-tree reference. Seed corpus: a valid trained
-// model plus structural mutations, committed under testdata/fuzz.
+// Fuzz harnesses for the model (de)serialization boundary and for the vote
+// floors of the batch walk. Load consumes model files shipped to replicas
+// and handed over the persist API, so it must hold two properties under
+// arbitrary bytes: malformed input errors — never panics, never hangs the
+// prediction walk (the forward-children invariant) — and anything it
+// accepts behaves like a real model: it round-trips through Save
+// bit-identically and its Frozen compilation agrees with the pointer-tree
+// reference. Seed corpus: a valid trained model plus structural mutations,
+// committed under testdata/fuzz.
 
 import (
 	"bytes"
@@ -91,5 +92,33 @@ func FuzzLoad(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzPositiveProbaBatch: two rows of arbitrary values with arbitrary vote
+// floors, scored in one batch over a small seeded binary forest, keep the
+// floor contract of checkFloors — a floored row scores below floor/trees
+// exactly when its full score does, and bit-identically otherwise.
+func FuzzPositiveProbaBatch(f *testing.F) {
+	samples := make([]Sample, 0, 64)
+	for i := 0; i < 64; i++ {
+		a, b, c := float64(i%8)/8, float64(i%5)/5, float64(i%3)/3
+		label := 0
+		if a+b > c+0.4 {
+			label = 1
+		}
+		samples = append(samples, Sample{Features: []float64{a, b, c}, Label: label})
+	}
+	forest, err := Train(samples, 2, Config{Trees: 15, MaxDepth: 4, MinLeaf: 1, Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	z := forest.Frozen()
+	f.Add(0.5, 0.5, 0.5, int32(0), 0.9, 0.1, 0.2, int32(8))
+	f.Add(0.0, 1.0, 0.0, int32(15), 1.0, 1.0, 0.0, int32(16))
+	f.Add(math.NaN(), math.Inf(1), math.Inf(-1), int32(-3), 1e300, -1e300, 0.0, int32(1<<30))
+	f.Fuzz(func(t *testing.T, x0, x1, x2 float64, f0 int32, y0, y1, y2 float64, f1 int32) {
+		rows := [][]float64{{x0, x1, x2}, {y0, y1, y2}}
+		checkFloors(t, forest, z, rows, []int32{f0, f1})
 	})
 }

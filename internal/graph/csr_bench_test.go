@@ -51,7 +51,7 @@ func BenchmarkResolveCSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(docs)
-		Build(DefaultConfig(), docs[j], cands[j]).Resolve()
+		resolve(b, Build(DefaultConfig(), docs[j], cands[j]))
 	}
 }
 

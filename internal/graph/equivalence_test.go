@@ -9,6 +9,7 @@ package graph_test
 // accumulation order is preserved exactly.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func TestResolveMatchesReferenceGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, in := range pipelineInputs(t, seed, 10) {
 				cfg := graph.DefaultConfig()
-				fast := graph.Build(cfg, in.doc, in.cands).Resolve()
+				fast := resolve(t, graph.Build(cfg, in.doc, in.cands))
 				ref := graph.Build(cfg, in.doc, in.cands).ReferenceResolve()
 				if d := diffAlignments(fast, ref); d != "" {
 					t.Fatalf("doc %s: CSR vs reference: %s", in.doc.ID, d)
@@ -106,7 +107,7 @@ func TestResolveMatchesReferenceNoRewire(t *testing.T) {
 						wg.Add(1)
 						go func(w int) {
 							defer wg.Done()
-							got[w] = graph.Build(cfg, in.doc, in.cands).Resolve()
+							got[w], _ = graph.Build(cfg, in.doc, in.cands).Resolve(context.Background()) // background ctx: cannot fail
 						}(w)
 					}
 					wg.Wait()
@@ -141,7 +142,7 @@ func TestRWRMatchesReference(t *testing.T) {
 			}
 		}
 		// Resolve both (rewires both), then walk again on the pruned graphs.
-		fast.Resolve()
+		resolve(t, fast)
 		ref.ReferenceResolve()
 		for x := 0; x < len(in.doc.TextMentions); x++ {
 			got, want := fast.RWR(x), ref.ReferenceRWR(x)
@@ -161,10 +162,20 @@ func TestResolveMatchesReferenceDuplicateCandidates(t *testing.T) {
 	for _, in := range pipelineInputs(t, goldenSeeds[1], 4) {
 		dup := append(append([]filter.Candidate(nil), in.cands...), in.cands...)
 		cfg := graph.DefaultConfig()
-		fast := graph.Build(cfg, in.doc, dup).Resolve()
+		fast := resolve(t, graph.Build(cfg, in.doc, dup))
 		ref := graph.Build(cfg, in.doc, dup).ReferenceResolve()
 		if d := diffAlignments(fast, ref); d != "" {
 			t.Fatalf("doc %s with duplicated candidates: %s", in.doc.ID, d)
 		}
 	}
+}
+
+// resolve runs Resolve under a background context, which cannot cancel it.
+func resolve(tb testing.TB, g *graph.Graph) []graph.Alignment {
+	tb.Helper()
+	out, err := g.Resolve(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

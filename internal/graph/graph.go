@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -348,14 +349,17 @@ func (g *Graph) buildQueue(perText map[int][]cand) []queued {
 // output still equals ReferenceResolve. Resolve consumes the graph
 // (rewiring prunes edges in place): run it once per Build.
 //
+// ctx is checked before each walk: on cancellation Resolve returns
+// ctx.Err() and no alignments, leaving the graph partly rewired.
+//
 // core.Pipeline.AlignContext runs Build+Resolve on the candidates the filter
 // kept; the experiment harness's ILP baseline falls back to it when its
 // solve budget runs out.
-func (g *Graph) Resolve() []Alignment {
+func (g *Graph) Resolve(ctx context.Context) ([]Alignment, error) {
 	perText := g.candidatesPerText()
 	queue := g.buildQueue(perText)
 	if len(queue) == 0 {
-		return nil
+		return nil, nil
 	}
 
 	cs := g.ensureCSR()
@@ -368,6 +372,9 @@ func (g *Graph) Resolve() []Alignment {
 
 	var alignments []Alignment
 	for _, q := range queue {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p := cs.rwr(&g.cfg, q.x)
 		cands := perText[q.x] // already in table order
 
@@ -411,7 +418,7 @@ func (g *Graph) Resolve() []Alignment {
 	}
 
 	sort.Slice(alignments, func(i, j int) bool { return alignments[i].Text < alignments[j].Text })
-	return alignments
+	return alignments, nil
 }
 
 func relDiff(a, b float64) float64 {

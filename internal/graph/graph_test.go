@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -108,7 +110,7 @@ func TestResolveFig3CoupledQuantities(t *testing.T) {
 	// pull the ambiguous mentions to table 1 as well.
 	doc := fig3Doc(t)
 	g := Build(DefaultConfig(), doc, candidatesByValue(doc, 0.5))
-	alignments := g.Resolve()
+	alignments := resolve(t, g)
 
 	if len(alignments) == 0 {
 		t.Fatal("no alignments")
@@ -130,7 +132,7 @@ func TestResolveRespectsEpsilon(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epsilon = 10 // impossible threshold
 	g := Build(cfg, doc, candidatesByValue(doc, 0.5))
-	if got := g.Resolve(); len(got) != 0 {
+	if got := resolve(t, g); len(got) != 0 {
 		t.Errorf("alignments above impossible ε: %d", len(got))
 	}
 }
@@ -139,7 +141,7 @@ func TestResolveDeterministic(t *testing.T) {
 	doc := fig3Doc(t)
 	run := func() []Alignment {
 		g := Build(DefaultConfig(), doc, candidatesByValue(doc, 0.5))
-		return g.Resolve()
+		return resolve(t, g)
 	}
 	a1, a2 := run(), run()
 	if len(a1) != len(a2) {
@@ -178,7 +180,7 @@ func TestResolveUsesPriors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta = 0.1, 0.9 // prior-dominated
 	g := Build(cfg, doc, cands)
-	alignments := g.Resolve()
+	alignments := resolve(t, g)
 	if len(alignments) != 1 {
 		t.Fatalf("want 1 alignment, got %d", len(alignments))
 	}
@@ -213,7 +215,7 @@ func TestRWRHandlesIsolatedNode(t *testing.T) {
 			t.Fatal("NaN probability on isolated graph")
 		}
 	}
-	if got := g.Resolve(); len(got) != 0 {
+	if got := resolve(t, g); len(got) != 0 {
 		t.Errorf("alignments without candidates: %d", len(got))
 	}
 }
@@ -231,5 +233,28 @@ func TestSharesLine(t *testing.T) {
 	}
 	if sharesLine(a, d) {
 		t.Error("disjoint refs should not share")
+	}
+}
+
+// resolve runs Resolve under a background context, which cannot cancel it.
+func resolve(tb testing.TB, g *Graph) []Alignment {
+	tb.Helper()
+	out, err := g.Resolve(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestResolveStopsOnDoneContext: a context that is already done stops
+// Resolve before its first walk, with the context's error and no
+// alignments.
+func TestResolveStopsOnDoneContext(t *testing.T) {
+	doc := fig3Doc(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := Build(DefaultConfig(), doc, candidatesByValue(doc, 0.5)).Resolve(ctx)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("Resolve on a cancelled context = %v, %v; want nil, context.Canceled", got, err)
 	}
 }

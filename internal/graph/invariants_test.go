@@ -87,7 +87,7 @@ func TestResolveNeverAlignsWithoutCandidates(t *testing.T) {
 		}
 	}
 	g := Build(DefaultConfig(), doc, cands)
-	for _, a := range g.Resolve() {
+	for _, a := range resolve(t, g) {
 		if a.Text != 0 {
 			t.Errorf("mention %d aligned without candidates", a.Text)
 		}
@@ -102,7 +102,7 @@ func TestClaimedCellPenaltyBounded(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ClaimedCellPenalty = penalty
 		g := Build(cfg, doc, candidatesByValue(doc, 0.5))
-		return g.Resolve()
+		return resolve(t, g)
 	}
 	plain := run(1)
 	outOfRange := run(-3)

@@ -171,7 +171,7 @@ func TestKeepOnlyIdempotent(t *testing.T) {
 func TestResolveLeavesCSRConsistent(t *testing.T) {
 	doc := fig3Doc(t)
 	g := Build(DefaultConfig(), doc, candidatesByValue(doc, 0.5))
-	g.Resolve()
+	resolve(t, g)
 	checkSymmetric(t, g, "after Resolve")
 	checkCSRConsistent(t, g, "after Resolve")
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	gort "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,9 +120,33 @@ func TestStreamEmitsEveryDocumentOnce(t *testing.T) {
 	}
 }
 
+// cancelAfterFirstAlign is a context that cancels itself at the first check
+// made after the recorder has counted an align, so the cancel lands at the
+// same point of every run instead of whenever a polling goroutine is next
+// scheduled. atCancel is the align count when it fired.
+type cancelAfterFirstAlign struct {
+	context.Context
+	cancel   context.CancelFunc
+	aligned  func() int64
+	once     sync.Once
+	atCancel atomic.Int64
+}
+
+func (c *cancelAfterFirstAlign) Err() error {
+	if c.aligned() > 0 {
+		c.once.Do(func() {
+			c.atCancel.Store(c.aligned())
+			c.cancel()
+		})
+	}
+	return c.Context.Err()
+}
+
 // TestCancellationMidCorpus cancels a large run once the first document has
 // aligned. The run must terminate promptly, report the cancellation, and
-// drop most of the corpus on the floor instead of finishing it.
+// drop most of the corpus on the floor instead of finishing it: once the
+// cancel has fired, only the documents in flight (one per worker) may
+// still finish.
 func TestCancellationMidCorpus(t *testing.T) {
 	// Many copies of a real corpus: big enough that finishing it all before
 	// the cancel lands is impossible.
@@ -137,28 +162,18 @@ func TestCancellationMidCorpus(t *testing.T) {
 	proto.Recorder = rec
 	aligned := func() int64 { return rec.Stage(core.StageAlign).Snapshot().Count }
 
-	ctx, cancel := context.WithCancel(context.Background())
+	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := AlignCorpus(ctx, proto, docs, workers)
-		done <- err
-	}()
-	for aligned() == 0 {
-		select {
-		case err := <-done:
-			t.Fatalf("run ended (err %v) before the recorder counted an align", err)
-		default:
-			gort.Gosched()
-		}
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
+	ctx := &cancelAfterFirstAlign{Context: parent, cancel: cancel, aligned: aligned}
+	if _, err := AlignCorpus(ctx, proto, docs, workers); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The first document, one in flight per worker, and 4× workers of slack
-	// for documents that finish between the first align and the cancel.
-	if n, maxAligned := aligned(), int64(1+5*workers); n > maxAligned {
+	n, atCancel := aligned(), ctx.atCancel.Load()
+	if after := n - atCancel; after > workers {
+		t.Errorf("%d documents finished after cancel, want ≤ %d (one in flight per worker)", after, workers)
+	}
+	// The first document, one in flight per worker, and 4× workers of slack.
+	if maxAligned := int64(1 + 5*workers); n > maxAligned {
 		t.Errorf("aligned %d documents after cancel, want ≤ %d", n, maxAligned)
 	}
 }

@@ -44,86 +44,124 @@ const (
 	immediateScope = 10                // words around the mention
 )
 
-// Features computes the tagger feature vector for text mention xi of doc.
-func Features(doc *document.Document, xi int) []float64 {
-	x := &doc.TextMentions[xi]
+// Prepared is one document made ready for tagging: the parts of the
+// feature vector that depend on the document and not on the mention,
+// computed once. Features reads them for any text mention of the document,
+// so tagging a document costs work linear in its size.
+type Prepared struct {
+	Doc *document.Document
+
+	toks []nlp.Token // tokens of the paragraph
+	// sentenceCues[s] and paraCues count cue words per tagged aggregation
+	// in sentence s of the paragraph and in the whole paragraph.
+	sentenceCues [][4]int
+	paraCues     [4]int
+	// cellValues counts the single-cell table mentions per value.
+	cellValues map[float64]int
+}
+
+// Prepare tokenizes doc's paragraph, splits its sentences, counts their cue
+// words and counts its single-cell values.
+func Prepare(doc *document.Document) *Prepared {
+	p := &Prepared{
+		Doc:        doc,
+		toks:       nlp.Tokenize(doc.Text),
+		cellValues: make(map[float64]int),
+	}
+	for _, w := range nlp.Words(doc.Text) {
+		countCues(&p.paraCues, w)
+	}
+	sentences := nlp.SplitSentences(doc.Text)
+	p.sentenceCues = make([][4]int, len(sentences))
+	for i, sent := range sentences {
+		for _, w := range nlp.Words(sent) {
+			countCues(&p.sentenceCues[i], w)
+		}
+	}
+	for _, tm := range doc.TableMentions {
+		if !tm.IsVirtual() {
+			// NaN never equals a value, and each NaN key is distinct, so
+			// a lookup counts exactly the cells == would match.
+			p.cellValues[tm.Value]++
+		}
+	}
+	return p
+}
+
+// Features computes the tagger feature vector for text mention xi of the
+// prepared document.
+func (p *Prepared) Features(xi int) []float64 {
+	x := &p.Doc.TextMentions[xi]
 	vec := make([]float64, NumTagFeatures)
 
 	vec[fApprox] = float64(x.Approx) / 4
 
-	toks := nlp.Tokenize(doc.Text)
-	sentences := nlp.SplitSentences(doc.Text)
-
 	// Immediate scope: window of ±immediateScope words around the mention.
-	countCues(vec, 0, immediateWords(toks, x.TokenPos))
+	var immediate [4]int
+	lo, hi := x.TokenPos-immediateScope, x.TokenPos+immediateScope
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= len(p.toks) {
+		hi = len(p.toks) - 1
+	}
+	for i := lo; i <= hi; i++ {
+		if i == x.TokenPos {
+			continue
+		}
+		switch p.toks[i].Kind() {
+		case nlp.KindWord, nlp.KindAlnum:
+			countCues(&immediate, strings.ToLower(p.toks[i].Text))
+		}
+	}
+	setCues(vec, 0, &immediate)
 	// Local scope: the mention's sentence.
-	if x.Sentence >= 0 && x.Sentence < len(sentences) {
-		countCues(vec, 1, nlp.Words(sentences[x.Sentence]))
+	if x.Sentence >= 0 && x.Sentence < len(p.sentenceCues) {
+		setCues(vec, 1, &p.sentenceCues[x.Sentence])
 	}
 	// Global scope: the whole paragraph.
-	countCues(vec, 2, nlp.Words(doc.Text))
+	setCues(vec, 2, &p.paraCues)
 
 	vec[fScale] = float64(x.Scale)
 	vec[fPrecision] = float64(x.Precision)
 	vec[fUnit] = float64(quantity.ClassOf(x.Unit))
-
-	exact := 0
-	for _, tm := range doc.TableMentions {
-		if !tm.IsVirtual() && tm.Value == x.Value {
-			exact++
-		}
-	}
-	vec[fExactMatches] = float64(exact)
+	vec[fExactMatches] = float64(p.cellValues[x.Value])
 	return vec
 }
 
-// countCues adds the per-aggregation cue counts for one scope (0=immediate,
-// 1=local, 2=global) into vec.
-func countCues(vec []float64, scope int, words []string) {
-	for _, w := range words {
-		for _, agg := range quantity.CueAggs(w) {
-			for i, ta := range taggedAggs {
-				if agg == ta {
-					vec[fCueBase+i*3+scope]++
-				}
+// countCues adds one count per aggregation that word cues to counts,
+// indexed like taggedAggs.
+func countCues(counts *[4]int, word string) {
+	for _, agg := range quantity.CueAggs(word) {
+		for i, ta := range taggedAggs {
+			if agg == ta {
+				counts[i]++
 			}
 		}
 	}
 }
 
-func immediateWords(toks []nlp.Token, pos int) []string {
-	lo := pos - immediateScope
-	if lo < 0 {
-		lo = 0
+// setCues writes the per-aggregation cue counts of one scope (0=immediate,
+// 1=local, 2=global) into vec.
+func setCues(vec []float64, scope int, counts *[4]int) {
+	for i, n := range counts {
+		vec[fCueBase+i*3+scope] = float64(n)
 	}
-	hi := pos + immediateScope
-	if hi >= len(toks) {
-		hi = len(toks) - 1
-	}
-	var out []string
-	for i := lo; i <= hi; i++ {
-		if i == pos {
-			continue
-		}
-		switch toks[i].Kind() {
-		case nlp.KindWord, nlp.KindAlnum:
-			out = append(out, strings.ToLower(toks[i].Text))
-		}
-	}
-	return out
 }
 
-// Tagger predicts the aggregation label of a text mention.
+// Tagger predicts the aggregation label of text mention xi of a prepared
+// document.
 type Tagger interface {
-	Tag(doc *document.Document, xi int) quantity.Agg
+	Tag(p *Prepared, xi int) quantity.Agg
 }
 
-// TagAll tags every text mention of doc: the result's xi-th entry is
-// t.Tag(doc, xi).
+// TagAll tags every text mention of doc, preparing it once: the result's
+// xi-th entry is t.Tag(Prepare(doc), xi).
 func TagAll(t Tagger, doc *document.Document) []quantity.Agg {
+	p := Prepare(doc)
 	tags := make([]quantity.Agg, len(doc.TextMentions))
 	for xi := range tags {
-		tags[xi] = t.Tag(doc, xi)
+		tags[xi] = t.Tag(p, xi)
 	}
 	return tags
 }
@@ -135,8 +173,8 @@ func TagAll(t Tagger, doc *document.Document) []quantity.Agg {
 type Rule struct{}
 
 // Tag implements Tagger.
-func (Rule) Tag(doc *document.Document, xi int) quantity.Agg {
-	vec := Features(doc, xi)
+func (Rule) Tag(p *Prepared, xi int) quantity.Agg {
+	vec := p.Features(xi)
 	best := quantity.SingleCell
 	bestCount := 0.0
 	for i, agg := range taggedAggs {
@@ -191,13 +229,13 @@ func Train(examples []Example, cfg forest.Config) (*Learned, error) {
 }
 
 // Tag implements Tagger.
-func (l *Learned) Tag(doc *document.Document, xi int) quantity.Agg {
-	return quantity.Agg(l.forest.Predict(Features(doc, xi)))
+func (l *Learned) Tag(p *Prepared, xi int) quantity.Agg {
+	return quantity.Agg(l.forest.Predict(p.Features(xi)))
 }
 
 // TagProba returns the class distribution over Labels.
-func (l *Learned) TagProba(doc *document.Document, xi int) []float64 {
-	return l.forest.PredictProba(Features(doc, xi))
+func (l *Learned) TagProba(p *Prepared, xi int) []float64 {
+	return l.forest.PredictProba(p.Features(xi))
 }
 
 // Forest exposes the underlying model for serialization.

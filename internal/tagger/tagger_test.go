@@ -30,7 +30,7 @@ func docWith(t *testing.T, text string) *document.Document {
 
 func TestFeaturesShape(t *testing.T) {
 	doc := docWith(t, "A total of 84 patients reported side effects.")
-	vec := Features(doc, 0)
+	vec := Prepare(doc).Features(0)
 	if len(vec) != NumTagFeatures {
 		t.Fatalf("feature length = %d, want %d", len(vec), NumTagFeatures)
 	}
@@ -38,7 +38,7 @@ func TestFeaturesShape(t *testing.T) {
 
 func TestFeaturesCueCounts(t *testing.T) {
 	doc := docWith(t, "A total of 84 patients reported side effects.")
-	vec := Features(doc, 0)
+	vec := Prepare(doc).Features(0)
 	// "total" is a sum cue in the immediate scope (index 0 of sum).
 	if vec[fCueBase] == 0 {
 		t.Error("sum immediate cue count should be > 0")
@@ -53,7 +53,7 @@ func TestFeaturesCueCounts(t *testing.T) {
 
 func TestFeaturesExactMatch(t *testing.T) {
 	doc := docWith(t, "Depression affected 38 of the patients.")
-	vec := Features(doc, 0)
+	vec := Prepare(doc).Features(0)
 	if vec[fExactMatches] < 1 {
 		t.Errorf("exact match count = %v, want ≥ 1 (cell '38')", vec[fExactMatches])
 	}
@@ -74,7 +74,7 @@ func TestRuleTagger(t *testing.T) {
 		if len(doc.TextMentions) == 0 {
 			t.Fatalf("no mentions in %q", tc.text)
 		}
-		got := Rule{}.Tag(doc, 0)
+		got := Rule{}.Tag(Prepare(doc), 0)
 		if got != tc.want {
 			t.Errorf("Rule.Tag(%q) = %v, want %v", tc.text, got, tc.want)
 		}
@@ -85,7 +85,7 @@ func TestRuleTaggerExactMatchGuard(t *testing.T) {
 	// "38" exactly matches a cell; a single weak sum cue in another clause
 	// must not flip the tag to an aggregate.
 	doc := docWith(t, "In total the study had issues; Depression was reported by 38 patients.")
-	if got := (Rule{}).Tag(doc, 0); got != quantity.SingleCell {
+	if got := (Rule{}).Tag(Prepare(doc), 0); got != quantity.SingleCell {
 		t.Errorf("Tag = %v, want single-cell (exact-match guard)", got)
 	}
 }
@@ -149,11 +149,11 @@ func TestLearnedTaggerOnDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := docWith(t, "A total of 84 patients reported side effects together overall.")
-	got := lt.Tag(doc, 0)
+	got := lt.Tag(Prepare(doc), 0)
 	if got != quantity.Sum {
 		t.Errorf("learned Tag = %v, want sum", got)
 	}
-	proba := lt.TagProba(doc, 0)
+	proba := lt.TagProba(Prepare(doc), 0)
 	if len(proba) != NumClasses {
 		t.Errorf("proba length = %d", len(proba))
 	}
