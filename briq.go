@@ -272,9 +272,11 @@ func newTrained(seed int64) (*Pipeline, error) {
 }
 
 // AlignHTMLContext parses an HTML page and aligns every quantity mention of
-// its paragraphs to the related tables, honoring ctx between pipeline
-// phases. A page with nothing to align fails with ErrNoTables or
-// ErrNoMentions (wrapped; test with errors.Is).
+// its paragraphs to the related tables. ctx is checked between pipeline
+// phases, once per text mention inside classify and before each random walk
+// inside resolve, so a passed deadline stops the page mid-document. A page
+// with nothing to align fails with ErrNoTables or ErrNoMentions (wrapped;
+// test with errors.Is).
 //
 // On a pipeline with a serving layer (WithCache / WithMaxInFlight) the
 // request is content-addressed: a repeat of a previously aligned

@@ -97,9 +97,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("ErrNoMentions should be IsUnalignable, got %v", err)
 	}
 
-	if err := p.EnsureTrained(); !errors.Is(err, briq.ErrUntrained) {
-		t.Errorf("heuristic pipeline: err = %v, want ErrUntrained", err)
-	}
 	if briq.IsUnalignable(briq.ErrUntrained) {
 		t.Error("ErrUntrained must not be IsUnalignable")
 	}
@@ -154,8 +151,8 @@ func TestNewTrainedFacade(t *testing.T) {
 		t.Skip("training takes a few seconds")
 	}
 	p := briq.New(briq.WithTrainedSeed(7))
-	if err := p.EnsureTrained(); err != nil {
-		t.Fatalf("WithTrainedSeed pipeline reports %v", err)
+	if p.Classifier == nil {
+		t.Fatal("WithTrainedSeed pipeline has no classifier")
 	}
 	alignments, err := briq.AlignHTMLContext(context.Background(), p, "p0", quickstartPage)
 	if err != nil {

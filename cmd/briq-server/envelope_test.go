@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"briq"
+	"briq/internal/api"
 	gate "briq/internal/serve"
 )
 
@@ -19,25 +20,25 @@ import (
 // independently of the other.
 func TestErrorCodeTable(t *testing.T) {
 	want := map[string]int{
-		codeBadRequest:       400,
-		codeMethodNotAllowed: 405,
-		codePayloadTooLarge:  413,
-		codeNoTables:         422,
-		codeNoMentions:       422,
-		codeUnprocessable:    422,
-		codeBadQuery:         422,
-		codeOverloaded:       429,
-		codeInternal:         500,
-		codeUnavailable:      503,
-		codeDeadline:         504,
+		api.CodeBadRequest:       400,
+		api.CodeMethodNotAllowed: 405,
+		api.CodePayloadTooLarge:  413,
+		api.CodeNoTables:         422,
+		api.CodeNoMentions:       422,
+		api.CodeUnprocessable:    422,
+		api.CodeBadQuery:         422,
+		api.CodeOverloaded:       429,
+		api.CodeInternal:         500,
+		api.CodeUnavailable:      503,
+		api.CodeDeadline:         504,
 	}
-	if len(errorStatus) != len(want) {
-		t.Fatalf("errorStatus has %d codes, want %d — extend this test with the new code", len(errorStatus), len(want))
+	if len(api.StatusByCode) != len(want) {
+		t.Fatalf("api.StatusByCode has %d codes, want %d — extend this test with the new code", len(api.StatusByCode), len(want))
 	}
 	for code, status := range want {
-		got, ok := errorStatus[code]
+		got, ok := api.StatusByCode[code]
 		if !ok {
-			t.Errorf("code %q missing from errorStatus", code)
+			t.Errorf("code %q missing from api.StatusByCode", code)
 			continue
 		}
 		if got != status {
@@ -55,15 +56,15 @@ func TestWriteErrorEnvelope(t *testing.T) {
 		t.Fatalf("status = %d, want 405", rec.Code)
 	}
 	body := rec.Body.String()
-	var env envelope
+	var env api.Envelope
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Result != nil {
 		t.Errorf("error response result = %v, want null", env.Result)
 	}
-	if env.Error == nil || env.Error.Code != codeMethodNotAllowed || env.Error.Message == "" {
-		t.Errorf("error = %+v, want code %q with a message", env.Error, codeMethodNotAllowed)
+	if env.Error == nil || env.Error.Code != api.CodeMethodNotAllowed || env.Error.Message == "" {
+		t.Errorf("error = %+v, want code %q with a message", env.Error, api.CodeMethodNotAllowed)
 	}
 	// The raw body must carry both envelope keys, even when one is null.
 	for _, key := range []string{`"result"`, `"error"`, `"code"`, `"message"`} {
@@ -75,16 +76,16 @@ func TestWriteErrorEnvelope(t *testing.T) {
 
 func TestWriteErrorUnknownCode(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeError(rec, "no_such_code", "boom")
+	api.WriteError(rec, "no_such_code", "boom")
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("unknown code status = %d, want 500", rec.Code)
 	}
-	var env envelope
+	var env api.Envelope
 	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error == nil || env.Error.Code != codeInternal {
-		t.Errorf("unknown code mapped to %+v, want %q", env.Error, codeInternal)
+	if env.Error == nil || env.Error.Code != api.CodeInternal {
+		t.Errorf("unknown code mapped to %+v, want %q", env.Error, api.CodeInternal)
 	}
 }
 
@@ -162,12 +163,12 @@ func TestOverloadSheds429(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
-	var env envelope
+	var env api.Envelope
 	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error == nil || env.Error.Code != codeOverloaded {
-		t.Errorf("error = %+v, want code %q", env.Error, codeOverloaded)
+	if env.Error == nil || env.Error.Code != api.CodeOverloaded {
+		t.Errorf("error = %+v, want code %q", env.Error, api.CodeOverloaded)
 	}
 	if c := p.Gate.Counters(); c["shed_overloaded"] != 1 {
 		t.Errorf("shed_overloaded = %d, want 1", c["shed_overloaded"])

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"unicode/utf8"
 
+	"briq/internal/api"
 	"briq/internal/ingest"
 )
 
@@ -30,7 +31,7 @@ type ingestLine struct {
 // shape is only used before the stream starts (wrong method).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, codeMethodNotAllowed, `POST NDJSON lines {"page_id": ..., "html": ...}`)
+		api.WriteError(w, api.CodeMethodNotAllowed, `POST NDJSON lines {"page_id": ..., "html": ...}`)
 		return
 	}
 
@@ -71,7 +72,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			emit(ingest.Result{
 				PageID: fmt.Sprintf("line%d", lineNo),
 				Error:  fmt.Sprintf("decode line %d: %v", lineNo, err),
-				Code:   codeBadRequest,
+				Code:   api.CodeBadRequest,
 			})
 			continue
 		}
@@ -79,13 +80,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case pg.PageID == "":
 			res.PageID = fmt.Sprintf("line%d", lineNo)
-			res.Error, res.Code = fmt.Sprintf("line %d: missing page_id", lineNo), codeBadRequest
+			res.Error, res.Code = fmt.Sprintf("line %d: missing page_id", lineNo), api.CodeBadRequest
 		case pg.HTML == "":
-			res.Error, res.Code = "empty html", codeBadRequest
+			res.Error, res.Code = "empty html", api.CodeBadRequest
 		case !utf8.ValidString(pg.HTML):
-			res.Error, res.Code = "html is not valid UTF-8", codeBadRequest
+			res.Error, res.Code = "html is not valid UTF-8", api.CodeBadRequest
 		case r.Context().Err() != nil:
-			res.Error, res.Code = "request deadline exceeded", codeDeadline
+			res.Error, res.Code = "request deadline exceeded", api.CodeDeadline
 		default:
 			res = s.ingestor.Page(r.Context(), pg.PageID, pg.HTML)
 		}
@@ -100,7 +101,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		emit(ingest.Result{
 			PageID: fmt.Sprintf("line%d", lineNo+1),
 			Error:  fmt.Sprintf("read stream: %v", err),
-			Code:   codePayloadTooLarge,
+			Code:   api.CodePayloadTooLarge,
 		})
 	}
 }

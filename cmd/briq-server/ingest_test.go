@@ -13,6 +13,7 @@ import (
 
 	"briq"
 	"briq/client"
+	"briq/internal/api"
 	"briq/internal/corpus"
 	"briq/internal/ingest"
 )
@@ -65,9 +66,9 @@ func TestIngestValidationLines(t *testing.T) {
 		t.Fatalf("got %d response lines, want 4: %+v", len(results), results)
 	}
 	for i, want := range []struct{ pageID, code string }{
-		{"line1", codeBadRequest},
-		{"line2", codeBadRequest},
-		{"empty", codeBadRequest},
+		{"line1", api.CodeBadRequest},
+		{"line2", api.CodeBadRequest},
+		{"empty", api.CodeBadRequest},
 	} {
 		if results[i].PageID != want.pageID || results[i].Code != want.code || results[i].Error == "" {
 			t.Errorf("line %d = %+v, want page %q code %q", i+1, results[i], want.pageID, want.code)
@@ -94,11 +95,11 @@ func TestIngestWrongMethod(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d, want 405", rec.Code)
 	}
-	var env envelope
+	var env api.Envelope
 	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error == nil || env.Error.Code != codeMethodNotAllowed {
+	if env.Error == nil || env.Error.Code != api.CodeMethodNotAllowed {
 		t.Errorf("error = %+v", env.Error)
 	}
 }

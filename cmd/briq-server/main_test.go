@@ -15,6 +15,7 @@ import (
 
 	"briq"
 	"briq/client"
+	"briq/internal/api"
 	"briq/internal/core"
 )
 
@@ -61,7 +62,7 @@ func TestHandleAlign(t *testing.T) {
 		Result struct {
 			Alignments []briq.Alignment `json:"alignments"`
 		} `json:"result"`
-		Error *apiError `json:"error"`
+		Error *api.Error `json:"error"`
 	}
 	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
@@ -268,12 +269,12 @@ func TestRequestDeadline(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", rec.Code)
 	}
-	var env envelope
+	var env api.Envelope
 	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error == nil || env.Error.Code != codeDeadline {
-		t.Errorf("error = %+v, want code %q", env.Error, codeDeadline)
+	if env.Error == nil || env.Error.Code != api.CodeDeadline {
+		t.Errorf("error = %+v, want code %q", env.Error, api.CodeDeadline)
 	}
 }
 
@@ -300,12 +301,12 @@ func TestHandleSummarize(t *testing.T) {
 	}
 }
 
-// TestWriteJSONEncodeFailure is the writeJSON regression test: when encoding
-// fails before anything is written, the client gets a clean 500, not a
-// half-committed 200.
+// TestWriteJSONEncodeFailure is the api.WriteJSON regression test: when
+// encoding fails before anything is written, the client gets a clean 500,
+// not a half-committed 200.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"bad": math.NaN()})
+	api.WriteJSON(rec, http.StatusOK, map[string]any{"bad": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}
@@ -316,7 +317,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 
 func TestWriteJSONSetsStatusBeforeBody(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusCreated, map[string]any{"ok": true})
+	api.WriteJSON(rec, http.StatusCreated, map[string]any{"ok": true})
 	if rec.Code != http.StatusCreated {
 		t.Errorf("status = %d, want 201", rec.Code)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"briq"
+	"briq/internal/api"
 	"briq/internal/facts"
 	"briq/internal/quantsearch"
 )
@@ -20,7 +21,7 @@ type searchPage struct {
 		Items      []quantsearch.Result `json:"items"`
 		NextCursor string               `json:"next_cursor"`
 	} `json:"result"`
-	Error *apiError `json:"error"`
+	Error *api.Error `json:"error"`
 }
 
 // TestSearchAfterAlign drives the full write path: aligning a page feeds the
@@ -108,25 +109,25 @@ var listValidationCases = []struct {
 	wantStatus int
 	wantCode   string
 }{
-	{"search wrong method", http.MethodPost, "/v1/search", 405, codeMethodNotAllowed},
-	{"search no query", http.MethodGet, "/v1/search", 422, codeBadQuery},
-	{"search q and structured", http.MethodGet, "/v1/search?q=above+5&value=5", 422, codeBadQuery},
-	{"search q without value", http.MethodGet, "/v1/search?q=just+words", 422, codeBadQuery},
-	{"search bad op", http.MethodGet, "/v1/search?op=around&value=5", 422, codeBadQuery},
-	{"search bad value", http.MethodGet, "/v1/search?value=abc", 422, codeBadQuery},
-	{"search op without value", http.MethodGet, "/v1/search?op=above", 422, codeBadQuery},
-	{"search between without value2", http.MethodGet, "/v1/search?op=between&value=5", 422, codeBadQuery},
-	{"search value2 without between", http.MethodGet, "/v1/search?op=above&value=5&value2=10", 422, codeBadQuery},
-	{"search unknown unit", http.MethodGet, "/v1/search?value=5&unit=wombats", 422, codeBadQuery},
-	{"search bad cursor", http.MethodGet, "/v1/search?value=5&cursor=xyz", 422, codeBadQuery},
-	{"search negative cursor", http.MethodGet, "/v1/search?value=5&cursor=-3", 422, codeBadQuery},
-	{"search bad limit", http.MethodGet, "/v1/search?value=5&limit=0", 422, codeBadQuery},
-	{"facts wrong method", http.MethodPost, "/v1/facts", 405, codeMethodNotAllowed},
-	{"facts missing entity", http.MethodGet, "/v1/facts", 422, codeBadQuery},
-	{"facts bad cursor", http.MethodGet, "/v1/facts?entity=rash&cursor=nope", 422, codeBadQuery},
-	{"search NaN value", http.MethodGet, "/v1/search?value=NaN", 422, codeBadQuery},
-	{"search infinite value", http.MethodGet, "/v1/search?value=Inf", 422, codeBadQuery},
-	{"search non-finite between", http.MethodGet, "/v1/search?op=between&value=-Inf&value2=NaN", 422, codeBadQuery},
+	{"search wrong method", http.MethodPost, "/v1/search", 405, api.CodeMethodNotAllowed},
+	{"search no query", http.MethodGet, "/v1/search", 422, api.CodeBadQuery},
+	{"search q and structured", http.MethodGet, "/v1/search?q=above+5&value=5", 422, api.CodeBadQuery},
+	{"search q without value", http.MethodGet, "/v1/search?q=just+words", 422, api.CodeBadQuery},
+	{"search bad op", http.MethodGet, "/v1/search?op=around&value=5", 422, api.CodeBadQuery},
+	{"search bad value", http.MethodGet, "/v1/search?value=abc", 422, api.CodeBadQuery},
+	{"search op without value", http.MethodGet, "/v1/search?op=above", 422, api.CodeBadQuery},
+	{"search between without value2", http.MethodGet, "/v1/search?op=between&value=5", 422, api.CodeBadQuery},
+	{"search value2 without between", http.MethodGet, "/v1/search?op=above&value=5&value2=10", 422, api.CodeBadQuery},
+	{"search unknown unit", http.MethodGet, "/v1/search?value=5&unit=wombats", 422, api.CodeBadQuery},
+	{"search bad cursor", http.MethodGet, "/v1/search?value=5&cursor=xyz", 422, api.CodeBadQuery},
+	{"search negative cursor", http.MethodGet, "/v1/search?value=5&cursor=-3", 422, api.CodeBadQuery},
+	{"search bad limit", http.MethodGet, "/v1/search?value=5&limit=0", 422, api.CodeBadQuery},
+	{"facts wrong method", http.MethodPost, "/v1/facts", 405, api.CodeMethodNotAllowed},
+	{"facts missing entity", http.MethodGet, "/v1/facts", 422, api.CodeBadQuery},
+	{"facts bad cursor", http.MethodGet, "/v1/facts?entity=rash&cursor=nope", 422, api.CodeBadQuery},
+	{"search NaN value", http.MethodGet, "/v1/search?value=NaN", 422, api.CodeBadQuery},
+	{"search infinite value", http.MethodGet, "/v1/search?value=Inf", 422, api.CodeBadQuery},
+	{"search non-finite between", http.MethodGet, "/v1/search?op=between&value=-Inf&value2=NaN", 422, api.CodeBadQuery},
 }
 
 // TestSearchFactsValidation drives every list-endpoint failure mode.
@@ -138,7 +139,7 @@ func TestSearchFactsValidation(t *testing.T) {
 			if rec.Code != tt.wantStatus {
 				t.Fatalf("status = %d, want %d (body: %.200s)", rec.Code, tt.wantStatus, rec.Body.String())
 			}
-			var env envelope
+			var env api.Envelope
 			if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 				t.Fatal(err)
 			}

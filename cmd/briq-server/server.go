@@ -37,30 +37,6 @@ const maxBody = 8 << 20
 // across requests so a single call cannot monopolize the worker pool.
 const maxBatchPages = 256
 
-// The error-code table, the envelope shape, and the route list all live in
-// internal/api now — shared verbatim with briq-gateway and package client.
-// These aliases keep the server's handlers and tests reading in local terms.
-const (
-	codeBadRequest       = api.CodeBadRequest
-	codeMethodNotAllowed = api.CodeMethodNotAllowed
-	codePayloadTooLarge  = api.CodePayloadTooLarge
-	codeNoTables         = api.CodeNoTables
-	codeNoMentions       = api.CodeNoMentions
-	codeUnprocessable    = api.CodeUnprocessable
-	codeBadQuery         = api.CodeBadQuery
-	codeOverloaded       = api.CodeOverloaded
-	codeInternal         = api.CodeInternal
-	codeUnavailable      = api.CodeUnavailable
-	codeDeadline         = api.CodeDeadline
-)
-
-var errorStatus = api.StatusByCode
-
-type (
-	envelope = api.Envelope
-	apiError = api.Error
-)
-
 // serverOptions configure the HTTP layer around the pipeline.
 type serverOptions struct {
 	requestTimeout time.Duration // per-request context deadline (0 = none)
@@ -192,7 +168,7 @@ func (s *server) instrument(name string, h http.HandlerFunc) http.Handler {
 			if v := recover(); v != nil {
 				s.metrics.errors.Inc("panics")
 				if sw.status == 0 {
-					writeError(sw, codeInternal, "internal server error")
+					api.WriteError(sw, api.CodeInternal, "internal server error")
 				}
 				s.opts.logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 			}
@@ -214,20 +190,20 @@ func (s *server) instrument(name string, h http.HandlerFunc) http.Handler {
 // failure itself and returns ok=false when the request is unusable.
 func (s *server) readPage(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
-		writeError(w, codeMethodNotAllowed, "POST an HTML page body")
+		api.WriteError(w, api.CodeMethodNotAllowed, "POST an HTML page body")
 		return "", false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeError(w, codeBadRequest, fmt.Sprintf("read body: %v", err))
+		api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("read body: %v", err))
 		return "", false
 	}
 	if len(body) == 0 {
-		writeError(w, codeBadRequest, "empty body")
+		api.WriteError(w, api.CodeBadRequest, "empty body")
 		return "", false
 	}
 	if !utf8.Valid(body) {
-		writeError(w, codeBadRequest, "body is not valid UTF-8 text")
+		api.WriteError(w, api.CodeBadRequest, "body is not valid UTF-8 text")
 		return "", false
 	}
 	return string(body), true
@@ -248,7 +224,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeResult(w, map[string]any{"alignments": alignments})
+	api.WriteResult(w, map[string]any{"alignments": alignments})
 }
 
 // batchRequest is the POST /align/batch body.
@@ -275,27 +251,22 @@ type batchPageResult struct {
 // stage latencies reach the server metrics as it completes.
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, codeMethodNotAllowed, `POST JSON {"pages": [{"id": ..., "html": ...}]}`)
+		api.WriteError(w, api.CodeMethodNotAllowed, `POST JSON {"pages": [{"id": ..., "html": ...}]}`)
 		return
 	}
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, codeBadRequest, fmt.Sprintf("decode request: %v", err))
+		api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if len(req.Pages) == 0 {
-		writeError(w, codeBadRequest, "no pages in request")
+		api.WriteError(w, api.CodeBadRequest, "no pages in request")
 		return
 	}
 	if len(req.Pages) > maxBatchPages {
-		writeError(w, codePayloadTooLarge, fmt.Sprintf("too many pages: %d > %d", len(req.Pages), maxBatchPages))
+		api.WriteError(w, api.CodePayloadTooLarge, fmt.Sprintf("too many pages: %d > %d", len(req.Pages), maxBatchPages))
 		return
-	}
-
-	seg := s.pipeline.Segmenter
-	if seg == nil {
-		seg = document.NewSegmenter()
 	}
 
 	results := make([]batchPageResult, len(req.Pages))
@@ -311,25 +282,25 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 			id = fmt.Sprintf("page%d", i)
 		}
 		if prev, dup := seenID[id]; dup {
-			writeError(w, codeBadRequest, fmt.Sprintf("duplicate page id %q (pages %d and %d)", id, prev, i))
+			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("duplicate page id %q (pages %d and %d)", id, prev, i))
 			return
 		}
 		seenID[id] = i
 		results[i] = batchPageResult{ID: id, Alignments: []briq.Alignment{}}
 		if pg.HTML == "" {
-			writeError(w, codeBadRequest, fmt.Sprintf("page %q: empty html", id))
+			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: empty html", id))
 			return
 		}
 		if !utf8.ValidString(pg.HTML) {
-			writeError(w, codeBadRequest, fmt.Sprintf("page %q: html is not valid UTF-8", id))
+			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: html is not valid UTF-8", id))
 			return
 		}
 
 		segStart := time.Now()
-		pdocs, err := seg.SegmentPage(id, htmlx.ParseString(pg.HTML))
+		pdocs, err := s.pipeline.Segmenter.SegmentPage(id, htmlx.ParseString(pg.HTML))
 		s.metrics.stages.Observe(core.StageSegment, time.Since(segStart))
 		if err != nil {
-			writeError(w, codeUnprocessable, fmt.Sprintf("page %q: %v", id, err))
+			api.WriteError(w, api.CodeUnprocessable, fmt.Sprintf("page %q: %v", id, err))
 			return
 		}
 		results[i].Documents = len(pdocs)
@@ -360,7 +331,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add("pages", int64(len(req.Pages)))
 	s.metrics.batch.Add("documents", int64(len(docs)))
 	s.metrics.batch.Add("alignments", int64(len(aligned)))
-	writeResult(w, map[string]any{
+	api.WriteResult(w, map[string]any{
 		"pages":      results,
 		"documents":  len(docs),
 		"alignments": len(aligned),
@@ -373,13 +344,9 @@ func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	page := htmlx.ParseString(src)
-	seg := s.pipeline.Segmenter
-	if seg == nil {
-		seg = document.NewSegmenter()
-	}
-	docs, err := seg.SegmentPage("request", page)
+	docs, err := s.pipeline.Segmenter.SegmentPage("request", page)
 	if err != nil {
-		writeError(w, codeUnprocessable, err.Error())
+		api.WriteError(w, api.CodeUnprocessable, err.Error())
 		return
 	}
 	summarizer := summarize.New(s.pipeline)
@@ -396,7 +363,7 @@ func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, ds)
 	}
-	writeResult(w, map[string]any{"summaries": out})
+	api.WriteResult(w, map[string]any{"summaries": out})
 }
 
 // parseSearchQuery interprets the /search query string: either one `q`
@@ -487,22 +454,22 @@ func parsePage(vals url.Values) (offset, limit int, err error) {
 // ranked, in the shared paginated envelope.
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, codeMethodNotAllowed, "GET with query parameters")
+		api.WriteError(w, api.CodeMethodNotAllowed, "GET with query parameters")
 		return
 	}
 	vals := r.URL.Query()
 	q, err := parseSearchQuery(vals)
 	if err != nil {
-		writeError(w, codeBadQuery, err.Error())
+		api.WriteError(w, api.CodeBadQuery, err.Error())
 		return
 	}
 	offset, limit, err := parsePage(vals)
 	if err != nil {
-		writeError(w, codeBadQuery, err.Error())
+		api.WriteError(w, api.CodeBadQuery, err.Error())
 		return
 	}
 	items, next := api.Page(s.store.Search(q), offset, limit)
-	writeResult(w, api.Paginated{Items: items, NextCursor: next})
+	api.WriteResult(w, api.Paginated{Items: items, NextCursor: next})
 }
 
 // handleFacts answers GET /v1/facts: the aligned quantities known for one
@@ -510,84 +477,72 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // descending, in the shared paginated envelope.
 func (s *server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, codeMethodNotAllowed, "GET with an entity parameter")
+		api.WriteError(w, api.CodeMethodNotAllowed, "GET with an entity parameter")
 		return
 	}
 	vals := r.URL.Query()
 	entity := facts.CanonicalEntity(vals.Get("entity"))
 	if entity == "" {
-		writeError(w, codeBadQuery, "missing entity parameter")
+		api.WriteError(w, api.CodeBadQuery, "missing entity parameter")
 		return
 	}
 	offset, limit, err := parsePage(vals)
 	if err != nil {
-		writeError(w, codeBadQuery, err.Error())
+		api.WriteError(w, api.CodeBadQuery, err.Error())
 		return
 	}
 	items, next := api.Page(s.store.FactsFor(entity), offset, limit)
-	writeResult(w, api.Paginated{Items: items, NextCursor: next})
+	api.WriteResult(w, api.Paginated{Items: items, NextCursor: next})
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, codeMethodNotAllowed, "GET only")
+		api.WriteError(w, api.CodeMethodNotAllowed, "GET only")
 		return
 	}
 	snap := s.metrics.snapshot()
 	snap["serving"] = s.pipeline.Gate.Counters() // nil-safe: full zeroed schema without a gate
 	snap["store"] = s.store.Counters()           // nil-safe: full zeroed schema without a store
 	snap["model"] = map[string]string{"fingerprint": s.pipeline.Fingerprint()}
-	writeJSON(w, http.StatusOK, snap)
+	api.WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// writeResult answers 200 with the success half of the envelope.
-func writeResult(w http.ResponseWriter, v any) { api.WriteResult(w, v) }
-
-// writeError answers with the error half of the envelope; the HTTP status
-// comes from the error-code table. An overloaded response carries a
-// Retry-After hint, the contract clients' backoff loops key on.
-func writeError(w http.ResponseWriter, code, message string) { api.WriteError(w, code, message) }
-
 // writeAlignError maps the facade's typed error taxonomy onto the stable
 // error-code table: errors.Is against each sentinel, with a generic 422 for
 // anything untyped (the page parsed but could not be aligned).
 func writeAlignError(w http.ResponseWriter, err error) {
-	writeError(w, alignErrorCode(err), err.Error())
+	api.WriteError(w, alignErrorCode(err), err.Error())
 }
 
 func alignErrorCode(err error) string {
 	switch {
 	case errors.Is(err, briq.ErrNoTables):
-		return codeNoTables
+		return api.CodeNoTables
 	case errors.Is(err, briq.ErrNoMentions):
-		return codeNoMentions
+		return api.CodeNoMentions
 	case errors.Is(err, briq.ErrOverloaded):
-		return codeOverloaded
+		return api.CodeOverloaded
 	case errors.Is(err, briq.ErrDeadlineBudget),
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled):
-		return codeDeadline
+		return api.CodeDeadline
 	default:
-		return codeUnprocessable
+		return api.CodeUnprocessable
 	}
 }
 
 // deadlineExceeded reports (and answers 504 deadline) an expired request
-// context — the cooperative checkpoints between pipeline phases, since
-// alignment itself is CPU-bound and cannot be interrupted mid-document.
+// context. Handlers call it between their own steps; inside alignment the
+// pipeline checks the context itself (see core.Pipeline.AlignContext) and
+// returns its error, which writeAlignError maps to the same 504.
 func deadlineExceeded(w http.ResponseWriter, ctx context.Context) bool {
 	if ctx.Err() == nil {
 		return false
 	}
-	writeError(w, codeDeadline, "request deadline exceeded")
+	api.WriteError(w, api.CodeDeadline, "request deadline exceeded")
 	return true
 }
-
-// writeJSON encodes v to a buffer first, so an encoding failure can still
-// produce a clean 500 — once WriteHeader has fired the status is committed
-// and a half-written body is all the client would get.
-func writeJSON(w http.ResponseWriter, status int, v any) { api.WriteJSON(w, status, v) }

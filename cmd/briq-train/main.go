@@ -25,7 +25,7 @@ func main() {
 	out := flag.String("out", "", "output model file (required)")
 	pages := flag.Int("pages", 495, "training corpus pages")
 	seed := flag.Int64("seed", 42, "corpus and training seed")
-	tune := flag.Bool("tune", false, "grid-search graph/filter parameters on the validation split (slow)")
+	tune := flag.Bool("tune", false, "grid-search graph/filter parameters on the validation split and print the best (slow; the model file does not keep them)")
 	flag.Parse()
 	if *out == "" {
 		log.Fatal("-out is required")

@@ -72,7 +72,7 @@ func TestAlignContextBackgroundMatchesAlign(t *testing.T) {
 func TestAlignPageContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewPipeline().AlignPageContext(ctx, "p0", healthDocPage())
+	_, _, err := NewPipeline().AlignPageDocsContext(ctx, "p0", healthDocPage())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -87,7 +87,7 @@ func TestAlignPageTypedErrors(t *testing.T) {
 	noTables := &htmlx.Page{Blocks: []htmlx.Block{
 		&htmlx.Paragraph{Text: "Numbers like 42 with no tables."},
 	}}
-	if _, err := p.AlignPageContext(context.Background(), "p0", noTables); !errors.Is(err, ErrNoTables) {
+	if _, _, err := p.AlignPageDocsContext(context.Background(), "p0", noTables); !errors.Is(err, ErrNoTables) {
 		t.Errorf("tableless page: err = %v, want ErrNoTables", err)
 	}
 
@@ -95,19 +95,12 @@ func TestAlignPageTypedErrors(t *testing.T) {
 		&htmlx.Paragraph{Text: "This paragraph discusses methodology without any figures."},
 		&htmlx.TableBlock{Grid: [][]string{{"a", "b"}, {"1", "2"}}},
 	}}
-	if _, err := p.AlignPageContext(context.Background(), "p1", noMentions); !errors.Is(err, ErrNoMentions) {
+	if _, _, err := p.AlignPageDocsContext(context.Background(), "p1", noMentions); !errors.Is(err, ErrNoMentions) {
 		t.Errorf("mentionless page: err = %v, want ErrNoMentions", err)
 	}
 
-	if _, err := p.AlignPageContext(context.Background(), "p2", healthDocPage()); err != nil {
+	if _, _, err := p.AlignPageDocsContext(context.Background(), "p2", healthDocPage()); err != nil {
 		t.Errorf("alignable page: err = %v, want nil", err)
-	}
-}
-
-func TestEnsureTrained(t *testing.T) {
-	p := NewPipeline()
-	if err := p.EnsureTrained(); !errors.Is(err, ErrUntrained) {
-		t.Errorf("heuristic pipeline: err = %v, want ErrUntrained", err)
 	}
 }
 

@@ -72,10 +72,12 @@ type Alignment struct {
 	Score       float64      `json:"score"` // OverallScore of the decision
 }
 
-// Pipeline is a configured BriQ instance. Classifier may be nil, in which
-// case pair scores fall back to the unweighted mean of the (masked) feature
-// vector — the same uninformed combination the RWR-only baseline uses; a
-// trained classifier is what turns the pipeline into full BriQ.
+// Pipeline is a configured BriQ instance, built by NewPipeline: a zero
+// Pipeline has no segmenter or tagger and cannot align. Classifier may be
+// nil, in which case pair scores fall back to the unweighted mean of the
+// (masked) feature vector — the same uninformed combination the RWR-only
+// baseline uses; a trained classifier is what turns the pipeline into full
+// BriQ.
 type Pipeline struct {
 	Features     feature.Config
 	Mask         feature.Mask
@@ -495,41 +497,16 @@ func (p *Pipeline) toAlignment(doc *document.Document, xi, ti int, score float64
 	}
 }
 
-// AlignPage segments an HTML page into documents and aligns each; the
-// returned alignments are grouped by document in page order.
-func (p *Pipeline) AlignPage(pageID string, page *htmlx.Page) ([]Alignment, error) {
-	return p.AlignPageContext(context.Background(), pageID, page)
-}
-
-// AlignPageContext segments an HTML page into documents and aligns each,
-// honoring ctx between pipeline phases. A page that yields no alignable
-// document reports why: ErrNoTables when no table has numeric cells,
-// ErrNoMentions when tables exist but no paragraph carries quantity
-// mentions; both wrapped with the page ID and testable via errors.Is.
-func (p *Pipeline) AlignPageContext(ctx context.Context, pageID string, page *htmlx.Page) ([]Alignment, error) {
-	_, perDoc, err := p.AlignPageDocsContext(ctx, pageID, page)
-	if err != nil {
-		return nil, err
-	}
-	var out []Alignment
-	for _, als := range perDoc {
-		out = append(out, als...)
-	}
-	return out, nil
-}
-
-// AlignPageDocsContext is AlignPageContext keeping the per-document
-// grouping: it returns the segmented documents in page order and each
-// document's alignments at the matching index. Callers that persist or index
-// per document (the facade's sink wiring) use this; flattening the groups in
-// order reproduces AlignPageContext exactly.
+// AlignPageDocsContext segments an HTML page into documents and aligns each,
+// honoring ctx inside classify and resolve (see AlignContext). It returns the
+// segmented documents in page order and each document's alignments at the
+// matching index. A page that yields no alignable document reports why:
+// ErrNoTables when no table has numeric cells, ErrNoMentions when tables
+// exist but no paragraph carries quantity mentions; both are wrapped with
+// the page ID and testable via errors.Is.
 func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page *htmlx.Page) ([]*document.Document, [][]Alignment, error) {
-	seg := p.Segmenter
-	if seg == nil {
-		seg = document.NewSegmenter()
-	}
 	start := time.Now()
-	res, err := seg.SegmentPageInfo(pageID, page)
+	res, err := p.Segmenter.SegmentPageInfo(pageID, page)
 	p.Recorder.Observe(StageSegment, time.Since(start))
 	if err != nil {
 		return nil, nil, fmt.Errorf("segment page %s: %w", pageID, err)
@@ -574,9 +551,7 @@ func (p *Pipeline) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "briq-pipeline|features=%+v|mask=%v|filter=%+v|graph=%+v|extraction=%d",
 		p.Features, p.Mask, p.FilterConfig, p.GraphConfig, ExtractionVersion)
-	if p.Segmenter != nil {
-		fmt.Fprintf(h, "|segmenter=%+v", *p.Segmenter)
-	}
+	fmt.Fprintf(h, "|segmenter=%+v", *p.Segmenter)
 	// Taggers and classifiers are hashed through their serialized form —
 	// struct formatting would print pointer addresses, not model content.
 	fmt.Fprintf(h, "|tagger=%T", p.Tagger)
@@ -590,16 +565,6 @@ func (p *Pipeline) Fingerprint() string {
 		fmt.Fprintf(h, "|classifier=none")
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// EnsureTrained returns ErrUntrained unless the pipeline carries a trained
-// mention-pair classifier — the guard for operations (model persistence,
-// trained-only serving) that are meaningless on the heuristic configuration.
-func (p *Pipeline) EnsureTrained() error {
-	if p.Classifier == nil {
-		return ErrUntrained
-	}
-	return nil
 }
 
 // AlignAll aligns docs one after another and returns all alignments sorted

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -141,9 +142,13 @@ func TestAlignPageEndToEnd(t *testing.T) {
 </table>
 </body></html>`
 	page := htmlx.ParseString(html)
-	als, err := NewPipeline().AlignPage("page0", page)
+	_, perDoc, err := NewPipeline().AlignPageDocsContext(context.Background(), "page0", page)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var als []Alignment
+	for _, docAls := range perDoc {
+		als = append(als, docAls...)
 	}
 	if len(als) == 0 {
 		t.Fatal("no alignments from HTML page")

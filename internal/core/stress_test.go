@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -26,9 +27,9 @@ func stressPage(n int) string {
 }
 
 // TestPipelineSharedAcrossGoroutines hammers one instrumented *Pipeline from
-// many goroutines mixing AlignAll batches and direct AlignPage calls on
-// distinct pages, asserting per-goroutine results match precomputed serial
-// answers. Run under -race this is the audit that a shared pipeline is
+// many goroutines mixing AlignAll batches and direct AlignPageDocsContext
+// calls on distinct pages, asserting per-goroutine results match precomputed
+// serial answers. Run under -race this is the audit that a shared pipeline is
 // read-only after construction.
 func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 	c := corpus.Generate(corpus.TableLConfig(22, 20))
@@ -38,14 +39,14 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 	wantDocs := shared.AlignAll(c.Docs)
 
 	const pages = 8
-	wantPage := make([][]core.Alignment, pages)
+	wantPage := make([][][]core.Alignment, pages)
 	for i := 0; i < pages; i++ {
 		page := htmlx.ParseString(stressPage(i))
-		got, err := shared.AlignPage(fmt.Sprintf("p%d", i), page)
+		_, got, err := shared.AlignPageDocsContext(context.Background(), fmt.Sprintf("p%d", i), page)
 		if err != nil {
-			t.Fatalf("serial AlignPage %d: %v", i, err)
+			t.Fatalf("serial AlignPageDocsContext %d: %v", i, err)
 		}
-		if len(got) == 0 {
+		if len(got) == 0 || len(got[0]) == 0 {
 			t.Fatalf("page %d aligned nothing; stress page broken", i)
 		}
 		wantPage[i] = got
@@ -58,9 +59,9 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			page := htmlx.ParseString(stressPage(i))
-			got, err := shared.AlignPage(fmt.Sprintf("p%d", i), page)
+			_, got, err := shared.AlignPageDocsContext(context.Background(), fmt.Sprintf("p%d", i), page)
 			if err != nil {
-				errs <- fmt.Errorf("AlignPage %d: %v", i, err)
+				errs <- fmt.Errorf("AlignPageDocsContext %d: %v", i, err)
 				return
 			}
 			if !reflect.DeepEqual(got, wantPage[i]) {

@@ -148,9 +148,6 @@ type Corpus struct {
 // GoldFor returns the gold alignments of one document.
 func (c *Corpus) GoldFor(docID string) []Gold { return c.goldByDoc[docID] }
 
-// DomainOf returns the domain of a document.
-func (c *Corpus) DomainOf(docID string) Domain { return c.domainByDoc[docID] }
-
 // DocsByDomain groups the documents by their page domain.
 func (c *Corpus) DocsByDomain() map[Domain][]*document.Document {
 	out := make(map[Domain][]*document.Document)

@@ -59,9 +59,6 @@ func (s *Stream) Next() *PageUnit {
 	return u
 }
 
-// Emitted reports how many pages the stream has produced so far.
-func (s *Stream) Emitted() int { return s.next }
-
 // sizeUnits maps the human-readable size suffixes accepted by ParseSize to
 // their byte multipliers (binary: KB = 1024, matching what operators expect
 // from a corpus generator's -tot-size flag).

@@ -36,8 +36,8 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	if gold != len(c.Gold) {
 		t.Errorf("stream gold = %d, Generate = %d", gold, len(c.Gold))
 	}
-	if s.Emitted() != cfg.Pages {
-		t.Errorf("Emitted() = %d, want %d", s.Emitted(), cfg.Pages)
+	if len(c.Pages) != cfg.Pages {
+		t.Errorf("compared %d streamed pages, want %d", len(c.Pages), cfg.Pages)
 	}
 }
 

@@ -167,14 +167,6 @@ func TestTableVIFiltering(t *testing.T) {
 	}
 }
 
-func TestTuneEpsilon(t *testing.T) {
-	c, split, tr := fixture(t)
-	eps := TuneEpsilon(c, tr, split.Val, []float64{0.2, 0.35})
-	if eps != 0.2 && eps != 0.35 {
-		t.Errorf("tuned epsilon %v not from grid", eps)
-	}
-}
-
 func TestEvaluateCountsConsistent(t *testing.T) {
 	c, split, tr := fixture(t)
 	eval := Evaluate(NewBriQ(tr), c, split.Test)

@@ -36,21 +36,3 @@ func SplitCorpus(c *corpus.Corpus, seed int64) Split {
 		Test:  docs[nTrain+nVal:],
 	}
 }
-
-// goldIndex maps (docID, textIndex) → gold table key for fast lookup.
-type goldIndex map[goldKey]corpus.Gold
-
-type goldKey struct {
-	docID string
-	text  int
-}
-
-func indexGold(c *corpus.Corpus, docs []*document.Document) goldIndex {
-	idx := make(goldIndex)
-	for _, doc := range docs {
-		for _, g := range c.GoldFor(doc.ID) {
-			idx[goldKey{g.DocID, g.TextIndex}] = g
-		}
-	}
-	return idx
-}

@@ -235,17 +235,3 @@ func RunTableVII(c *corpus.Corpus, split Split, opts TrainOptions) (*Report, Abl
 	}
 	return r, results, nil
 }
-
-// TuneEpsilon grid-searches the alignment acceptance threshold ε of the
-// BriQ pipeline on the validation split, maximizing F1 (§VII-C).
-func TuneEpsilon(c *corpus.Corpus, tr *Trained, val []*document.Document, grid []float64) float64 {
-	if len(grid) == 0 {
-		grid = []float64{0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
-	}
-	best, _ := mlmetrics.GridSearch(mlmetrics.Grid{"epsilon": grid}, func(p mlmetrics.Params) float64 {
-		briq := NewBriQ(tr)
-		briq.P.GraphConfig.Epsilon = p["epsilon"]
-		return Evaluate(briq, c, val).Overall.F1
-	})
-	return best["epsilon"]
-}

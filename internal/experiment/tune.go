@@ -57,28 +57,3 @@ func TuneFilter(c *corpus.Corpus, tr *Trained, val []*document.Document) TuneRes
 	})
 	return TuneResult{Params: best, F1: f1}
 }
-
-// ApplyTuned configures a BriQ system with the tuned parameters.
-func ApplyTuned(tr *Trained, graphTune, filterTune TuneResult) *BriQ {
-	briq := NewBriQ(tr)
-	if a, ok := graphTune.Params["alpha"]; ok {
-		briq.P.GraphConfig.Alpha = a
-		briq.P.GraphConfig.Beta = 1 - a
-	}
-	if e, ok := graphTune.Params["epsilon"]; ok {
-		briq.P.GraphConfig.Epsilon = e
-	}
-	if r, ok := graphTune.Params["restart"]; ok {
-		briq.P.GraphConfig.Restart = r
-	}
-	if v, ok := filterTune.Params["value_diff"]; ok {
-		briq.P.FilterConfig.ValueDiffMax = v
-	}
-	if s, ok := filterTune.Params["min_score"]; ok {
-		briq.P.FilterConfig.MinScoreLooseValue = s
-	}
-	if e, ok := filterTune.Params["entropy"]; ok {
-		briq.P.FilterConfig.EntropyThreshold = e
-	}
-	return briq
-}

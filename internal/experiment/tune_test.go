@@ -27,12 +27,13 @@ func TestTuneGraphAndFilter(t *testing.T) {
 		t.Errorf("filter tuning found no working configuration: %+v", filterTune)
 	}
 
-	// The tuned system must be at least as good on the validation slice as
-	// the defaults (the grids include near-default points).
-	tuned := ApplyTuned(tr, graphTune, filterTune)
-	tunedF1 := Evaluate(tuned, c, val).Overall.F1
+	// Both grids contain the default point (α 0.6, ε 0.2, restart 0.15; v
+	// 0.35, p 0.55, entropy 0.55), so each best F1 is at least the default
+	// pipeline's on the same validation slice.
 	defaultF1 := Evaluate(NewBriQ(tr), c, val).Overall.F1
-	if tunedF1+0.02 < defaultF1 {
-		t.Errorf("tuned F1 %.3f well below default %.3f on validation", tunedF1, defaultF1)
+	for name, tuned := range map[string]TuneResult{"graph": graphTune, "filter": filterTune} {
+		if tuned.F1 < defaultF1 {
+			t.Errorf("%s tuning F1 %.3f below default %.3f on validation", name, tuned.F1, defaultF1)
+		}
 	}
 }

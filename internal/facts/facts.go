@@ -354,12 +354,3 @@ func (v *View) All() []Fact {
 	})
 	return out
 }
-
-// ExtractAll runs the pipeline over many documents and pools the facts.
-func ExtractAll(p *core.Pipeline, docs []*document.Document) []Fact {
-	var all []Fact
-	for _, doc := range docs {
-		all = append(all, Extract(doc, p.Align(doc))...)
-	}
-	return Dedupe(all)
-}

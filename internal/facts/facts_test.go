@@ -105,17 +105,3 @@ func TestDedupeKeepsHighestConfidence(t *testing.T) {
 		t.Error("facts not sorted by confidence")
 	}
 }
-
-func TestExtractAll(t *testing.T) {
-	doc, _ := alignedDoc(t)
-	facts := ExtractAll(core.NewPipeline(), []*document.Document{doc, doc})
-	// The same document twice must not duplicate facts.
-	seen := map[string]bool{}
-	for _, f := range facts {
-		k := f.Entity + "|" + f.Measure + "|" + f.TableKey
-		if seen[k] {
-			t.Errorf("duplicate fact after ExtractAll: %+v", f)
-		}
-		seen[k] = true
-	}
-}

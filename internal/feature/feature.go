@@ -511,10 +511,6 @@ func (e *Extractor) VectorInto(xi, ti int, dst []float64) []float64 {
 	return dst
 }
 
-// TextMentionAggs exposes the aggregations cued near text mention xi (reused
-// by the adaptive filter's tagger features).
-func (e *Extractor) TextMentionAggs(xi int) []quantity.Agg { return e.mentionAgg[xi] }
-
 // normalizeSurface lowercases and strips grouping commas and spaces so that
 // "3,263" and "3263" compare equal under Jaro-Winkler while decimal points
 // and unit symbols still matter.

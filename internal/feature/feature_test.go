@@ -230,7 +230,7 @@ func TestTextMentionAggsExposed(t *testing.T) {
 	doc := healthDoc(t)
 	e := NewExtractor(DefaultConfig(), doc)
 	xi := findText(t, doc, 123)
-	aggs := e.TextMentionAggs(xi)
+	aggs := e.mentionAgg[xi]
 	found := false
 	for _, a := range aggs {
 		if a == quantity.Sum {

@@ -66,7 +66,6 @@ const pageShards = 64
 // unchanged documents. Safe for concurrent use.
 type Ingestor struct {
 	store   *store.Store
-	seg     *document.Segmenter
 	proto   *core.Pipeline
 	workers int
 	alignMu sync.Mutex // one page's misses align at a time
@@ -76,11 +75,7 @@ type Ingestor struct {
 // New builds an Ingestor over the pipeline's models and the given store.
 // Re-alignments record their stage latencies into the pipeline's Recorder.
 func New(proto *core.Pipeline, st *store.Store, opts Options) *Ingestor {
-	seg := proto.Segmenter
-	if seg == nil {
-		seg = document.NewSegmenter()
-	}
-	return &Ingestor{store: st, seg: seg, proto: proto, workers: opts.Workers}
+	return &Ingestor{store: st, proto: proto, workers: opts.Workers}
 }
 
 func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
@@ -99,7 +94,7 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	mu.Lock()
 	defer mu.Unlock()
 
-	docs, err := ing.seg.SegmentPage(pageID, htmlx.ParseString(html))
+	docs, err := ing.proto.Segmenter.SegmentPage(pageID, htmlx.ParseString(html))
 	if err != nil {
 		res.Error, res.Code = err.Error(), api.CodeUnprocessable
 		return res

@@ -1,15 +1,11 @@
 // Package mlmetrics provides the evaluation metrics and tuning utilities of
 // §VII-C: precision, recall and F1 (the paper's primary metrics, chosen over
-// accuracy because of the extreme label imbalance), ROC AUC (the training
-// objective), Shannon entropy of score distributions (used by adaptive
-// filtering and entropy-ordered resolution), and grid search over
-// hyper-parameters on a withheld validation set.
+// accuracy because of the extreme label imbalance), Shannon entropy of score
+// distributions (used by adaptive filtering and entropy-ordered resolution),
+// and grid search over hyper-parameters on a withheld validation set.
 package mlmetrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // PRF bundles precision, recall and F1.
 type PRF struct {
@@ -51,64 +47,8 @@ func (c *Counts) Add(predicted, gold bool) {
 	}
 }
 
-// Merge adds the counts of other into c.
-func (c *Counts) Merge(other Counts) {
-	c.TP += other.TP
-	c.FP += other.FP
-	c.FN += other.FN
-	c.TN += other.TN
-}
-
 // PRF converts the counts to precision/recall/F1.
 func (c Counts) PRF() PRF { return NewPRF(c.TP, c.FP, c.FN) }
-
-// ROCAUC computes the area under the ROC curve for binary labels and
-// real-valued scores (higher = more positive), handling score ties by the
-// trapezoidal midrank method. Returns 0.5 when either class is absent.
-func ROCAUC(scores []float64, labels []bool) float64 {
-	if len(scores) != len(labels) || len(scores) == 0 {
-		return 0.5
-	}
-	type pair struct {
-		s   float64
-		pos bool
-	}
-	pairs := make([]pair, len(scores))
-	nPos, nNeg := 0, 0
-	for i := range scores {
-		pairs[i] = pair{scores[i], labels[i]}
-		if labels[i] {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0.5
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].s < pairs[j].s })
-
-	// Midrank-based Mann-Whitney U.
-	var rankSumPos float64
-	i := 0
-	rank := 1
-	for i < len(pairs) {
-		j := i
-		for j < len(pairs) && pairs[j].s == pairs[i].s {
-			j++
-		}
-		midrank := float64(rank+rank+(j-i)-1) / 2
-		for k := i; k < j; k++ {
-			if pairs[k].pos {
-				rankSumPos += midrank
-			}
-		}
-		rank += j - i
-		i = j
-	}
-	u := rankSumPos - float64(nPos)*float64(nPos+1)/2
-	return u / (float64(nPos) * float64(nNeg))
-}
 
 // Entropy returns the Shannon entropy (nats) of a discrete distribution.
 // The input need not be normalized; zero-total input yields 0.

@@ -3,7 +3,6 @@ package mlmetrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewPRF(t *testing.T) {
@@ -36,67 +35,9 @@ func TestCounts(t *testing.T) {
 	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
 		t.Errorf("counts = %+v", c)
 	}
-	var d Counts
-	d.Merge(c)
-	d.Merge(c)
-	if d.TP != 2 || d.TN != 2 {
-		t.Errorf("merged = %+v", d)
-	}
 	prf := c.PRF()
 	if prf.Precision != 0.5 || prf.Recall != 0.5 {
 		t.Errorf("PRF = %+v", prf)
-	}
-}
-
-func TestROCAUCPerfect(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []bool{true, true, false, false}
-	if auc := ROCAUC(scores, labels); auc != 1 {
-		t.Errorf("perfect AUC = %v, want 1", auc)
-	}
-	// Inverted scores give AUC 0.
-	inv := []float64{0.1, 0.2, 0.8, 0.9}
-	if auc := ROCAUC(inv, labels); auc != 0 {
-		t.Errorf("inverted AUC = %v, want 0", auc)
-	}
-}
-
-func TestROCAUCTies(t *testing.T) {
-	scores := []float64{0.5, 0.5, 0.5, 0.5}
-	labels := []bool{true, false, true, false}
-	if auc := ROCAUC(scores, labels); math.Abs(auc-0.5) > 1e-9 {
-		t.Errorf("all-ties AUC = %v, want 0.5", auc)
-	}
-}
-
-func TestROCAUCDegenerate(t *testing.T) {
-	if auc := ROCAUC([]float64{1, 2}, []bool{true, true}); auc != 0.5 {
-		t.Errorf("single-class AUC = %v, want 0.5", auc)
-	}
-	if auc := ROCAUC(nil, nil); auc != 0.5 {
-		t.Errorf("empty AUC = %v, want 0.5", auc)
-	}
-	if auc := ROCAUC([]float64{1}, []bool{true, false}); auc != 0.5 {
-		t.Errorf("mismatched lengths AUC = %v, want 0.5", auc)
-	}
-}
-
-func TestROCAUCBounded(t *testing.T) {
-	check := func(scores []float64, labels []bool) bool {
-		n := len(scores)
-		if len(labels) < n {
-			n = len(labels)
-		}
-		for _, s := range scores {
-			if math.IsNaN(s) {
-				return true
-			}
-		}
-		auc := ROCAUC(scores[:n], labels[:n])
-		return auc >= 0 && auc <= 1
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

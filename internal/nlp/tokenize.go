@@ -242,15 +242,3 @@ func isAbbreviation(prefix string) bool {
 	w = strings.TrimSuffix(w, ".")
 	return abbreviations[w]
 }
-
-// SplitParagraphs splits page text into paragraphs on blank lines.
-func SplitParagraphs(s string) []string {
-	var paras []string
-	for _, block := range strings.Split(s, "\n\n") {
-		block = strings.TrimSpace(block)
-		if block != "" {
-			paras = append(paras, block)
-		}
-	}
-	return paras
-}

@@ -160,15 +160,6 @@ func TestSplitSentencesKeepsDecimals(t *testing.T) {
 	}
 }
 
-func TestSplitParagraphs(t *testing.T) {
-	in := "para one line a\npara one line b\n\npara two\n\n\n\npara three"
-	got := SplitParagraphs(in)
-	want := []string{"para one line a\npara one line b", "para two", "para three"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SplitParagraphs = %#v, want %#v", got, want)
-	}
-}
-
 func TestWords(t *testing.T) {
 	got := Words("The net income of 2013 was $0.9 billion CDN.")
 	want := []string{"the", "net", "income", "of", "2013", "was", "0.9", "billion", "cdn"}

@@ -169,9 +169,6 @@ type Mention struct {
 	TokenPos  int     // index of the numeric token in the source token stream
 }
 
-// HasUnit reports whether the mention carries an explicit unit.
-func (m Mention) HasUnit() bool { return m.Unit != "" }
-
 // OrderOfMagnitude returns floor(log10(|v|)), and 0 for v == 0.
 func OrderOfMagnitude(v float64) int {
 	v = math.Abs(v)

@@ -233,11 +233,6 @@ func (l *Learned) Tag(p *Prepared, xi int) quantity.Agg {
 	return quantity.Agg(l.forest.Predict(p.Features(xi)))
 }
 
-// TagProba returns the class distribution over Labels.
-func (l *Learned) TagProba(p *Prepared, xi int) []float64 {
-	return l.forest.PredictProba(p.Features(xi))
-}
-
 // Forest exposes the underlying model for serialization.
 func (l *Learned) Forest() *forest.Forest { return l.forest }
 

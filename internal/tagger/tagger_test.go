@@ -153,10 +153,6 @@ func TestLearnedTaggerOnDocument(t *testing.T) {
 	if got != quantity.Sum {
 		t.Errorf("learned Tag = %v, want sum", got)
 	}
-	proba := lt.TagProba(Prepare(doc), 0)
-	if len(proba) != NumClasses {
-		t.Errorf("proba length = %d", len(proba))
-	}
 }
 
 func TestTrainErrors(t *testing.T) {
