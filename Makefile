@@ -31,9 +31,11 @@ test: build vet
 # internal/runtime's per-goroutine clones, server handlers) is only trusted
 # if this passes. Includes the concurrent-run stress test in internal/runtime
 # and the shared-pipeline stress test in internal/core.
-# The tuning sweeps in internal/experiment run ~6x slower under the race
-# detector; on small machines they overrun go test's default 10m per-binary
-# timeout, so the race target sets its own.
+# internal/experiment is the slow package under the race detector: on 2
+# vCPUs it took 350.6 s (23 s without -race), mostly TestRunTableVIISmall
+# (143.3 s) and TestBriQBeatsBaselines (108.9 s); the tuning sweeps of
+# TestTuneGraphAndFilter took 15.8 s. On small machines it can overrun go
+# test's default 10m per-binary timeout, so the race target sets its own.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -70,14 +72,16 @@ bench-e2e:
 	mv $$tmp/BENCH_e2e.json BENCH_e2e.json; \
 	echo "wrote BENCH_e2e.json"
 
-# Side-by-side go-test micro-benchmarks of the resolution hot path, of
-# document keying (the content hash behind every store write, batch cache hit
-# and ingest reuse check), of page segmentation, of the read path behind
-# /v1/search and /v1/facts (store queries and the shared response writer),
-# and of one trained document's whole align (classify, filter and resolve),
-# with allocation counts — for inspecting individual kernels rather than the
-# aggregate report.
+# Side-by-side go-test micro-benchmarks of a trained page's whole align
+# (segment, then classify, filter and resolve per document, the documents
+# sharing one feature.Tables as behind /v1/align), of one trained document's
+# align, of the resolution hot path, of document keying (the content hash
+# behind every store write, batch cache hit and ingest reuse check), of page
+# segmentation, and of the read path behind /v1/search and /v1/facts (store
+# queries and the shared response writer), with allocation counts — for
+# inspecting individual kernels rather than the aggregate report.
 bench-compare:
+	$(GO) test -bench '^BenchmarkAlignPage$$' -benchmem -run ^$$ .
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store

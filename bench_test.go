@@ -17,10 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"briq/internal/core"
 	"briq/internal/corpus"
 	"briq/internal/experiment"
 	"briq/internal/filter"
 	"briq/internal/graph"
+	"briq/internal/htmlx"
 	"briq/internal/ilp"
 	"briq/internal/quantity"
 	"briq/internal/table"
@@ -437,6 +439,43 @@ func BenchmarkPipelineAlign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		briq.Predict(docs[i%len(docs)])
 	}
+}
+
+// BenchmarkAlignPage is the per-page latency of the served align path: each
+// page of the test split, pre-parsed, goes through AlignPageDocsContext, so
+// its documents share one feature.Tables as they do behind /v1/align.
+// BenchmarkPipelineAlign aligns pre-segmented documents one at a time and
+// cannot show that sharing.
+func BenchmarkAlignPage(b *testing.B) {
+	c, split, tr := fixture(b)
+	p := experiment.NewBriQ(tr).P
+	test := map[string]bool{}
+	for _, d := range split.Test {
+		test[d.PageID] = true
+	}
+	var ids []string
+	var pages []*htmlx.Page
+	for _, pg := range c.Pages {
+		if test[pg.ID] {
+			ids = append(ids, pg.ID)
+			pages = append(pages, htmlx.ParseString(pg.HTML()))
+		}
+	}
+	if len(pages) == 0 {
+		b.Fatal("no test pages")
+	}
+	docs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(pages)
+		ds, _, err := p.AlignPageDocsContext(context.Background(), ids[k], pages[k])
+		if err != nil && !errors.Is(err, core.ErrNoTables) && !errors.Is(err, core.ErrNoMentions) {
+			b.Fatal(err)
+		}
+		docs += len(ds)
+	}
+	b.ReportMetric(float64(docs)/float64(b.N), "docs/page")
 }
 
 // BenchmarkAdaptiveFiltering isolates the filtering stage (§V).

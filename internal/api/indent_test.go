@@ -3,8 +3,10 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +110,35 @@ func responseShapes(t testing.TB) map[string]any {
 			"store":          (*store.Store)(nil).Counters(),
 			"model":          map[string]string{"fingerprint": p.Fingerprint()},
 		},
+	}
+}
+
+// TestWriteJSONEncodeFailure is the WriteJSON regression test: when
+// encoding fails before anything is written, the client gets a clean 500,
+// not a half-committed 200.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]any{"bad": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "encode response") {
+		t.Errorf("body = %q, want encode failure message", body)
+	}
+}
+
+func TestWriteJSONSetsStatusBeforeBody(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusCreated, map[string]any{"ok": true})
+	if rec.Code != http.StatusCreated {
+		t.Errorf("status = %d, want 201", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	var v map[string]bool
+	if err := json.NewDecoder(rec.Body).Decode(&v); err != nil || !v["ok"] {
+		t.Errorf("body did not round-trip: %v %v", v, err)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestScorePairsStopsAtFirstDoneCheck(t *testing.T) {
 	for _, doc := range c.Docs[:3] {
 		for _, gated := range []bool{true, false} {
 			full := &doneAfter{Context: context.Background(), n: math.MaxInt}
-			out, _, err := p.scorePairs(full, doc, gated)
+			out, _, err := p.scorePairs(full, doc, gated, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestScorePairsStopsAtFirstDoneCheck(t *testing.T) {
 			}
 			for n := 0; n < full.checks; n++ {
 				ctx := &doneAfter{Context: context.Background(), n: n}
-				out, tags, err := p.scorePairs(ctx, doc, gated)
+				out, tags, err := p.scorePairs(ctx, doc, gated, nil)
 				if !errors.Is(err, context.Canceled) || out != nil || tags != nil {
 					t.Fatalf("doc %s gated=%v, done after %d checks: %d candidates, %d tags, %v; want none and context.Canceled",
 						doc.ID, gated, n, len(out), len(tags), err)

@@ -221,7 +221,7 @@ func NewPipeline() *Pipeline {
 // RF-only baseline threshold raw scores and must observe them even for pairs
 // the align path would discard.
 func (p *Pipeline) ScorePairs(doc *document.Document) []filter.Candidate {
-	out, _, _ := p.scorePairs(context.Background(), doc, false) // background ctx: cannot fail
+	out, _, _ := p.scorePairs(context.Background(), doc, false, nil) // background ctx: cannot fail
 	return out
 }
 
@@ -248,9 +248,12 @@ func (p *Pipeline) ScorePairs(doc *document.Document) []filter.Candidate {
 // minimum, and step 2 drops it as before; a pair that reaches the minimum
 // keeps its exact score.
 //
+// Features are extracted through tables, which the documents of one page
+// share (nil: the document's own).
+//
 // ctx is checked once per text mention while building pairs and while
 // scoring them; on cancellation scorePairs returns ctx.Err().
-func (p *Pipeline) scorePairs(ctx context.Context, doc *document.Document, gated bool) ([]filter.Candidate, []quantity.Agg, error) {
+func (p *Pipeline) scorePairs(ctx context.Context, doc *document.Document, gated bool, tables *feature.Tables) ([]filter.Candidate, []quantity.Agg, error) {
 	// A clone reuses its buffers across documents: safe because the filter
 	// stage regroups candidates into fresh slices and nothing downstream
 	// retains them past the Align call.
@@ -317,7 +320,7 @@ func (p *Pipeline) scorePairs(ctx context.Context, doc *document.Document, gated
 	}
 	local.candidates = out
 
-	ext := feature.NewExtractor(p.Features, doc)
+	ext := feature.NewExtractor(p.Features, doc, tables)
 	m := p.Mask.Count()
 	var full [feature.NumFeatures]float64
 	// Rows of one text mention are contiguous; score them as one batch.
@@ -423,8 +426,14 @@ func (p *Pipeline) Align(doc *document.Document) []Alignment {
 // ctx.Err(). The filter stage and the graph build run to completion once
 // started.
 func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]Alignment, error) {
+	return p.alignContext(ctx, doc, nil)
+}
+
+// alignContext is AlignContext extracting features through tables (nil: the
+// document's own).
+func (p *Pipeline) alignContext(ctx context.Context, doc *document.Document, tables *feature.Tables) ([]Alignment, error) {
 	alignStart := time.Now()
-	kept, err := p.Candidates(ctx, doc)
+	kept, err := p.candidates(ctx, doc, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -455,11 +464,15 @@ func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]
 // resolves these candidates with random walks; the experiment harness's ILP
 // and greedy baselines resolve the same candidates their own way.
 func (p *Pipeline) Candidates(ctx context.Context, doc *document.Document) ([]filter.Candidate, error) {
+	return p.candidates(ctx, doc, nil)
+}
+
+func (p *Pipeline) candidates(ctx context.Context, doc *document.Document, tables *feature.Tables) ([]filter.Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	candidates, tags, err := p.scorePairs(ctx, doc, true)
+	candidates, tags, err := p.scorePairs(ctx, doc, true, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -498,9 +511,12 @@ func (p *Pipeline) toAlignment(doc *document.Document, xi, ti int, score float64
 }
 
 // AlignPageDocsContext segments an HTML page into documents and aligns each,
-// honoring ctx inside classify and resolve (see AlignContext). It returns the
-// segmented documents in page order and each document's alignments at the
-// matching index. A page that yields no alignable document reports why:
+// honoring ctx inside classify and resolve (see AlignContext). The documents
+// share their tables, so they are aligned in page order through one
+// feature.Tables, which prepares each table, line set and table mention
+// once for the page. It returns the segmented documents in page order and
+// each document's alignments at the matching index. A page that yields no
+// alignable document reports why:
 // ErrNoTables when no table has numeric cells, ErrNoMentions when tables
 // exist but no paragraph carries quantity mentions; both are wrapped with
 // the page ID and testable via errors.Is.
@@ -518,8 +534,9 @@ func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page
 		return nil, nil, fmt.Errorf("page %s: %w", pageID, ErrNoMentions)
 	}
 	perDoc := make([][]Alignment, len(res.Docs))
+	tables := feature.NewTables()
 	for i, doc := range res.Docs {
-		als, err := p.AlignContext(ctx, doc)
+		als, err := p.alignContext(ctx, doc, tables)
 		if err != nil {
 			return nil, nil, fmt.Errorf("align %s: %w", doc.ID, err)
 		}

@@ -11,6 +11,6 @@ import (
 // candidates it built, scored as that path scores them: value-far rows may
 // carry the partial score of a walk that stopped early.
 func (p *Pipeline) GatedScores(doc *document.Document) []filter.Candidate {
-	out, _, _ := p.scorePairs(context.Background(), doc, true) // background ctx: cannot fail
+	out, _, _ := p.scorePairs(context.Background(), doc, true, nil) // background ctx: cannot fail
 	return out
 }

@@ -145,7 +145,7 @@ func (*RWROnly) Name() string { return "RWR" }
 
 // Predict implements System.
 func (r *RWROnly) Predict(doc *document.Document) []Prediction {
-	ext := feature.NewExtractor(r.Features, doc)
+	ext := feature.NewExtractor(r.Features, doc, nil)
 	var cands []filter.Candidate
 	for xi := range doc.TextMentions {
 		for ti := range doc.TableMentions {

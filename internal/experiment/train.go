@@ -39,7 +39,7 @@ func BuildTrainingData(c *corpus.Corpus, docs []*document.Document, featCfg feat
 		if len(golds) == 0 {
 			continue
 		}
-		ext := feature.NewExtractor(featCfg, doc)
+		ext := feature.NewExtractor(featCfg, doc, nil)
 		keyToIdx := make(map[string]int, len(doc.TableMentions))
 		for ti, tm := range doc.TableMentions {
 			keyToIdx[tm.Key()] = ti

@@ -1,9 +1,10 @@
 package feature
 
-// Cache-equivalence coverage: the per-document memos (normalized surfaces,
-// table-mention scale/precision, Jaro-Winkler string-pair memo) are pure
-// caches — every cached value must equal the direct computation it replaced,
-// for every pair of a realistic generated document.
+// Cache-equivalence coverage: the memos (normalized surfaces, table-mention
+// scale/precision and line contexts in the Tables, the Jaro-Winkler
+// string-pair memo) are pure caches — every cached value must equal the
+// direct computation it replaced, for every pair of a realistic generated
+// document.
 
 import (
 	"math"
@@ -19,7 +20,7 @@ func TestCachedFeaturesMatchDirectComputation(t *testing.T) {
 	c := corpus.Generate(corpus.TableLConfig(42, 6))
 	pairs := 0
 	for _, doc := range c.Docs {
-		e := NewExtractor(DefaultConfig(), doc)
+		e := NewExtractor(DefaultConfig(), doc, nil)
 		for xi := range doc.TextMentions {
 			x := &doc.TextMentions[xi]
 			for ti := range doc.TableMentions {
@@ -45,8 +46,11 @@ func TestCachedFeaturesMatchDirectComputation(t *testing.T) {
 				// direct computation rebuilds both sides as map-backed
 				// WeightedBags straight from the document and goes through
 				// OverlapCoefficient. Bit-identical, not approximately equal.
+				// f4's direct side is the concatenation of the same lines'
+				// noun phrases.
 				textBag := e.localBag(x.TokenPos)
 				tableBag := nlp.WeightedBag{}
+				var tableNPs []string
 				seenRow, seenCol := map[int]bool{}, map[int]bool{}
 				for _, ref := range tm.Cells {
 					if !seenRow[ref.Row] {
@@ -54,12 +58,14 @@ func TestCachedFeaturesMatchDirectComputation(t *testing.T) {
 						for w, weight := range nlp.NewWeightedBag(nlp.Words(tm.Table.RowContext(ref.Row))) {
 							tableBag.Add(w, weight)
 						}
+						tableNPs = append(tableNPs, nlp.NounPhrases(tm.Table.RowContext(ref.Row))...)
 					}
 					if !seenCol[ref.Col] {
 						seenCol[ref.Col] = true
 						for w, weight := range nlp.NewWeightedBag(nlp.Words(tm.Table.ColContext(ref.Col))) {
 							tableBag.Add(w, weight)
 						}
+						tableNPs = append(tableNPs, nlp.NounPhrases(tm.Table.ColContext(ref.Col))...)
 					}
 				}
 				if got, want := vec[F2LocalOverlap], nlp.OverlapCoefficient(textBag, tableBag); got != want {
@@ -68,16 +74,18 @@ func TestCachedFeaturesMatchDirectComputation(t *testing.T) {
 
 				// f4 runs on interned phrase multisets; the direct computation
 				// is the reference PhraseOverlap on the raw phrase lists.
-				if got, want := vec[F4LocalPhrases], nlp.PhraseOverlap(e.localNPs[xi], e.tableData[ti].localNPs); got != want {
+				if got, want := vec[F4LocalPhrases], nlp.PhraseOverlap(e.localNPs[xi], tableNPs); got != want {
 					t.Fatalf("doc %s pair (%d,%d): indexed f4 %v, direct %v", doc.ID, xi, ti, got, want)
 				}
 
 				// f3/f5 hoisted per table, f11 per text mention, f12 per
 				// (text mention, Agg) — each against its direct computation.
-				if got, want := vec[F3GlobalOverlap], nlp.OverlapCoefficient(e.globalBag, e.tableData[ti].tableBag); got != want {
+				// The table's bag and noun phrases live in the Tables.
+				tc := e.tables.table(tm.Table)
+				if got, want := vec[F3GlobalOverlap], nlp.OverlapCoefficient(e.globalBag, tc.bag); got != want {
 					t.Fatalf("doc %s pair (%d,%d): hoisted f3 %v, direct %v", doc.ID, xi, ti, got, want)
 				}
-				if got, want := vec[F5GlobalPhrases], nlp.PhraseOverlap(e.globalNPs, e.tableData[ti].tableNPs); got != want {
+				if got, want := vec[F5GlobalPhrases], nlp.PhraseOverlap(e.globalNPs, tc.nps); got != want {
 					t.Fatalf("doc %s pair (%d,%d): hoisted f5 %v, direct %v", doc.ID, xi, ti, got, want)
 				}
 				if got, want := vec[F11Approx], float64(x.Approx)/4; got != want {
@@ -105,8 +113,8 @@ func TestGateSkippedPairsDoNotPerturbCache(t *testing.T) {
 	c := corpus.Generate(corpus.TableLConfig(13, 5))
 	skipped, computed := 0, 0
 	for _, doc := range c.Docs {
-		full := NewExtractor(DefaultConfig(), doc)
-		gated := NewExtractor(DefaultConfig(), doc)
+		full := NewExtractor(DefaultConfig(), doc, nil)
+		gated := NewExtractor(DefaultConfig(), doc, nil)
 		// One shared destination buffer, poisoned with NaN between uses so a
 		// feature left over from the previous pair cannot go unnoticed.
 		dst := make([]float64, NumFeatures)
@@ -147,8 +155,8 @@ func TestGateSkippedPairsDoNotPerturbCache(t *testing.T) {
 func TestVectorDeterministicAcrossExtractors(t *testing.T) {
 	c := corpus.Generate(corpus.TableLConfig(7, 4))
 	for _, doc := range c.Docs {
-		a := NewExtractor(DefaultConfig(), doc)
-		b := NewExtractor(DefaultConfig(), doc)
+		a := NewExtractor(DefaultConfig(), doc, nil)
+		b := NewExtractor(DefaultConfig(), doc, nil)
 		for xi := range doc.TextMentions {
 			// Fill b's memo in reverse pair order to vary cache hit patterns.
 			for ti := len(doc.TableMentions) - 1; ti >= 0; ti-- {
@@ -175,7 +183,7 @@ func TestLazyTableMentionPreparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	requested, unprepared := 0, 0
 	for _, doc := range c.Docs {
-		full := NewExtractor(DefaultConfig(), doc)
+		full := NewExtractor(DefaultConfig(), doc, nil)
 		want := make([][]float64, 0, len(doc.TextMentions)*len(doc.TableMentions))
 		for xi := range doc.TextMentions {
 			for ti := range doc.TableMentions {
@@ -183,7 +191,7 @@ func TestLazyTableMentionPreparation(t *testing.T) {
 			}
 		}
 
-		lazy := NewExtractor(DefaultConfig(), doc)
+		lazy := NewExtractor(DefaultConfig(), doc, nil)
 		touched := make([]bool, len(doc.TableMentions))
 		dst := make([]float64, NumFeatures)
 		for _, k := range rng.Perm(len(want)) {

@@ -150,7 +150,8 @@ func (m Mask) Count() int {
 
 // Extractor computes feature vectors for all pairs of one document, caching
 // per-mention context so that the cost is amortized over the (large) pair
-// space.
+// space. Its table side lives in a Tables, which the extractors of a page's
+// documents share.
 type Extractor struct {
 	cfg Config
 	doc *document.Document
@@ -166,27 +167,24 @@ type Extractor struct {
 	approxOf   []float64        // f11 value per text mention
 	aggMatchOf [][]float64      // f12 value per text mention, indexed by Agg
 
-	// tableData holds each table mention's prepared context, nil until the
-	// mention's first VectorInto: the align path gates most virtual mentions
-	// out before classification, so they are never prepared at all. tables
-	// and lines are the document-scope caches the preparation reads.
+	// tables prepares the table side and owns the interners the text side
+	// goes through. tableData holds each table mention's prepared features,
+	// nil until the mention's first VectorInto: the align path gates most
+	// virtual mentions out before classification, so they are never
+	// prepared at all. overlaps holds the f3/f5 overlaps of each of the
+	// document's tables against its text.
+	tables    *Tables
 	tableData []*tableMentionData
-	tables    map[*table.Table]tableContext
-	lines     map[lineKey]lineContext
+	overlaps  map[*table.Table]globalOverlap
 
-	// intern maps context words to dense ids so the per-pair f2 overlap is a
-	// merge scan over sorted int32 slices instead of map probing; see
-	// nlp.IndexedBag for the bit-identity contract with WeightedBag. The
-	// phrase interner plays the same role for the f4 noun-phrase overlap, and
-	// the surface interner keys the f1 memo by dense id pair instead of
-	// hashing both strings on every pair.
-	intern         *nlp.Interner
+	// The interned forms make the per-pair f2 overlap a merge scan over
+	// sorted int32 slices instead of map probing (see nlp.IndexedBag for the
+	// bit-identity contract with WeightedBag), the f4 overlap count
+	// arithmetic on phrase ids, and the f1 memo key a dense id pair.
 	overlapScratch []float64
-	phraseIn       *nlp.PhraseInterner
 	localPhr       []nlp.IndexedPhrases // per text mention, f4 left side
 	phraseMatched  []int32
 	phraseTouched  []int32
-	surfIn         *nlp.Interner
 	textNormID     []int32 // surface id of textNorm, per text mention
 
 	// simMemo caches Jaro-Winkler scores by normalized surface pair: virtual
@@ -197,59 +195,29 @@ type Extractor struct {
 	simMemo map[int64]float64
 }
 
-// tableContext is the per-table global context: the table's bag of words
-// and noun phrases, and the f3/f5 overlaps against the document text.
-type tableContext struct {
-	bag     nlp.WeightedBag
-	nps     []string
-	overlap float64
+// globalOverlap holds the f3/f5 overlaps of one table's content against the
+// document text: constants of the table, hoisted out of the pair loop.
+type globalOverlap struct {
+	words   float64
 	phrases float64
 }
 
-// lineKey names one row or column of a table.
-type lineKey struct {
-	t   *table.Table
-	row bool
-	idx int
-}
-
-// lineContext is the interned bag of words and the noun phrases of one
-// table line, shared by every mention on that line.
-type lineContext struct {
-	bag nlp.IndexedBag
-	nps []string
-}
-
-type tableMentionData struct {
-	normSurface string         // normalizeSurface(tm.Surface()), computed once per mention
-	normID      int32          // surface id of normSurface in the extractor's interner
-	localIdx    nlp.IndexedBag // f2 right side: max-weight union of the mention's line bags
-	localPhr    nlp.IndexedPhrases
-	localNPs    []string
-	tableBag    nlp.WeightedBag
-	tableNPs    []string
-	rawValue    float64
-	scale       int // tm.Scale(), computed once per mention
-	precision   int // tm.Precision(), computed once per mention
-
-	// f3/f5 depend only on the mention's table, not on the text mention, so
-	// they are hoisted out of the pair loop entirely.
-	globalOverlap float64
-	globalPhrases float64
-}
-
-// NewExtractor prepares an extractor for one document.
-func NewExtractor(cfg Config, doc *document.Document) *Extractor {
+// NewExtractor prepares an extractor for one document. Its table side is
+// prepared in tables, which extractors of documents that share tables (the
+// documents of one page) should share, one after another; nil gives the
+// extractor a Tables of its own.
+func NewExtractor(cfg Config, doc *document.Document, tables *Tables) *Extractor {
 	if cfg.Window <= 0 {
 		cfg = DefaultConfig()
 	}
+	if tables == nil {
+		tables = NewTables()
+	}
 	e := &Extractor{
-		cfg:      cfg,
-		doc:      doc,
-		simMemo:  make(map[int64]float64),
-		intern:   nlp.NewInterner(),
-		phraseIn: nlp.NewPhraseInterner(),
-		surfIn:   nlp.NewInterner(),
+		cfg:     cfg,
+		doc:     doc,
+		tables:  tables,
+		simMemo: make(map[int64]float64),
 	}
 	e.prepareText()
 	e.prepareTables()
@@ -285,14 +253,14 @@ func (e *Extractor) prepareText() {
 
 	for i, x := range e.doc.TextMentions {
 		e.textNorm[i] = normalizeSurface(x.Surface)
-		e.textNormID[i] = e.surfIn.ID(e.textNorm[i])
-		e.localIdx[i] = nlp.IndexBag(e.localBag(x.TokenPos), e.intern)
+		e.textNormID[i] = e.tables.surfaces.ID(e.textNorm[i])
+		e.localIdx[i] = nlp.IndexBag(e.localBag(x.TokenPos), e.tables.words)
 		si := x.Sentence
 		if si >= 0 && si < len(sentences) {
 			e.sentenceOf[i] = sentences[si]
 			e.localNPs[i] = nlp.NounPhrases(sentences[si])
 		}
-		e.localPhr[i] = e.phraseIn.IndexPhrases(e.localNPs[i])
+		e.localPhr[i] = e.tables.phrases.IndexPhrases(e.localNPs[i])
 		e.mentionAgg[i] = e.cuedAggs(x.TokenPos)
 		e.approxOf[i] = float64(x.Approx) / 4
 		// f12 only depends on the candidate through its Agg, so the whole
@@ -351,99 +319,30 @@ func (e *Extractor) cuedAggs(pos int) []quantity.Agg {
 	return out
 }
 
-// prepareTables caches the per-table global context. The f3/f5 overlaps
-// against the document text are per-table constants (prepareText has already
-// built the global bag and noun phrases), computed here once instead of per
-// pair. Per-mention data is left to tableMention.
+// prepareTables computes the f3/f5 overlaps of each of the document's
+// tables against its text (prepareText has already built the global bag and
+// noun phrases), once instead of per pair. Table mentions are left to
+// tableMention.
 func (e *Extractor) prepareTables() {
-	e.tables = make(map[*table.Table]tableContext, len(e.doc.Tables))
+	e.overlaps = make(map[*table.Table]globalOverlap, len(e.doc.Tables))
 	for _, t := range e.doc.Tables {
-		content := t.Content()
-		bag := nlp.NewWeightedBag(nlp.Words(content))
-		nps := nlp.NounPhrases(content)
-		e.tables[t] = tableContext{
-			bag:     bag,
-			nps:     nps,
-			overlap: nlp.OverlapCoefficient(e.globalBag, bag),
-			phrases: nlp.PhraseOverlap(e.globalNPs, nps),
+		tc := e.tables.table(t)
+		e.overlaps[t] = globalOverlap{
+			words:   nlp.OverlapCoefficient(e.globalBag, tc.bag),
+			phrases: nlp.PhraseOverlap(e.globalNPs, tc.nps),
 		}
 	}
 	e.tableData = make([]*tableMentionData, len(e.doc.TableMentions))
-	e.lines = map[lineKey]lineContext{}
 }
 
-// lineCtx returns the context of one table row or column, built on first
-// use and shared by every mention on that line.
-func (e *Extractor) lineCtx(t *table.Table, row bool, idx int) lineContext {
-	k := lineKey{t, row, idx}
-	if lc, ok := e.lines[k]; ok {
-		return lc
-	}
-	var ctx string
-	if row {
-		ctx = t.RowContext(idx)
-	} else {
-		ctx = t.ColContext(idx)
-	}
-	lc := lineContext{
-		bag: nlp.IndexBag(nlp.NewWeightedBag(nlp.Words(ctx)), e.intern),
-		nps: nlp.NounPhrases(ctx),
-	}
-	e.lines[k] = lc
-	return lc
-}
-
-// tableMention returns the prepared data of table mention ti, preparing it
-// on first use. Preparation order does not change any feature value: the
-// interners assign ids in first-use order, but every float sum over interned
-// bags goes through the order-independent sumSorted and f4 is count
-// arithmetic.
+// tableMention returns the prepared features of table mention ti, taking
+// them from the Tables on first use.
 func (e *Extractor) tableMention(ti int) *tableMentionData {
-	if td := e.tableData[ti]; td != nil {
-		return td
+	td := e.tableData[ti]
+	if td == nil {
+		td = e.tables.mention(e.doc.TableMentions[ti])
+		e.tableData[ti] = td
 	}
-	tm := e.doc.TableMentions[ti]
-	tc := e.tables[tm.Table]
-	td := &tableMentionData{
-		normSurface:   normalizeSurface(tm.Surface()),
-		tableBag:      tc.bag,
-		tableNPs:      tc.nps,
-		rawValue:      tm.Value,
-		scale:         tm.Scale(),
-		precision:     tm.Precision(),
-		globalOverlap: tc.overlap,
-		globalPhrases: tc.phrases,
-	}
-	if !tm.IsVirtual() {
-		if q := tm.Table.Cell(tm.Cells[0].Row, tm.Cells[0].Col).Quantity; q != nil {
-			td.rawValue = q.RawValue
-		}
-	}
-	// Local context: max-weight union of the mention's rows and columns,
-	// merged on the indexed form (bit-identical to merging WeightedBags
-	// through Add — see nlp.MergeIndexed).
-	var local nlp.IndexedBag
-	var nps []string
-	seenRow, seenCol := map[int]bool{}, map[int]bool{}
-	for _, ref := range tm.Cells {
-		if !seenRow[ref.Row] {
-			seenRow[ref.Row] = true
-			lc := e.lineCtx(tm.Table, true, ref.Row)
-			local = nlp.MergeIndexed(local, lc.bag)
-			nps = append(nps, lc.nps...)
-		}
-		if !seenCol[ref.Col] {
-			seenCol[ref.Col] = true
-			lc := e.lineCtx(tm.Table, false, ref.Col)
-			local = nlp.MergeIndexed(local, lc.bag)
-			nps = append(nps, lc.nps...)
-		}
-	}
-	td.localIdx = local
-	td.localNPs = nps
-	td.localPhr = e.phraseIn.IndexPhrases(nps)
-	td.normID = e.surfIn.ID(td.normSurface)
-	e.tableData[ti] = td
 	return td
 }
 
@@ -466,8 +365,10 @@ func (e *Extractor) Vector(xi, ti int) []float64 {
 
 // VectorInto computes the same vector as Vector into dst, which must have
 // length NumFeatures, and returns it. The first call for a table mention
-// prepares that mention's context; after that it performs no allocation, so
-// the classify hot loop can reuse one batch matrix across all pairs.
+// takes its features from the Tables, which prepares them on the first
+// request of any extractor sharing it; after that it performs no
+// allocation, so the classify hot loop can reuse one batch matrix across
+// all pairs.
 func (e *Extractor) VectorInto(xi, ti int, dst []float64) []float64 {
 	x := &e.doc.TextMentions[xi]
 	tm := e.doc.TableMentions[ti]
@@ -478,18 +379,19 @@ func (e *Extractor) VectorInto(xi, ti int, dst []float64) []float64 {
 	dst[F1SurfaceSim] = e.surfaceSim(e.textNormID[xi], td.normID, e.textNorm[xi], td.normSurface)
 
 	// f2/f3: weighted word overlap local and global (f3 is a per-table
-	// constant, hoisted into tableData). f2 runs on the interned sorted-id
+	// constant, hoisted into overlaps). f2 runs on the interned sorted-id
 	// bags with precomputed totals — bit-identical to OverlapCoefficient on
 	// the underlying WeightedBags, pinned by cache_test.go.
-	dst[F2LocalOverlap], e.overlapScratch = nlp.IndexedOverlap(e.localIdx[xi], td.localIdx, e.overlapScratch)
-	dst[F3GlobalOverlap] = td.globalOverlap
+	global := e.overlaps[tm.Table]
+	dst[F2LocalOverlap], e.overlapScratch = nlp.IndexedOverlap(e.localIdx[xi], td.local.bag, e.overlapScratch)
+	dst[F3GlobalOverlap] = global.words
 
 	// f4/f5: noun-phrase overlap local and global (f5 hoisted like f3). f4
 	// runs on the interned phrase multisets — exactly PhraseOverlap on the
 	// underlying lists, pinned by cache_test.go.
 	dst[F4LocalPhrases], e.phraseMatched, e.phraseTouched = nlp.PhraseOverlapIndexed(
-		e.phraseIn, e.localPhr[xi], td.localPhr, e.phraseMatched, e.phraseTouched)
-	dst[F5GlobalPhrases] = td.globalPhrases
+		e.tables.phrases, e.localPhr[xi], td.local.phrases, e.phraseMatched, e.phraseTouched)
+	dst[F5GlobalPhrases] = global.phrases
 
 	// f6/f7: relative numeric distance, normalized and raw.
 	dst[F6RelDiff] = quantity.RelativeDifference(x.Value, tm.Value)

@@ -57,7 +57,7 @@ func findTable(t *testing.T, doc *document.Document, agg quantity.Agg, value flo
 
 func TestVectorShapeAndRanges(t *testing.T) {
 	doc := healthDoc(t)
-	e := NewExtractor(DefaultConfig(), doc)
+	e := NewExtractor(DefaultConfig(), doc, nil)
 	for xi := range doc.TextMentions {
 		for ti := range doc.TableMentions {
 			vec := e.Vector(xi, ti)
@@ -81,7 +81,7 @@ func TestVectorShapeAndRanges(t *testing.T) {
 
 func TestGoldPairScoresHigherThanRandomPair(t *testing.T) {
 	doc := healthDoc(t)
-	e := NewExtractor(DefaultConfig(), doc)
+	e := NewExtractor(DefaultConfig(), doc, nil)
 
 	xi := findText(t, doc, 123)
 	gold := findTable(t, doc, quantity.Sum, 123)
@@ -120,7 +120,7 @@ func TestSurfaceSimilarityNormalization(t *testing.T) {
 	if len(docs) != 1 {
 		t.Fatal("no doc")
 	}
-	e := NewExtractor(DefaultConfig(), docs[0])
+	e := NewExtractor(DefaultConfig(), docs[0], nil)
 	xi := findText(t, docs[0], 3263)
 	ti := findTable(t, docs[0], quantity.SingleCell, 3263)
 	if v := e.Vector(xi, ti)[F1SurfaceSim]; v != 1 {
@@ -130,7 +130,7 @@ func TestSurfaceSimilarityNormalization(t *testing.T) {
 
 func TestContextFeatureDiscriminates(t *testing.T) {
 	doc := healthDoc(t)
-	e := NewExtractor(DefaultConfig(), doc)
+	e := NewExtractor(DefaultConfig(), doc, nil)
 
 	// "38 patients ... depression" should overlap the Depression row context
 	// more than the Rash row.
@@ -228,7 +228,7 @@ func TestGroupOfCoversAllFeatures(t *testing.T) {
 
 func TestTextMentionAggsExposed(t *testing.T) {
 	doc := healthDoc(t)
-	e := NewExtractor(DefaultConfig(), doc)
+	e := NewExtractor(DefaultConfig(), doc, nil)
 	xi := findText(t, doc, 123)
 	aggs := e.mentionAgg[xi]
 	found := false

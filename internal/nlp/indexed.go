@@ -72,40 +72,49 @@ func IndexBag(b WeightedBag, in *Interner) IndexedBag {
 	return out
 }
 
-// MergeIndexed returns the max-weight union of the two bags — the indexed
-// counterpart of merging WeightedBags through Add — with the total recomputed
-// from the merged weights (same sorted summation as WeightedBag.Total).
-func MergeIndexed(a, b IndexedBag) IndexedBag {
-	out := IndexedBag{
-		IDs:     make([]int32, 0, len(a.IDs)+len(b.IDs)),
-		Weights: make([]float64, 0, len(a.IDs)+len(b.IDs)),
+// MergeIndexed returns the max-weight union of bags indexed through one
+// Interner — the indexed counterpart of merging WeightedBags through Add —
+// with the total summed once over the union's weights (same sorted
+// summation as WeightedBag.Total). The union does not depend on the order
+// of bags.
+func MergeIndexed(bags ...IndexedBag) IndexedBag {
+	n := 0
+	for _, b := range bags {
+		n += len(b.IDs)
 	}
+	out := IndexedBag{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
+	tmp := IndexedBag{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
+	for _, b := range bags {
+		tmp.IDs, tmp.Weights = mergeMax(tmp.IDs[:0], tmp.Weights[:0], out, b)
+		out, tmp = tmp, out
+	}
+	out.Total = sumSorted(append(tmp.Weights[:0], out.Weights...))
+	return out
+}
+
+// mergeMax appends the max-weight union of a and b to ids and weights.
+func mergeMax(ids []int32, weights []float64, a, b IndexedBag) ([]int32, []float64) {
 	i, j := 0, 0
 	for i < len(a.IDs) && j < len(b.IDs) {
 		switch {
 		case a.IDs[i] < b.IDs[j]:
-			out.IDs = append(out.IDs, a.IDs[i])
-			out.Weights = append(out.Weights, a.Weights[i])
+			ids = append(ids, a.IDs[i])
+			weights = append(weights, a.Weights[i])
 			i++
 		case a.IDs[i] > b.IDs[j]:
-			out.IDs = append(out.IDs, b.IDs[j])
-			out.Weights = append(out.Weights, b.Weights[j])
+			ids = append(ids, b.IDs[j])
+			weights = append(weights, b.Weights[j])
 			j++
 		default:
-			out.IDs = append(out.IDs, a.IDs[i])
-			out.Weights = append(out.Weights, maxFloat(a.Weights[i], b.Weights[j]))
+			ids = append(ids, a.IDs[i])
+			weights = append(weights, maxFloat(a.Weights[i], b.Weights[j]))
 			i++
 			j++
 		}
 	}
-	out.IDs = append(out.IDs, a.IDs[i:]...)
-	out.Weights = append(out.Weights, a.Weights[i:]...)
-	out.IDs = append(out.IDs, b.IDs[j:]...)
-	out.Weights = append(out.Weights, b.Weights[j:]...)
-	vals := make([]float64, len(out.Weights))
-	copy(vals, out.Weights)
-	out.Total = sumSorted(vals)
-	return out
+	ids = append(append(ids, a.IDs[i:]...), b.IDs[j:]...)
+	weights = append(append(weights, a.Weights[i:]...), b.Weights[j:]...)
+	return ids, weights
 }
 
 // IndexedOverlap returns the weighted overlap coefficient of two bags indexed
@@ -199,6 +208,59 @@ func sortedCounts(m map[int32]int32) ([]int32, []int32) {
 	for i, id := range ids {
 		counts[i] = m[id]
 	}
+	return ids, counts
+}
+
+// MergePhrases returns the multiset sum of phrase lists indexed through
+// one PhraseInterner: exactly IndexPhrases of their concatenation, without
+// interning any phrase again.
+func MergePhrases(lists ...IndexedPhrases) IndexedPhrases {
+	n, h := 0, 0
+	for _, l := range lists {
+		n += len(l.IDs)
+		h += len(l.HeadIDs)
+	}
+	out := IndexedPhrases{
+		IDs: make([]int32, 0, n), Counts: make([]int32, 0, n),
+		HeadIDs: make([]int32, 0, h), HeadCounts: make([]int32, 0, h),
+	}
+	tmp := IndexedPhrases{
+		IDs: make([]int32, 0, n), Counts: make([]int32, 0, n),
+		HeadIDs: make([]int32, 0, h), HeadCounts: make([]int32, 0, h),
+	}
+	for _, l := range lists {
+		tmp.IDs, tmp.Counts = sumCounts(tmp.IDs[:0], tmp.Counts[:0], out.IDs, out.Counts, l.IDs, l.Counts)
+		tmp.HeadIDs, tmp.HeadCounts = sumCounts(tmp.HeadIDs[:0], tmp.HeadCounts[:0],
+			out.HeadIDs, out.HeadCounts, l.HeadIDs, l.HeadCounts)
+		tmp.N = out.N + l.N
+		out, tmp = tmp, out
+	}
+	return out
+}
+
+// sumCounts appends to ids and counts the union of two sorted (id, count)
+// lists, adding the counts of ids both name.
+func sumCounts(ids, counts, aIDs, aCounts, bIDs, bCounts []int32) ([]int32, []int32) {
+	i, j := 0, 0
+	for i < len(aIDs) && j < len(bIDs) {
+		switch {
+		case aIDs[i] < bIDs[j]:
+			ids = append(ids, aIDs[i])
+			counts = append(counts, aCounts[i])
+			i++
+		case aIDs[i] > bIDs[j]:
+			ids = append(ids, bIDs[j])
+			counts = append(counts, bCounts[j])
+			j++
+		default:
+			ids = append(ids, aIDs[i])
+			counts = append(counts, aCounts[i]+bCounts[j])
+			i++
+			j++
+		}
+	}
+	ids = append(append(ids, aIDs[i:]...), bIDs[j:]...)
+	counts = append(append(counts, aCounts[i:]...), bCounts[j:]...)
 	return ids, counts
 }
 

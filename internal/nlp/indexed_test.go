@@ -86,6 +86,44 @@ func TestMergeIndexedMatchesMapMerge(t *testing.T) {
 	}
 }
 
+// TestMergeIndexedManyMatchesMapMerge folds up to six bags at once, in two
+// orders: the union and its total must equal the map merge's bit for bit
+// whatever the order.
+func TestMergeIndexedManyMatchesMapMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	in := NewInterner()
+	for i := 0; i < 200; i++ {
+		bags := make([]WeightedBag, rng.Intn(7))
+		indexed := make([]IndexedBag, len(bags))
+		merged := WeightedBag{}
+		for k := range bags {
+			bags[k] = randomBag(rng)
+			indexed[k] = IndexBag(bags[k], in)
+			for w, weight := range bags[k] {
+				merged.Add(w, weight)
+			}
+		}
+		want := IndexBag(merged, in)
+		reversed := make([]IndexedBag, len(indexed))
+		for k := range indexed {
+			reversed[len(indexed)-1-k] = indexed[k]
+		}
+		for _, got := range []IndexedBag{MergeIndexed(indexed...), MergeIndexed(reversed...)} {
+			if fmt.Sprint(got.IDs) != fmt.Sprint(want.IDs) {
+				t.Fatalf("case %d: merged ids %v != %v", i, got.IDs, want.IDs)
+			}
+			for j := range got.Weights {
+				if math.Float64bits(got.Weights[j]) != math.Float64bits(want.Weights[j]) {
+					t.Fatalf("case %d: weight[%d] %v != %v", i, j, got.Weights[j], want.Weights[j])
+				}
+			}
+			if math.Float64bits(got.Total) != math.Float64bits(want.Total) {
+				t.Fatalf("case %d: merged total %v != %v", i, got.Total, want.Total)
+			}
+		}
+	}
+}
+
 // randomPhrases builds a deterministic random phrase multiset over a small
 // shared vocabulary with overlapping heads, so both matching passes of
 // PhraseOverlap are exercised.
@@ -120,6 +158,27 @@ func TestPhraseOverlapIndexedMatchesReference(t *testing.T) {
 			if v != 0 {
 				t.Fatalf("case %d: matched[%d]=%d not reset", i, h, v)
 			}
+		}
+	}
+}
+
+// TestMergePhrasesMatchesIndexPhrases: merging separately indexed phrase
+// lists equals indexing their concatenation through the same interner.
+func TestMergePhrasesMatchesIndexPhrases(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pi := NewPhraseInterner()
+	for i := 0; i < 500; i++ {
+		var all []string
+		lists := make([]IndexedPhrases, rng.Intn(5))
+		for k := range lists {
+			l := randomPhrases(rng)
+			all = append(all, l...)
+			lists[k] = pi.IndexPhrases(l)
+		}
+		got, want := MergePhrases(lists...), pi.IndexPhrases(all)
+		if fmt.Sprint(got.IDs, got.Counts, got.HeadIDs, got.HeadCounts, got.N) !=
+			fmt.Sprint(want.IDs, want.Counts, want.HeadIDs, want.HeadCounts, want.N) {
+			t.Fatalf("case %d: merged %+v, indexed concatenation %+v", i, got, want)
 		}
 	}
 }
