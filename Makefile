@@ -77,7 +77,9 @@ bench-e2e:
 # sharing one feature.Tables as behind /v1/align), of one trained document's
 # align, of the resolution hot path, of document keying (the content hash
 # behind every store write, batch cache hit and ingest reuse check), of page
-# segmentation, and of the read path behind /v1/search and /v1/facts (store
+# segmentation in its two forms (full, table mentions included, as /v1/align
+# segments; keys-only, as the batch and ingest paths segment before a
+# lookup), and of the read path behind /v1/search and /v1/facts (store
 # queries and the shared response writer), with allocation counts — for
 # inspecting individual kernels rather than the aggregate report.
 bench-compare:
@@ -320,6 +322,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentText$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingIdentity$$' -fuzztime 5s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/api

@@ -11,6 +11,7 @@ import (
 
 	"briq"
 	"briq/internal/corpus"
+	"briq/internal/htmlx"
 )
 
 // TestOptionValidation drives every functional option through its valid and
@@ -262,5 +263,62 @@ func TestCacheEquivalenceCorpus(t *testing.T) {
 	}
 	if got := rec.Snapshot()["align"].Count; got != coldAligns+int64(len(more.Docs)) {
 		t.Errorf("mixed run aligned %d docs total, want %d (misses only)", got, coldAligns+int64(len(more.Docs)))
+	}
+
+	// Keys-only documents, as the batch endpoint segments them: the misses
+	// get their table mentions inside the corpus path and align byte for
+	// byte as eagerly segmented documents do; the hits never get any.
+	keysRec := briq.NewRecorder()
+	gated := briq.New(briq.WithWorkers(4), briq.WithRecorder(keysRec), briq.WithCache(8<<20))
+	segment := func(keysOnly bool) []*briq.Document {
+		var docs []*briq.Document
+		for _, pg := range c.Pages {
+			page := htmlx.ParseString(pg.HTML())
+			res, err := gated.Segmenter.SegmentPageKeys(pg.ID, page)
+			if !keysOnly {
+				res, err = gated.Segmenter.SegmentPageInfo(pg.ID, page)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, res.Docs...)
+		}
+		return docs
+	}
+	eager, err := briq.AlignCorpus(context.Background(), briq.New(briq.WithWorkers(4)), segment(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eager) == 0 {
+		t.Fatal("the eagerly segmented pages align to nothing")
+	}
+	eagerJSON, _ := json.Marshal(eager)
+	misses := segment(true)
+	first, err := briq.AlignCorpus(context.Background(), gated, misses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if firstJSON, _ := json.Marshal(first); !bytes.Equal(firstJSON, eagerJSON) {
+		t.Fatal("keys-only misses aligned differently from eagerly segmented documents")
+	}
+	missAligns := keysRec.Snapshot()["align"].Count
+	if missAligns != int64(len(misses)) {
+		t.Fatalf("keys-only cold run aligned %d docs, want %d", missAligns, len(misses))
+	}
+	hits := segment(true)
+	second, err := briq.AlignCorpus(context.Background(), gated, hits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keysRec.Snapshot()["align"].Count; got != missAligns {
+		t.Errorf("keys-only warm run aligned %d docs, want 0", got-missAligns)
+	}
+	if secondJSON, _ := json.Marshal(second); !bytes.Equal(secondJSON, eagerJSON) {
+		t.Fatal("keys-only hits are not byte-identical to eagerly segmented documents")
+	}
+	for _, d := range hits {
+		if d.TableMentions != nil {
+			t.Fatalf("cache hit %s built %d table mentions", d.ID, len(d.TableMentions))
+		}
 	}
 }

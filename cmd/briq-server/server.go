@@ -243,12 +243,14 @@ type batchPageResult struct {
 	Alignments []briq.Alignment `json:"alignments"`
 }
 
-// handleAlignBatch aligns many pages in one request: each page is segmented,
-// then all documents go through the facade's corpus path — fanning out over
-// pipeline clones, consulting the serving layer's per-document result cache
-// when one is configured, and occupying one admission slot for the whole
-// corpus. The request context cancels the run mid-corpus, and each document's
-// stage latencies reach the server metrics as it completes.
+// handleAlignBatch aligns many pages in one request: each page is segmented
+// keys-only (no table mentions), then all documents go through the facade's
+// corpus path — consulting the serving layer's per-document result cache
+// when one is configured, fanning the misses out over pipeline clones, which
+// build the misses' table mentions first, and occupying one admission slot
+// for the whole corpus. A cache hit never builds a table mention. The
+// request context cancels the run mid-corpus, and each document's stage
+// latencies reach the server metrics as it completes.
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, api.CodeMethodNotAllowed, `POST JSON {"pages": [{"id": ..., "html": ...}]}`)
@@ -297,12 +299,13 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		}
 
 		segStart := time.Now()
-		pdocs, err := s.pipeline.Segmenter.SegmentPage(id, htmlx.ParseString(pg.HTML))
+		seg, err := s.pipeline.Segmenter.SegmentPageKeys(id, htmlx.ParseString(pg.HTML))
 		s.metrics.stages.Observe(core.StageSegment, time.Since(segStart))
 		if err != nil {
 			api.WriteError(w, api.CodeUnprocessable, fmt.Sprintf("page %q: %v", id, err))
 			return
 		}
+		pdocs := seg.Docs
 		results[i].Documents = len(pdocs)
 		for _, doc := range pdocs {
 			docPage[doc.ID] = i

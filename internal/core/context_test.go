@@ -251,3 +251,50 @@ func TestScorePairsStopsAtFirstDoneCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestAlignRefusesUnbuiltMentions: a document segmented keys-only has tables
+// but no table mentions. Aligned as it is, it would yield no candidate and
+// no alignment without an error, so AlignContext and Candidates refuse it
+// with an error naming it, and Align panics. Once BuildTableMentions has
+// run, it aligns as the eagerly segmented document does.
+func TestAlignRefusesUnbuiltMentions(t *testing.T) {
+	p := NewPipeline()
+	ctx := context.Background()
+	eager, err := p.Segmenter.SegmentPage("pg", healthDocPage())
+	if err != nil || len(eager) != 1 {
+		t.Fatalf("eager segmentation: %d documents, %v", len(eager), err)
+	}
+	want := p.Align(eager[0])
+	if len(want) == 0 {
+		t.Fatal("the eager document aligns to nothing; the test needs one that aligns")
+	}
+	keys, err := p.Segmenter.SegmentPageKeys("pg", healthDocPage())
+	if err != nil || len(keys.Docs) != 1 {
+		t.Fatalf("keys-only segmentation: %d documents, %v", len(keys.Docs), err)
+	}
+	doc := keys.Docs[0]
+
+	if als, err := p.AlignContext(ctx, doc); err == nil || !strings.Contains(err.Error(), doc.ID) {
+		t.Fatalf("AlignContext on unbuilt mentions = %d alignments, error %v; want an error naming %s", len(als), err, doc.ID)
+	}
+	if kept, err := p.Candidates(ctx, doc); err == nil || !strings.Contains(err.Error(), doc.ID) {
+		t.Fatalf("Candidates on unbuilt mentions = %d candidates, error %v; want an error naming %s", len(kept), err, doc.ID)
+	}
+	func() {
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), doc.ID) {
+				t.Fatalf("Align on unbuilt mentions recovered %v; want a panic naming %s", v, doc.ID)
+			}
+		}()
+		p.Align(doc)
+	}()
+
+	p.Segmenter.BuildTableMentions(keys.Docs)
+	got, err := p.AlignContext(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("built keys-only document aligns to %+v, eager %+v", got, want)
+	}
+}

@@ -412,9 +412,14 @@ func (p *Pipeline) score(full []float64) float64 {
 
 // Align runs the full pipeline on one document and returns its alignments in
 // text-mention order. Stage latencies are reported to the pipeline's Recorder
-// when one is set.
+// when one is set. Without a deadline the only failure left is a document
+// whose table mentions were never built (see AlignContext), a programming
+// error on which Align panics.
 func (p *Pipeline) Align(doc *document.Document) []Alignment {
-	out, _ := p.AlignContext(context.Background(), doc) // background ctx: cannot fail
+	out, err := p.AlignContext(context.Background(), doc)
+	if err != nil {
+		panic("core: Align: " + err.Error())
+	}
 	return out
 }
 
@@ -424,7 +429,9 @@ func (p *Pipeline) Align(doc *document.Document) []Alignment {
 // canceled run or a passed deadline stops the current document within one
 // text mention's classify work or one walk. On cancellation it returns
 // ctx.Err(). The filter stage and the graph build run to completion once
-// started.
+// started. A document with tables but no table mentions — one from
+// Segmenter.SegmentPageKeys whose mentions BuildTableMentions never built —
+// is refused with an error that names it.
 func (p *Pipeline) AlignContext(ctx context.Context, doc *document.Document) ([]Alignment, error) {
 	return p.alignContext(ctx, doc, nil)
 }
@@ -460,9 +467,11 @@ func (p *Pipeline) alignContext(ctx context.Context, doc *document.Document, tab
 // document and returns the candidate pairs the filter kept — the input of
 // global resolution. It applies the pre-classifier gate (unless
 // NoClassifyGate is set), reports StageClassify, StageClassifyGate and
-// StageFilter to the Recorder, and checks ctx before each stage. AlignContext
-// resolves these candidates with random walks; the experiment harness's ILP
-// and greedy baselines resolve the same candidates their own way.
+// StageFilter to the Recorder, and checks ctx before each stage. It refuses
+// a document with tables but no table mentions, as AlignContext does.
+// AlignContext resolves these candidates with random walks; the experiment
+// harness's ILP and greedy baselines resolve the same candidates their own
+// way.
 func (p *Pipeline) Candidates(ctx context.Context, doc *document.Document) ([]filter.Candidate, error) {
 	return p.candidates(ctx, doc, nil)
 }
@@ -470,6 +479,13 @@ func (p *Pipeline) Candidates(ctx context.Context, doc *document.Document) ([]fi
 func (p *Pipeline) candidates(ctx context.Context, doc *document.Document, tables *feature.Tables) ([]filter.Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	// A document from SegmentPageKeys has tables but no table mentions until
+	// BuildTableMentions runs; aligned as it is, it would yield no candidate
+	// and no alignment, silently.
+	if len(doc.TableMentions) == 0 && len(doc.Tables) > 0 {
+		return nil, fmt.Errorf("document %s has %d tables but no table mentions: build them with Segmenter.BuildTableMentions before aligning",
+			doc.ID, len(doc.Tables))
 	}
 	start := time.Now()
 	candidates, tags, err := p.scorePairs(ctx, doc, true, tables)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"briq/internal/document"
+	"briq/internal/quantity"
 	"briq/internal/serve"
 )
 
@@ -30,11 +31,58 @@ type AlignmentSink interface {
 // text digest, an edited table only the table digest. The text mentions stay
 // in the key although they derive from the prose: corpus.PerturbDocs builds
 // documents whose mentions differ while their text does not.
+//
+// The records are appended with strconv into one buffer and written once.
+// The bytes are those of
+//
+//	"text|%s|" (Text), then "xm|%+v|" per text mention,
+//
+// where %+v renders a quantity.Mention as {Surface:… Value:… …}, every
+// field by name in declaration order, floats as %v (strconv's shortest 'g',
+// with "+Inf"), Approx through its String method. They must stay so: they
+// are part of every stored document key. A field added to quantity.Mention
+// changes the fmt bytes but not these; the oracle tests fail until the
+// writer and the store format agree again.
 func HashDocumentText(w io.Writer, d *document.Document) {
-	fmt.Fprintf(w, "text|%s|", d.Text)
-	for _, m := range d.TextMentions {
-		fmt.Fprintf(w, "xm|%+v|", m)
+	b := make([]byte, 0, len("text||")+len(d.Text)+len(d.TextMentions)*textMentionBytes)
+	b = append(b, "text|"...)
+	b = append(b, d.Text...)
+	b = append(b, '|')
+	for i := range d.TextMentions {
+		b = appendTextMention(b, &d.TextMentions[i])
 	}
+	w.Write(b)
+}
+
+// textMentionBytes is about the length of one text mention's record, which
+// sizes HashDocumentText's buffer so it seldom grows.
+const textMentionBytes = 160
+
+// appendTextMention appends the "xm|%+v|" record of one text mention.
+func appendTextMention(b []byte, m *quantity.Mention) []byte {
+	b = append(b, "xm|{Surface:"...)
+	b = append(b, m.Surface...)
+	b = append(b, " Value:"...)
+	b = strconv.AppendFloat(b, m.Value, 'g', -1, 64)
+	b = append(b, " RawValue:"...)
+	b = strconv.AppendFloat(b, m.RawValue, 'g', -1, 64)
+	b = append(b, " Unit:"...)
+	b = append(b, m.Unit...)
+	b = append(b, " Scale:"...)
+	b = strconv.AppendInt(b, int64(m.Scale), 10)
+	b = append(b, " Precision:"...)
+	b = strconv.AppendInt(b, int64(m.Precision), 10)
+	b = append(b, " Approx:"...)
+	b = append(b, m.Approx.String()...)
+	b = append(b, " Start:"...)
+	b = strconv.AppendInt(b, int64(m.Start), 10)
+	b = append(b, " End:"...)
+	b = strconv.AppendInt(b, int64(m.End), 10)
+	b = append(b, " Sentence:"...)
+	b = strconv.AppendInt(b, int64(m.Sentence), 10)
+	b = append(b, " TokenPos:"...)
+	b = strconv.AppendInt(b, int64(m.TokenPos), 10)
+	return append(b, "}|"...)
 }
 
 // HashDocumentTables writes the table part of a document's content: each

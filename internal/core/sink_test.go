@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,9 +37,33 @@ func hashDocumentTablesFmt(w io.Writer, d *document.Document) {
 // oracle's bytes for d.
 func requireFmtTableBytes(t *testing.T, label string, d *document.Document) {
 	t.Helper()
+	requireOracleBytes(t, label+": table", HashDocumentTables, hashDocumentTablesFmt, d)
+}
+
+// hashDocumentTextFmt is HashDocumentText as it was written with fmt, one
+// Fprintf per record. It is the oracle for the strconv writer: the text part
+// is hashed into every stored document key.
+func hashDocumentTextFmt(w io.Writer, d *document.Document) {
+	fmt.Fprintf(w, "text|%s|", d.Text)
+	for _, m := range d.TextMentions {
+		fmt.Fprintf(w, "xm|%+v|", m)
+	}
+}
+
+// requireFmtTextBytes fails unless HashDocumentText writes exactly the
+// oracle's bytes for d.
+func requireFmtTextBytes(t *testing.T, label string, d *document.Document) {
+	t.Helper()
+	requireOracleBytes(t, label+": text", HashDocumentText, hashDocumentTextFmt, d)
+}
+
+// requireOracleBytes fails unless write and oracle write the same bytes for
+// d, showing where they first differ.
+func requireOracleBytes(t *testing.T, label string, write, oracle func(io.Writer, *document.Document), d *document.Document) {
+	t.Helper()
 	var got, want bytes.Buffer
-	HashDocumentTables(&got, d)
-	hashDocumentTablesFmt(&want, d)
+	write(&got, d)
+	oracle(&want, d)
 	if bytes.Equal(got.Bytes(), want.Bytes()) {
 		return
 	}
@@ -48,7 +73,7 @@ func requireFmtTableBytes(t *testing.T, label string, d *document.Document) {
 		i++
 	}
 	lo := max(0, i-40)
-	t.Fatalf("%s: table bytes differ at offset %d of %d (oracle %d):\ngot  %q\nwant %q",
+	t.Fatalf("%s bytes differ at offset %d of %d (oracle %d):\ngot  %q\nwant %q",
 		label, i, len(g), len(w), g[lo:min(len(g), i+40)], w[lo:min(len(w), i+40)])
 }
 
@@ -93,6 +118,70 @@ func TestHashDocumentTablesMatchesFmt(t *testing.T) {
 			requireFmtTableBytes(t, fmt.Sprintf("seed %d %s segmenter doc %s", seed, s.name, d.ID), d)
 		})
 	}
+}
+
+// TestHashDocumentTextMatchesFmt segments generated corpora and requires the
+// oracle's text bytes for every document.
+func TestHashDocumentTextMatchesFmt(t *testing.T) {
+	docs := 0
+	segmentedCorpora(t, document.NewSegmenter(), func(seed int64, d *document.Document) {
+		docs++
+		requireFmtTextBytes(t, fmt.Sprintf("seed %d doc %s", seed, d.ID), d)
+	})
+	if docs == 0 {
+		t.Fatal("no documents")
+	}
+}
+
+// oddMention is a text mention with every field set to a value generated
+// text never holds.
+func oddMention(surface, unit string, value, raw float64, approx quantity.Approx) quantity.Mention {
+	return quantity.Mention{
+		Surface: surface, Value: value, RawValue: raw, Unit: unit,
+		Scale: -7, Precision: 12, Approx: approx,
+		Start: 3, End: -1, Sentence: 1 << 40, TokenPos: -(1 << 40),
+	}
+}
+
+// TestHashDocumentTextEdgeBytes covers what generated corpora never hold:
+// separators, braces, quotes and invalid UTF-8 in the text, surfaces and
+// units; NaN, ±Inf, −0, 1e21, 1e-7 and the extremes of float64 as values;
+// every Approx, an out-of-range one included; no mentions and no text.
+func TestHashDocumentTextEdgeBytes(t *testing.T) {
+	odd := "a|b}c{ \"q\" \xff\xfe\xc3 é\u2028xm|{Surface:x}|"
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e21, 1e20, 1e-7, 1e-4,
+		123456, 1234567, 0.1 + 0.2, math.MaxFloat64, math.SmallestNonzeroFloat64, -3.26e9}
+	var ms []quantity.Mention
+	for i, v := range values {
+		ms = append(ms, oddMention(odd, "|}"+odd, v, values[len(values)-1-i], quantity.Approx(i%7-1)))
+	}
+	requireFmtTextBytes(t, "edge document", &document.Document{ID: "pg-d0", Text: odd, TextMentions: ms})
+	requireFmtTextBytes(t, "no mentions", &document.Document{ID: "pg-d1", Text: odd})
+	requireFmtTextBytes(t, "empty", &document.Document{ID: "pg-d2"})
+}
+
+// FuzzHashDocumentText builds a document of one paragraph and two text
+// mentions from fuzzed text, surface, unit, values, integer fields and
+// approximation indicator, and requires the oracle's bytes.
+func FuzzHashDocumentText(f *testing.F) {
+	f.Add("A total of 123 patients.", "total of 123", "", 123.0, 123.0, 2, 0, 1, 0, 17, 0, 3)
+	f.Add("a|b}c", "x|}", "u|}{", math.NaN(), math.Inf(1), -1, 5, 9, -3, 0, 1, 2)
+	f.Add("\xff\xfe", "\xc3", "\x00", math.Inf(-1), math.Copysign(0, -1), 7, -7, -1, 1<<40, -(1 << 40), 3, 4)
+	f.Add("", "", "USD", 1e21, 1e-7, 99, 0, 0, 0, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, text, surface, unit string, value, raw float64, approx, scale, precision, start, end, sentence, tokenPos int) {
+		m := quantity.Mention{
+			Surface: surface, Value: value, RawValue: raw, Unit: unit,
+			Scale: scale, Precision: precision, Approx: quantity.Approx(approx),
+			Start: start, End: end, Sentence: sentence, TokenPos: tokenPos,
+		}
+		other := m
+		other.Surface, other.Unit = unit, surface
+		other.Value, other.RawValue = raw, value
+		requireFmtTextBytes(t, "fuzzed document", &document.Document{
+			ID: "pg-d0", PageID: "pg", Text: text,
+			TextMentions: []quantity.Mention{m, other},
+		})
+	})
 }
 
 // TestExtractionPinned pins what extraction makes of the generated corpora:

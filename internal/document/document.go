@@ -3,10 +3,20 @@
 // together with all related tables from the same page — and extracting the
 // quantity mentions on both sides. Related tables are found by token
 // similarity between paragraph and table content above a threshold.
+//
+// Segmentation has two steps. The first finds the documents: IDs, text,
+// text mentions and related tables, which is everything a document key
+// (core.HashDocument) reads. The second builds the table mentions (single
+// and virtual cells, §II-A), which only alignment reads, and which are most
+// of segmentation's cost. SegmentPage, SegmentPageInfo and Segment run both.
+// SegmentPageKeys runs the first alone, so a path that answers most
+// documents from stored results — the batch endpoint's cache hits and
+// ingestion's reuse check — keys them first and runs BuildTableMentions
+// only on those it aligns (runtime.AlignPerDoc does, before its fan-out).
 package document
 
 import (
-	"fmt"
+	"strconv"
 
 	"briq/internal/htmlx"
 	"briq/internal/nlp"
@@ -17,18 +27,22 @@ import (
 // Document is a coherent unit of alignment: one paragraph plus its related
 // tables, with all quantity mentions extracted.
 //
-// Segmentation builds each table's mentions once per page: the documents of
-// a page that relate to one table share its *table.Mention values, so treat
-// TableMentions as read-only. The mentions are a function of the table
-// records, Segmenter.VirtualOpts and the extraction code, which is why
-// document keys (core.HashDocument) cover the tables and not the mentions.
+// TableMentions holds the mentions of each related table in turn, in the
+// order of Tables. BuildTableMentions builds each table's list once across
+// the documents it is given, so the documents of a page that relate to one
+// table share its *table.Mention values: treat TableMentions as read-only.
+// It is nil on a document from SegmentPageKeys until BuildTableMentions
+// runs, and the aligner refuses such a document. The mentions are a
+// function of the table records, Segmenter.VirtualOpts and the extraction
+// code, which is why document keys (core.HashDocument) cover the tables and
+// not the mentions.
 type Document struct {
 	ID            string
 	PageID        string
 	Text          string             // the paragraph text
 	Tables        []*table.Table     // related tables (≥1)
 	TextMentions  []quantity.Mention // mentions extracted from Text, in order
-	TableMentions []*table.Mention   // single + virtual cells across Tables, shared
+	TableMentions []*table.Mention   // single + virtual cells across Tables, shared; nil until built
 	TextTokens    []string           // lowercase word tokens of Text (cached)
 }
 
@@ -66,7 +80,8 @@ func NewSegmenter() *Segmenter {
 	}
 }
 
-// SegmentPage parses the blocks of an HTML page into documents.
+// SegmentPage parses the blocks of an HTML page into documents, table
+// mentions included.
 func (s *Segmenter) SegmentPage(pageID string, page *htmlx.Page) ([]*Document, error) {
 	res, err := s.SegmentPageInfo(pageID, page)
 	return res.Docs, err
@@ -81,9 +96,21 @@ type Segmentation struct {
 	Paragraphs    int // non-heading paragraphs considered
 }
 
-// SegmentPageInfo parses the blocks of an HTML page into documents and
-// reports what the page offered to work with.
+// SegmentPageInfo parses the blocks of an HTML page into documents, table
+// mentions included, and reports what the page offered to work with. It is
+// SegmentPageKeys followed by BuildTableMentions on the page's documents.
 func (s *Segmenter) SegmentPageInfo(pageID string, page *htmlx.Page) (Segmentation, error) {
+	res, err := s.SegmentPageKeys(pageID, page)
+	s.BuildTableMentions(res.Docs)
+	return res, err
+}
+
+// SegmentPageKeys is SegmentPageInfo without the table mentions: the same
+// documents — IDs, text, text mentions and related tables — and counts,
+// with every document's TableMentions nil. That is all a document key
+// reads. Build the mentions of the documents to be aligned with
+// BuildTableMentions.
+func (s *Segmenter) SegmentPageKeys(pageID string, page *htmlx.Page) (Segmentation, error) {
 	var paras []string
 	var paraBlock []int // block index per paragraph
 	var tables []*table.Table
@@ -98,7 +125,7 @@ func (s *Segmenter) SegmentPageInfo(pageID string, page *htmlx.Page) (Segmentati
 			paras = append(paras, blk.Text)
 			paraBlock = append(paraBlock, i)
 		case *htmlx.TableBlock:
-			id := fmt.Sprintf("%s-t%d", pageID, len(tables))
+			id := pageID + "-t" + strconv.Itoa(len(tables))
 			tbl, err := table.New(id, blk.Caption, blk.Grid)
 			if err != nil {
 				continue // skew or empty table: skip, pages are noisy
@@ -117,8 +144,8 @@ func (s *Segmenter) SegmentPageInfo(pageID string, page *htmlx.Page) (Segmentati
 	}, nil
 }
 
-// Segment builds documents from pre-extracted paragraphs and tables, with
-// positions taken as their slice order.
+// Segment builds documents, table mentions included, from pre-extracted
+// paragraphs and tables, with positions taken as their slice order.
 func (s *Segmenter) Segment(pageID string, paras []string, tables []*table.Table) []*Document {
 	paraBlock := make([]int, len(paras))
 	tableBlock := make([]int, len(tables))
@@ -128,53 +155,74 @@ func (s *Segmenter) Segment(pageID string, paras []string, tables []*table.Table
 	for i := range tables {
 		tableBlock[i] = i*2 + 1
 	}
-	return s.segment(pageID, paras, paraBlock, tables, tableBlock)
+	docs := s.segment(pageID, paras, paraBlock, tables, tableBlock)
+	s.BuildTableMentions(docs)
+	return docs
 }
 
+// segment finds the documents of a page, without their table mentions.
 func (s *Segmenter) segment(pageID string, paras []string, paraBlock []int, tables []*table.Table, tableBlock []int) []*Document {
 	if len(tables) == 0 {
 		return nil
 	}
-	tableTokens := make([][]string, len(tables))
+	tableSets := make([]nlp.ContentSet, len(tables))
 	for i, t := range tables {
-		tableTokens[i] = t.Tokens()
+		tableSets[i] = nlp.NewContentSet(t.Tokens())
 	}
 
-	mentions := make([][]*table.Mention, len(tables)) // built on first use
 	var docs []*Document
 	for pi, para := range paras {
 		paraTokens := nlp.Words(para)
-		var related []int
-		for ti := range tables {
-			sim := nlp.JaccardTokens(paraTokens, tableTokens[ti])
+		paraSet := nlp.NewContentSet(paraTokens)
+		var related []*table.Table
+		for ti, t := range tables {
+			sim := paraSet.Jaccard(tableSets[ti])
 			adjacent := s.AttachAdjacent && isAdjacent(paraBlock[pi], tableBlock[ti], paraBlock, tableBlock)
 			if sim >= s.SimilarityThreshold || adjacent {
-				related = append(related, ti)
+				related = append(related, t)
 			}
 		}
 		if len(related) == 0 {
 			continue
 		}
 		doc := &Document{
-			ID:         fmt.Sprintf("%s-d%d", pageID, len(docs)),
+			ID:         pageID + "-d" + strconv.Itoa(len(docs)),
 			PageID:     pageID,
 			Text:       para,
+			Tables:     related,
 			TextTokens: paraTokens,
 		}
 		doc.TextMentions = quantity.ExtractText(para)
 		if len(doc.TextMentions) < s.MinTextMentions {
 			continue
 		}
-		for _, ti := range related {
-			if mentions[ti] == nil {
-				mentions[ti] = tables[ti].Mentions(s.VirtualOpts)
-			}
-			doc.Tables = append(doc.Tables, tables[ti])
-			doc.TableMentions = append(doc.TableMentions, mentions[ti]...)
-		}
 		docs = append(docs, doc)
 	}
 	return docs
+}
+
+// BuildTableMentions builds the table mentions of the documents that have
+// none: each such document's TableMentions become the mentions of its
+// tables, table after table in the order of Tables. Each table's list is
+// built once across docs, so documents that relate to one table share its
+// *table.Mention values, as the documents of one SegmentPageInfo call do.
+// Documents that already have table mentions are left as they are. It
+// writes the documents, so no other goroutine may read them meanwhile.
+func (s *Segmenter) BuildTableMentions(docs []*Document) {
+	built := map[*table.Table][]*table.Mention{}
+	for _, d := range docs {
+		if d.TableMentions != nil {
+			continue
+		}
+		for _, t := range d.Tables {
+			ms, ok := built[t]
+			if !ok {
+				ms = t.Mentions(s.VirtualOpts)
+				built[t] = ms
+			}
+			d.TableMentions = append(d.TableMentions, ms...)
+		}
+	}
 }
 
 // isAdjacent reports whether the paragraph at block position p and the table

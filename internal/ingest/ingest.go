@@ -1,9 +1,10 @@
 // Package ingest is the streaming corpus-maintenance engine behind
 // POST /v1/ingest: pages arrive one at a time (NDJSON lines on the wire),
-// each is segmented into documents, every document's content identity is
-// checked against the persistent store, and only documents whose identity is
-// new — a changed paragraph or table, or a genuinely new document — go
-// through classify/filter/resolve. The page is then upserted: stale
+// each is segmented into documents without their table mentions, every
+// document's content identity is checked against the persistent store, and
+// only documents whose identity is new — a changed paragraph or table, or a
+// genuinely new document — get their table mentions and go through
+// classify/filter/resolve. The page is then upserted: stale
 // documents of a previous crawl are retracted, unchanged ones reused
 // byte-for-byte.
 //
@@ -84,8 +85,9 @@ func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
 	return &ing.locks[h.Sum32()%pageShards]
 }
 
-// Page ingests one page: segment, fingerprint-check every document, re-align
-// only the misses, upsert. An error Result (Error != "") means the store was
+// Page ingests one page: segment keys-only, fingerprint-check every
+// document, build the table mentions of the misses and re-align them,
+// upsert. An error Result (Error != "") means the store was
 // not touched for this page. The context cancels mid-alignment.
 func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	res := Result{PageID: pageID}
@@ -94,11 +96,14 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	mu.Lock()
 	defer mu.Unlock()
 
-	docs, err := ing.proto.Segmenter.SegmentPage(pageID, htmlx.ParseString(html))
+	// Keys-only: a reused document never needs its table mentions, and
+	// runtime.AlignPerDoc builds them for the misses.
+	seg, err := ing.proto.Segmenter.SegmentPageKeys(pageID, htmlx.ParseString(html))
 	if err != nil {
 		res.Error, res.Code = err.Error(), api.CodeUnprocessable
 		return res
 	}
+	docs := seg.Docs
 
 	// Fingerprint check: a stored live identity means the whole
 	// classify/filter/resolve chain is skipped for that document. The keys

@@ -150,37 +150,42 @@ func OverlapCoefficient(a, b WeightedBag) float64 {
 	return sumSorted(overlaps) / minFloat(ta, tb)
 }
 
-// JaccardTokens returns the Jaccard similarity of the two token sets after
-// lowercasing and stopword removal. It is the paragraph↔table relatedness
-// measure used by document segmentation (§III).
-func JaccardTokens(a, b []string) float64 {
-	sa := contentSet(a)
-	sb := contentSet(b)
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	if len(sb) < len(sa) {
-		sa, sb = sb, sa
-	}
-	inter := 0
-	for w := range sa {
-		if sb[w] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
-}
+// ContentSet is the set of lowercase non-stopword tokens of a text, the
+// unit of paragraph↔table relatedness in document segmentation (§III).
+// Segmentation builds one per paragraph and one per table, then compares
+// each paragraph's set with every table's.
+type ContentSet map[string]struct{}
 
-func contentSet(words []string) map[string]bool {
-	set := make(map[string]bool, len(words))
+// NewContentSet returns the content set of words after lowercasing and
+// stopword removal.
+func NewContentSet(words []string) ContentSet {
+	set := make(ContentSet, len(words))
 	for _, w := range words {
 		w = strings.ToLower(w)
 		if !Stopword(w) {
-			set[w] = true
+			set[w] = struct{}{}
 		}
 	}
 	return set
+}
+
+// Jaccard returns the Jaccard similarity |a∩b| / |a∪b| of two content sets,
+// and 0 when either is empty.
+func (a ContentSet) Jaccard(b ContentSet) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	inter := 0
+	for w := range a {
+		if _, ok := b[w]; ok {
+			inter++
+		}
+	}
+	union := len(a) + len(b) - inter
+	return float64(inter) / float64(union)
 }
 
 func maxInt(a, b int) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -131,18 +132,73 @@ func TestOverlapCoefficientProperties(t *testing.T) {
 }
 
 func TestJaccardTokens(t *testing.T) {
-	a := []string{"Total", "Revenue", "income", "the"}
-	b := []string{"revenue", "Income", "taxes", "a"}
+	a := NewContentSet([]string{"Total", "Revenue", "income", "the"})
+	b := NewContentSet([]string{"revenue", "Income", "taxes", "a"})
 	// Content sets: {total, revenue, income} and {revenue, income, taxes};
 	// intersection 2, union 4.
-	if got, want := JaccardTokens(a, b), 0.5; math.Abs(got-want) > 1e-9 {
-		t.Errorf("JaccardTokens = %v, want %v", got, want)
+	if got, want := a.Jaccard(b), 0.5; math.Abs(got-want) > 1e-9 {
+		t.Errorf("Jaccard = %v, want %v", got, want)
 	}
-	if got := JaccardTokens(nil, b); got != 0 {
-		t.Errorf("JaccardTokens(nil, b) = %v, want 0", got)
+	if got := NewContentSet(nil).Jaccard(b); got != 0 {
+		t.Errorf("Jaccard(nil set, b) = %v, want 0", got)
 	}
-	if got := JaccardTokens([]string{"the", "a"}, b); got != 0 {
+	if got := NewContentSet([]string{"the", "a"}).Jaccard(b); got != 0 {
 		t.Errorf("stopword-only Jaccard = %v, want 0", got)
+	}
+	if got, want := b.Jaccard(a), a.Jaccard(b); got != want {
+		t.Errorf("Jaccard is not symmetric: %v vs %v", got, want)
+	}
+}
+
+// jaccardTokensReference is the relatedness measure as segmentation
+// computed it before content sets: both sets built on every call, as
+// map[string]bool.
+func jaccardTokensReference(a, b []string) float64 {
+	set := func(words []string) map[string]bool {
+		s := make(map[string]bool, len(words))
+		for _, w := range words {
+			w = strings.ToLower(w)
+			if !Stopword(w) {
+				s[w] = true
+			}
+		}
+		return s
+	}
+	sa, sb := set(a), set(b)
+	if len(sa) == 0 || len(sb) == 0 {
+		return 0
+	}
+	if len(sb) < len(sa) {
+		sa, sb = sb, sa
+	}
+	inter := 0
+	for w := range sa {
+		if sb[w] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(sa)+len(sb)-inter)
+}
+
+// TestJaccardMatchesReference requires content-set Jaccard to return the
+// reference's float, bit for bit, on random token lists drawn from a small
+// vocabulary with stopwords and mixed case.
+func TestJaccardMatchesReference(t *testing.T) {
+	vocab := []string{"the", "a", "of", "Revenue", "revenue", "income", "Total", "2013", "sales", "USD", "profit", "and"}
+	draw := func(rng *rand.Rand) []string {
+		out := make([]string, rng.Intn(12))
+		for i := range out {
+			out[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		a, b := draw(rng), draw(rng)
+		got := NewContentSet(a).Jaccard(NewContentSet(b))
+		if want := jaccardTokensReference(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Jaccard(%q, %q) = %v, reference %v", a, b, got, want)
+		}
 	}
 }
 

@@ -16,6 +16,13 @@ import (
 // the serving layer's per-document result cache stores. Per-document slices
 // keep Align's text-mention order.
 //
+// Documents segmented keys-only (document.Segmenter.SegmentPageKeys) get
+// their table mentions first, from p.Segmenter, before any goroutine starts:
+// each table's list is built once across docs, in the order segmentation
+// would have built it, so the alignments are those of eagerly segmented
+// documents. This is the miss path of the batch endpoint and of ingestion,
+// which key documents before anything builds their mentions.
+//
 // workers ≤ 0 falls back to p.Workers, then GOMAXPROCS; no more goroutines
 // start than there are documents. Each goroutine owns one p.Clone() for the
 // whole call and takes the next unclaimed document until none is left. The
@@ -23,6 +30,7 @@ import (
 // ctx.Err() with partial work discarded; documents in flight stop at their
 // next pipeline phase (see core.AlignContext).
 func AlignPerDoc(ctx context.Context, p *core.Pipeline, docs []*document.Document, workers int) ([][]core.Alignment, error) {
+	p.Segmenter.BuildTableMentions(docs)
 	perDoc := make([][]core.Alignment, len(docs))
 	n := width(p, workers, len(docs))
 	errs := make([]error, n)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"briq/internal/core"
 	"briq/internal/corpus"
 	"briq/internal/document"
+	"briq/internal/htmlx"
 	"briq/internal/obs"
 )
 
@@ -239,5 +241,64 @@ func TestWorkerDefaults(t *testing.T) {
 	proto.Workers = 0
 	if got, want := width(proto, 0, 100), min(gort.GOMAXPROCS(0), 100); got != want {
 		t.Errorf("width = %d, want GOMAXPROCS %d", got, want)
+	}
+}
+
+// TestAlignPerDocBuildsKeysOnlyDocuments: documents segmented keys-only, as
+// the batch and ingest paths segment them, get their table mentions inside
+// AlignPerDoc before its fan-out, and align exactly as eagerly segmented
+// documents do at every worker count. Under -race this also shows that the
+// build finishes before any worker reads a document.
+func TestAlignPerDocBuildsKeysOnlyDocuments(t *testing.T) {
+	cfg := corpus.TableSConfig(5)
+	cfg.Pages = 12
+	pages := corpus.Generate(cfg).Pages
+	proto := core.NewPipeline()
+	segment := func(keysOnly bool) []*document.Document {
+		var docs []*document.Document
+		for _, pg := range pages {
+			page := htmlx.ParseString(pg.HTML())
+			if keysOnly {
+				res, err := proto.Segmenter.SegmentPageKeys(pg.ID, page)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs = append(docs, res.Docs...)
+				continue
+			}
+			ds, err := proto.Segmenter.SegmentPage(pg.ID, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, ds...)
+		}
+		return docs
+	}
+	eager := segment(false)
+	want, err := AlignPerDoc(context.Background(), proto, eager, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligned := 0
+	for _, als := range want {
+		aligned += len(als)
+	}
+	if aligned == 0 {
+		t.Fatal("the eager documents align to nothing")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		keys := segment(true)
+		got, err := AlignPerDoc(context.Background(), proto, keys, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+			t.Fatalf("workers=%d: keys-only documents align differently from eager ones", workers)
+		}
+		for i, d := range keys {
+			if !reflect.DeepEqual(d.TableMentions, eager[i].TableMentions) {
+				t.Fatalf("workers=%d: %s: built table mentions differ from the eager ones", workers, d.ID)
+			}
+		}
 	}
 }

@@ -53,8 +53,19 @@ func New(id, caption string, grid [][]string) (*Table, error) {
 
 	t := &Table{ID: id, Caption: caption}
 
-	hasHeaderRow := detectHeaderRow(grid)
-	hasHeaderCol := detectHeaderCol(grid, hasHeaderRow)
+	// Every grid cell is parsed once: header detection and the data grid
+	// read the same parse. ParseCell trims its input itself, so the raw text
+	// parses as the trimmed cell text does.
+	parsed := make([]cellParse, len(grid)*width)
+	for r, row := range grid {
+		for c, s := range row {
+			p := &parsed[r*width+c]
+			p.q, p.ok = quantity.ParseCell(s)
+			p.data = isDataNumeric(p.ok, s)
+		}
+	}
+	hasHeaderRow := detectHeaderRow(parsed, width)
+	hasHeaderCol := detectHeaderCol(parsed, width, hasHeaderRow)
 
 	dataStartRow, dataStartCol := 0, 0
 	if hasHeaderRow {
@@ -82,71 +93,93 @@ func New(id, caption string, grid [][]string) (*Table, error) {
 		t.RowHeaders = make([]string, len(grid)-dataStartRow)
 	}
 
+	// The data grid's rows and its cells' quantities each share one backing
+	// array.
+	rows, cols := len(grid)-dataStartRow, width-dataStartCol
+	cells := make([]Cell, 0, rows*cols)
+	quantities := make([]quantity.Mention, rows*cols)
 	for r := dataStartRow; r < len(grid); r++ {
-		row := make([]Cell, 0, width-dataStartCol)
 		for c := dataStartCol; c < width; c++ {
 			cell := Cell{Row: r - dataStartRow, Col: c - dataStartCol, Text: strings.TrimSpace(grid[r][c])}
-			if m, ok := quantity.ParseCell(cell.Text); ok {
-				cell.Quantity = &m
+			if p := &parsed[r*width+c]; p.ok {
+				q := &quantities[len(cells)]
+				*q = p.q
+				cell.Quantity = q
 			}
-			row = append(row, cell)
+			cells = append(cells, cell)
 		}
-		t.cells = append(t.cells, row)
+	}
+	t.cells = make([][]Cell, rows)
+	for r := range t.cells {
+		t.cells[r] = cells[r*cols : (r+1)*cols : (r+1)*cols]
 	}
 
 	t.propagateUnits()
 	return t, nil
 }
 
+// cellParse is one grid cell's parse, as New reads it.
+type cellParse struct {
+	q    quantity.Mention
+	ok   bool // the cell parses as a quantity
+	data bool // isDataNumeric
+}
+
 // detectHeaderRow reports whether the first row looks like a header: fewer
-// numeric cells than the remaining rows' average.
-func detectHeaderRow(grid [][]string) bool {
-	if len(grid) < 2 {
+// numeric cells than the remaining rows' average. grid holds every cell's
+// parse, row-major, width cells a row.
+func detectHeaderRow(grid []cellParse, width int) bool {
+	rows := len(grid) / width
+	if rows < 2 {
 		return false
 	}
-	first := numericFraction(grid[0])
+	first := numericFraction(grid[:width])
 	var rest float64
-	for _, row := range grid[1:] {
-		rest += numericFraction(row)
+	for r := 1; r < rows; r++ {
+		rest += numericFraction(grid[r*width : (r+1)*width])
 	}
-	rest /= float64(len(grid) - 1)
+	rest /= float64(rows - 1)
 	return first < 0.5 && rest > first
 }
 
-func detectHeaderCol(grid [][]string, skipFirstRow bool) bool {
+// detectHeaderCol reports whether the first column looks like a header, by
+// the same heuristic over the rows below a detected header row.
+func detectHeaderCol(grid []cellParse, width int, skipFirstRow bool) bool {
+	rows := len(grid) / width
 	start := 0
 	if skipFirstRow {
 		start = 1
 	}
-	if len(grid)-start < 1 || len(grid[0]) < 2 {
+	if rows-start < 1 || width < 2 {
 		return false
 	}
 	var firstCol, restCols, nRest float64
-	for _, row := range grid[start:] {
-		if isDataNumeric(row[0]) {
+	for r := start; r < rows; r++ {
+		row := grid[r*width : (r+1)*width]
+		if row[0].data {
 			firstCol++
 		}
 		for _, cell := range row[1:] {
-			if isDataNumeric(cell) {
+			if cell.data {
 				restCols++
 			}
 			nRest++
 		}
 	}
-	nRows := float64(len(grid) - start)
+	nRows := float64(rows - start)
 	if nRest == 0 {
 		return false
 	}
 	return firstCol/nRows < 0.5 && restCols/nRest > firstCol/nRows
 }
 
-func numericFraction(row []string) float64 {
+func numericFraction(row []cellParse) float64 {
 	if len(row) == 0 {
 		return 0
 	}
 	n := 0
-	for _, s := range row {
-		if isDataNumeric(s) {
+	for _, cell := range row {
+		if cell.data {
 			n++
 		}
 	}
@@ -158,12 +191,10 @@ func numericFraction(row []string) float64 {
 // 2011") are headers in the overwhelming majority of web tables (Fig. 1c,
 // Fig. 3, Fig. 5 of the paper all have year header rows), so they are
 // treated as non-numeric here — this affects only header detection, not
-// quantity extraction from data cells.
-func isDataNumeric(s string) bool {
-	if _, ok := quantity.ParseCell(s); !ok {
-		return false
-	}
-	return !containsYearToken(s)
+// quantity extraction from data cells. isQuantity is whether s parses as a
+// quantity.
+func isDataNumeric(isQuantity bool, s string) bool {
+	return isQuantity && !containsYearToken(s)
 }
 
 // containsYearToken reports whether s contains a standalone 4-digit run in
