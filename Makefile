@@ -78,16 +78,19 @@ bench-e2e:
 # align, of the resolution hot path, of document keying (the content hash
 # behind every store write, batch cache hit and ingest reuse check), of page
 # segmentation in its two forms (full, table mentions included, as /v1/align
-# segments; keys-only, as the batch and ingest paths segment before a
-# lookup), and of the read path behind /v1/search and /v1/facts (store
-# queries and the shared response writer), with allocation counts — for
-# inspecting individual kernels rather than the aggregate report.
+# segments; keys-only, as the batch and ingest paths segment a page that
+# misses its page entry), of an 8-page /v1/align/batch request whose pages
+# hit their page entries or miss them (documents cached either way), and of
+# the read path behind /v1/search and /v1/facts (store queries and the shared
+# response writer), with allocation counts — for inspecting individual
+# kernels rather than the aggregate report.
 bench-compare:
 	$(GO) test -bench '^BenchmarkAlignPage$$' -benchmem -run ^$$ .
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
+	$(GO) test -bench 'AlignBatch' -benchmem -run ^$$ ./cmd/briq-server
 	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
@@ -321,6 +324,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseComparison$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzAlignBatch$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendAlignments$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentText$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store

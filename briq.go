@@ -297,7 +297,7 @@ func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]
 			return nil, 0, err
 		}
 		if p.Sink != nil {
-			p.Sink.Add(key, docs, perDoc)
+			p.Sink.Add(key, docs, documentKeys(p, docs), perDoc)
 		}
 		als := flattenAlignments(perDoc)
 		return als, core.AlignmentsSize(als), nil
@@ -341,36 +341,50 @@ func IsUnalignable(err error) bool {
 // corpus run occupies one admission slot (failing fast with ErrOverloaded /
 // ErrDeadlineBudget under saturation).
 func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignment, error) {
-	release, err := p.Gate.Acquire(ctx)
+	perDoc, _, err := AlignDocuments(ctx, p, docs)
 	if err != nil {
 		return nil, err
 	}
+	out := flattenAlignments(perDoc)
+	core.SortAlignments(out)
+	return out, nil
+}
+
+// AlignDocuments is AlignCorpus per document: perDoc[i] holds the
+// alignments of docs[i], which must be treated as read-only, and keys[i] the
+// content key the serve cache and the pipeline's sink file docs[i] under. It
+// keys each document once, for the cache lookup and the sink alike; a
+// pipeline with neither a gate nor a sink keys nothing, and its keys are
+// zero.
+func AlignDocuments(ctx context.Context, p *Pipeline, docs []*Document) (perDoc [][]Alignment, keys []serve.Key, err error) {
+	release, err := p.Gate.Acquire(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
 	defer release()
 
-	// Without a gate every document is a miss, and no key is hashed.
-	keys := make([]serve.Key, len(docs))
-	perDoc := make([][]Alignment, len(docs))
+	keys = documentKeys(p, docs)
+	perDoc = make([][]Alignment, len(docs))
 	var missDocs []*Document
+	var missKeys []serve.Key
 	var missIdx []int
 	for i, doc := range docs {
-		if p.Gate != nil {
-			keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
-		}
 		if v, ok := p.Gate.Lookup(keys[i]); ok {
 			perDoc[i] = v.([]Alignment)
 			continue
 		}
 		missDocs = append(missDocs, doc)
+		missKeys = append(missKeys, keys[i])
 		missIdx = append(missIdx, i)
 	}
 
 	if len(missDocs) > 0 {
 		fresh, err := runtime.AlignPerDoc(ctx, p, missDocs, 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if p.Sink != nil {
-			p.Sink.Add(serve.Key{}, missDocs, fresh)
+			p.Sink.Add(serve.Key{}, missDocs, missKeys, fresh)
 		}
 		for j, als := range fresh {
 			i := missIdx[j]
@@ -378,10 +392,31 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 			p.Gate.Store(keys[i], als, core.AlignmentsSize(als))
 		}
 	}
+	return perDoc, keys, nil
+}
 
-	out := flattenAlignments(perDoc)
-	core.SortAlignments(out)
-	return out, nil
+// documentKeys keys docs as the gate and the sink file them:
+// serve.KeyOf(p.Fingerprint(), HashDocument). The gate holds the fingerprint
+// it was built with; a gate-less pipeline asks its sink, which holds it too,
+// rather than recompute it. With neither, nothing needs a key, and every key
+// is zero.
+func documentKeys(p *Pipeline, docs []*Document) []serve.Key {
+	keys := make([]serve.Key, len(docs))
+	var key func(*Document) serve.Key
+	switch {
+	case p.Gate != nil:
+		key = func(d *Document) serve.Key {
+			return p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, d) })
+		}
+	case p.Sink != nil:
+		key = p.Sink.DocumentKey
+	default:
+		return keys
+	}
+	for i, d := range docs {
+		keys[i] = key(d)
+	}
+	return keys
 }
 
 // copyAlignments returns a private copy of a cached result, preserving

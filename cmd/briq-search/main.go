@@ -126,7 +126,11 @@ func indexDir(dir string) (*store.Store, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %v", path, err)
 		}
-		st.Add(serve.Key{}, docs, make([][]core.Alignment, len(docs)))
+		keys := make([]serve.Key, len(docs))
+		for i, d := range docs {
+			keys[i] = st.DocumentKey(d)
+		}
+		st.Add(serve.Key{}, docs, keys, make([][]core.Alignment, len(docs)))
 	}
 	return st, len(paths), nil
 }

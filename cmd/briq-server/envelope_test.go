@@ -140,7 +140,8 @@ func TestEnvelopeSchemaGolden(t *testing.T) {
 // TestOverloadSheds429 is the acceptance check for admission control: with
 // every in-flight slot taken and no queue, /align answers 429 overloaded with
 // a Retry-After hint — deterministically, because the test itself holds the
-// only slot. Releasing the slot restores 200 service.
+// only slot. Releasing the slot restores 200 service. A batch answered from
+// its page entries needs no slot; one with a page to align sheds.
 func TestOverloadSheds429(t *testing.T) {
 	p := briq.New(briq.WithWorkers(1))
 	p.Gate = gate.NewEngine(gate.Config{
@@ -179,16 +180,28 @@ func TestOverloadSheds429(t *testing.T) {
 		t.Fatalf("post-release status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
 	}
 
-	// The batch path occupies a slot the same way: saturate again and check
-	// the corpus endpoint sheds too.
+	// The batch path occupies a slot the same way, unless every page of the
+	// batch hits its page entry: like a /v1/align hit, that batch is answered
+	// without one. Align a batch, saturate again, and check that its repeat
+	// answers while a batch with one new page sheds.
+	hit, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
+	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(hit)); rec.Code != http.StatusOK {
+		t.Fatalf("unsaturated batch status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
+	}
 	release2, err := p.Gate.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release2()
-	body, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
-	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body)); rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("saturated batch status = %d, want 429", rec.Code)
+	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(hit)); rec.Code != http.StatusOK {
+		t.Fatalf("saturated all-hit batch status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	fresh, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}, {ID: "b", HTML: testPage}}})
+	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(fresh)); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated batch with a new page: status = %d, want 429", rec.Code)
+	}
+	if c := p.Gate.Counters(); c["shed_overloaded"] != 2 {
+		t.Errorf("shed_overloaded = %d, want 2", c["shed_overloaded"])
 	}
 }
 

@@ -10,6 +10,7 @@ package main
 // limit. Seeds are the query strings of the validation table.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"briq"
 	"briq/internal/api"
 	"briq/internal/ingest"
 	"briq/internal/quantsearch"
@@ -111,6 +113,48 @@ func FuzzIngestLines(f *testing.F) {
 		}
 		if len(results) != want {
 			t.Fatalf("%d result lines for %d non-blank request lines: %s", len(results), want, rec.Body.String())
+		}
+		if got := srv.metrics.errors.Get("panics"); got != 0 {
+			t.Fatalf("errors.panics = %d, want 0", got)
+		}
+	})
+}
+
+// FuzzAlignBatch sends arbitrary bodies to POST /v1/align/batch on a cached
+// untrained server, twice. The contract under any body: no handler panic;
+// status 200, or the status api.StatusByCode gives the envelope's error
+// code; and the second POST, which answers pages whose first POST recorded
+// an entry from the cache, answers the same status and bytes as the first.
+// Bodies over 64 KiB are skipped: the cost of one large page is ROADMAP
+// item 7's. Seeds are the body of TestHandleAlignBatch and the batch rows of
+// TestErrorPaths that fit.
+func FuzzAlignBatch(f *testing.F) {
+	const maxFuzzBody = 64 << 10
+	f.Add(handleAlignBatchBody())
+	for _, tc := range errorPaths() {
+		if tc.path == "/v1/align/batch" && tc.method == http.MethodPost && len(tc.body) <= maxFuzzBody {
+			f.Add(tc.body)
+		}
+	}
+	srv := newServer(briq.New(briq.WithWorkers(1), briq.WithCache(8<<20)), serverOptions{})
+	f.Fuzz(func(t *testing.T, body string) {
+		if len(body) > maxFuzzBody {
+			t.Skip()
+		}
+		first := do(t, srv, http.MethodPost, "/v1/align/batch", body)
+		if first.Code != http.StatusOK {
+			var env api.Envelope
+			if err := json.Unmarshal(first.Body.Bytes(), &env); err != nil || env.Error == nil {
+				t.Fatalf("status %d without an error envelope: %.300s", first.Code, first.Body.String())
+			}
+			if status, ok := api.StatusByCode[env.Error.Code]; !ok || status != first.Code {
+				t.Fatalf("status %d with error code %q, want 200 or the code's status in api.StatusByCode", first.Code, env.Error.Code)
+			}
+		}
+		second := do(t, srv, http.MethodPost, "/v1/align/batch", body)
+		if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("second POST answered %d %.300s\nfirst answered %d %.300s",
+				second.Code, second.Body.String(), first.Code, first.Body.String())
 		}
 		if got := srv.metrics.errors.Get("panics"); got != 0 {
 			t.Fatalf("errors.panics = %d, want 0", got)

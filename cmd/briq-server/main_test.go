@@ -83,9 +83,18 @@ func TestHandleAlign(t *testing.T) {
 	}
 }
 
-// TestErrorPaths drives every endpoint's failure modes through the middleware
-// and checks both the status code and the error counters.
-func TestErrorPaths(t *testing.T) {
+// errorPath is one failure-mode request of TestErrorPaths.
+type errorPath struct {
+	name       string
+	method     string
+	path       string
+	body       string
+	wantStatus int
+}
+
+// errorPaths are the rows of TestErrorPaths; the POST /v1/align/batch rows
+// also seed FuzzAlignBatch.
+func errorPaths() []errorPath {
 	bigBody := strings.Repeat("a", maxBody+1)
 	manyPages := `{"pages": [`
 	for i := 0; i <= maxBatchPages; i++ {
@@ -96,13 +105,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 	manyPages += `]}`
 
-	tests := []struct {
-		name       string
-		method     string
-		path       string
-		body       string
-		wantStatus int
-	}{
+	return []errorPath{
 		{"align wrong method", http.MethodGet, "/v1/align", "", http.StatusMethodNotAllowed},
 		{"align empty body", http.MethodPost, "/v1/align", "", http.StatusBadRequest},
 		{"align body over maxBody", http.MethodPost, "/v1/align", bigBody, http.StatusBadRequest},
@@ -118,7 +121,12 @@ func TestErrorPaths(t *testing.T) {
 		{"batch too many pages", http.MethodPost, "/v1/align/batch", manyPages, http.StatusRequestEntityTooLarge},
 		{"metrics wrong method", http.MethodPost, "/v1/metrics", "", http.StatusMethodNotAllowed},
 	}
-	for _, tt := range tests {
+}
+
+// TestErrorPaths drives every endpoint's failure modes through the middleware
+// and checks both the status code and the error counters.
+func TestErrorPaths(t *testing.T) {
+	for _, tt := range errorPaths() {
 		t.Run(tt.name, func(t *testing.T) {
 			srv := newTestServer()
 			rec := do(t, srv, tt.method, tt.path, tt.body)
@@ -134,14 +142,20 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-func TestHandleAlignBatch(t *testing.T) {
-	srv := newTestServer()
+// handleAlignBatchBody is the request of TestHandleAlignBatch, which also
+// seeds FuzzAlignBatch.
+func handleAlignBatchBody() string {
 	body, _ := json.Marshal(batchRequest{Pages: []batchPage{
 		{ID: "first", HTML: testPage},
 		{HTML: testPage}, // unnamed → page1
 		{ID: "plain", HTML: "<p>no tables here, just 42 words</p>"},
 	}})
-	rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(body))
+	return string(body)
+}
+
+func TestHandleAlignBatch(t *testing.T) {
+	srv := newTestServer()
+	rec := do(t, srv, http.MethodPost, "/v1/align/batch", handleAlignBatchBody())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -184,8 +198,11 @@ func TestHandleAlignBatch(t *testing.T) {
 
 // TestMetricsChangeAfterBatch is the acceptance check: stage latency and
 // request counters visible in GET /metrics must move after a 3-page batch.
+// On a cached server the batch's repeat is answered from its page entries:
+// the batch section grows by as much as on the first POST, and no stage
+// runs.
 func TestMetricsChangeAfterBatch(t *testing.T) {
-	srv := newTestServer()
+	srv := newServer(briq.New(briq.WithWorkers(2), briq.WithCache(8<<20)), serverOptions{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -214,9 +231,8 @@ func TestMetricsChangeAfterBatch(t *testing.T) {
 		t.Fatalf("cold server align_batch count = %v", n)
 	}
 
-	if _, err := c.AlignBatch(context.Background(), []client.Page{
-		{ID: "a", HTML: testPage}, {ID: "b", HTML: testPage}, {ID: "c", HTML: testPage},
-	}); err != nil {
+	batch := []client.Page{{ID: "a", HTML: testPage}, {ID: "b", HTML: testPage}, {ID: "c", HTML: testPage}}
+	if _, err := c.AlignBatch(context.Background(), batch); err != nil {
 		t.Fatalf("batch failed: %v", err)
 	}
 
@@ -236,6 +252,33 @@ func TestMetricsChangeAfterBatch(t *testing.T) {
 		if sum := s["sum_ms"].(float64); sum <= 0 {
 			t.Errorf("stage %q sum_ms = %v, want > 0", stage, sum)
 		}
+	}
+
+	if _, err := c.AlignBatch(context.Background(), batch); err != nil {
+		t.Fatalf("repeated batch failed: %v", err)
+	}
+	again := snapshot()
+	for _, name := range []string{"pages", "documents", "alignments"} {
+		b0 := before["batch"].(map[string]any)[name].(float64)
+		b1 := after["batch"].(map[string]any)[name].(float64)
+		b2 := again["batch"].(map[string]any)[name].(float64)
+		if b1-b0 == 0 || b2-b1 != b1-b0 {
+			t.Errorf("batch %s grew by %v on the first POST and by %v on its repeat, want the same nonzero amount", name, b1-b0, b2-b1)
+		}
+	}
+	for stage, s := range again["stages"].(map[string]any) {
+		if n, was := s.(map[string]any)["count"].(float64), after["stages"].(map[string]any)[stage].(map[string]any)["count"].(float64); n != was {
+			t.Errorf("stage %q ran %v times on the repeated batch, want 0", stage, n-was)
+		}
+	}
+	// One serving lookup per page entry, then one per document.
+	delta := func(name string) float64 {
+		return again["serving"].(map[string]any)[name].(float64) - after["serving"].(map[string]any)[name].(float64)
+	}
+	docs := after["batch"].(map[string]any)["documents"].(float64) - before["batch"].(map[string]any)["documents"].(float64)
+	if hits, misses := delta("hits"), delta("misses"); hits != float64(len(batch))+docs || misses != 0 {
+		t.Errorf("repeated batch: serving hits +%v, misses +%v; want +%v (%d pages, %v documents) and +0",
+			hits, misses, float64(len(batch))+docs, len(batch), docs)
 	}
 }
 

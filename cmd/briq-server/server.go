@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +25,7 @@ import (
 	"briq/internal/ingest"
 	"briq/internal/qkb"
 	"briq/internal/quantsearch"
+	gate "briq/internal/serve" // serve names the listener loop in main.go
 	"briq/internal/store"
 	"briq/internal/summarize"
 )
@@ -224,7 +224,12 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	api.WriteResult(w, map[string]any{"alignments": alignments})
+	buf := make([]byte, 0, resultSize(len(alignments), 0))
+	if result, ok := appendAlignResult(buf, alignments); ok {
+		api.WriteResultJSON(w, result)
+		return
+	}
+	api.WriteResult(w, map[string]any{"alignments": alignments}) // reports the value appendAlignResult refused
 }
 
 // batchRequest is the POST /align/batch body.
@@ -243,12 +248,16 @@ type batchPageResult struct {
 	Alignments []briq.Alignment `json:"alignments"`
 }
 
-// handleAlignBatch aligns many pages in one request: each page is segmented
-// keys-only (no table mentions), then all documents go through the facade's
-// corpus path — consulting the serving layer's per-document result cache
-// when one is configured, fanning the misses out over pipeline clones, which
-// build the misses' table mentions first, and occupying one admission slot
-// for the whole corpus. A cache hit never builds a table mention. The
+// handleAlignBatch aligns many pages in one request. With a gate, each page
+// first looks up its page entry, keyed by the page's resolved ID and HTML
+// (gate.Engine.BatchPageKey) and holding its documents' keys in page order:
+// a page whose entry and document entries all hit is answered from them,
+// never parsed. Every other page is segmented keys-only (no table mentions),
+// and its documents go through the facade's corpus path — consulting the
+// serving layer's per-document result cache, fanning the misses out over
+// pipeline clones, which build the misses' table mentions first, and
+// occupying one admission slot for the whole batch — after which the page
+// records its entry. A batch whose every page hits takes no slot. The
 // request context cancels the run mid-corpus, and each document's stage
 // latencies reach the server metrics as it completes.
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
@@ -256,9 +265,8 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, api.CodeMethodNotAllowed, `POST JSON {"pages": [{"id": ..., "html": ...}]}`)
 		return
 	}
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
+	if err != nil {
 		api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -271,9 +279,12 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	engine := s.pipeline.Gate
 	results := make([]batchPageResult, len(req.Pages))
+	perPage := make([][][]briq.Alignment, len(req.Pages)) // per page, per document
+	pageKeys := make([]gate.Key, len(req.Pages))
 	var docs []*document.Document
-	docPage := make(map[string]int) // document ID → page index
+	var misses []batchMiss
 	seenID := make(map[string]int)
 	for i, pg := range req.Pages {
 		if deadlineExceeded(w, r.Context()) {
@@ -288,7 +299,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seenID[id] = i
-		results[i] = batchPageResult{ID: id, Alignments: []briq.Alignment{}}
+		results[i].ID = id
 		if pg.HTML == "" {
 			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: empty html", id))
 			return
@@ -296,6 +307,13 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		if !utf8.ValidString(pg.HTML) {
 			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: html is not valid UTF-8", id))
 			return
+		}
+		if engine != nil {
+			pageKeys[i] = engine.BatchPageKey(id, pg.HTML)
+			if perDoc, ok := pageHit(engine, pageKeys[i]); ok {
+				perPage[i] = perDoc
+				continue
+			}
 		}
 
 		segStart := time.Now()
@@ -305,40 +323,96 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, api.CodeUnprocessable, fmt.Sprintf("page %q: %v", id, err))
 			return
 		}
-		pdocs := seg.Docs
-		results[i].Documents = len(pdocs)
-		for _, doc := range pdocs {
-			docPage[doc.ID] = i
-		}
-		docs = append(docs, pdocs...)
+		misses = append(misses, batchMiss{page: i, lo: len(docs), hi: len(docs) + len(seg.Docs)})
+		docs = append(docs, seg.Docs...)
 	}
 	if deadlineExceeded(w, r.Context()) {
 		return
 	}
 
-	aligned, err := briq.AlignCorpus(r.Context(), s.pipeline, docs)
-	if err != nil {
-		if !deadlineExceeded(w, r.Context()) {
-			writeAlignError(w, err)
+	if len(misses) > 0 {
+		perDoc, keys, err := briq.AlignDocuments(r.Context(), s.pipeline, docs)
+		if err != nil {
+			if !deadlineExceeded(w, r.Context()) {
+				writeAlignError(w, err)
+			}
+			return
 		}
-		return
-	}
-	for _, a := range aligned {
-		i, ok := docPage[a.DocID]
-		if !ok {
-			continue
+		for _, m := range misses {
+			perPage[m.page] = perDoc[m.lo:m.hi]
+			if engine != nil {
+				s.store.AddBatchPage(pageKeys[m.page], keys[m.lo:m.hi:m.hi])
+			}
 		}
-		results[i].Alignments = append(results[i].Alignments, a)
 	}
 
+	documents, alignments := 0, 0
+	for i, perDoc := range perPage {
+		results[i].Documents = len(perDoc)
+		results[i].Alignments = pageAlignments(perDoc)
+		documents += len(perDoc)
+		alignments += len(results[i].Alignments)
+	}
 	s.metrics.batch.Add("pages", int64(len(req.Pages)))
-	s.metrics.batch.Add("documents", int64(len(docs)))
-	s.metrics.batch.Add("alignments", int64(len(aligned)))
-	api.WriteResult(w, map[string]any{
+	s.metrics.batch.Add("documents", int64(documents))
+	s.metrics.batch.Add("alignments", int64(alignments))
+	buf := make([]byte, 0, resultSize(alignments, len(results)))
+	if result, ok := appendBatchResult(buf, results, documents, alignments); ok {
+		api.WriteResultJSON(w, result)
+		return
+	}
+	api.WriteResult(w, map[string]any{ // reports the value appendBatchResult refused
 		"pages":      results,
-		"documents":  len(docs),
-		"alignments": len(aligned),
+		"documents":  documents,
+		"alignments": alignments,
 	})
+}
+
+// batchMiss is a batch page that was segmented: its index in the request and
+// the span of its documents in the batch's document list.
+type batchMiss struct{ page, lo, hi int }
+
+// pageHit answers a batch page from the cache: its page entry, then its
+// documents' entries in page order, stopping at the first miss. Each lookup
+// counts as a serving hit or miss.
+func pageHit(engine *gate.Engine, key gate.Key) ([][]briq.Alignment, bool) {
+	v, ok := engine.Lookup(key)
+	if !ok {
+		return nil, false
+	}
+	keys, ok := v.([]gate.Key)
+	if !ok {
+		return nil, false
+	}
+	perDoc := make([][]briq.Alignment, len(keys))
+	for i, k := range keys {
+		v, ok := engine.Lookup(k)
+		if !ok {
+			return nil, false
+		}
+		if perDoc[i], ok = v.([]briq.Alignment); !ok {
+			return nil, false
+		}
+	}
+	return perDoc, true
+}
+
+// pageAlignments flattens one page's alignments in document order and sorts
+// them as core.SortAlignments sorts a corpus. No two pages share a document
+// ID, so this equals the page's part of the whole batch's alignments sorted
+// at once, whichever other pages the batch holds. A page that aligns nothing
+// reports [], not null.
+func pageAlignments(perDoc [][]briq.Alignment) []briq.Alignment {
+	n := 0
+	for _, als := range perDoc {
+		n += len(als)
+	}
+	out := make([]briq.Alignment, 0, n)
+	for _, als := range perDoc {
+		out = append(out, als...)
+	}
+	core.SortAlignments(out)
+	return out
 }
 
 func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {

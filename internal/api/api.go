@@ -136,10 +136,24 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, fmt.Sprintf("encode response: %v", err), http.StatusInternalServerError)
 		return
 	}
-	body := appendIndent(make([]byte, 0, 2*len(data)+1), data)
+	writeBody(w, status, append(appendIndent(make([]byte, 0, 2*len(data)+1), data, 0), '\n'))
+}
+
+// WriteResultJSON answers 200 with the success envelope around result,
+// which must be the compact JSON json.Marshal writes for the result value:
+// the body is then exactly WriteResult's for that value. It is for handlers
+// that encode their result without reflection.
+func WriteResultJSON(w http.ResponseWriter, result []byte) {
+	body := append(make([]byte, 0, 2*len(result)+32), "{\n  \"result\": "...)
+	body = appendIndent(body, result, 1)
+	writeBody(w, http.StatusOK, append(body, ",\n  \"error\": null\n}\n"...))
+}
+
+// writeBody answers status with body, a whole JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// Headers are gone; nothing to do but note the broken pipe.
 		log.Printf("write response: %v", err)
 	}
@@ -150,9 +164,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // depth after every '{', '[' and ',' and before every '}' and ']' outside
 // strings, "": " after a key, and "{}" and "[]" for empty containers. String
 // contents, escapes included, and scalars are copied unchanged. One pass,
-// no validation: json.Marshal output is compact, valid JSON.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
+// no validation: json.Marshal output is compact, valid JSON. depth is the
+// nesting src sits at in the whole document, 0 for a whole document.
+func appendIndent(dst, src []byte, depth int) []byte {
 	start := 0 // src[start:i] is still to be copied
 	for i := 0; i < len(src); i++ {
 		switch src[i] {

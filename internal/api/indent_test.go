@@ -45,7 +45,7 @@ func FuzzAppendIndent(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendIndent(nil, compact); !bytes.Equal(got, want) {
+		if got := appendIndent(nil, compact, 0); !bytes.Equal(got, want) {
 			t.Fatalf("appendIndent(%s)\ngot:\n%s\nwant:\n%s", compact, got, want)
 		}
 	})
@@ -110,6 +110,29 @@ func responseShapes(t testing.TB) map[string]any {
 			"store":          (*store.Store)(nil).Counters(),
 			"model":          map[string]string{"fingerprint": p.Fingerprint()},
 		},
+	}
+}
+
+// TestWriteResultJSONMatchesWriteResult: for every success body, wrapping
+// the result's json.Marshal bytes answers what WriteResult answers.
+func TestWriteResultJSONMatchesWriteResult(t *testing.T) {
+	for name, v := range responseShapes(t) {
+		env, ok := v.(Envelope)
+		if !ok || env.Error != nil {
+			continue
+		}
+		result, err := json.Marshal(env.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteResult(want, env.Result)
+		WriteResultJSON(got, result)
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: WriteResultJSON answered %d %q\n%s\nWriteResult answered %d %q\n%s", name,
+				got.Code, got.Header().Get("Content-Type"), got.Body, want.Code, want.Header().Get("Content-Type"), want.Body)
+		}
 	}
 }
 

@@ -14,3 +14,11 @@ func (p *Pipeline) GatedScores(doc *document.Document) []filter.Candidate {
 	out, _, _ := p.scorePairs(context.Background(), doc, true, nil) // background ctx: cannot fail
 	return out
 }
+
+// CountDocumentHashes makes every HashDocument call add one to *n, until
+// restore is called.
+func CountDocumentHashes(n *int) (restore func()) {
+	old := onHashDocument
+	onHashDocument = func() { *n++ }
+	return func() { onHashDocument = old }
+}

@@ -16,12 +16,20 @@ import (
 // computed, never for cache hits: page is the serve cache's key for a
 // single-page request through a gate (the store records that page once, so a
 // restart warms it back), the zero Key for corpus runs and gate-less calls;
-// perDoc[i] holds the alignments of docs[i]. A document may arrive again
-// (the corpus path keys documents, not pages), so implementations dedup on
-// document identity. They must be safe for concurrent use and must not fail
-// the alignment: persistence problems are theirs to count and log.
+// keys[i] is the content key of docs[i] and perDoc[i] its alignments. A
+// document may arrive again (the corpus path keys documents, not pages), so
+// implementations dedup on document identity. They must be safe for
+// concurrent use and must not fail the alignment: persistence problems are
+// theirs to count and log.
+//
+// The facade keys each document once, for the cache lookup and for Add
+// alike: through the gate when there is one, through DocumentKey when there
+// is not, since a gate-less pipeline has no fingerprint at hand and
+// recomputing it would serialize the models. Both derive
+// serve.KeyOf(fingerprint, HashDocument) under the pipeline's fingerprint.
 type AlignmentSink interface {
-	Add(page serve.Key, docs []*document.Document, perDoc [][]Alignment)
+	DocumentKey(doc *document.Document) serve.Key
+	Add(page serve.Key, docs []*document.Document, keys []serve.Key, perDoc [][]Alignment)
 }
 
 // HashDocumentText writes the paragraph part of a document's content — the
@@ -179,11 +187,18 @@ func DocumentParts(d *document.Document) (text, tables [sha256.Size]byte) {
 // extraction code, named by ExtractionVersion. A change to any of the three
 // therefore moves the key or the fingerprint.
 func HashDocument(w io.Writer, d *document.Document) {
+	if onHashDocument != nil {
+		onHashDocument()
+	}
 	text, tables := DocumentParts(d)
 	fmt.Fprintf(w, "docv3|%s|%s|", d.ID, d.PageID)
 	w.Write(text[:])
 	w.Write(tables[:])
 }
+
+// onHashDocument, when set, is called each time HashDocument runs. Tests
+// count document keyings with it.
+var onHashDocument func()
 
 // AlignmentsSize estimates the resident bytes of a result slice for the
 // serve cache's byte accounting: struct footprint plus string payloads. The

@@ -44,8 +44,15 @@ func KeyOf(fingerprint string, fill func(io.Writer)) Key {
 
 // PageKeyOf is the Engine-less form of Engine.PageKey.
 func PageKeyOf(fingerprint, pageID, html string) Key {
+	return pageKeyOf(fingerprint, "page", pageID, html)
+}
+
+// pageKeyOf keys one page of a request kind: the kind's domain tag keeps the
+// entries of /v1/align ("page") and of /v1/align/batch ("batch-page"), whose
+// values differ, from ever sharing a key.
+func pageKeyOf(fingerprint, domain, pageID, html string) Key {
 	w := newKeyWriter(fingerprint)
-	w.str("page")
+	w.str(domain)
 	w.str(pageID)
 	w.str(html)
 	return w.sum()

@@ -74,6 +74,14 @@ func (e *Engine) PageKey(pageID, html string) Key {
 	return PageKeyOf(e.fingerprintOrEmpty(), pageID, html)
 }
 
+// BatchPageKey derives the content address of one /v1/align/batch page:
+// the model fingerprint, the page's resolved ID and its source, in a domain
+// of its own, since the entry holds the page's document keys rather than its
+// alignments.
+func (e *Engine) BatchPageKey(pageID, html string) Key {
+	return pageKeyOf(e.fingerprintOrEmpty(), "batch-page", pageID, html)
+}
+
 // KeyFrom derives a content address from arbitrary content: fill writes the
 // request's identity (already fingerprint-scoped) into the hash. Used by the
 // corpus path, where a document's identity is its structured content rather

@@ -16,7 +16,7 @@ import (
 // panicking, and when it succeeds, Search, Entities, FactsFor and Counters
 // do too. The seeds are testdata/store_log.ndjson — the log
 // TestStoreLogGolden (cmd/briq-server) writes across align, batch, ingest,
-// re-crawl and reboot, byte for byte (sha256 585a0f35…456645) — each line
+// re-crawl and reboot, byte for byte (sha256 84ffccfe…b8363a) — each line
 // alone and the whole log.
 func FuzzReplayLog(f *testing.F) {
 	seed, err := os.ReadFile(filepath.Join("testdata", "store_log.ndjson"))

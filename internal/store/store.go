@@ -18,8 +18,9 @@
 //
 // Every write is an explicit call from the code that produced the result:
 // the facade hands each fresh alignment result to Add (the core.AlignmentSink
-// seam), and streaming ingest calls UpsertPage. Documents dedup on the live
-// document set, single-page results on the set of page keys already logged.
+// seam), the batch handler each page's document keys to AddBatchPage, and
+// streaming ingest calls UpsertPage. Documents dedup on the live document
+// set, page entries on the set of page keys already logged.
 //
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
@@ -102,7 +103,8 @@ type Store struct {
 	view  *facts.View
 	docs  map[serve.Key]*docState // live document records
 	pages map[string][]serve.Key  // page ID → final ordered doc keys
-	// pageKeys holds the serve page keys already logged as "cache" records.
+	// pageKeys holds the serve page keys (/v1/align and /v1/align/batch)
+	// already logged as "cache" records.
 	pageKeys map[serve.Key]bool
 
 	// unterminated reports that the log does not end in a newline: a crash
@@ -133,7 +135,7 @@ type docState struct {
 type counters struct {
 	documents     int64 // doc records accepted (fresh + replayed)
 	duplicates    int64 // documents offered to Add that were already live
-	cacheRecords  int64 // page-level cache records (fresh + replayed)
+	cacheRecords  int64 // page-level cache records, batch pages included (fresh + replayed)
 	warmDocuments int64 // doc records replayed from disk at Open
 	warmCache     int64 // cache records replayed from disk at Open
 	replaySkipped int64 // undecodable/torn log lines skipped at Open
@@ -149,6 +151,8 @@ type counters struct {
 // record is one NDJSON log line. Kind "doc" is a stored document (optionally
 // carrying upsert fields), "cache" a page-level serve-cache entry, "retract"
 // a pure retraction (an upsert that removed documents without adding any).
+// A "cache" record holds a /v1/align page's alignments, or, when it carries
+// PageDocs, a /v1/align/batch page's document keys (AddBatchPage).
 //
 // Upsert atomicity rides on line atomicity: Supersedes travels on the FIRST
 // fresh record of an upsert (or on a bare "retract" record), so a torn line
@@ -165,7 +169,7 @@ type record struct {
 	Entries    []quantsearch.Entry `json:"entries,omitempty"`
 	Facts      []facts.Fact        `json:"facts,omitempty"`
 	Supersedes []string            `json:"supersedes,omitempty"` // doc keys this record retracts
-	PageDocs   []string            `json:"page_docs,omitempty"`  // PageID's final ordered doc keys
+	PageDocs   []string            `json:"page_docs,omitempty"`  // PageID's final ordered doc keys; a batch page's doc keys on "cache"
 }
 
 type meta struct {
@@ -325,10 +329,23 @@ func (s *Store) replay() error {
 			if s.pageKeys[key] {
 				continue
 			}
+			var v any = als
+			size := core.AlignmentsSize(als)
+			if len(r.PageDocs) > 0 {
+				// A batch page entry: its value is the page's document keys,
+				// and one bad key would answer a page without that document.
+				docKeys, err := parseKeys(r.PageDocs)
+				if err != nil {
+					s.c.replaySkipped++
+					s.logf("store: skipping batch page record: %v", err)
+					continue
+				}
+				v, size = docKeys, pageDocsSize(docKeys)
+			}
 			s.pageKeys[key] = true
 			s.c.cacheRecords++
 			s.c.warmCache++
-			s.gate.Store(key, als, core.AlignmentsSize(als))
+			s.gate.Store(key, v, size)
 		default:
 			s.c.replaySkipped++
 			s.logf("store: skipping log line with unknown kind %q", r.Kind)
@@ -467,6 +484,19 @@ func (s *Store) applyRetract(keyStrs []string) {
 	}
 }
 
+// parseKeys decodes a list of hex keys, failing on the first bad one.
+func parseKeys(strs []string) ([]serve.Key, error) {
+	keys := make([]serve.Key, len(strs))
+	for i, ks := range strs {
+		k, err := serve.ParseKey(ks)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = k
+	}
+	return keys, nil
+}
+
 // setPageOrder installs a page's final document order and re-walks it,
 // re-indexing every present document's entries in order. The walk is what
 // keeps shared-table attribution identical to a from-scratch build: a table
@@ -532,11 +562,15 @@ func keysEqual(a, b []serve.Key) bool {
 // "cache" record holding the page's alignments in document order, so a
 // restart warms the serve cache's page entry. Persistence failures never
 // fail the alignment.
-func (s *Store) Add(page serve.Key, docs []*document.Document, perDoc [][]core.Alignment) {
-	keys := make([]serve.Key, len(docs))
+//
+// keys[i] must equal DocumentKey(docs[i]), as for UpsertPage: the facade
+// keyed each document for its cache lookup and hands the keys over.
+func (s *Store) Add(page serve.Key, docs []*document.Document, keys []serve.Key, perDoc [][]core.Alignment) {
+	if len(keys) != len(docs) {
+		panic(fmt.Sprintf("store: Add got %d keys for %d documents", len(keys), len(docs)))
+	}
 	states := make([]*docState, len(docs))
 	for i, doc := range docs {
-		keys[i] = s.DocumentKey(doc)
 		states[i] = docStateOf(doc, perDoc[i])
 	}
 
@@ -569,6 +603,38 @@ func (s *Store) Add(page serve.Key, docs []*document.Document, perDoc [][]core.A
 		als = append(als, a...)
 	}
 	s.append(record{Kind: "cache", Key: page.String(), Alignments: ToWire(als)})
+}
+
+// AddBatchPage records the page entry of one /v1/align/batch page: page is
+// its serve.Engine.BatchPageKey, docKeys its documents' keys in page order.
+// It offers the entry to the Gate, and logs it once, as a "cache" record
+// that carries only page_docs, so a restart warms it back as it warms a
+// /v1/align page entry. The keys must not be mutated afterward. A page with
+// no documents gets no entry: its record would read as a /v1/align entry
+// with no alignments.
+func (s *Store) AddBatchPage(page serve.Key, docKeys []serve.Key) {
+	if len(docKeys) == 0 {
+		return
+	}
+	s.gate.Store(page, docKeys, pageDocsSize(docKeys))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pageKeys[page] {
+		return
+	}
+	s.pageKeys[page] = true
+	s.c.cacheRecords++
+	strs := make([]string, len(docKeys))
+	for i, k := range docKeys {
+		strs[i] = k.String()
+	}
+	s.append(record{Kind: "cache", Key: page.String(), PageDocs: strs})
+}
+
+// pageDocsSize estimates the resident bytes of a batch page entry for the
+// serve cache's byte accounting, as core.AlignmentsSize does for a result.
+func pageDocsSize(docKeys []serve.Key) int64 {
+	return int64(len(docKeys))*int64(len(serve.Key{})) + 48
 }
 
 // PageUpsert reports what one UpsertPage call did.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func alignedCorpus(t *testing.T, seed int64, pages int) ([]*document.Document, [
 
 // addDoc records one aligned document the way a gate-less facade call does.
 func addDoc(s *Store, doc *document.Document, als []core.Alignment) {
-	s.Add(serve.Key{}, []*document.Document{doc}, [][]core.Alignment{als})
+	s.Add(serve.Key{}, []*document.Document{doc}, []serve.Key{s.DocumentKey(doc)}, [][]core.Alignment{als})
 }
 
 func battery() []quantsearch.Query {
@@ -371,8 +372,8 @@ func TestCacheWriteThrough(t *testing.T) {
 
 	// A single-page result also records its page key — once.
 	pageKey := gate.PageKey("p0", "<html>page</html>")
-	s.Add(pageKey, docs[1:2], als[1:2])
-	s.Add(pageKey, docs[1:2], als[1:2])
+	s.Add(pageKey, docs[1:2], keysOf(s, docs[1:2]), als[1:2])
+	s.Add(pageKey, docs[1:2], keysOf(s, docs[1:2]), als[1:2])
 	if c := s.Counters(); c["cache_records"] != 1 || c["documents"] != 2 || c["duplicate_documents"] != 1 {
 		t.Errorf("counters after a page add and its repeat = %v, want 1 cache record, 2 documents, 1 duplicate", c)
 	}
@@ -400,6 +401,76 @@ func TestCacheWriteThrough(t *testing.T) {
 	c := s2.Counters()
 	if c["warm_cache_records"] != 1 || c["warm_documents"] != 2 {
 		t.Errorf("warm counters = %v", c)
+	}
+}
+
+// TestBatchPageRecord: AddBatchPage offers a batch page's document keys to
+// the gate and logs them once, as a "cache" record carrying only page_docs,
+// and a restart warms the same entry back. A page with no documents gets no
+// entry, and a record one of whose keys does not decode is skipped whole.
+func TestBatchPageRecord(t *testing.T) {
+	docs, _ := alignedCorpus(t, 11, 2)
+	dir := t.TempDir()
+	gate := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
+	s, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := gate.BatchPageKey("p0", "<html>page</html>")
+	docKeys := keysOf(s, docs)
+	s.AddBatchPage(page, docKeys)
+	s.AddBatchPage(page, docKeys)
+	s.AddBatchPage(gate.BatchPageKey("empty", "<p>no tables</p>"), nil)
+	if got := s.Counters()["cache_records"]; got != 1 {
+		t.Errorf("cache_records = %d, want 1 (the page once, no entry for the empty page)", got)
+	}
+	if v, ok := gate.Lookup(page); !ok || !reflect.DeepEqual(v, docKeys) {
+		t.Errorf("gate entry = %v, %v; want the page's document keys", v, ok)
+	}
+	s.Close()
+
+	log, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs := make([]string, len(docKeys))
+	for i, k := range docKeys {
+		strs[i] = k.String()
+	}
+	want, _ := json.Marshal(record{Kind: "cache", Key: page.String(), PageDocs: strs})
+	if got := strings.TrimSuffix(string(log), "\n"); got != string(want) {
+		t.Errorf("log = %s, want %s", got, want)
+	}
+
+	gate2 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
+	s2, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := gate2.Lookup(page); !ok || !reflect.DeepEqual(v, docKeys) {
+		t.Errorf("warm gate entry = %v, %v; want the page's document keys", v, ok)
+	}
+	if c := s2.Counters(); c["warm_cache_records"] != 1 || c["cache_records"] != 1 {
+		t.Errorf("warm counters = %v, want 1 cache record", c)
+	}
+	s2.Close()
+
+	// One undecodable page_docs key skips the record.
+	bad := strings.Replace(string(want), strs[len(strs)-1], "zz", 1)
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(bad+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate3 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
+	s3, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if c := s3.Counters(); c["replay_skipped"] != 1 || c["cache_records"] != 0 {
+		t.Errorf("counters after a bad page_docs key = %v, want 1 skipped and no cache record", c)
+	}
+	if _, ok := gate3.Lookup(page); ok {
+		t.Error("a page record with a bad key warmed the gate")
 	}
 }
 
@@ -438,8 +509,8 @@ func TestSinkIntegration(t *testing.T) {
 		perDoc[i] = p.Align(doc)
 	}
 	page := p.Gate.PageKey("p0", "<html>page</html>")
-	p.Sink.Add(page, docs, perDoc)
-	p.Sink.Add(page, docs, perDoc)
+	p.Sink.Add(page, docs, keysOf(s, docs), perDoc)
+	p.Sink.Add(page, docs, keysOf(s, docs), perDoc)
 	c := s.Counters()
 	if c["documents"] != int64(len(docs)) || c["duplicate_documents"] != int64(len(docs)) || c["cache_records"] != 1 {
 		t.Errorf("counters = %v, want %d documents and duplicates, 1 cache record", c, len(docs))

@@ -36,7 +36,8 @@ func groupByPage(docs []*document.Document, als [][]core.Alignment) []pageGroup 
 	return groups
 }
 
-// keysOf keys docs the way the ingest path does before calling UpsertPage.
+// keysOf keys docs the way the ingest path and the facade do before calling
+// UpsertPage or Add.
 func keysOf(s *Store, docs []*document.Document) []serve.Key {
 	keys := make([]serve.Key, len(docs))
 	for i, d := range docs {
