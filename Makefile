@@ -81,16 +81,17 @@ bench-e2e:
 # segments; keys-only, as the batch and ingest paths segment a page that
 # misses its page entry), of an 8-page /v1/align/batch request whose pages
 # hit their page entries or miss them (documents cached either way), and of
-# the read path behind /v1/search and /v1/facts (store queries and the shared
-# response writer), with allocation counts — for inspecting individual
-# kernels rather than the aggregate report.
+# the read path behind /v1/search and /v1/facts (store queries, the shared
+# response writer, and whole first-page GETs of both routes through the
+# middleware), with allocation counts — for inspecting individual kernels
+# rather than the aggregate report.
 bench-compare:
 	$(GO) test -bench '^BenchmarkAlignPage$$' -benchmem -run ^$$ .
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
-	$(GO) test -bench 'AlignBatch' -benchmem -run ^$$ ./cmd/briq-server
+	$(GO) test -bench 'AlignBatch|ListReads' -benchmem -run ^$$ ./cmd/briq-server
 	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
@@ -327,6 +328,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlignBatch$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendAlignments$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendSearchPage$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFactsPage$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentText$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store

@@ -17,14 +17,15 @@ import (
 // which reports the encoding error as it always has.
 
 // resultSize is a capacity that holds the result of most responses with
-// the given numbers of alignments and batch pages without regrowing.
-func resultSize(alignments, pages int) int {
-	return 256*alignments + 96*pages + 64
+// the given numbers of items (alignments, search results or facts) and
+// batch pages without regrowing.
+func resultSize(items, pages int) int {
+	return 256*items + 96*pages + 64
 }
 
 // appendAlignResult appends /v1/align's result, {"alignments": [...]}.
 func appendAlignResult(dst []byte, als []briq.Alignment) ([]byte, bool) {
-	dst, ok := appendAlignments(append(dst, `{"alignments":`...), als)
+	dst, ok := appendList(append(dst, `{"alignments":`...), als, appendAlignment)
 	return append(dst, '}'), ok
 }
 
@@ -34,50 +35,54 @@ func appendAlignResult(dst []byte, als []briq.Alignment) ([]byte, bool) {
 func appendBatchResult(dst []byte, pages []batchPageResult, documents, alignments int) ([]byte, bool) {
 	dst = strconv.AppendInt(append(dst, `{"alignments":`...), int64(alignments), 10)
 	dst = strconv.AppendInt(append(dst, `,"documents":`...), int64(documents), 10)
-	dst = append(dst, `,"pages":[`...)
-	for i, pg := range pages {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(append(dst, `{"id":`...), pg.ID)
-		dst = strconv.AppendInt(append(dst, `,"documents":`...), int64(pg.Documents), 10)
-		var ok bool
-		if dst, ok = appendAlignments(append(dst, `,"alignments":`...), pg.Alignments); !ok {
-			return dst, false
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}"...), true
+	dst, ok := appendList(append(dst, `,"pages":`...), pages, appendBatchPage)
+	return append(dst, '}'), ok
 }
 
-// appendAlignments appends a []core.Alignment: null when nil, else an array
-// of objects with the struct's JSON fields in declaration order.
-func appendAlignments(dst []byte, als []briq.Alignment) ([]byte, bool) {
-	if als == nil {
+// appendBatchPage appends one batchPageResult.
+func appendBatchPage(dst []byte, pg *batchPageResult) ([]byte, bool) {
+	dst = appendString(append(dst, `{"id":`...), pg.ID)
+	dst = strconv.AppendInt(append(dst, `,"documents":`...), int64(pg.Documents), 10)
+	dst, ok := appendList(append(dst, `,"alignments":`...), pg.Alignments, appendAlignment)
+	return append(dst, '}'), ok
+}
+
+// appendAlignment appends a core.Alignment, its JSON fields in declaration
+// order.
+func appendAlignment(dst []byte, a *briq.Alignment) ([]byte, bool) {
+	dst = appendString(append(dst, `{"doc_id":`...), a.DocID)
+	dst = strconv.AppendInt(append(dst, `,"text_index":`...), int64(a.TextIndex), 10)
+	dst = strconv.AppendInt(append(dst, `,"table_index":`...), int64(a.TableIndex), 10)
+	dst = appendString(append(dst, `,"text_surface":`...), a.TextSurface)
+	dst = strconv.AppendInt(append(dst, `,"text_start":`...), int64(a.TextStart), 10)
+	dst = strconv.AppendInt(append(dst, `,"text_end":`...), int64(a.TextEnd), 10)
+	dst = appendString(append(dst, `,"table_key":`...), a.TableKey)
+	dst = appendString(append(dst, `,"agg":`...), a.AggName)
+	dst, ok := appendFloat(append(dst, `,"value":`...), a.Value)
+	if !ok {
+		return dst, false
+	}
+	if dst, ok = appendFloat(append(dst, `,"score":`...), a.Score); !ok {
+		return dst, false
+	}
+	return append(dst, '}'), true
+}
+
+// appendList appends a slice as json.Marshal does: null when nil, else its
+// items, each through appendItem, in an array.
+func appendList[T any](dst []byte, items []T, appendItem func([]byte, *T) ([]byte, bool)) ([]byte, bool) {
+	if items == nil {
 		return append(dst, "null"...), true
 	}
 	dst = append(dst, '[')
-	for i := range als {
-		a := &als[i]
+	for i := range items {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(append(dst, `{"doc_id":`...), a.DocID)
-		dst = strconv.AppendInt(append(dst, `,"text_index":`...), int64(a.TextIndex), 10)
-		dst = strconv.AppendInt(append(dst, `,"table_index":`...), int64(a.TableIndex), 10)
-		dst = appendString(append(dst, `,"text_surface":`...), a.TextSurface)
-		dst = strconv.AppendInt(append(dst, `,"text_start":`...), int64(a.TextStart), 10)
-		dst = strconv.AppendInt(append(dst, `,"text_end":`...), int64(a.TextEnd), 10)
-		dst = appendString(append(dst, `,"table_key":`...), a.TableKey)
-		dst = appendString(append(dst, `,"agg":`...), a.AggName)
 		var ok bool
-		if dst, ok = appendFloat(append(dst, `,"value":`...), a.Value); !ok {
+		if dst, ok = appendItem(dst, &items[i]); !ok {
 			return dst, false
 		}
-		if dst, ok = appendFloat(append(dst, `,"score":`...), a.Score); !ok {
-			return dst, false
-		}
-		dst = append(dst, '}')
 	}
 	return append(dst, ']'), true
 }

@@ -140,8 +140,9 @@ func TestEnvelopeSchemaGolden(t *testing.T) {
 // TestOverloadSheds429 is the acceptance check for admission control: with
 // every in-flight slot taken and no queue, /align answers 429 overloaded with
 // a Retry-After hint — deterministically, because the test itself holds the
-// only slot. Releasing the slot restores 200 service. A batch answered from
-// its page entries needs no slot; one with a page to align sheds.
+// only slot. /v1/summarize, which holds a slot for its whole request, sheds
+// the same way. Releasing the slot restores 200 service. A batch answered
+// from its page entries needs no slot; one with a page to align sheds.
 func TestOverloadSheds429(t *testing.T) {
 	p := briq.New(briq.WithWorkers(1))
 	p.Gate = gate.NewEngine(gate.Config{
@@ -174,10 +175,20 @@ func TestOverloadSheds429(t *testing.T) {
 	if c := p.Gate.Counters(); c["shed_overloaded"] != 1 {
 		t.Errorf("shed_overloaded = %d, want 1", c["shed_overloaded"])
 	}
+	rec = do(t, srv, http.MethodPost, "/v1/summarize", testPage)
+	if rec.Code != http.StatusTooManyRequests || !strings.Contains(rec.Body.String(), `"code": "`+api.CodeOverloaded+`"`) {
+		t.Fatalf("saturated /v1/summarize: status = %d, want 429 overloaded (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	if c := p.Gate.Counters(); c["shed_overloaded"] != 2 {
+		t.Errorf("shed_overloaded = %d, want 2", c["shed_overloaded"])
+	}
 
 	release()
 	if rec := do(t, srv, http.MethodPost, "/v1/align", testPage); rec.Code != http.StatusOK {
 		t.Fatalf("post-release status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, srv, http.MethodPost, "/v1/summarize", testPage); rec.Code != http.StatusOK {
+		t.Fatalf("post-release /v1/summarize status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
 	}
 
 	// The batch path occupies a slot the same way, unless every page of the
@@ -200,8 +211,8 @@ func TestOverloadSheds429(t *testing.T) {
 	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(fresh)); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated batch with a new page: status = %d, want 429", rec.Code)
 	}
-	if c := p.Gate.Counters(); c["shed_overloaded"] != 2 {
-		t.Errorf("shed_overloaded = %d, want 2", c["shed_overloaded"])
+	if c := p.Gate.Counters(); c["shed_overloaded"] != 3 {
+		t.Errorf("shed_overloaded = %d, want 3", c["shed_overloaded"])
 	}
 }
 

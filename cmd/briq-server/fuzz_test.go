@@ -7,7 +7,10 @@ package main
 // panic, fail only with an error wrapping quantsearch.ErrBadQuery (the
 // handlers map it to 422 bad_query), and on success return finite values
 // with Value ≤ Value2 for a between query and a non-negative offset and
-// limit. Seeds are the query strings of the validation table.
+// limit. Both routes then serve the same query string from a small tableS
+// store and must answer 422 bad_query or exactly what api.WriteResult
+// writes for api.Page of the whole list. Seeds are the query strings of the
+// validation table and a few that page through the store.
 
 import (
 	"bytes"
@@ -30,16 +33,23 @@ func FuzzSearchParams(f *testing.F) {
 		_, raw, _ := strings.Cut(tc.path, "?")
 		f.Add(raw)
 	}
+	fx := newListFixture(f, 4, 0)
 	for _, seed := range []string{
 		"q=side+effects+above+30",
 		"op=between&value=10&value2=5&unit=usd&keywords=total,revenue",
 		"value=5&cursor=20&limit=100",
 		"value=1e400",
+		"q=revenue+above+0&cursor=3&limit=7",
+		"op=below&value=1e9&cursor=9223372036854775807",
+		"entity=" + url.QueryEscape(fx.entities[0]) + "&limit=1&cursor=1",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		vals, _ := url.ParseQuery(raw)
+		for _, route := range []string{"/v1/search", "/v1/facts"} {
+			sameList(t, route+"?"+raw, getList(fx.srv, route, raw), wantList(fx.srv, route, vals))
+		}
 		q, err := parseSearchQuery(vals)
 		if err != nil {
 			if !errors.Is(err, quantsearch.ErrBadQuery) {

@@ -16,6 +16,7 @@ import (
 	"briq/client"
 	"briq/internal/api"
 	"briq/internal/core"
+	"briq/internal/htmlx"
 )
 
 const testPage = `<html><body>
@@ -341,6 +342,46 @@ func TestHandleSummarize(t *testing.T) {
 	if len(resp.Result.Summaries) == 0 || len(resp.Result.Summaries[0].Sentences) == 0 {
 		t.Fatalf("empty summary: %s", rec.Body.String())
 	}
+}
+
+// TestSummarizeDeadline: /v1/summarize aligns under the request context, so
+// -request-timeout stops a page it cannot finish in time. The page is
+// internal/core's TestAlignContextDeadlineStopsLargeDocument document written
+// as HTML: a paragraph of 1,000 sentences, 2,000 text mentions, beside four
+// 8×4 tables. With a 200 ms timeout the route must answer 504 deadline
+// within the timeout plus that test's 10 s slack.
+func TestSummarizeDeadline(t *testing.T) {
+	const (
+		timeout = 200 * time.Millisecond
+		slack   = 10 * time.Second
+	)
+	blocks := []htmlx.Block{&htmlx.Paragraph{Text: strings.Repeat("Revenue was 123.4 million USD in region 7. ", 1000)}}
+	for k := 0; k < 4; k++ {
+		grid := make([][]string, 8)
+		for r := range grid {
+			for c := 0; c < 4; c++ {
+				grid[r] = append(grid[r], fmt.Sprint(10+k*100+r*7+c*3))
+			}
+		}
+		blocks = append(blocks, &htmlx.TableBlock{Caption: "revenue by region", Grid: grid})
+	}
+	page := htmlx.Render(&htmlx.Page{Blocks: blocks})
+	srv := newServer(briq.New(briq.WithWorkers(1)), serverOptions{requestTimeout: timeout})
+	docs, err := srv.pipeline.Segmenter.SegmentPage("request", htmlx.ParseString(page))
+	if err != nil || len(docs) != 1 || len(docs[0].TextMentions) != 2000 {
+		t.Fatalf("page segments to %d documents (%v); want one with 2,000 text mentions", len(docs), err)
+	}
+
+	start := time.Now()
+	rec := do(t, srv, http.MethodPost, "/v1/summarize", page)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"code": "`+api.CodeDeadline+`"`) {
+		t.Fatalf("status = %d, want 504 deadline (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	if elapsed > timeout+slack {
+		t.Fatalf("answered after %v; want at most %v (timeout %v + slack %v)", elapsed, timeout+slack, timeout, slack)
+	}
+	t.Logf("%d-byte page: 504 after %v", len(page), elapsed)
 }
 
 // TestServeGracefulShutdown exercises the real signal path: serve must return

@@ -415,11 +415,22 @@ func pageAlignments(perDoc [][]briq.Alignment) []briq.Alignment {
 	return out
 }
 
+// handleSummarize answers POST /v1/summarize: each document of the page
+// aligned, then summarized from its alignments. The request holds one
+// admission slot throughout, and each document aligns under the request
+// context, so -max-inflight sheds the route with 429 and -request-timeout
+// stops it with 504, as on /v1/align.
 func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.readPage(w, r)
 	if !ok {
 		return
 	}
+	release, err := s.pipeline.Gate.Acquire(r.Context())
+	if err != nil {
+		writeAlignError(w, err)
+		return
+	}
+	defer release()
 	page := htmlx.ParseString(src)
 	docs, err := s.pipeline.Segmenter.SegmentPage("request", page)
 	if err != nil {
@@ -433,7 +444,14 @@ func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []docSummary
 	for _, doc := range docs {
-		sum := summarizer.Summarize(doc)
+		als, err := s.pipeline.AlignContext(r.Context(), doc)
+		if err != nil {
+			if !deadlineExceeded(w, r.Context()) {
+				writeAlignError(w, err)
+			}
+			return
+		}
+		sum := summarizer.FromAlignments(doc, als)
 		ds := docSummary{DocID: doc.ID}
 		for _, sent := range sum.Sentences {
 			ds.Sentences = append(ds.Sentences, sent.Text)
@@ -528,7 +546,9 @@ func parsePage(vals url.Values) (offset, limit int, err error) {
 
 // handleSearch answers GET /v1/search: a quantity query (value range + unit +
 // context keywords) against the store's incremental index, deterministically
-// ranked, in the shared paginated envelope.
+// ranked, in the shared paginated envelope. Only the list's first
+// offset+limit results are ranked and built; the list's length, which the
+// store counts, decides the next cursor.
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		api.WriteError(w, api.CodeMethodNotAllowed, "GET with query parameters")
@@ -545,8 +565,10 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, api.CodeBadQuery, err.Error())
 		return
 	}
-	items, next := api.Page(s.store.Search(q), offset, limit)
-	api.WriteResult(w, api.Paginated{Items: items, NextCursor: next})
+	win := api.PageWindow(offset, limit)
+	head, total := s.store.SearchTop(q, win.End)
+	items, next := api.Slice(win, head, total)
+	writePage(w, items, next, appendResult)
 }
 
 // handleFacts answers GET /v1/facts: the aligned quantities known for one
@@ -569,7 +591,7 @@ func (s *server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items, next := api.Page(s.store.FactsFor(entity), offset, limit)
-	api.WriteResult(w, api.Paginated{Items: items, NextCursor: next})
+	writePage(w, items, next, appendFact)
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -14,7 +14,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
+	"strconv"
 )
 
 // The stable error-code table. Every error leaving an alignment endpoint
@@ -80,23 +82,42 @@ type Paginated struct {
 // above MaxPageSize clamp. The second result is the next cursor ("" when the
 // page exhausts the list).
 func Page[T any](items []T, offset, limit int) ([]T, string) {
+	return Slice(PageWindow(offset, limit), items, len(items))
+}
+
+// A Window is the span [Offset, End) of a ranked list that one page request
+// reads. It is known before the list is, so a list endpoint can rank just
+// the list's first End items.
+type Window struct{ Offset, End int }
+
+// PageWindow is the window of a request for limit items from the decimal
+// cursor offset: limit ≤ 0 picks DefaultPageSize, limits above MaxPageSize
+// clamp, a negative offset reads as 0, and End saturates at math.MaxInt
+// instead of overflowing.
+func PageWindow(offset, limit int) Window {
 	if limit <= 0 {
 		limit = DefaultPageSize
 	}
-	if limit > MaxPageSize {
-		limit = MaxPageSize
+	limit = min(limit, MaxPageSize)
+	offset = max(offset, 0)
+	if offset > math.MaxInt-limit {
+		return Window{offset, math.MaxInt}
 	}
-	if offset < 0 {
-		offset = 0
-	}
-	if offset >= len(items) {
+	return Window{offset, offset + limit}
+}
+
+// Slice returns the page w reads from a list of total items whose first
+// min(w.End, total) items are head, and the next cursor: the offset of the
+// page after, or "" when this page ends the list. A page past the end of
+// the list is [], never null.
+func Slice[T any](w Window, head []T, total int) ([]T, string) {
+	if w.Offset >= total {
 		return []T{}, ""
 	}
-	end := offset + limit
-	if end >= len(items) {
-		return items[offset:], ""
+	if w.End >= total {
+		return head[w.Offset:total], ""
 	}
-	return items[offset:end], fmt.Sprint(end)
+	return head[w.Offset:w.End], strconv.Itoa(w.End)
 }
 
 // Pagination bounds shared by the list endpoints.

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,6 +105,46 @@ func TestPage(t *testing.T) {
 	// Empty input still yields a non-nil (marshal-as-[]) page.
 	if page, next := Page([]int(nil), 0, 10); page == nil || next != "" {
 		t.Errorf("Page(nil) = %v, %q; want empty slice, no cursor", page, next)
+	}
+}
+
+// TestPageWindow pins the window a list endpoint ranks before it knows its
+// list: End is offset plus the page size the limit resolves to, saturating
+// rather than overflowing, and Slice over a head of the list's first End
+// items (all of them when the list is shorter) answers what Page answers
+// over the whole list.
+func TestPageWindow(t *testing.T) {
+	for _, tc := range []struct {
+		offset, limit int
+		want          Window
+	}{
+		{0, 0, Window{0, DefaultPageSize}},
+		{-5, 7, Window{0, 7}},
+		{20, 1000, Window{20, 20 + MaxPageSize}},
+		{math.MaxInt - 5, 10, Window{math.MaxInt - 5, math.MaxInt}},
+		{math.MaxInt, 0, Window{math.MaxInt, math.MaxInt}},
+	} {
+		if got := PageWindow(tc.offset, tc.limit); got != tc.want {
+			t.Errorf("PageWindow(%d, %d) = %+v, want %+v", tc.offset, tc.limit, got, tc.want)
+		}
+	}
+	for total := 0; total <= 130; total += 13 {
+		items := make([]int, total)
+		for i := range items {
+			items[i] = i
+		}
+		for _, offset := range []int{0, 1, 19, 20, total - 1, total, total + 5, math.MaxInt} {
+			for _, limit := range []int{0, 1, 7, 100, 1000} {
+				w := PageWindow(offset, limit)
+				head := items[:min(w.End, total)]
+				gotPage, gotNext := Slice(w, head, total)
+				wantPage, wantNext := Page(items, offset, limit)
+				if !reflect.DeepEqual(gotPage, wantPage) || gotNext != wantNext {
+					t.Errorf("total %d, offset %d, limit %d: Slice = %v, %q; Page = %v, %q",
+						total, offset, limit, gotPage, gotNext, wantPage, wantNext)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package quantsearch
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -92,7 +93,8 @@ func queryBattery(ix *Index) []Query {
 // TestSearchMatchesReferenceScan checks the posting-based candidate
 // selection against the full-scan oracle over a generated corpus: with
 // sorted value postings, after a retraction, and while the postings are
-// dirty.
+// dirty. At every stage the top n of SearchTop, for n around a page and
+// around the list's end, is the oracle's prefix of n, with its length.
 func TestSearchMatchesReferenceScan(t *testing.T) {
 	cfg := corpus.TableSConfig(7)
 	cfg.Pages = 30
@@ -107,6 +109,20 @@ func TestSearchMatchesReferenceScan(t *testing.T) {
 		want := referenceSearch(ix, q)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Search(%+v): %d results, reference %d results", stage, q, len(got), len(want))
+		}
+		for _, n := range []int{0, 1, 19, 20, 21, len(want) - 1, len(want), len(want) + 1, math.MaxInt} {
+			if n < 0 {
+				continue
+			}
+			var prefix []Result // nil, as SearchTop returns when it keeps nothing
+			if k := min(n, len(want)); k > 0 {
+				prefix = want[:k]
+			}
+			top, total := ix.SearchTop(q, n)
+			if total != len(want) || !reflect.DeepEqual(top, prefix) {
+				t.Errorf("%s: SearchTop(%+v, %d) = %d results of %d; want the reference's first %d of %d",
+					stage, q, n, len(top), total, len(prefix), len(want))
+			}
 		}
 	}
 	// Keywords taken from the index itself, so multi-keyword queries have

@@ -14,6 +14,7 @@ package quantsearch
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -408,8 +409,21 @@ type Result struct {
 // ranked by keyword matches (entries matching no keyword are excluded when
 // the query has keywords). The ranking is deterministic and independent of
 // insertion order: keyword matches descending, then value descending, then
-// table ID, then row, then column. It returns nil when nothing matches.
+// table ID, then row, then column. It returns nil when nothing matches. It
+// is SearchTop with no bound.
 func (ix *Index) Search(q Query) []Result {
+	out, _ := ix.SearchTop(q, math.MaxInt)
+	return out
+}
+
+// SearchTop returns the first n results of Search(q), or all of them when
+// there are fewer, and the number of results Search(q) returns. Only those n
+// are ranked in full and built: the others are dropped from a bounded heap
+// as better hits arrive, so a page of a long list costs O(hits·log n). Live
+// entries never tie in the rank order (a table ID names one live table, and
+// its cells differ in row or column), so any n yields the full list's
+// prefix. It reads the value postings only for a query without keywords.
+func (ix *Index) SearchTop(q Query, n int) ([]Result, int) {
 	// Candidates are ranked as (id, matched) hits and become Results only
 	// once, in rank order. Each keyword posting lists an entry id at most
 	// once, in ascending order (add dedups tokens and ids only grow), so one
@@ -420,13 +434,13 @@ func (ix *Index) Search(q Query) []Result {
 	// buckets compatible with the query unit; while those postings are dirty
 	// (adds since the last EnsureValueOrder) every entry is a candidate.
 	// admit re-applies the exact unit and value predicates either way, so the
-	// results are identical; Search itself never mutates the index.
-	var hits []hit
+	// results are identical; SearchTop itself never mutates the index.
+	top := ranker{ix: ix, n: max(n, 0)}
 	switch {
 	case len(q.Keywords) == 1:
 		for _, id := range ix.byToken[q.Keywords[0]] {
 			if ix.admit(q, id) {
-				hits = append(hits, hit{id, 1})
+				top.offer(hit{id, 1})
 			}
 		}
 	case len(q.Keywords) > 1:
@@ -439,55 +453,108 @@ func (ix *Index) Search(q Query) []Result {
 			for j = i + 1; j < len(ids) && ids[j] == ids[i]; j++ {
 			}
 			if ix.admit(q, ids[i]) {
-				hits = append(hits, hit{ids[i], j - i})
+				top.offer(hit{ids[i], j - i})
 			}
 		}
 	case ix.valueDirty:
 		for id := range ix.entries {
 			if ix.admit(q, id) {
-				hits = append(hits, hit{id, 0})
+				top.offer(hit{id, 0})
 			}
 		}
 	default:
 		compat := ix.compatibleUnits(q.Unit)
 		for _, id := range ix.valueRange(q) {
 			if compat[ix.entries[id].Unit] && ix.admit(q, id) {
-				hits = append(hits, hit{id, 0})
+				top.offer(hit{id, 0})
 			}
 		}
 	}
-	if len(hits) == 0 {
+	return top.results(), top.total
+}
+
+// hit is one ranked candidate of SearchTop: an entry id and its keyword
+// matches.
+type hit struct{ id, matched int }
+
+// ranker keeps the n best hits offered to it and counts them all. Until it
+// holds n it only appends; from then on its hits are a heap whose root is
+// the worst kept hit, which a better one replaces.
+type ranker struct {
+	ix    *Index
+	n     int
+	hits  []hit
+	total int
+}
+
+func (r *ranker) offer(h hit) {
+	r.total++
+	if len(r.hits) < r.n {
+		r.hits = append(r.hits, h)
+		if len(r.hits) == r.n {
+			for i := r.n/2 - 1; i >= 0; i-- {
+				r.down(i)
+			}
+		}
+		return
+	}
+	if r.n > 0 && r.rank(h, r.hits[0]) < 0 {
+		r.hits[0] = h
+		r.down(0)
+	}
+}
+
+// down sifts hits[i] toward the leaves until no child ranks after it.
+func (r *ranker) down(i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(r.hits) && r.rank(r.hits[c], r.hits[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		r.hits[i], r.hits[worst] = r.hits[worst], r.hits[i]
+		i = worst
+	}
+}
+
+// results sorts the kept hits into rank order and builds their Results; nil
+// when it kept none.
+func (r *ranker) results() []Result {
+	if len(r.hits) == 0 {
 		return nil
 	}
-
-	slices.SortFunc(hits, func(a, b hit) int {
-		if a.matched != b.matched {
-			return cmp.Compare(b.matched, a.matched)
-		}
-		ea, eb := &ix.entries[a.id], &ix.entries[b.id]
-		if ea.Value != eb.Value {
-			if ea.Value > eb.Value {
-				return -1
-			}
-			return 1
-		}
-		if c := strings.Compare(ea.TableID, eb.TableID); c != 0 {
-			return c
-		}
-		if ea.Row != eb.Row {
-			return cmp.Compare(ea.Row, eb.Row)
-		}
-		return cmp.Compare(ea.Col, eb.Col)
-	})
-	out := make([]Result, len(hits))
-	for i, h := range hits {
-		out[i] = Result{Entry: ix.entries[h.id], Matched: h.matched}
+	slices.SortFunc(r.hits, r.rank)
+	out := make([]Result, len(r.hits))
+	for i, h := range r.hits {
+		out[i] = Result{Entry: r.ix.entries[h.id], Matched: h.matched}
 	}
 	return out
 }
 
-// hit is one ranked candidate of Search: an entry id and its keyword matches.
-type hit struct{ id, matched int }
+// rank orders hits as Search ranks them: negative when a ranks first.
+func (r *ranker) rank(a, b hit) int {
+	if a.matched != b.matched {
+		return cmp.Compare(b.matched, a.matched)
+	}
+	ea, eb := &r.ix.entries[a.id], &r.ix.entries[b.id]
+	if ea.Value != eb.Value {
+		if ea.Value > eb.Value {
+			return -1
+		}
+		return 1
+	}
+	if c := strings.Compare(ea.TableID, eb.TableID); c != 0 {
+		return c
+	}
+	if ea.Row != eb.Row {
+		return cmp.Compare(ea.Row, eb.Row)
+	}
+	return cmp.Compare(ea.Col, eb.Col)
+}
 
 // admit reports whether entry id is live and passes the query's unit and
 // value predicates.

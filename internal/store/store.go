@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -798,19 +799,31 @@ func (s *Store) append(r record) {
 }
 
 // Search runs a quantity query against the incremental index and returns the
-// full deterministically-ranked result list (pagination is the caller's).
+// full deterministically-ranked result list. It is SearchTop with no bound.
 func (s *Store) Search(q quantsearch.Query) []quantsearch.Result {
+	out, _ := s.SearchTop(q, math.MaxInt)
+	return out
+}
+
+// SearchTop returns the first n results of Search(q) and the length of
+// Search(q)'s list (quantsearch.Index.SearchTop): a page of the list ranks
+// only what it returns.
+func (s *Store) SearchTop(q quantsearch.Query, n int) ([]quantsearch.Result, int) {
 	s.c.searches.Add(1)
-	// Restore the value-posting order left dirty by recent adds under the
-	// write lock (a no-op flag check when clean), then query under the read
-	// lock. Index.Search never mutates — if an add lands between the two
-	// locks it falls back to a scan, staying correct and race-free.
-	s.mu.Lock()
-	s.index.EnsureValueOrder()
-	s.mu.Unlock()
+	// Only a keyword-free query reads the value postings. For one, restore
+	// the order recent adds left dirty under the write lock (a no-op flag
+	// check when clean); every query then runs under the read lock, so
+	// keyword queries never wait on each other. The index never mutates
+	// while searching — if an add lands between the two locks it falls back
+	// to a scan, staying correct and race-free.
+	if len(q.Keywords) == 0 {
+		s.mu.Lock()
+		s.index.EnsureValueOrder()
+		s.mu.Unlock()
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.index.Search(q)
+	return s.index.SearchTop(q, n)
 }
 
 // FactsFor returns the facts known for a canonical entity name, confidence

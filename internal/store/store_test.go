@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"briq/internal/core"
 	"briq/internal/corpus"
@@ -293,6 +294,42 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 		if !reflect.DeepEqual(s.Search(q), rebuilt.Search(q)) {
 			t.Fatalf("query %+v: concurrent-add store disagrees with rebuild", q)
 		}
+	}
+}
+
+// TestKeywordSearchTakesReadLock: only a keyword-free query reads the value
+// postings, so only it takes the write lock to restore their order. A
+// keyword search runs under the read lock alone: while the test holds the
+// read lock, as another reader would, a keyword Search on a store with
+// dirty postings still returns.
+func TestKeywordSearchTakesReadLock(t *testing.T) {
+	docs, als := alignedCorpus(t, 13, 4)
+	s, err := Open(Options{Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range docs {
+		addDoc(s, doc, als[i])
+	}
+	q := quantsearch.Query{Keywords: []string{"total"}, Op: quantsearch.Above, Value: 0}
+	want := s.Search(q)
+	if len(want) == 0 {
+		t.Fatalf("%+v finds nothing", q)
+	}
+
+	s.mu.RLock() // the adds left the value postings dirty, and no query sorted them
+	done := make(chan []quantsearch.Result, 1)
+	go func() { done <- s.Search(q) }()
+	select {
+	case got := <-done:
+		s.mu.RUnlock()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("keyword search under a held read lock: %d results, want %d", len(got), len(want))
+		}
+	case <-time.After(5 * time.Second):
+		s.mu.RUnlock()
+		<-done
+		t.Fatal("a keyword Search blocked while another reader held the read lock")
 	}
 }
 
