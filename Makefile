@@ -73,13 +73,15 @@ bench-e2e:
 	echo "wrote BENCH_e2e.json"
 
 # Side-by-side go-test micro-benchmarks of a trained page's whole align
-# (segment, then classify, filter and resolve per document, the documents
-# sharing one feature.Tables as behind /v1/align), of one trained document's
+# (keys-only segmentation, then runtime.AlignPerDoc, which builds the table
+# mentions and aligns the documents in order through one feature.Tables, as
+# behind every alignment route's miss path), of one trained document's
 # align, of the resolution hot path, of document keying (the content hash
 # behind every store write, batch cache hit and ingest reuse check), of page
-# segmentation in its two forms (full, table mentions included, as /v1/align
-# segments; keys-only, as the batch and ingest paths segment a page that
-# misses its page entry), of an 8-page /v1/align/batch request whose pages
+# segmentation in its two forms (full, table mentions included, as
+# /v1/summarize segments; keys-only, as the other alignment routes and ingest
+# segment a page that misses its page entry), of an 8-page /v1/align/batch
+# request whose pages
 # hit their page entries or miss them (documents cached either way), and of
 # the read path behind /v1/search and /v1/facts (store queries, the shared
 # response writer, and whole first-page GETs of both routes through the
@@ -326,6 +328,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAlignBatch$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzAlignPage$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendAlignments$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendSearchPage$$' -fuzztime 5s ./cmd/briq-server

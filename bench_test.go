@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"briq/internal/core"
 	"briq/internal/corpus"
 	"briq/internal/experiment"
 	"briq/internal/filter"
@@ -25,6 +24,7 @@ import (
 	"briq/internal/htmlx"
 	"briq/internal/ilp"
 	"briq/internal/quantity"
+	"briq/internal/runtime"
 	"briq/internal/table"
 )
 
@@ -441,11 +441,12 @@ func BenchmarkPipelineAlign(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignPage is the per-page latency of the served align path: each
-// page of the test split, pre-parsed, goes through AlignPageDocsContext, so
-// its documents share one feature.Tables as they do behind /v1/align.
-// BenchmarkPipelineAlign aligns pre-segmented documents one at a time and
-// cannot show that sharing.
+// BenchmarkAlignPage is the per-page latency of the served miss path: each
+// page of the test split, pre-parsed, is segmented keys-only and aligned
+// through runtime.AlignPerDoc, which builds its documents' table mentions
+// and aligns them in order through one feature.Tables, as behind every
+// alignment route. BenchmarkPipelineAlign aligns pre-segmented documents one
+// at a time and cannot show that sharing.
 func BenchmarkAlignPage(b *testing.B) {
 	c, split, tr := fixture(b)
 	p := experiment.NewBriQ(tr).P
@@ -469,11 +470,14 @@ func BenchmarkAlignPage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(pages)
-		ds, _, err := p.AlignPageDocsContext(context.Background(), ids[k], pages[k])
-		if err != nil && !errors.Is(err, core.ErrNoTables) && !errors.Is(err, core.ErrNoMentions) {
+		seg, err := p.Segmenter.SegmentPageKeys(ids[k], pages[k])
+		if err != nil {
 			b.Fatal(err)
 		}
-		docs += len(ds)
+		if _, err := runtime.AlignPerDoc(context.Background(), p, seg.Docs, 1); err != nil {
+			b.Fatal(err)
+		}
+		docs += len(seg.Docs)
 	}
 	b.ReportMetric(float64(docs)/float64(b.N), "docs/page")
 }

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"briq/internal/core"
 	"briq/internal/corpus"
@@ -278,37 +279,150 @@ func newTrained(seed int64) (*Pipeline, error) {
 // with nothing to align fails with ErrNoTables or ErrNoMentions (wrapped;
 // test with errors.Is).
 //
-// On a pipeline with a serving layer (WithCache / WithMaxInFlight) the
-// request is content-addressed: a repeat of a previously aligned
-// (pageID, html) pair is a cache hit — byte-identical to a fresh run —
-// concurrent identical requests trigger exactly one pipeline run, and under
-// saturation the request may fail with ErrOverloaded or ErrDeadlineBudget.
-// Returned alignments must then be treated as read-only.
+// It is AlignPages for one page, with its miss run inside the gate's single
+// flight: concurrent identical requests trigger one pipeline run and share
+// its alignments. Under saturation the request may fail with ErrOverloaded
+// or ErrDeadlineBudget.
 func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]Alignment, error) {
-	var key serve.Key // zero without a gate: there is no page entry to record
-	if p.Gate != nil {
-		key = p.Gate.PageKey(pageID, html)
+	key := p.Gate.PageKey(pageID, html)
+	// An entry with no documents does not answer: only segmentation tells
+	// ErrNoTables from ErrNoMentions.
+	if perDoc, ok := lookupPage(p, key); ok && len(perDoc) > 0 {
+		return flattenAlignments(perDoc), nil
 	}
-	// A nil Gate runs the closure directly; with a gate it runs for the
-	// single-flight leader only, so the sink sees each fresh result once.
-	v, _, err := p.Gate.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		docs, perDoc, err := p.AlignPageDocsContext(ctx, pageID, htmlx.ParseString(html))
+	v, _, err := p.Gate.Do(ctx, key, func(ctx context.Context) (any, error) {
+		seg, err := segmentPage(p, pageID, html, false)
+		if err == nil {
+			err = core.PageError(pageID, seg)
+		}
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if p.Sink != nil {
-			p.Sink.Add(key, docs, documentKeys(p, docs), perDoc)
-		}
-		als := flattenAlignments(perDoc)
-		return als, core.AlignmentsSize(als), nil
+		return alignPages(ctx, p, []serve.Key{key}, [][]*Document{seg.Docs}, false)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if p.Gate == nil {
-		return v.([]Alignment), nil
+	return flattenAlignments(v.([][][]Alignment)[0]), nil
+}
+
+// Page is one page of a request: its ID, which prefixes its document and
+// table IDs, and its HTML source.
+type Page struct {
+	ID   string `json:"id"`
+	HTML string `json:"html"`
+}
+
+// AlignPages is the path every page route takes. It returns perPage[i][j],
+// the alignments of the j-th document of pages[i], read-only. A page whose
+// entry (its document keys, in page order) and document entries all hit is
+// answered from them; every other page is segmented keys-only and aligned
+// through alignPages, its misses under one admission slot.
+func AlignPages(ctx context.Context, p *Pipeline, pages []Page) ([][][]Alignment, error) {
+	perPage := make([][][]Alignment, len(pages))
+	var missKeys []serve.Key
+	var missDocs [][]*Document
+	var missIdx []int
+	for i, pg := range pages {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		key := p.Gate.PageKey(pg.ID, pg.HTML)
+		if perDoc, ok := lookupPage(p, key); ok {
+			perPage[i] = perDoc
+			continue
+		}
+		seg, err := segmentPage(p, pg.ID, pg.HTML, false)
+		if err != nil {
+			return nil, err
+		}
+		missKeys, missDocs, missIdx = append(missKeys, key), append(missDocs, seg.Docs), append(missIdx, i)
 	}
-	return copyAlignments(v.([]Alignment)), nil
+	aligned, err := alignPages(ctx, p, missKeys, missDocs, true)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range missIdx {
+		perPage[i] = aligned[j]
+	}
+	return perPage, nil
+}
+
+// AlignPageDocuments is AlignPages for one page whose caller also reads its
+// documents: it segments the page fully, table mentions included, whether
+// its entries answer or not. A page with no documents is not an error.
+func AlignPageDocuments(ctx context.Context, p *Pipeline, pageID, html string) ([]*Document, [][]Alignment, error) {
+	key := p.Gate.PageKey(pageID, html)
+	perDoc, hit := lookupPage(p, key)
+	seg, err := segmentPage(p, pageID, html, true)
+	if err != nil || hit {
+		return seg.Docs, perDoc, err
+	}
+	perPage, err := alignPages(ctx, p, []serve.Key{key}, [][]*Document{seg.Docs}, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return seg.Docs, perPage[0], nil
+}
+
+// lookupPage reads a page's entry, then each of its documents' entries in
+// page order, stopping at the first miss. Each lookup counts as a hit or a
+// miss.
+func lookupPage(p *Pipeline, key serve.Key) ([][]Alignment, bool) {
+	v, ok := p.Gate.Lookup(key)
+	if !ok {
+		return nil, false
+	}
+	keys := v.([]serve.Key)
+	perDoc := make([][]Alignment, len(keys))
+	for i, k := range keys {
+		if v, ok = p.Gate.Lookup(k); !ok {
+			return nil, false
+		}
+		perDoc[i] = v.([]Alignment)
+	}
+	return perDoc, true
+}
+
+// segmentPage parses and segments a page, keys-only unless full, timed as
+// StageSegment.
+func segmentPage(p *Pipeline, pageID, html string, full bool) (document.Segmentation, error) {
+	start := time.Now()
+	seg, err := p.Segmenter.SegmentPageKeys(pageID, htmlx.ParseString(html))
+	if full {
+		p.Segmenter.BuildTableMentions(seg.Docs)
+	}
+	p.Recorder.Observe(core.StageSegment, time.Since(start))
+	return seg, err
+}
+
+// alignPages aligns the documents of pages that missed their entries
+// (alignDocuments), then records the entry of each, under pageKeys[i]: its
+// document keys, in the cache and then through the sink. Without a gate
+// there is no page key.
+func alignPages(ctx context.Context, p *Pipeline, pageKeys []serve.Key, pages [][]*Document, admit bool) ([][][]Alignment, error) {
+	var docs []*Document
+	for _, pg := range pages {
+		docs = append(docs, pg...)
+	}
+	perDoc, keys, err := alignDocuments(ctx, p, docs, admit)
+	if err != nil {
+		return nil, err
+	}
+	perPage := make([][][]Alignment, len(pages))
+	lo := 0
+	for i, pg := range pages {
+		hi := lo + len(pg)
+		perPage[i] = perDoc[lo:hi:hi]
+		if docKeys := keys[lo:hi:hi]; p.Gate != nil {
+			p.Gate.Store(pageKeys[i], docKeys, core.PageDocsSize(docKeys))
+			if p.Sink != nil {
+				p.Sink.AddPage(pageKeys[i], docKeys)
+			}
+		}
+		lo = hi
+	}
+	return perPage, nil
 }
 
 // flattenAlignments concatenates per-document groups in order, preserving
@@ -337,11 +451,11 @@ func IsUnalignable(err error) bool {
 //
 // On a pipeline with a serving layer, each document is content-addressed
 // individually: documents already aligned under the same models are served
-// from the cache and only the misses fan out over the clones, and the whole
-// corpus run occupies one admission slot (failing fast with ErrOverloaded /
-// ErrDeadlineBudget under saturation).
+// from the cache and only the misses fan out over the clones, occupying one
+// admission slot (failing fast with ErrOverloaded / ErrDeadlineBudget under
+// saturation).
 func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignment, error) {
-	perDoc, _, err := AlignDocuments(ctx, p, docs)
+	perDoc, _, err := alignDocuments(ctx, p, docs, true)
 	if err != nil {
 		return nil, err
 	}
@@ -350,19 +464,13 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	return out, nil
 }
 
-// AlignDocuments is AlignCorpus per document: perDoc[i] holds the
-// alignments of docs[i], which must be treated as read-only, and keys[i] the
-// content key the serve cache and the pipeline's sink file docs[i] under. It
-// keys each document once, for the cache lookup and the sink alike; a
-// pipeline with neither a gate nor a sink keys nothing, and its keys are
-// zero.
-func AlignDocuments(ctx context.Context, p *Pipeline, docs []*Document) (perDoc [][]Alignment, keys []serve.Key, err error) {
-	release, err := p.Gate.Acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-
+// alignDocuments keys each document once, for the lookup and the sink
+// alike (zero keys with neither a gate nor a sink), and answers it from its
+// entry where it can. The misses get the table mentions they lack, timed as
+// StageSegment, whose second step that is, go through runtime.AlignPerDoc,
+// a page per worker, under one admission slot when admit is set, and are
+// recorded in the cache and then through the sink.
+func alignDocuments(ctx context.Context, p *Pipeline, docs []*Document, admit bool) (perDoc [][]Alignment, keys []serve.Key, err error) {
 	keys = documentKeys(p, docs)
 	perDoc = make([][]Alignment, len(docs))
 	var missDocs []*Document
@@ -377,20 +485,30 @@ func AlignDocuments(ctx context.Context, p *Pipeline, docs []*Document) (perDoc 
 		missKeys = append(missKeys, keys[i])
 		missIdx = append(missIdx, i)
 	}
-
-	if len(missDocs) > 0 {
-		fresh, err := runtime.AlignPerDoc(ctx, p, missDocs, 0)
+	if len(missDocs) == 0 {
+		return perDoc, keys, nil
+	}
+	if admit {
+		release, err := p.Gate.Acquire(ctx)
 		if err != nil {
 			return nil, nil, err
 		}
-		if p.Sink != nil {
-			p.Sink.Add(serve.Key{}, missDocs, missKeys, fresh)
-		}
-		for j, als := range fresh {
-			i := missIdx[j]
-			perDoc[i] = als
-			p.Gate.Store(keys[i], als, core.AlignmentsSize(als))
-		}
+		defer release()
+	}
+	start := time.Now()
+	if p.Segmenter.BuildTableMentions(missDocs) > 0 {
+		p.Recorder.Observe(core.StageSegment, time.Since(start))
+	}
+	fresh, err := runtime.AlignPerDoc(ctx, p, missDocs, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, als := range fresh {
+		perDoc[missIdx[j]] = als
+		p.Gate.Store(missKeys[j], als, core.AlignmentsSize(als))
+	}
+	if p.Sink != nil {
+		p.Sink.Add(missDocs, missKeys, fresh)
 	}
 	return perDoc, keys, nil
 }
@@ -417,16 +535,4 @@ func documentKeys(p *Pipeline, docs []*Document) []serve.Key {
 		keys[i] = key(d)
 	}
 	return keys
-}
-
-// copyAlignments returns a private copy of a cached result, preserving
-// nil-ness and emptiness (so cached and fresh responses marshal
-// identically), without sharing the backing array the cache retains.
-func copyAlignments(als []Alignment) []Alignment {
-	if als == nil {
-		return nil
-	}
-	out := make([]Alignment, len(als))
-	copy(out, als)
-	return out
 }

@@ -7,11 +7,15 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"briq"
 	"briq/internal/corpus"
 	"briq/internal/htmlx"
+	"briq/internal/serve"
+	"briq/internal/store"
 )
 
 // TestOptionValidation drives every functional option through its valid and
@@ -113,10 +117,37 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// holdSink is a memory store whose Add holds the caller: the single-flight
+// leader records its fresh documents inside its flight, so hold keeps the
+// flight open while the other callers join it.
+type holdSink struct {
+	*store.Store
+	hold func()
+}
+
+func (s holdSink) Add(docs []*briq.Document, keys []serve.Key, perDoc [][]briq.Alignment) {
+	s.hold()
+	s.Store.Add(docs, keys, perDoc)
+}
+
+// pageDocs is how many documents quickstartPage segments into.
+func pageDocs(t *testing.T, p *briq.Pipeline) int64 {
+	t.Helper()
+	docs, err := p.Segmenter.SegmentPage("p0", htmlx.ParseString(quickstartPage))
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("quickstartPage segments to %d documents (%v)", len(docs), err)
+	}
+	return int64(len(docs))
+}
+
 // TestSingleFlightFacade is the race-enabled coalescing check: K goroutines
 // aligning the identical page concurrently must trigger exactly one pipeline
 // run — asserted through the stage recorder, which only the real computation
-// feeds — and all K must get the same result.
+// feeds — and all K must get the same result. It runs with a cache, and with
+// admission but no cache, where no entry can answer a caller that arrives
+// after the leader: the callers share the leader's alignments through the
+// flight alone. The leader's sink holds it until every caller has started,
+// and 100 ms more, so each one joins its flight.
 func TestSingleFlightFacade(t *testing.T) {
 	// Baseline: how many stage observations does one serial run record?
 	baseRec := briq.NewRecorder()
@@ -129,41 +160,60 @@ func TestSingleFlightFacade(t *testing.T) {
 	if wantAligns == 0 {
 		t.Fatal("baseline run recorded no align observations")
 	}
+	wantJSON, _ := json.Marshal(want)
 
 	const K = 16
-	rec := briq.NewRecorder()
-	p := briq.New(briq.WithCache(1<<20), briq.WithRecorder(rec))
-	var wg sync.WaitGroup
-	results := make([][]briq.Alignment, K)
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = briq.AlignHTMLContext(context.Background(), p, "p0", quickstartPage)
-		}(i)
-	}
-	wg.Wait()
+	for _, tc := range []struct {
+		name string
+		opts []briq.Option
+	}{
+		{"cache", []briq.Option{briq.WithCache(1 << 20)}},
+		{"admission without cache", []briq.Option{briq.WithCache(0), briq.WithMaxInFlight(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := briq.NewRecorder()
+			p := briq.New(append(tc.opts, briq.WithRecorder(rec))...)
+			st, err := store.Open(store.Options{Fingerprint: p.Fingerprint(), Gate: p.Gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arrived atomic.Int64
+			p.Sink = holdSink{Store: st, hold: func() {
+				for arrived.Load() < K {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(100 * time.Millisecond)
+			}}
 
-	if got := rec.Snapshot()["align"].Count; got != wantAligns {
-		t.Errorf("%d concurrent identical requests ran the pipeline %d times, want %d (one run)", K, got, wantAligns)
-	}
-	wantJSON, _ := json.Marshal(want)
-	for i := 0; i < K; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		gotJSON, _ := json.Marshal(results[i])
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("caller %d diverged from the baseline result", i)
-		}
-	}
-	c := p.Gate.Counters()
-	if c["misses"] != 1 {
-		t.Errorf("misses = %d, want 1", c["misses"])
-	}
-	if c["hits"]+c["coalesced"] != K-1 {
-		t.Errorf("hits+coalesced = %d, want %d", c["hits"]+c["coalesced"], K-1)
+			var wg sync.WaitGroup
+			results := make([][]briq.Alignment, K)
+			errs := make([]error, K)
+			for i := 0; i < K; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					arrived.Add(1)
+					results[i], errs[i] = briq.AlignHTMLContext(context.Background(), p, "p0", quickstartPage)
+				}(i)
+			}
+			wg.Wait()
+
+			if got := rec.Snapshot()["align"].Count; got != wantAligns {
+				t.Errorf("%d concurrent identical requests ran the pipeline %d times, want %d (one run)", K, got, wantAligns)
+			}
+			for i := 0; i < K; i++ {
+				if errs[i] != nil {
+					t.Fatalf("caller %d: %v", i, errs[i])
+				}
+				gotJSON, _ := json.Marshal(results[i])
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("caller %d diverged from the baseline result", i)
+				}
+			}
+			if c := p.Gate.Counters(); c["coalesced"] != K-1 {
+				t.Errorf("coalesced = %d, want %d", c["coalesced"], K-1)
+			}
+		})
 	}
 }
 
@@ -195,15 +245,18 @@ func TestCacheEquivalencePage(t *testing.T) {
 	if !bytes.Equal(hitJSON, missJSON) {
 		t.Error("cache hit is not byte-identical to the run that populated it")
 	}
-	if c := p.Gate.Counters(); c["hits"] != 1 || c["stores"] != 1 {
-		t.Errorf("counters = hits:%d stores:%d, want 1 and 1", c["hits"], c["stores"])
+	// The miss stored the page entry and each document's entry, and the hit
+	// read each of them once.
+	entries := 1 + pageDocs(t, p)
+	if c := p.Gate.Counters(); c["hits"] != entries || c["stores"] != entries {
+		t.Errorf("counters = hits:%d stores:%d, want %d and %d (the page entry and its documents')", c["hits"], c["stores"], entries, entries)
 	}
 
 	// A different page is a different key, not a false hit.
 	if _, err := briq.AlignHTMLContext(context.Background(), p, "p1", quickstartPage); err != nil {
 		t.Fatal(err)
 	}
-	if c := p.Gate.Counters(); c["hits"] != 1 {
+	if c := p.Gate.Counters(); c["hits"] != entries {
 		t.Errorf("distinct page id hit the cache: %v", c)
 	}
 

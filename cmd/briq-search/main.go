@@ -130,7 +130,7 @@ func indexDir(dir string) (*store.Store, int, error) {
 		for i, d := range docs {
 			keys[i] = st.DocumentKey(d)
 		}
-		st.Add(serve.Key{}, docs, keys, make([][]core.Alignment, len(docs)))
+		st.Add(docs, keys, make([][]core.Alignment, len(docs)))
 	}
 	return st, len(paths), nil
 }

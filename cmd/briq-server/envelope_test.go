@@ -140,9 +140,10 @@ func TestEnvelopeSchemaGolden(t *testing.T) {
 // TestOverloadSheds429 is the acceptance check for admission control: with
 // every in-flight slot taken and no queue, /align answers 429 overloaded with
 // a Retry-After hint — deterministically, because the test itself holds the
-// only slot. /v1/summarize, which holds a slot for its whole request, sheds
-// the same way. Releasing the slot restores 200 service. A batch answered
-// from its page entries needs no slot; one with a page to align sheds.
+// only slot. /v1/summarize, which takes a slot to align the page's
+// documents, sheds the same way. Releasing the slot restores 200 service. A
+// batch answered from its page entries needs no slot; one with a page to
+// align sheds.
 func TestOverloadSheds429(t *testing.T) {
 	p := briq.New(briq.WithWorkers(1))
 	p.Gate = gate.NewEngine(gate.Config{
@@ -218,7 +219,7 @@ func TestOverloadSheds429(t *testing.T) {
 
 // TestServerCacheHitByteIdentical re-POSTs the same page to a cached server:
 // the second response must be byte-for-byte the first, and the serving
-// counters must show the hit.
+// counters must show the hits: the page entry and each document's.
 func TestServerCacheHitByteIdentical(t *testing.T) {
 	srv := newServer(briq.New(briq.WithCache(8<<20), briq.WithWorkers(1)), serverOptions{})
 
@@ -235,9 +236,12 @@ func TestServerCacheHitByteIdentical(t *testing.T) {
 			first.Body.String(), second.Body.String())
 	}
 
+	// The first POST stored the page entry and its documents' entries; the
+	// second read each of them once.
+	entries := int64(1 + len(testPageDocs(t, srv)))
 	c := srv.pipeline.Gate.Counters()
-	if c["hits"] != 1 || c["stores"] != 1 {
-		t.Errorf("serving counters = hits:%d stores:%d, want 1 and 1", c["hits"], c["stores"])
+	if c["hits"] != entries || c["stores"] != entries {
+		t.Errorf("serving counters = hits:%d stores:%d, want %d and %d", c["hits"], c["stores"], entries, entries)
 	}
 
 	// /metrics surfaces the same counters under the serving section.
@@ -250,7 +254,7 @@ func TestServerCacheHitByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatalf("/metrics has no serving section: %v", m)
 	}
-	if serving["hits"].(float64) != 1 {
-		t.Errorf("/metrics serving.hits = %v, want 1", serving["hits"])
+	if serving["hits"].(float64) != float64(entries) {
+		t.Errorf("/metrics serving.hits = %v, want %d", serving["hits"], entries)
 	}
 }

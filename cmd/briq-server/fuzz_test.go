@@ -171,3 +171,49 @@ func FuzzAlignBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAlignPage sends arbitrary bodies to POST /v1/align and POST
+// /v1/summarize on a cached untrained server, twice each: the page path
+// behind both routes, fed arbitrary page HTML. The contract is
+// FuzzAlignBatch's: no handler panic; status 200, or the status
+// api.StatusByCode gives the envelope's error code; and the second POST,
+// which finds the page and document entries the first recorded, answers the
+// same status and bytes. Bodies over 64 KiB are skipped: the cost of one
+// large page is ROADMAP item 7's, and so is a deadline bound. Seeds are
+// testPage and the /v1/align and /v1/summarize rows of TestErrorPaths that
+// fit.
+func FuzzAlignPage(f *testing.F) {
+	const maxFuzzBody = 64 << 10
+	f.Add(testPage)
+	for _, tc := range errorPaths() {
+		if (tc.path == "/v1/align" || tc.path == "/v1/summarize") && tc.method == http.MethodPost && len(tc.body) <= maxFuzzBody {
+			f.Add(tc.body)
+		}
+	}
+	srv := newServer(briq.New(briq.WithWorkers(1), briq.WithCache(8<<20)), serverOptions{})
+	f.Fuzz(func(t *testing.T, body string) {
+		if len(body) > maxFuzzBody {
+			t.Skip()
+		}
+		for _, path := range []string{"/v1/align", "/v1/summarize"} {
+			first := do(t, srv, http.MethodPost, path, body)
+			if first.Code != http.StatusOK {
+				var env api.Envelope
+				if err := json.Unmarshal(first.Body.Bytes(), &env); err != nil || env.Error == nil {
+					t.Fatalf("%s: status %d without an error envelope: %.300s", path, first.Code, first.Body.String())
+				}
+				if status, ok := api.StatusByCode[env.Error.Code]; !ok || status != first.Code {
+					t.Fatalf("%s: status %d with error code %q, want 200 or the code's status in api.StatusByCode", path, first.Code, env.Error.Code)
+				}
+			}
+			second := do(t, srv, http.MethodPost, path, body)
+			if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("%s: second POST answered %d %.300s\nfirst answered %d %.300s",
+					path, second.Code, second.Body.String(), first.Code, first.Body.String())
+			}
+		}
+		if got := srv.metrics.errors.Get("panics"); got != 0 {
+			t.Fatalf("errors.panics = %d, want 0", got)
+		}
+	})
+}

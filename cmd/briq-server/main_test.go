@@ -36,6 +36,16 @@ func newTestServer() *server {
 	return newServer(briq.New(briq.WithWorkers(2)), serverOptions{})
 }
 
+// testPageDocs segments testPage as /v1/align names it.
+func testPageDocs(t *testing.T, srv *server) []*briq.Document {
+	t.Helper()
+	docs, err := srv.pipeline.Segmenter.SegmentPage("request", htmlx.ParseString(testPage))
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("testPage segments to %d documents (%v)", len(docs), err)
+	}
+	return docs
+}
+
 // do routes a request through the full middleware stack, exactly as the
 // listener would.
 func do(t *testing.T, srv *server, method, path, body string) *httptest.ResponseRecorder {

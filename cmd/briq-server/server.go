@@ -19,13 +19,10 @@ import (
 	"briq"
 	"briq/internal/api"
 	"briq/internal/core"
-	"briq/internal/document"
 	"briq/internal/facts"
-	"briq/internal/htmlx"
 	"briq/internal/ingest"
 	"briq/internal/qkb"
 	"briq/internal/quantsearch"
-	gate "briq/internal/serve" // serve names the listener loop in main.go
 	"briq/internal/store"
 	"briq/internal/summarize"
 )
@@ -237,10 +234,9 @@ type batchRequest struct {
 	Pages []batchPage `json:"pages"`
 }
 
-type batchPage struct {
-	ID   string `json:"id"` // optional; defaults to page<index>
-	HTML string `json:"html"`
-}
+// batchPage is one page of the body: its id is optional and defaults to
+// page<index>.
+type batchPage = briq.Page
 
 type batchPageResult struct {
 	ID         string           `json:"id"`
@@ -248,17 +244,14 @@ type batchPageResult struct {
 	Alignments []briq.Alignment `json:"alignments"`
 }
 
-// handleAlignBatch aligns many pages in one request. With a gate, each page
-// first looks up its page entry, keyed by the page's resolved ID and HTML
-// (gate.Engine.BatchPageKey) and holding its documents' keys in page order:
-// a page whose entry and document entries all hit is answered from them,
-// never parsed. Every other page is segmented keys-only (no table mentions),
-// and its documents go through the facade's corpus path — consulting the
-// serving layer's per-document result cache, fanning the misses out over
-// pipeline clones, which build the misses' table mentions first, and
-// occupying one admission slot for the whole batch — after which the page
-// records its entry. A batch whose every page hits takes no slot. The
-// request context cancels the run mid-corpus, and each document's stage
+// handleAlignBatch aligns many pages in one request through the facade's
+// page path (briq.AlignPages): a page whose entry, keyed by its resolved ID
+// and HTML, and whose documents' entries all hit is answered from them,
+// never parsed; every other page is segmented keys-only, its documents are
+// looked up, and the misses of the whole batch fan out over pipeline
+// clones, a page per clone, occupying one admission slot, after which each
+// page records its entry. A batch whose documents all hit takes no slot.
+// The request context cancels the run mid-corpus, and each document's stage
 // latencies reach the server metrics as it completes.
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -279,17 +272,8 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	engine := s.pipeline.Gate
-	results := make([]batchPageResult, len(req.Pages))
-	perPage := make([][][]briq.Alignment, len(req.Pages)) // per page, per document
-	pageKeys := make([]gate.Key, len(req.Pages))
-	var docs []*document.Document
-	var misses []batchMiss
 	seenID := make(map[string]int)
 	for i, pg := range req.Pages {
-		if deadlineExceeded(w, r.Context()) {
-			return
-		}
 		id := pg.ID
 		if id == "" {
 			id = fmt.Sprintf("page%d", i)
@@ -299,7 +283,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seenID[id] = i
-		results[i].ID = id
+		req.Pages[i].ID = id
 		if pg.HTML == "" {
 			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: empty html", id))
 			return
@@ -308,48 +292,19 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: html is not valid UTF-8", id))
 			return
 		}
-		if engine != nil {
-			pageKeys[i] = engine.BatchPageKey(id, pg.HTML)
-			if perDoc, ok := pageHit(engine, pageKeys[i]); ok {
-				perPage[i] = perDoc
-				continue
-			}
-		}
-
-		segStart := time.Now()
-		seg, err := s.pipeline.Segmenter.SegmentPageKeys(id, htmlx.ParseString(pg.HTML))
-		s.metrics.stages.Observe(core.StageSegment, time.Since(segStart))
-		if err != nil {
-			api.WriteError(w, api.CodeUnprocessable, fmt.Sprintf("page %q: %v", id, err))
-			return
-		}
-		misses = append(misses, batchMiss{page: i, lo: len(docs), hi: len(docs) + len(seg.Docs)})
-		docs = append(docs, seg.Docs...)
 	}
-	if deadlineExceeded(w, r.Context()) {
+	perPage, err := briq.AlignPages(r.Context(), s.pipeline, req.Pages)
+	if err != nil {
+		if !deadlineExceeded(w, r.Context()) {
+			writeAlignError(w, err)
+		}
 		return
 	}
 
-	if len(misses) > 0 {
-		perDoc, keys, err := briq.AlignDocuments(r.Context(), s.pipeline, docs)
-		if err != nil {
-			if !deadlineExceeded(w, r.Context()) {
-				writeAlignError(w, err)
-			}
-			return
-		}
-		for _, m := range misses {
-			perPage[m.page] = perDoc[m.lo:m.hi]
-			if engine != nil {
-				s.store.AddBatchPage(pageKeys[m.page], keys[m.lo:m.hi:m.hi])
-			}
-		}
-	}
-
+	results := make([]batchPageResult, len(req.Pages))
 	documents, alignments := 0, 0
 	for i, perDoc := range perPage {
-		results[i].Documents = len(perDoc)
-		results[i].Alignments = pageAlignments(perDoc)
+		results[i] = batchPageResult{ID: req.Pages[i].ID, Documents: len(perDoc), Alignments: pageAlignments(perDoc)}
 		documents += len(perDoc)
 		alignments += len(results[i].Alignments)
 	}
@@ -366,35 +321,6 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		"documents":  documents,
 		"alignments": alignments,
 	})
-}
-
-// batchMiss is a batch page that was segmented: its index in the request and
-// the span of its documents in the batch's document list.
-type batchMiss struct{ page, lo, hi int }
-
-// pageHit answers a batch page from the cache: its page entry, then its
-// documents' entries in page order, stopping at the first miss. Each lookup
-// counts as a serving hit or miss.
-func pageHit(engine *gate.Engine, key gate.Key) ([][]briq.Alignment, bool) {
-	v, ok := engine.Lookup(key)
-	if !ok {
-		return nil, false
-	}
-	keys, ok := v.([]gate.Key)
-	if !ok {
-		return nil, false
-	}
-	perDoc := make([][]briq.Alignment, len(keys))
-	for i, k := range keys {
-		v, ok := engine.Lookup(k)
-		if !ok {
-			return nil, false
-		}
-		if perDoc[i], ok = v.([]briq.Alignment); !ok {
-			return nil, false
-		}
-	}
-	return perDoc, true
 }
 
 // pageAlignments flattens one page's alignments in document order and sorts
@@ -415,26 +341,22 @@ func pageAlignments(perDoc [][]briq.Alignment) []briq.Alignment {
 	return out
 }
 
-// handleSummarize answers POST /v1/summarize: each document of the page
-// aligned, then summarized from its alignments. The request holds one
-// admission slot throughout, and each document aligns under the request
-// context, so -max-inflight sheds the route with 429 and -request-timeout
-// stops it with 504, as on /v1/align.
+// handleSummarize answers POST /v1/summarize: the page aligned through the
+// facade's page path (briq.AlignPageDocuments), which reads and fills the
+// page and document entries as /v1/align does, then each document
+// summarized from its alignments. Aligning misses takes an admission slot
+// and runs under the request context, so -max-inflight sheds the route with
+// 429 and -request-timeout stops it with 504, as on /v1/align.
 func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.readPage(w, r)
 	if !ok {
 		return
 	}
-	release, err := s.pipeline.Gate.Acquire(r.Context())
+	docs, perDoc, err := briq.AlignPageDocuments(r.Context(), s.pipeline, "request", src)
 	if err != nil {
-		writeAlignError(w, err)
-		return
-	}
-	defer release()
-	page := htmlx.ParseString(src)
-	docs, err := s.pipeline.Segmenter.SegmentPage("request", page)
-	if err != nil {
-		api.WriteError(w, api.CodeUnprocessable, err.Error())
+		if !deadlineExceeded(w, r.Context()) {
+			writeAlignError(w, err)
+		}
 		return
 	}
 	summarizer := summarize.New(s.pipeline)
@@ -443,15 +365,8 @@ func (s *server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		Sentences []string `json:"sentences"`
 	}
 	var out []docSummary
-	for _, doc := range docs {
-		als, err := s.pipeline.AlignContext(r.Context(), doc)
-		if err != nil {
-			if !deadlineExceeded(w, r.Context()) {
-				writeAlignError(w, err)
-			}
-			return
-		}
-		sum := summarizer.FromAlignments(doc, als)
+	for i, doc := range docs {
+		sum := summarizer.FromAlignments(doc, perDoc[i])
 		ds := docSummary{DocID: doc.ID}
 		for _, sent := range sum.Sentences {
 			ds.Sentences = append(ds.Sentences, sent.Text)

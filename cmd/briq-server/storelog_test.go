@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"briq"
+	"briq/internal/core"
 	"briq/internal/corpus"
 	"briq/internal/store"
 )
@@ -42,11 +43,13 @@ func ndjsonBody(pages []*corpus.Page) string {
 
 // TestStoreLogGolden pins what the aligned-corpus store writes and counts
 // across every write path of a cached server: single-page align (a repeat
-// included), a batch that re-aligns an already aligned page's documents,
-// streaming ingest and a one-sentence re-crawl, then a reboot on the same
-// directory and a re-POST of everything. The golden holds the store and
-// serving counters after each phase, the SHA-256 of the final log, and one
-// "kind key" line per log record. Regenerate deliberately with:
+// included), a batch whose page named "request" is answered from the entry
+// /v1/align recorded for the same HTML, streaming ingest and a one-sentence
+// re-crawl, then a reboot on the same directory and a re-POST of
+// everything. The golden holds the store and serving counters after each
+// phase (the serving counters count each page entry and each document entry
+// looked up or stored), the SHA-256 of the final log, and one "kind key"
+// line per log record. Regenerate deliberately with:
 //
 //	go test ./cmd/briq-server -run TestStoreLogGolden -update
 //
@@ -60,7 +63,7 @@ func TestStoreLogGolden(t *testing.T) {
 	pages := corpus.Generate(cfg).Pages
 	pageB := pages[0].HTML()
 	batch, _ := json.Marshal(batchRequest{Pages: []batchPage{
-		{ID: "request", HTML: testPage}, // the documents /v1/align already stored
+		{ID: "request", HTML: testPage}, // the page entry /v1/align already recorded
 		{ID: "fresh", HTML: pages[1].HTML()},
 	}})
 	crawl := pages[2:]
@@ -164,7 +167,8 @@ func TestStoreLogGolden(t *testing.T) {
 
 // TestCachelessGateWritesPageRecord: a gate with admission control but no
 // cache still records each aligned page, so a later boot with a cache serves
-// the first re-POST of that page from the warm cache.
+// the first re-POST of that page from the warm cache: the page entry and
+// each of its documents' entries hit.
 func TestCachelessGateWritesPageRecord(t *testing.T) {
 	dir := t.TempDir()
 	srv1, st1 := bootStore(t, dir, briq.WithMaxInFlight(4))
@@ -183,7 +187,56 @@ func TestCachelessGateWritesPageRecord(t *testing.T) {
 	if rec := do(t, srv2, http.MethodPost, "/v1/align", testPage); rec.Code != http.StatusOK {
 		t.Fatalf("re-align status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if c := srv2.pipeline.Gate.Counters(); c["hits"] != 1 || c["misses"] != 0 {
-		t.Errorf("first re-POST after reboot: hits=%d misses=%d, want a warm hit", c["hits"], c["misses"])
+	entries := int64(1 + len(testPageDocs(t, srv2)))
+	if c := srv2.pipeline.Gate.Counters(); c["hits"] != entries || c["misses"] != 0 {
+		t.Errorf("first re-POST after reboot: hits=%d misses=%d, want %d warm hits", c["hits"], c["misses"], entries)
+	}
+}
+
+// TestLegacyStoreKeepsAnswering boots a server on internal/store's
+// testdata/store_log_legacy.ndjson, the log TestStoreLogGolden wrote before
+// every page entry held document keys: its "cache" records carry a
+// /v1/align page's alignments or a batch page's document keys. Under the
+// untrained pipeline's fingerprint, which wrote it, every line replays,
+// every document is warm, and /v1/align of testPage, POSTed twice, answers
+// what a fresh server answers without classifying anything.
+func TestLegacyStoreKeepsAnswering(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "store_log_legacy.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int64{}
+	for _, line := range bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n")) {
+		var r struct{ Kind string }
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		kinds[r.Kind]++
+	}
+	dir := t.TempDir()
+	meta := fmt.Sprintf(`{"version": 3, "fingerprint": %q}`, briq.New().Fingerprint())
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "corpus.ndjson"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, st := bootStore(t, dir, briq.WithCache(8<<20))
+	defer st.Close()
+	c := st.Counters()
+	if c["replay_skipped"] != 0 || c["warm_documents"] != kinds["doc"] || c["warm_cache_records"] != kinds["cache"] {
+		t.Errorf("replay = %v; want nothing skipped, %d warm documents and %d warm cache records", c, kinds["doc"], kinds["cache"])
+	}
+	t.Logf("%d warm documents, %d warm cache records, %d lines skipped", c["warm_documents"], c["warm_cache_records"], c["replay_skipped"])
+	want := do(t, newTestServer(), http.MethodPost, "/v1/align", testPage)
+	for round := 0; round < 2; round++ {
+		got := do(t, srv, http.MethodPost, "/v1/align", testPage)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("POST %d answered %d %s\nwant %d %s", round, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	if n := stageCount(srv, core.StageClassify); n != 0 {
+		t.Errorf("classified %d documents, want 0: every document of testPage is warm", n)
 	}
 }

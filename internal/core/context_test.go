@@ -69,10 +69,23 @@ func TestAlignContextBackgroundMatchesAlign(t *testing.T) {
 	}
 }
 
+// alignPage segments page and aligns its documents the way the serving
+// paths do: PageError for a page with none, else AlignPageContext.
+func alignPage(ctx context.Context, p *Pipeline, pageID string, page *htmlx.Page) ([][]Alignment, error) {
+	seg, err := p.Segmenter.SegmentPageInfo(pageID, page)
+	if err != nil {
+		return nil, err
+	}
+	if err := PageError(pageID, seg); err != nil {
+		return nil, err
+	}
+	return p.AlignPageContext(ctx, seg.Docs)
+}
+
 func TestAlignPageContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := NewPipeline().AlignPageDocsContext(ctx, "p0", healthDocPage())
+	_, err := alignPage(ctx, NewPipeline(), "p0", healthDocPage())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -87,7 +100,7 @@ func TestAlignPageTypedErrors(t *testing.T) {
 	noTables := &htmlx.Page{Blocks: []htmlx.Block{
 		&htmlx.Paragraph{Text: "Numbers like 42 with no tables."},
 	}}
-	if _, _, err := p.AlignPageDocsContext(context.Background(), "p0", noTables); !errors.Is(err, ErrNoTables) {
+	if _, err := alignPage(context.Background(), p, "p0", noTables); !errors.Is(err, ErrNoTables) {
 		t.Errorf("tableless page: err = %v, want ErrNoTables", err)
 	}
 
@@ -95,11 +108,11 @@ func TestAlignPageTypedErrors(t *testing.T) {
 		&htmlx.Paragraph{Text: "This paragraph discusses methodology without any figures."},
 		&htmlx.TableBlock{Grid: [][]string{{"a", "b"}, {"1", "2"}}},
 	}}
-	if _, _, err := p.AlignPageDocsContext(context.Background(), "p1", noMentions); !errors.Is(err, ErrNoMentions) {
+	if _, err := alignPage(context.Background(), p, "p1", noMentions); !errors.Is(err, ErrNoMentions) {
 		t.Errorf("mentionless page: err = %v, want ErrNoMentions", err)
 	}
 
-	if _, _, err := p.AlignPageDocsContext(context.Background(), "p2", healthDocPage()); err != nil {
+	if _, err := alignPage(context.Background(), p, "p2", healthDocPage()); err != nil {
 		t.Errorf("alignable page: err = %v, want nil", err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"briq/internal/filter"
 	"briq/internal/forest"
 	"briq/internal/graph"
-	"briq/internal/htmlx"
 	"briq/internal/obs"
 	"briq/internal/quantity"
 	"briq/internal/serve"
@@ -109,8 +108,8 @@ type Pipeline struct {
 	// time.
 	Gate *serve.Engine
 
-	// Sink, when non-nil, receives every fresh facade result (page and
-	// corpus) in one Add call — how the persistent store builds its corpus
+	// Sink, when non-nil, receives the documents the facade aligns and the
+	// page entries it records — how the persistent store builds its corpus
 	// and quantity index as documents are aligned. Cache hits are not
 	// re-offered. It must be set before the pipeline is shared across
 	// goroutines; clones share the same sink, and its implementation must be
@@ -526,39 +525,38 @@ func (p *Pipeline) toAlignment(doc *document.Document, xi, ti int, score float64
 	}
 }
 
-// AlignPageDocsContext segments an HTML page into documents and aligns each,
-// honoring ctx inside classify and resolve (see AlignContext). The documents
-// share their tables, so they are aligned in page order through one
-// feature.Tables, which prepares each table, line set and table mention
-// once for the page. It returns the segmented documents in page order and
-// each document's alignments at the matching index. A page that yields no
-// alignable document reports why:
-// ErrNoTables when no table has numeric cells, ErrNoMentions when tables
-// exist but no paragraph carries quantity mentions; both are wrapped with
-// the page ID and testable via errors.Is.
-func (p *Pipeline) AlignPageDocsContext(ctx context.Context, pageID string, page *htmlx.Page) ([]*document.Document, [][]Alignment, error) {
-	start := time.Now()
-	res, err := p.Segmenter.SegmentPageInfo(pageID, page)
-	p.Recorder.Observe(StageSegment, time.Since(start))
-	if err != nil {
-		return nil, nil, fmt.Errorf("segment page %s: %w", pageID, err)
-	}
-	if len(res.Docs) == 0 {
-		if res.NumericTables == 0 {
-			return nil, nil, fmt.Errorf("page %s: %w", pageID, ErrNoTables)
-		}
-		return nil, nil, fmt.Errorf("page %s: %w", pageID, ErrNoMentions)
-	}
-	perDoc := make([][]Alignment, len(res.Docs))
+// AlignPageContext aligns docs, documents of one page in page order, one
+// after another through one feature.Tables, honoring ctx inside classify and
+// resolve (see AlignContext). The documents share their tables, so each
+// table, line set and table mention is prepared once for the page. It
+// returns each document's alignments at the document's index. The documents
+// must have their table mentions (see AlignContext).
+func (p *Pipeline) AlignPageContext(ctx context.Context, docs []*document.Document) ([][]Alignment, error) {
+	perDoc := make([][]Alignment, len(docs))
 	tables := feature.NewTables()
-	for i, doc := range res.Docs {
+	for i, doc := range docs {
 		als, err := p.alignContext(ctx, doc, tables)
 		if err != nil {
-			return nil, nil, fmt.Errorf("align %s: %w", doc.ID, err)
+			return nil, fmt.Errorf("align %s: %w", doc.ID, err)
 		}
 		perDoc[i] = als
 	}
-	return res.Docs, perDoc, nil
+	return perDoc, nil
+}
+
+// PageError reports why a segmented page has no document to align, wrapped
+// with the page ID: ErrNoTables when it has no table with numeric cells,
+// ErrNoMentions when tables exist but no paragraph carries quantity
+// mentions. It is nil for a page with documents.
+func PageError(pageID string, seg document.Segmentation) error {
+	switch {
+	case len(seg.Docs) > 0:
+		return nil
+	case seg.NumericTables == 0:
+		return fmt.Errorf("page %s: %w", pageID, ErrNoTables)
+	default:
+		return fmt.Errorf("page %s: %w", pageID, ErrNoMentions)
+	}
 }
 
 // ExtractionVersion names the behaviour of the code that turns a page into

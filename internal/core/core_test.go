@@ -142,7 +142,7 @@ func TestAlignPageEndToEnd(t *testing.T) {
 </table>
 </body></html>`
 	page := htmlx.ParseString(html)
-	_, perDoc, err := NewPipeline().AlignPageDocsContext(context.Background(), "page0", page)
+	perDoc, err := alignPage(context.Background(), NewPipeline(), "page0", page)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@
 // A Pipeline is configured once (including Recorder) and is read-only
 // afterwards; any number of goroutines may then call Align on it at once.
 // Per-document and per-page mutable state (feature caches, the resolution
-// graph) lives in values created inside Align and AlignPageDocsContext,
-// never on the Pipeline. A Clone owns
+// graph) lives in values created inside Align and AlignPageContext, never
+// on the Pipeline. A Clone owns
 // scratch buffers and must be used by one goroutine at a time.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -11,16 +10,16 @@ import (
 	"briq/internal/serve"
 )
 
-// AlignmentSink receives each fresh result of the facade paths — the seam the
-// persistent store implements. Add is called once per result the facade
-// computed, never for cache hits: page is the serve cache's key for a
-// single-page request through a gate (the store records that page once, so a
-// restart warms it back), the zero Key for corpus runs and gate-less calls;
-// keys[i] is the content key of docs[i] and perDoc[i] its alignments. A
-// document may arrive again (the corpus path keys documents, not pages), so
-// implementations dedup on document identity. They must be safe for
-// concurrent use and must not fail the alignment: persistence problems are
-// theirs to count and log.
+// AlignmentSink receives what the facade paths compute — the seam the
+// persistent store implements. Add is called once per set of documents the
+// facade aligned, never for cache hits: keys[i] is the content key of docs[i]
+// and perDoc[i] its alignments. AddPage is called once per page entry the
+// facade records: page is the entry's key (serve.PageKeyOf), docKeys its
+// documents' keys in page order, possibly none; the store logs it so a
+// restart warms it back. A document or a page may arrive again (a cache too
+// small to hold it, or several routes aligning the same page), so
+// implementations dedup. They must be safe for concurrent use and must not
+// fail the alignment: persistence problems are theirs to count and log.
 //
 // The facade keys each document once, for the cache lookup and for Add
 // alike: through the gate when there is one, through DocumentKey when there
@@ -29,7 +28,8 @@ import (
 // serve.KeyOf(fingerprint, HashDocument) under the pipeline's fingerprint.
 type AlignmentSink interface {
 	DocumentKey(doc *document.Document) serve.Key
-	Add(page serve.Key, docs []*document.Document, keys []serve.Key, perDoc [][]Alignment)
+	Add(docs []*document.Document, keys []serve.Key, perDoc [][]Alignment)
+	AddPage(page serve.Key, docKeys []serve.Key)
 }
 
 // HashDocumentText writes the paragraph part of a document's content — the
@@ -180,6 +180,10 @@ func DocumentParts(d *document.Document) (text, tables [sha256.Size]byte) {
 // corpus path and the persistent store both derive their serve.Key by
 // hashing it through serve.KeyOf, which adds the pipeline's Fingerprint.
 //
+// The bytes are those of "docv3|%s|%s|" (ID, PageID) followed by the two
+// digests, appended into one buffer without fmt, and must stay so: they are
+// every stored document key.
+//
 // The key covers a document's tables by their source, not by the table
 // mentions extracted from them (store format v3). Those mentions are a pure
 // function of what the key does cover — the table records — and of two
@@ -191,9 +195,9 @@ func HashDocument(w io.Writer, d *document.Document) {
 		onHashDocument()
 	}
 	text, tables := DocumentParts(d)
-	fmt.Fprintf(w, "docv3|%s|%s|", d.ID, d.PageID)
-	w.Write(text[:])
-	w.Write(tables[:])
+	b := make([]byte, 0, len("docv3|||")+len(d.ID)+len(d.PageID)+len(text)+len(tables))
+	b = append(append(append(append(append(b, "docv3|"...), d.ID...), '|'), d.PageID...), '|')
+	w.Write(append(append(b, text[:]...), tables[:]...))
 }
 
 // onHashDocument, when set, is called each time HashDocument runs. Tests
@@ -211,4 +215,11 @@ func AlignmentsSize(als []Alignment) int64 {
 		n += int64(len(a.DocID) + len(a.TextSurface) + len(a.TableKey) + len(a.AggName))
 	}
 	return n
+}
+
+// PageDocsSize estimates the resident bytes of a page entry — its documents'
+// keys — for the serve cache's byte accounting, as AlignmentsSize does for a
+// document's alignments. The facade and the store's replay both use it.
+func PageDocsSize(docKeys []serve.Key) int64 {
+	return int64(len(docKeys))*int64(len(serve.Key{})) + 48
 }

@@ -110,6 +110,36 @@ func segmentedCorpora(t *testing.T, seg *document.Segmenter, fn func(seed int64,
 	}
 }
 
+// hashDocumentFmt is HashDocument as it was written with fmt: the header
+// through Fprintf, then the two digests. It is the oracle for the appending
+// writer: its bytes are hashed into every stored document key.
+func hashDocumentFmt(w io.Writer, d *document.Document) {
+	text, tables := DocumentParts(d)
+	fmt.Fprintf(w, "docv3|%s|%s|", d.ID, d.PageID)
+	w.Write(text[:])
+	w.Write(tables[:])
+}
+
+// TestHashDocumentMatchesFmt requires the oracle's bytes from HashDocument
+// for every document of the generated corpora, and for IDs that fmt's %s
+// must pass through untouched: separators, verbs, invalid UTF-8, empty.
+func TestHashDocumentMatchesFmt(t *testing.T) {
+	segmentedCorpora(t, document.NewSegmenter(), func(seed int64, d *document.Document) {
+		requireOracleBytes(t, fmt.Sprintf("seed %d doc %s", seed, d.ID), HashDocument, hashDocumentFmt, d)
+	})
+	docs, err := document.NewSegmenter().SegmentPage("pg", healthDocPage())
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("health page segments to %d documents (%v)", len(docs), err)
+	}
+	for _, id := range [][2]string{
+		{"a|b", "p|q"}, {"%s%d%%", "%v"}, {"\xff\xfe", "pg\x00"}, {"", ""}, {"é-d0", "é"},
+	} {
+		d := *docs[0]
+		d.ID, d.PageID = id[0], id[1]
+		requireOracleBytes(t, fmt.Sprintf("ID %q page %q", d.ID, d.PageID), HashDocument, hashDocumentFmt, &d)
+	}
+}
+
 // TestHashDocumentTablesMatchesFmt segments generated corpora under both
 // segmenters and requires the oracle's bytes for every document.
 func TestHashDocumentTablesMatchesFmt(t *testing.T) {

@@ -26,9 +26,19 @@ func stressPage(n int) string {
 </table></body></html>`, a+b+10, a, a, b-10, a+b-10)
 }
 
+// alignStressPage segments stress page i and aligns its documents through
+// one AlignPageContext call.
+func alignStressPage(p *core.Pipeline, i int) ([][]core.Alignment, error) {
+	docs, err := p.Segmenter.SegmentPage(fmt.Sprintf("p%d", i), htmlx.ParseString(stressPage(i)))
+	if err != nil {
+		return nil, err
+	}
+	return p.AlignPageContext(context.Background(), docs)
+}
+
 // TestPipelineSharedAcrossGoroutines hammers one instrumented *Pipeline from
-// many goroutines mixing AlignAll batches and direct AlignPageDocsContext
-// calls on distinct pages, asserting per-goroutine results match precomputed
+// many goroutines mixing AlignAll batches and direct AlignPageContext calls
+// on the documents of distinct pages, asserting per-goroutine results match precomputed
 // serial answers. Run under -race this is the audit that a shared pipeline is
 // read-only after construction.
 func TestPipelineSharedAcrossGoroutines(t *testing.T) {
@@ -41,10 +51,9 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 	const pages = 8
 	wantPage := make([][][]core.Alignment, pages)
 	for i := 0; i < pages; i++ {
-		page := htmlx.ParseString(stressPage(i))
-		_, got, err := shared.AlignPageDocsContext(context.Background(), fmt.Sprintf("p%d", i), page)
+		got, err := alignStressPage(shared, i)
 		if err != nil {
-			t.Fatalf("serial AlignPageDocsContext %d: %v", i, err)
+			t.Fatalf("serial AlignPageContext %d: %v", i, err)
 		}
 		if len(got) == 0 || len(got[0]) == 0 {
 			t.Fatalf("page %d aligned nothing; stress page broken", i)
@@ -58,10 +67,9 @@ func TestPipelineSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			page := htmlx.ParseString(stressPage(i))
-			_, got, err := shared.AlignPageDocsContext(context.Background(), fmt.Sprintf("p%d", i), page)
+			got, err := alignStressPage(shared, i)
 			if err != nil {
-				errs <- fmt.Errorf("AlignPageDocsContext %d: %v", i, err)
+				errs <- fmt.Errorf("AlignPageContext %d: %v", i, err)
 				return
 			}
 			if !reflect.DeepEqual(got, wantPage[i]) {

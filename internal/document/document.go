@@ -10,9 +10,10 @@
 // and virtual cells, §II-A), which only alignment reads, and which are most
 // of segmentation's cost. SegmentPage, SegmentPageInfo and Segment run both.
 // SegmentPageKeys runs the first alone, so a path that answers most
-// documents from stored results — the batch endpoint's cache hits and
-// ingestion's reuse check — keys them first and runs BuildTableMentions
-// only on those it aligns (runtime.AlignPerDoc does, before its fan-out).
+// documents from stored results — the alignment routes' document entries
+// and ingestion's reuse check — keys them first and runs BuildTableMentions
+// only on those it aligns (the facade's page path and runtime.AlignPerDoc
+// do, before the fan-out).
 package document
 
 import (
@@ -207,13 +208,16 @@ func (s *Segmenter) segment(pageID string, paras []string, paraBlock []int, tabl
 // built once across docs, so documents that relate to one table share its
 // *table.Mention values, as the documents of one SegmentPageInfo call do.
 // Documents that already have table mentions are left as they are. It
-// writes the documents, so no other goroutine may read them meanwhile.
-func (s *Segmenter) BuildTableMentions(docs []*Document) {
+// writes the documents, so no other goroutine may read them meanwhile. It
+// returns how many documents it built.
+func (s *Segmenter) BuildTableMentions(docs []*Document) int {
 	built := map[*table.Table][]*table.Mention{}
+	n := 0
 	for _, d := range docs {
 		if d.TableMentions != nil {
 			continue
 		}
+		n++
 		for _, t := range d.Tables {
 			ms, ok := built[t]
 			if !ok {
@@ -223,6 +227,7 @@ func (s *Segmenter) BuildTableMentions(docs []*Document) {
 			d.TableMentions = append(d.TableMentions, ms...)
 		}
 	}
+	return n
 }
 
 // isAdjacent reports whether the paragraph at block position p and the table

@@ -16,8 +16,8 @@
 // its table and the rows and columns its cells lie in, never on the
 // document, and the documents of one page share their tables and table
 // mentions. So the extractors of a page share one Tables
-// (core.Pipeline.AlignPageDocsContext makes one per page); NewExtractor with
-// a nil Tables makes a private one. A Tables prepares, each once:
+// (core.Pipeline.AlignPageContext makes one per page); NewExtractor with a
+// nil Tables makes a private one. A Tables prepares, each once:
 //
 //   - the word, phrase and surface interners both sides go through;
 //   - each table's bag of words and noun phrases (the table side of f3/f5);

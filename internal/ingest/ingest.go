@@ -8,12 +8,14 @@
 // documents of a previous crawl are retracted, unchanged ones reused
 // byte-for-byte.
 //
-// Re-alignment fans a page's misses out with runtime.AlignPerDoc under one
-// Ingestor-wide lock, which bounds memory: one page's miss set is in flight
-// at a time across all connections. Stage latencies go to the pipeline's
-// Recorder. Upserts of the same page are serialized on a per-page lock so
-// the store's reuse check and the upsert are atomic with respect to each
-// other; distinct pages proceed concurrently.
+// Re-alignment runs a page's misses through runtime.AlignPerDoc, whose unit
+// of work is a page, so they align on one goroutine through one
+// feature.Tables, under one Ingestor-wide lock, which bounds memory: one
+// page's miss set is in flight at a time across all connections. Stage
+// latencies go to the pipeline's Recorder. Upserts of the same page are
+// serialized on a per-page lock so the store's reuse check and the upsert
+// are atomic with respect to each other; distinct pages proceed
+// concurrently.
 package ingest
 
 import (
@@ -55,7 +57,8 @@ type Result struct {
 // Options configure an Ingestor.
 type Options struct {
 	// Workers is the re-alignment fan-out width; ≤ 0 falls back to the
-	// pipeline's Workers, then GOMAXPROCS.
+	// pipeline's Workers, then GOMAXPROCS. runtime.AlignPerDoc fans pages
+	// out, and Page aligns one, so it bounds nothing above 1 today.
 	Workers int
 }
 

@@ -10,22 +10,26 @@
 // slice and the classify batch matrices must be freshly allocated when anyone
 // might race on them. A clone (core.Pipeline.Clone) shares every model
 // read-only and owns that scratch, so each goroutine of a call aligns on its
-// own clone and its buffers stay warm across the documents it takes. Clones
+// own clone and its buffers stay warm across the pages it takes. Clones
 // record stage latencies into the pipeline's own Recorder, the one every
 // /v1/align handler goroutine already shares, so a corpus run needs no
 // recorder of its own and nothing to merge afterwards.
 //
 // # Dataflow
 //
-//	docs[0..n) ◀── next index ──┬── goroutine₁ (clone₁) ─┐
-//	                            ├── goroutine₂ (clone₂) ─┼─▶ perDoc[i] ──▶ AlignPerDoc / AlignCorpus
-//	                            └── goroutineₖ (cloneₖ) ─┘
+//	pages of docs[0..n) ◀── next page ──┬── goroutine₁ (clone₁) ─┐
+//	                                    ├── goroutine₂ (clone₂) ─┼─▶ perDoc[i] ──▶ AlignPerDoc / AlignCorpus
+//	                                    └── goroutineₖ (cloneₖ) ─┘
 //
-// Each goroutine claims the next unaligned document index and writes its
-// result at that index, so no channel or reorder buffer is needed and a
-// call holds at most k documents in flight. Cancellation is observed between
-// the classify/filter/resolve phases inside a document (core.AlignContext),
-// so a cancelled run stops within one pipeline phase per goroutine.
+// The unit of work is a page: a run of consecutive documents with one
+// PageID. Each goroutine claims the next unaligned page, aligns its
+// documents in order through one feature.Tables
+// (core.Pipeline.AlignPageContext), so the page's tables are prepared once,
+// and writes each result at its document's index: no channel or reorder
+// buffer is needed, and a call holds at most k pages in flight. A call with
+// one page aligns on one goroutine. Cancellation is observed between the
+// classify/filter/resolve phases inside a document (core.AlignContext), so
+// a cancelled run stops within one pipeline phase per goroutine.
 //
 // # Consuming results
 //

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"fmt"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -16,23 +15,34 @@ import (
 // the serving layer's per-document result cache stores. Per-document slices
 // keep Align's text-mention order.
 //
+// The unit of work is a page, a run of consecutive documents with one
+// PageID, which one goroutine aligns in order through one
+// core.Pipeline.AlignPageContext call; a call with one page aligns on one.
+//
 // Documents segmented keys-only (document.Segmenter.SegmentPageKeys) get
 // their table mentions first, from p.Segmenter, before any goroutine starts:
 // each table's list is built once across docs, in the order segmentation
 // would have built it, so the alignments are those of eagerly segmented
-// documents. This is the miss path of the batch endpoint and of ingestion,
-// which key documents before anything builds their mentions.
+// documents. This is the miss path of the alignment routes and of
+// ingestion, which key documents before anything builds their mentions.
 //
 // workers ≤ 0 falls back to p.Workers, then GOMAXPROCS; no more goroutines
-// start than there are documents. Each goroutine owns one p.Clone() for the
-// whole call and takes the next unclaimed document until none is left. The
+// start than there are pages. Each goroutine owns one p.Clone() for the
+// whole call and takes the next unclaimed page until none is left. The
 // clones record stage latencies into p.Recorder. On cancellation it returns
 // ctx.Err() with partial work discarded; documents in flight stop at their
 // next pipeline phase (see core.AlignContext).
 func AlignPerDoc(ctx context.Context, p *core.Pipeline, docs []*document.Document, workers int) ([][]core.Alignment, error) {
 	p.Segmenter.BuildTableMentions(docs)
+	var pages []int // the index of each page's first document, then len(docs)
+	for i, d := range docs {
+		if i == 0 || d.PageID != docs[i-1].PageID {
+			pages = append(pages, i)
+		}
+	}
+	pages = append(pages, len(docs))
 	perDoc := make([][]core.Alignment, len(docs))
-	n := width(p, workers, len(docs))
+	n := width(p, workers, len(pages)-1)
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -43,15 +53,16 @@ func AlignPerDoc(ctx context.Context, p *core.Pipeline, docs []*document.Documen
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
+				if i >= len(pages)-1 {
 					return
 				}
-				als, err := clone.AlignContext(ctx, docs[i])
+				lo, hi := pages[i], pages[i+1]
+				als, err := clone.AlignPageContext(ctx, docs[lo:hi])
 				if err != nil {
-					errs[w] = fmt.Errorf("align %s: %w", docs[i].ID, err)
+					errs[w] = err
 					return
 				}
-				perDoc[i] = als
+				copy(perDoc[lo:hi], als)
 			}
 		}()
 	}
@@ -86,13 +97,13 @@ func AlignCorpus(ctx context.Context, p *core.Pipeline, docs []*document.Documen
 }
 
 // width resolves the goroutine count of one call: workers, else p.Workers,
-// else GOMAXPROCS, and never more than docs.
-func width(p *core.Pipeline, workers, docs int) int {
+// else GOMAXPROCS, and never more than units, the pages to align.
+func width(p *core.Pipeline, workers, units int) int {
 	if workers <= 0 {
 		workers = p.Workers
 	}
 	if workers <= 0 {
 		workers = gort.GOMAXPROCS(0)
 	}
-	return min(workers, docs)
+	return min(workers, units)
 }

@@ -16,14 +16,15 @@
 //	          Excess load is shed immediately with ErrOverloaded; requests
 //	          whose context dies while queued fail with ErrDeadlineBudget.
 //	          Both are typed and errors.Is-testable, never an unbounded queue.
-//	Engine    the composition the facade talks to: cache → single-flight →
-//	          admission → compute → store, with hit/miss/eviction/shed
-//	          counters for the /metrics endpoint.
+//	Engine    what the facade talks to: the cache's Lookup and Store, and
+//	          Do, which composes single-flight and admission around one
+//	          computation, with hit/miss/store/coalesced/shed counters for
+//	          the /metrics endpoint.
 //
-// The Engine's store step fills the cache only; it never calls out. Whoever
-// computes a result persists it explicitly (the facade hands fresh results
-// to the pipeline's sink from inside the compute closure), so nothing the
-// cache does can write to disk.
+// Do never reads or fills the cache. The facade looks a page's entry and its
+// documents' entries up before it, and the computation that runs inside it
+// stores what it made: the cache first, then the pipeline's sink, which
+// persists it. Nothing the cache does can write to disk.
 //
 // Every type tolerates its disabled form: a nil *Engine computes directly, a
 // zero CacheBytes disables caching, a zero MaxInFlight disables admission.

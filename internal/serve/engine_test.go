@@ -12,7 +12,10 @@ import (
 
 // TestEngineSingleFlight: K concurrent Do calls for the same key run the
 // compute exactly once; everyone gets the same value. The compute blocks
-// until all K callers have arrived, so the flight window provably overlaps.
+// until all K callers have started and 100 ms more, so each joins the
+// flight: joining is not observable from outside, and a caller that came
+// after the leader landed would compute again, since Do keeps nothing. Do
+// touches no cache counter.
 func TestEngineSingleFlight(t *testing.T) {
 	const K = 16
 	e := NewEngine(Config{Fingerprint: "fp", CacheBytes: 1 << 20})
@@ -28,10 +31,10 @@ func TestEngineSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived <- struct{}{}
-			v, _, err := e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
+			v, _, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
 				computes.Add(1)
 				<-proceed
-				return "result", 6, nil
+				return "result", nil
 			})
 			if err != nil {
 				t.Errorf("Do: %v", err)
@@ -42,8 +45,7 @@ func TestEngineSingleFlight(t *testing.T) {
 	for i := 0; i < K; i++ {
 		<-arrived
 	}
-	// All K are in Do (one computing, the rest coalescing or about to); let
-	// the leader finish.
+	time.Sleep(100 * time.Millisecond)
 	close(proceed)
 	wg.Wait()
 
@@ -56,45 +58,68 @@ func TestEngineSingleFlight(t *testing.T) {
 		}
 	}
 	c := e.Counters()
-	if c["misses"] != 1 {
-		t.Errorf("misses = %d, want 1", c["misses"])
+	if c["coalesced"] != K-1 {
+		t.Errorf("coalesced = %d, want %d", c["coalesced"], K-1)
 	}
-	if c["hits"]+c["coalesced"] != K-1 {
-		t.Errorf("hits+coalesced = %d, want %d", c["hits"]+c["coalesced"], K-1)
+	if c["hits"]+c["misses"]+c["stores"]+c["entries"] != 0 {
+		t.Errorf("Do touched the cache: %v", c)
 	}
 
-	// The stored result now serves hits without recomputing.
-	v, hit, err := e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
-		t.Error("compute ran on a warm cache")
-		return nil, 0, nil
+	v, shared, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
+		return "again", nil
 	})
-	if err != nil || !hit || v.(string) != "result" {
-		t.Fatalf("warm Do = (%v, %v, %v), want (result, true, nil)", v, hit, err)
+	if err != nil || shared || v.(string) != "again" {
+		t.Fatalf("Do after the flight = (%v, %v, %v), want a fresh compute", v, shared, err)
 	}
 }
 
-// TestEngineErrorsNotCached: a failed compute is shared with in-flight
-// waiters but never stored, so the next request retries.
+// TestEngineErrorsNotCached: a failed compute is shared with a caller that
+// joined its flight, and kept by nobody, so the next request retries.
 func TestEngineErrorsNotCached(t *testing.T) {
 	e := NewEngine(Config{Fingerprint: "fp", CacheBytes: 1 << 20})
 	key := e.PageKey("p0", "boom")
 	boom := errors.New("boom")
 
-	if _, _, err := e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
-		return nil, 0, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	inside, proceed := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
+			close(inside)
+			<-proceed
+			return nil, boom
+		})
+		leader <- err
+	}()
+	<-inside
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
+			return "ok", nil
+		})
+		waiter <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // the waiter joins the leader's flight
+	close(proceed)
+	if err := <-leader; !errors.Is(err, boom) {
+		t.Fatalf("leader err = %v, want boom", err)
 	}
+	if err := <-waiter; !errors.Is(err, boom) {
+		t.Fatalf("waiter err = %v, want the leader's boom", err)
+	}
+	if c := e.Counters()["coalesced"]; c != 1 {
+		t.Errorf("coalesced = %d, want 1", c)
+	}
+
 	var recomputed bool
-	v, hit, err := e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
+	v, shared, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
 		recomputed = true
-		return "ok", 2, nil
+		return "ok", nil
 	})
 	if !recomputed {
-		t.Fatal("error was cached: compute did not rerun")
+		t.Fatal("error was kept: compute did not rerun")
 	}
-	if err != nil || hit || v.(string) != "ok" {
-		t.Fatalf("retry Do = (%v, %v, %v)", v, hit, err)
+	if err != nil || shared || v.(string) != "ok" {
+		t.Fatalf("retry Do = (%v, %v, %v)", v, shared, err)
 	}
 }
 
@@ -110,14 +135,14 @@ func TestEngineLeaderPanicIsolated(t *testing.T) {
 				t.Error("panic did not propagate to the leader")
 			}
 		}()
-		e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
+		e.Do(context.Background(), key, func(context.Context) (any, error) {
 			panic("compute exploded")
 		})
 	}()
 
 	// The key must not be stuck: a fresh request computes normally.
-	v, _, err := e.Do(context.Background(), key, func(context.Context) (any, int64, error) {
-		return "recovered", 9, nil
+	v, _, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
+		return "recovered", nil
 	})
 	if err != nil || v.(string) != "recovered" {
 		t.Fatalf("post-panic Do = (%v, %v)", v, err)
@@ -160,17 +185,17 @@ func TestEngineShedsUnderSaturation(t *testing.T) {
 	proceed := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.Do(context.Background(), k1, func(context.Context) (any, int64, error) {
+		_, _, err := e.Do(context.Background(), k1, func(context.Context) (any, error) {
 			close(inside)
 			<-proceed
-			return "one", 3, nil
+			return "one", nil
 		})
 		done <- err
 	}()
 	<-inside
 
-	if _, _, err := e.Do(context.Background(), k2, func(context.Context) (any, int64, error) {
-		return "two", 3, nil
+	if _, _, err := e.Do(context.Background(), k2, func(context.Context) (any, error) {
+		return "two", nil
 	}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated Do = %v, want ErrOverloaded", err)
 	}
@@ -183,8 +208,8 @@ func TestEngineShedsUnderSaturation(t *testing.T) {
 		t.Fatalf("in-flight request failed: %v", err)
 	}
 	// Capacity is free again.
-	if _, _, err := e.Do(context.Background(), k2, func(context.Context) (any, int64, error) {
-		return "two", 3, nil
+	if _, _, err := e.Do(context.Background(), k2, func(context.Context) (any, error) {
+		return "two", nil
 	}); err != nil {
 		t.Fatalf("post-drain Do: %v", err)
 	}
@@ -192,11 +217,11 @@ func TestEngineShedsUnderSaturation(t *testing.T) {
 
 func TestEngineNil(t *testing.T) {
 	var e *Engine
-	v, hit, err := e.Do(context.Background(), Key{}, func(context.Context) (any, int64, error) {
-		return "direct", 6, nil
+	v, shared, err := e.Do(context.Background(), Key{}, func(context.Context) (any, error) {
+		return "direct", nil
 	})
-	if err != nil || hit || v.(string) != "direct" {
-		t.Fatalf("nil engine Do = (%v, %v, %v)", v, hit, err)
+	if err != nil || shared || v.(string) != "direct" {
+		t.Fatalf("nil engine Do = (%v, %v, %v)", v, shared, err)
 	}
 	release, err := e.Acquire(context.Background())
 	if err != nil {
@@ -221,8 +246,8 @@ func TestEngineNil(t *testing.T) {
 // TestEngineCountersSchema: enabled and disabled engines expose the same keys.
 func TestEngineCountersSchema(t *testing.T) {
 	e := NewEngine(Config{Fingerprint: "fp", CacheBytes: 4096, MaxInFlight: 2, MaxQueue: DefaultMaxQueue})
-	e.Do(context.Background(), e.PageKey("p", "x"), func(context.Context) (any, int64, error) {
-		return "v", 1, nil
+	e.Do(context.Background(), e.PageKey("p", "x"), func(context.Context) (any, error) {
+		return "v", nil
 	})
 	got := e.Counters()
 	want := CounterNames()
@@ -253,7 +278,7 @@ func TestEngineConcurrentMixed(t *testing.T) {
 				key := e.PageKey(fmt.Sprintf("p%d", i%7), "content")
 				switch g % 3 {
 				case 0:
-					e.Do(ctx, key, func(context.Context) (any, int64, error) { return i, 32, nil })
+					e.Do(ctx, key, func(context.Context) (any, error) { return i, nil })
 				case 1:
 					if _, ok := e.Lookup(key); !ok {
 						e.Store(key, i, 32)

@@ -42,17 +42,14 @@ func KeyOf(fingerprint string, fill func(io.Writer)) Key {
 	return w.sum()
 }
 
-// PageKeyOf is the Engine-less form of Engine.PageKey.
+// PageKeyOf is the Engine-less form of Engine.PageKey. Its domain tag is
+// the one store version 3 filed /v1/align/batch page entries under, which
+// held document keys as every page entry does now, so those entries keep
+// answering. The v3 entries of /v1/align, which held alignments under the
+// tag "page", are never reached.
 func PageKeyOf(fingerprint, pageID, html string) Key {
-	return pageKeyOf(fingerprint, "page", pageID, html)
-}
-
-// pageKeyOf keys one page of a request kind: the kind's domain tag keeps the
-// entries of /v1/align ("page") and of /v1/align/batch ("batch-page"), whose
-// values differ, from ever sharing a key.
-func pageKeyOf(fingerprint, domain, pageID, html string) Key {
 	w := newKeyWriter(fingerprint)
-	w.str(domain)
+	w.str("batch-page")
 	w.str(pageID)
 	w.str(html)
 	return w.sum()

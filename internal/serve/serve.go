@@ -38,8 +38,9 @@ var counterNames = []string{
 }
 
 // Engine is the serving layer in front of one pipeline configuration: a
-// content-addressed result cache, a single-flight group and an admission
-// gate, composed as cache → single-flight → admission → compute → store.
+// content-addressed result cache (Lookup, Store), and a single-flight group
+// composed with an admission gate (Do, Acquire). Do never touches the cache:
+// callers look entries up before it and store what they computed inside it.
 // All methods are safe for concurrent use, and safe on a nil *Engine (which
 // degrades to computing directly).
 type Engine struct {
@@ -68,18 +69,14 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
-// PageKey derives the content address of one HTML page request: the model
-// fingerprint, the page ID and the raw page source.
+// PageKey derives the content address of one page's entry: the model
+// fingerprint, the page ID and the raw page source. A nil Engine, which
+// holds no entries, returns the zero Key without hashing.
 func (e *Engine) PageKey(pageID, html string) Key {
-	return PageKeyOf(e.fingerprintOrEmpty(), pageID, html)
-}
-
-// BatchPageKey derives the content address of one /v1/align/batch page:
-// the model fingerprint, the page's resolved ID and its source, in a domain
-// of its own, since the entry holds the page's document keys rather than its
-// alignments.
-func (e *Engine) BatchPageKey(pageID, html string) Key {
-	return pageKeyOf(e.fingerprintOrEmpty(), "batch-page", pageID, html)
+	if e == nil {
+		return Key{}
+	}
+	return PageKeyOf(e.fingerprint, pageID, html)
 }
 
 // KeyFrom derives a content address from arbitrary content: fill writes the
@@ -97,51 +94,30 @@ func (e *Engine) fingerprintOrEmpty() string {
 	return e.fingerprint
 }
 
-// Do serves one request: a cache hit returns immediately (hit=true); a miss
-// runs compute exactly once across all concurrent callers of the same key,
-// behind the admission gate, and stores the result. compute returns the
-// value and its approximate size in bytes; its error is never cached but is
-// shared with coalesced waiters. Callers must treat the returned value as
-// read-only — it may be served to other requests.
+// Do runs compute exactly once across all concurrent callers of the same
+// key, behind the admission gate: the first caller leads, and callers that
+// arrive while it runs wait and share its value or error (shared=true,
+// counted as coalesced). Nothing is kept once the flight lands, so a caller
+// arriving after it computes again; callers check the cache before Do.
+// Callers must treat a shared value as read-only.
 //
 // On a nil Engine, Do just runs compute.
-func (e *Engine) Do(ctx context.Context, key Key, compute func(context.Context) (any, int64, error)) (v any, hit bool, err error) {
+func (e *Engine) Do(ctx context.Context, key Key, compute func(context.Context) (any, error)) (v any, shared bool, err error) {
 	if e == nil {
-		v, _, err = compute(ctx)
+		v, err = compute(ctx)
 		return v, false, err
 	}
-	if v, ok := e.cache.Get(key); ok {
-		e.counters.Inc("hits")
-		return v, true, nil
-	}
-	var leaderHit bool
-	v, shared, err := e.flight.do(key, func() (any, error) {
-		// Double-check: a previous leader may have stored the result
-		// between our cache miss and becoming leader ourselves.
-		if v, ok := e.cache.Get(key); ok {
-			leaderHit = true
-			return v, nil
-		}
+	v, shared, err = e.flight.do(key, func() (any, error) {
 		if err := e.acquire(ctx); err != nil {
 			return nil, err
 		}
 		defer e.adm.release()
-		v, size, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		e.Store(key, v, size)
-		return v, nil
+		return compute(ctx)
 	})
-	switch {
-	case shared:
+	if shared {
 		e.counters.Inc("coalesced")
-	case leaderHit:
-		e.counters.Inc("hits")
-	case err == nil:
-		e.counters.Inc("misses")
 	}
-	return v, shared || leaderHit, err
+	return v, shared, err
 }
 
 // acquire claims an admission slot, counting sheds by class.
@@ -159,8 +135,9 @@ func (e *Engine) acquire(ctx context.Context) error {
 }
 
 // Acquire claims one admission slot for a computation managed outside Do —
-// the corpus path admits a whole batch as one unit. The returned release
-// must be called exactly once; it is non-nil even on error (a no-op).
+// the batch and corpus paths admit all of a request's misses as one unit.
+// The returned release must be called exactly once; it is non-nil even on
+// error (a no-op).
 func (e *Engine) Acquire(ctx context.Context) (release func(), err error) {
 	if e == nil {
 		return func() {}, nil
@@ -171,8 +148,8 @@ func (e *Engine) Acquire(ctx context.Context) (release func(), err error) {
 	return e.adm.release, nil
 }
 
-// Lookup is a cache-only read for callers that manage their own computation
-// (the corpus path): no single-flight, no admission.
+// Lookup is a cache read, counted as a hit or a miss: no single-flight, no
+// admission.
 func (e *Engine) Lookup(key Key) (any, bool) {
 	if e == nil {
 		return nil, false
@@ -186,8 +163,8 @@ func (e *Engine) Lookup(key Key) (any, bool) {
 	return v, ok
 }
 
-// Store is the cache-only write paired with Lookup. The value must not be
-// mutated by the caller afterward.
+// Store is the cache write paired with Lookup, counted when the cache keeps
+// the value. The value must not be mutated by the caller afterward.
 func (e *Engine) Store(key Key, v any, size int64) {
 	if e == nil {
 		return

@@ -30,7 +30,7 @@ type flightGroup struct {
 // executes fn; concurrent callers with the same key wait and share the
 // leader's result, reported with shared=true. The key is released before
 // done is closed, so a caller arriving after completion becomes a fresh
-// leader — by then the result is in the cache, which the leader re-checks.
+// leader.
 func (g *flightGroup) do(key Key, fn func() (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {

@@ -16,17 +16,21 @@ import (
 // panicking, and when it succeeds, Search, Entities, FactsFor and Counters
 // do too. The seeds are testdata/store_log.ndjson — the log
 // TestStoreLogGolden (cmd/briq-server) writes across align, batch, ingest,
-// re-crawl and reboot, byte for byte (sha256 84ffccfe…b8363a) — each line
-// alone and the whole log.
+// re-crawl and reboot, byte for byte (sha256 e9a9f917…4eedd1) — and
+// testdata/store_log_legacy.ndjson, the same scenario's log from before
+// page entries held document keys (sha256 84ffccfe…b8363a), whose "cache"
+// records carry alignments or page_docs: each line alone and each whole log.
 func FuzzReplayLog(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join("testdata", "store_log.ndjson"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"store_log.ndjson", "store_log_legacy.ndjson"} {
+		seed, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(seed, []byte("\n")) {
+			f.Add(line)
+		}
+		f.Add(seed)
 	}
-	for _, line := range bytes.SplitAfter(seed, []byte("\n")) {
-		f.Add(line)
-	}
-	f.Add(seed)
 	meta, err := json.Marshal(meta{Version: version, Fingerprint: testFP})
 	if err != nil {
 		f.Fatal(err)

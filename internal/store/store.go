@@ -17,10 +17,11 @@
 // to a from-scratch alignment of the final corpus.
 //
 // Every write is an explicit call from the code that produced the result:
-// the facade hands each fresh alignment result to Add (the core.AlignmentSink
-// seam), the batch handler each page's document keys to AddBatchPage, and
-// streaming ingest calls UpsertPage. Documents dedup on the live document
-// set, page entries on the set of page keys already logged.
+// through the core.AlignmentSink seam the facade hands each set of freshly
+// aligned documents to Add and each page entry it records — the page's
+// document keys — to AddPage, and streaming ingest calls UpsertPage.
+// Documents dedup on the live document set, page entries on the set of page
+// keys already logged.
 //
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
@@ -83,8 +84,8 @@ type Options struct {
 	// "" adopts the fingerprint recorded in an existing directory (offline
 	// readers); a non-"" value must match the directory's meta.json.
 	Fingerprint string
-	// Gate, when non-nil, is warm-loaded with the replayed alignments on
-	// Open and with every document UpsertPage stores.
+	// Gate, when non-nil, is warm-loaded with the replayed document and page
+	// entries on Open and with every document UpsertPage stores.
 	Gate *serve.Engine
 	// Logf receives non-fatal store problems (persist errors, skipped
 	// replay lines). nil discards.
@@ -104,8 +105,7 @@ type Store struct {
 	view  *facts.View
 	docs  map[serve.Key]*docState // live document records
 	pages map[string][]serve.Key  // page ID → final ordered doc keys
-	// pageKeys holds the serve page keys (/v1/align and /v1/align/batch)
-	// already logged as "cache" records.
+	// pageKeys holds the page entry keys already logged as "cache" records.
 	pageKeys map[serve.Key]bool
 
 	// unterminated reports that the log does not end in a newline: a crash
@@ -136,7 +136,7 @@ type docState struct {
 type counters struct {
 	documents     int64 // doc records accepted (fresh + replayed)
 	duplicates    int64 // documents offered to Add that were already live
-	cacheRecords  int64 // page-level cache records, batch pages included (fresh + replayed)
+	cacheRecords  int64 // page entry records (fresh + replayed)
 	warmDocuments int64 // doc records replayed from disk at Open
 	warmCache     int64 // cache records replayed from disk at Open
 	replaySkipped int64 // undecodable/torn log lines skipped at Open
@@ -150,10 +150,11 @@ type counters struct {
 }
 
 // record is one NDJSON log line. Kind "doc" is a stored document (optionally
-// carrying upsert fields), "cache" a page-level serve-cache entry, "retract"
-// a pure retraction (an upsert that removed documents without adding any).
-// A "cache" record holds a /v1/align page's alignments, or, when it carries
-// PageDocs, a /v1/align/batch page's document keys (AddBatchPage).
+// carrying upsert fields), "cache" a page entry (AddPage): the page's
+// document keys in PageDocs, possibly none — older logs' "cache" records
+// with alignments instead replay as empty entries no request reaches.
+// "retract" is a pure retraction (an upsert that removed documents without
+// adding any).
 //
 // Upsert atomicity rides on line atomicity: Supersedes travels on the FIRST
 // fresh record of an upsert (or on a bare "retract" record), so a torn line
@@ -170,7 +171,7 @@ type record struct {
 	Entries    []quantsearch.Entry `json:"entries,omitempty"`
 	Facts      []facts.Fact        `json:"facts,omitempty"`
 	Supersedes []string            `json:"supersedes,omitempty"` // doc keys this record retracts
-	PageDocs   []string            `json:"page_docs,omitempty"`  // PageID's final ordered doc keys; a batch page's doc keys on "cache"
+	PageDocs   []string            `json:"page_docs,omitempty"`  // PageID's final ordered doc keys; a page entry's doc keys on "cache"
 }
 
 type meta struct {
@@ -301,9 +302,9 @@ func (s *Store) replay() error {
 			s.logf("store: skipping log line: %v", err)
 			continue
 		}
-		als := FromWire(r.Alignments)
 		switch r.Kind {
 		case "doc":
+			als := FromWire(r.Alignments)
 			// Retraction first: the superseded keys are never the record's
 			// own (an upsert's fresh docs are disjoint from its stale ones).
 			s.applyRetract(r.Supersedes)
@@ -330,23 +331,17 @@ func (s *Store) replay() error {
 			if s.pageKeys[key] {
 				continue
 			}
-			var v any = als
-			size := core.AlignmentsSize(als)
-			if len(r.PageDocs) > 0 {
-				// A batch page entry: its value is the page's document keys,
-				// and one bad key would answer a page without that document.
-				docKeys, err := parseKeys(r.PageDocs)
-				if err != nil {
-					s.c.replaySkipped++
-					s.logf("store: skipping batch page record: %v", err)
-					continue
-				}
-				v, size = docKeys, pageDocsSize(docKeys)
+			// One bad key would answer the page without that document.
+			docKeys, err := parseKeys(r.PageDocs)
+			if err != nil {
+				s.c.replaySkipped++
+				s.logf("store: skipping page record: %v", err)
+				continue
 			}
 			s.pageKeys[key] = true
 			s.c.cacheRecords++
 			s.c.warmCache++
-			s.gate.Store(key, v, size)
+			s.gate.Store(key, docKeys, core.PageDocsSize(docKeys))
 		default:
 			s.c.replaySkipped++
 			s.logf("store: skipping log line with unknown kind %q", r.Kind)
@@ -556,17 +551,15 @@ func keysEqual(a, b []serve.Key) bool {
 	return true
 }
 
-// Add implements core.AlignmentSink: it records one fresh facade result.
-// Each document not already live is stored — alignments, derived index
-// entries, derived facts — and feeds the incremental index and facts view;
-// live ones count as duplicates. A non-zero page key is logged once, as a
-// "cache" record holding the page's alignments in document order, so a
-// restart warms the serve cache's page entry. Persistence failures never
-// fail the alignment.
+// Add implements core.AlignmentSink: it records a set of freshly aligned
+// documents. Each document not already live is stored — alignments, derived
+// index entries, derived facts — and feeds the incremental index and facts
+// view; live ones count as duplicates. Persistence failures never fail the
+// alignment.
 //
 // keys[i] must equal DocumentKey(docs[i]), as for UpsertPage: the facade
 // keyed each document for its cache lookup and hands the keys over.
-func (s *Store) Add(page serve.Key, docs []*document.Document, keys []serve.Key, perDoc [][]core.Alignment) {
+func (s *Store) Add(docs []*document.Document, keys []serve.Key, perDoc [][]core.Alignment) {
 	if len(keys) != len(docs) {
 		panic(fmt.Sprintf("store: Add got %d keys for %d documents", len(keys), len(docs)))
 	}
@@ -594,30 +587,18 @@ func (s *Store) Add(page serve.Key, docs []*document.Document, keys []serve.Key,
 			Facts:      ds.facts,
 		})
 	}
-	if page == (serve.Key{}) || s.pageKeys[page] {
-		return
-	}
-	s.pageKeys[page] = true
-	s.c.cacheRecords++
-	var als []core.Alignment
-	for _, a := range perDoc {
-		als = append(als, a...)
-	}
-	s.append(record{Kind: "cache", Key: page.String(), Alignments: ToWire(als)})
 }
 
-// AddBatchPage records the page entry of one /v1/align/batch page: page is
-// its serve.Engine.BatchPageKey, docKeys its documents' keys in page order.
-// It offers the entry to the Gate, and logs it once, as a "cache" record
-// that carries only page_docs, so a restart warms it back as it warms a
-// /v1/align page entry. The keys must not be mutated afterward. A page with
-// no documents gets no entry: its record would read as a /v1/align entry
-// with no alignments.
-func (s *Store) AddBatchPage(page serve.Key, docKeys []serve.Key) {
-	if len(docKeys) == 0 {
-		return
+// AddPage implements core.AlignmentSink: it logs one page entry — page is
+// its serve.PageKeyOf key, docKeys its documents' keys in page order,
+// possibly none — once, as a "cache" record that carries only page_docs, so
+// a restart warms the entry back into the Gate. The caller has offered the
+// entry to the Gate itself.
+func (s *Store) AddPage(page serve.Key, docKeys []serve.Key) {
+	strs := make([]string, len(docKeys))
+	for i, k := range docKeys {
+		strs[i] = k.String()
 	}
-	s.gate.Store(page, docKeys, pageDocsSize(docKeys))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pageKeys[page] {
@@ -625,17 +606,7 @@ func (s *Store) AddBatchPage(page serve.Key, docKeys []serve.Key) {
 	}
 	s.pageKeys[page] = true
 	s.c.cacheRecords++
-	strs := make([]string, len(docKeys))
-	for i, k := range docKeys {
-		strs[i] = k.String()
-	}
 	s.append(record{Kind: "cache", Key: page.String(), PageDocs: strs})
-}
-
-// pageDocsSize estimates the resident bytes of a batch page entry for the
-// serve cache's byte accounting, as core.AlignmentsSize does for a result.
-func pageDocsSize(docKeys []serve.Key) int64 {
-	return int64(len(docKeys))*int64(len(serve.Key{})) + 48
 }
 
 // PageUpsert reports what one UpsertPage call did.

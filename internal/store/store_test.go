@@ -37,7 +37,7 @@ func alignedCorpus(t *testing.T, seed int64, pages int) ([]*document.Document, [
 
 // addDoc records one aligned document the way a gate-less facade call does.
 func addDoc(s *Store, doc *document.Document, als []core.Alignment) {
-	s.Add(serve.Key{}, []*document.Document{doc}, []serve.Key{s.DocumentKey(doc)}, [][]core.Alignment{als})
+	s.Add([]*document.Document{doc}, []serve.Key{s.DocumentKey(doc)}, [][]core.Alignment{als})
 }
 
 func battery() []quantsearch.Query {
@@ -401,18 +401,19 @@ func TestCacheWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A corpus-path result (zero page key) writes document records only.
+	// Documents alone write document records only.
 	addDoc(s, docs[0], als[0])
 	if got := s.Counters()["cache_records"]; got != 0 {
-		t.Errorf("cache_records = %d after a corpus-path add, want 0", got)
+		t.Errorf("cache_records = %d after adding a document, want 0", got)
 	}
 
-	// A single-page result also records its page key — once.
+	// A page entry is logged once, however often it is recorded.
 	pageKey := gate.PageKey("p0", "<html>page</html>")
-	s.Add(pageKey, docs[1:2], keysOf(s, docs[1:2]), als[1:2])
-	s.Add(pageKey, docs[1:2], keysOf(s, docs[1:2]), als[1:2])
-	if c := s.Counters(); c["cache_records"] != 1 || c["documents"] != 2 || c["duplicate_documents"] != 1 {
-		t.Errorf("counters after a page add and its repeat = %v, want 1 cache record, 2 documents, 1 duplicate", c)
+	s.Add(docs[1:2], keysOf(s, docs[1:2]), als[1:2])
+	s.AddPage(pageKey, keysOf(s, docs[:2]))
+	s.AddPage(pageKey, keysOf(s, docs[:2]))
+	if c := s.Counters(); c["cache_records"] != 1 || c["documents"] != 2 || c["duplicate_documents"] != 0 {
+		t.Errorf("counters after a page entry and its repeat = %v, want 1 cache record, 2 documents", c)
 	}
 	s.Close()
 
@@ -424,16 +425,20 @@ func TestCacheWriteThrough(t *testing.T) {
 	}
 	defer s2.Close()
 	for i, doc := range docs[:2] {
-		if _, ok := gate2.Lookup(s2.DocumentKey(doc)); !ok {
-			t.Errorf("doc %d key not warm after restart", i)
+		v, ok := gate2.Lookup(s2.DocumentKey(doc))
+		if !ok {
+			t.Fatalf("doc %d key not warm after restart", i)
+		}
+		if got := v.([]core.Alignment); !reflect.DeepEqual(got, als[i]) {
+			t.Errorf("warm doc %d entry = %+v, want its alignments %+v", i, got, als[i])
 		}
 	}
 	v, ok := gate2.Lookup(pageKey)
 	if !ok {
 		t.Fatal("page key not warm after restart")
 	}
-	if got := v.([]core.Alignment); !reflect.DeepEqual(got, als[1]) {
-		t.Errorf("warm page entry = %+v, want the page's alignments %+v", got, als[1])
+	if got := v.([]serve.Key); !reflect.DeepEqual(got, keysOf(s2, docs[:2])) {
+		t.Errorf("warm page entry = %v, want the page's document keys", got)
 	}
 	c := s2.Counters()
 	if c["warm_cache_records"] != 1 || c["warm_documents"] != 2 {
@@ -441,28 +446,31 @@ func TestCacheWriteThrough(t *testing.T) {
 	}
 }
 
-// TestBatchPageRecord: AddBatchPage offers a batch page's document keys to
-// the gate and logs them once, as a "cache" record carrying only page_docs,
-// and a restart warms the same entry back. A page with no documents gets no
-// entry, and a record one of whose keys does not decode is skipped whole.
+// TestBatchPageRecord: AddPage logs a page entry once, as a "cache" record
+// carrying only page_docs, and a restart warms the same entry back. A page
+// with no documents gets an entry with none; a record one of whose keys does
+// not decode is skipped whole; and a "cache" record in the shape logs held
+// before page entries held document keys — alignments, no page_docs —
+// replays as an entry with no documents, not as a skipped line.
 func TestBatchPageRecord(t *testing.T) {
-	docs, _ := alignedCorpus(t, 11, 2)
+	docs, als := alignedCorpus(t, 11, 2)
 	dir := t.TempDir()
 	gate := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
 	s, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := gate.BatchPageKey("p0", "<html>page</html>")
+	page := gate.PageKey("p0", "<html>page</html>")
+	empty := gate.PageKey("empty", "<p>no tables</p>")
 	docKeys := keysOf(s, docs)
-	s.AddBatchPage(page, docKeys)
-	s.AddBatchPage(page, docKeys)
-	s.AddBatchPage(gate.BatchPageKey("empty", "<p>no tables</p>"), nil)
-	if got := s.Counters()["cache_records"]; got != 1 {
-		t.Errorf("cache_records = %d, want 1 (the page once, no entry for the empty page)", got)
+	s.AddPage(page, docKeys)
+	s.AddPage(page, docKeys)
+	s.AddPage(empty, nil)
+	if got := s.Counters()["cache_records"]; got != 2 {
+		t.Errorf("cache_records = %d, want 2 (the page once, and the empty page)", got)
 	}
-	if v, ok := gate.Lookup(page); !ok || !reflect.DeepEqual(v, docKeys) {
-		t.Errorf("gate entry = %v, %v; want the page's document keys", v, ok)
+	if _, ok := gate.Lookup(page); ok {
+		t.Error("AddPage offered the entry to the gate; the caller does that")
 	}
 	s.Close()
 
@@ -475,8 +483,9 @@ func TestBatchPageRecord(t *testing.T) {
 		strs[i] = k.String()
 	}
 	want, _ := json.Marshal(record{Kind: "cache", Key: page.String(), PageDocs: strs})
-	if got := strings.TrimSuffix(string(log), "\n"); got != string(want) {
-		t.Errorf("log = %s, want %s", got, want)
+	wantEmpty, _ := json.Marshal(record{Kind: "cache", Key: empty.String()})
+	if got := string(log); got != string(want)+"\n"+string(wantEmpty)+"\n" {
+		t.Errorf("log = %s, want %s and %s", got, want, wantEmpty)
 	}
 
 	gate2 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
@@ -487,8 +496,11 @@ func TestBatchPageRecord(t *testing.T) {
 	if v, ok := gate2.Lookup(page); !ok || !reflect.DeepEqual(v, docKeys) {
 		t.Errorf("warm gate entry = %v, %v; want the page's document keys", v, ok)
 	}
-	if c := s2.Counters(); c["warm_cache_records"] != 1 || c["cache_records"] != 1 {
-		t.Errorf("warm counters = %v, want 1 cache record", c)
+	if v, ok := gate2.Lookup(empty); !ok || len(v.([]serve.Key)) != 0 {
+		t.Errorf("warm empty entry = %v, %v; want an entry with no documents", v, ok)
+	}
+	if c := s2.Counters(); c["warm_cache_records"] != 2 || c["cache_records"] != 2 {
+		t.Errorf("warm counters = %v, want 2 cache records", c)
 	}
 	s2.Close()
 
@@ -502,12 +514,30 @@ func TestBatchPageRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Close()
 	if c := s3.Counters(); c["replay_skipped"] != 1 || c["cache_records"] != 0 {
 		t.Errorf("counters after a bad page_docs key = %v, want 1 skipped and no cache record", c)
 	}
 	if _, ok := gate3.Lookup(page); ok {
 		t.Error("a page record with a bad key warmed the gate")
+	}
+	s3.Close()
+
+	// The older shape: a page's alignments and no page_docs.
+	old, _ := json.Marshal(record{Kind: "cache", Key: page.String(), Alignments: ToWire(als[0])})
+	if err := os.WriteFile(filepath.Join(dir, logName), append(old, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate4 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
+	s4, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s4.Close()
+	if c := s4.Counters(); c["replay_skipped"] != 0 || c["warm_cache_records"] != 1 {
+		t.Errorf("counters after an alignment-carrying cache record = %v, want it replayed, nothing skipped", c)
+	}
+	if v, ok := gate4.Lookup(page); !ok || len(v.([]serve.Key)) != 0 {
+		t.Errorf("entry of an alignment-carrying cache record = %v, %v; want one with no documents", v, ok)
 	}
 }
 
@@ -528,8 +558,8 @@ func TestNilStoreCounters(t *testing.T) {
 }
 
 // TestSinkIntegration drives the store through the facade seam: a pipeline
-// with Sink + Gate persists a fresh result exactly once, however often it is
-// offered.
+// with Sink + Gate persists fresh documents and a page entry exactly once,
+// however often they are offered.
 func TestSinkIntegration(t *testing.T) {
 	docs, _ := alignedCorpus(t, 13, 3)
 	p := core.NewPipeline()
@@ -546,8 +576,10 @@ func TestSinkIntegration(t *testing.T) {
 		perDoc[i] = p.Align(doc)
 	}
 	page := p.Gate.PageKey("p0", "<html>page</html>")
-	p.Sink.Add(page, docs, keysOf(s, docs), perDoc)
-	p.Sink.Add(page, docs, keysOf(s, docs), perDoc)
+	for range 2 {
+		p.Sink.Add(docs, keysOf(s, docs), perDoc)
+		p.Sink.AddPage(page, keysOf(s, docs))
+	}
 	c := s.Counters()
 	if c["documents"] != int64(len(docs)) || c["duplicate_documents"] != int64(len(docs)) || c["cache_records"] != 1 {
 		t.Errorf("counters = %v, want %d documents and duplicates, 1 cache record", c, len(docs))
