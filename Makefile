@@ -85,13 +85,15 @@ bench-e2e:
 # hit their page entries or miss them (documents cached either way), and of
 # the read path behind /v1/search and /v1/facts (store queries, the shared
 # response writer, and whole first-page GETs of both routes through the
-# middleware), with allocation counts — for inspecting individual kernels
-# rather than the aggregate report.
+# middleware), and of the two reads a server boots on (a model bundle's
+# load, and a store's replay of an ingest log), with allocation counts —
+# for inspecting individual kernels rather than the aggregate report.
 bench-compare:
 	$(GO) test -bench '^BenchmarkAlignPage$$' -benchmem -run ^$$ .
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
-	$(GO) test -bench 'DocumentKey|Search|FactsFor' -benchmem -run ^$$ ./internal/store
+	$(GO) test -bench '^BenchmarkLoadModels$$' -benchmem -run ^$$ ./internal/experiment
+	$(GO) test -bench 'DocumentKey|Search|FactsFor|StoreOpen' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
 	$(GO) test -bench 'AlignBatch|ListReads' -benchmem -run ^$$ ./cmd/briq-server
 	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
@@ -336,6 +338,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentTables$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHashDocumentText$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingIdentity$$' -fuzztime 5s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/api
 

@@ -126,9 +126,10 @@ func main() {
 		opts.logger = log.Default()
 	}
 	if *storeDir != "" {
+		opened := time.Now()
 		st, err := store.Open(store.Options{
 			Dir:         *storeDir,
-			Fingerprint: pipeline.Fingerprint(),
+			Fingerprint: fingerprint(pipeline),
 			Gate:        pipeline.Gate,
 			Logf:        log.Printf,
 		})
@@ -136,9 +137,11 @@ func main() {
 			log.Fatal(err)
 		}
 		defer st.Close()
+		replay := time.Since(opened)
 		c := st.Counters()
-		log.Printf("store %s: replayed %d documents, %d cache records (%d bytes, %d lines skipped)",
-			*storeDir, c["warm_documents"], c["warm_cache_records"], c["log_bytes"], c["replay_skipped"])
+		log.Printf("store %s: replayed %d documents, %d cache records (%d bytes, %d lines skipped) in %v (%.0f documents/s)",
+			*storeDir, c["warm_documents"], c["warm_cache_records"], c["log_bytes"], c["replay_skipped"],
+			replay.Round(time.Millisecond), float64(c["warm_documents"])/replay.Seconds())
 		opts.store = st
 	}
 	srv := newServer(pipeline, opts)

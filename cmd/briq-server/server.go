@@ -69,7 +69,7 @@ func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	if st == nil {
 		var err error
 		st, err = store.Open(store.Options{
-			Fingerprint: pipeline.Fingerprint(),
+			Fingerprint: fingerprint(pipeline),
 			Gate:        pipeline.Gate,
 			Logf:        opts.logger.Printf,
 		})
@@ -84,6 +84,17 @@ func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	}
 	ing := ingest.New(pipeline, st, ingest.Options{})
 	return &server{pipeline: pipeline, metrics: m, store: st, ingestor: ing, opts: opts}
+}
+
+// fingerprint returns the pipeline's model fingerprint: the one its gate
+// was built with, or, with no gate, one computed now. A trained pipeline's
+// fingerprint hashes both serialized forests, so a process computes it
+// once; the store scoping its keys holds it for /v1/metrics.
+func fingerprint(p *briq.Pipeline) string {
+	if p.Gate != nil {
+		return p.Gate.Fingerprint()
+	}
+	return p.Fingerprint()
 }
 
 // routes builds the full handler tree from the shared route table: every
@@ -517,7 +528,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot()
 	snap["serving"] = s.pipeline.Gate.Counters() // nil-safe: full zeroed schema without a gate
 	snap["store"] = s.store.Counters()           // nil-safe: full zeroed schema without a store
-	snap["model"] = map[string]string{"fingerprint": s.pipeline.Fingerprint()}
+	snap["model"] = map[string]string{"fingerprint": s.store.Fingerprint()}
 	api.WriteJSON(w, http.StatusOK, snap)
 }
 

@@ -197,9 +197,11 @@ func TestCachelessGateWritesPageRecord(t *testing.T) {
 // testdata/store_log_legacy.ndjson, the log TestStoreLogGolden wrote before
 // every page entry held document keys: its "cache" records carry a
 // /v1/align page's alignments or a batch page's document keys. Under the
-// untrained pipeline's fingerprint, which wrote it, every line replays,
-// every document is warm, and /v1/align of testPage, POSTed twice, answers
-// what a fresh server answers without classifying anything.
+// untrained pipeline's fingerprint, which wrote it, no line is skipped,
+// every document and every batch page entry is warm — the /v1/align
+// records, filed under a key no request derives, are passed over — and
+// /v1/align of testPage, POSTed twice, answers what a fresh server answers
+// without classifying anything.
 func TestLegacyStoreKeepsAnswering(t *testing.T) {
 	log, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "store_log_legacy.ndjson"))
 	if err != nil {
@@ -207,9 +209,15 @@ func TestLegacyStoreKeepsAnswering(t *testing.T) {
 	}
 	kinds := map[string]int64{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n")) {
-		var r struct{ Kind string }
+		var r struct {
+			Kind       string
+			Alignments []json.RawMessage
+		}
 		if err := json.Unmarshal(line, &r); err != nil {
 			t.Fatal(err)
+		}
+		if r.Kind == "cache" && len(r.Alignments) > 0 {
+			r.Kind = "cache with alignments"
 		}
 		kinds[r.Kind]++
 	}
@@ -227,6 +235,9 @@ func TestLegacyStoreKeepsAnswering(t *testing.T) {
 	c := st.Counters()
 	if c["replay_skipped"] != 0 || c["warm_documents"] != kinds["doc"] || c["warm_cache_records"] != kinds["cache"] {
 		t.Errorf("replay = %v; want nothing skipped, %d warm documents and %d warm cache records", c, kinds["doc"], kinds["cache"])
+	}
+	if kinds["cache"] != 2 || kinds["cache with alignments"] != 2 {
+		t.Errorf("fixture has %v; want 2 cache records with alignments and 2 without", kinds)
 	}
 	t.Logf("%d warm documents, %d warm cache records, %d lines skipped", c["warm_documents"], c["warm_cache_records"], c["replay_skipped"])
 	want := do(t, newTestServer(), http.MethodPost, "/v1/align", testPage)

@@ -18,7 +18,7 @@ var (
 	fixErr      error
 )
 
-func fixture(t *testing.T) (*corpus.Corpus, Split, *Trained) {
+func fixture(t testing.TB) (*corpus.Corpus, Split, *Trained) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		cfg := corpus.TableSConfig(17)

@@ -9,6 +9,7 @@ import (
 	"briq/internal/core"
 	"briq/internal/feature"
 	"briq/internal/forest"
+	"briq/internal/jsonread"
 	"briq/internal/tagger"
 )
 
@@ -55,7 +56,23 @@ func SaveModels(w io.Writer, tr *Trained) error {
 
 // LoadModels reads a bundle written by SaveModels and reconstructs a
 // Trained suitable for NewBriQ / NewRFOnly.
+//
+// SaveModels' own form is read in one pass, both forests parsed in place
+// (parseBundle); every other input, each malformed one included, and every
+// read that fails are decoded by json.Decoder from the same bytes
+// (decodeModels), so the models and the error are always json.Decoder's.
 func LoadModels(r io.Reader) (*Trained, error) {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err == nil {
+		if tr, ok := parseBundle(buf.Bytes()); ok {
+			return tr, nil
+		}
+	}
+	return decodeModels(io.MultiReader(&buf, r))
+}
+
+// decodeModels is LoadModels through json.Decoder.
+func decodeModels(r io.Reader) (*Trained, error) {
 	var bundle modelBundle
 	if err := json.NewDecoder(r).Decode(&bundle); err != nil {
 		return nil, fmt.Errorf("load models: %w", err)
@@ -84,13 +101,53 @@ func LoadModels(r io.Reader) (*Trained, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load models: tagger: %w", err)
 	}
+	return newTrained(bundle.Features, bundle.Mask, cls, lt), nil
+}
 
-	var mask feature.Mask
-	copy(mask[:], bundle.Mask)
+// parseBundle reads data in the form SaveModels writes — modelBundle's keys
+// in order, feature.Config's too, each forest in forest.Save's form — and
+// reports whether it found a bundle decodeModels accepts. It gives the
+// models decodeModels gives, and declines everything else.
+func parseBundle(data []byte) (*Trained, bool) {
+	var (
+		version int
+		fc      feature.Config
+		mask    []bool
+		cls     *forest.Forest
+		tag     *forest.Forest
+	)
+	c := jsonread.New(data)
+	ok := c.Next('{') && c.Key("version") && c.Int(&version) && version == bundleVersion &&
+		c.Field("features") && c.Next('{') &&
+		c.Key("Window") && c.Int(&fc.Window) &&
+		c.Field("StepSize") && c.Int(&fc.StepSize) &&
+		c.Field("StepWeight") && c.Float(&fc.StepWeight) &&
+		c.Field("AggCueWindow") && c.Int(&fc.AggCueWindow) && c.Next('}') &&
+		c.Field("mask") && jsonread.List(c, &mask, (*jsonread.Cursor).Bool) &&
+		len(mask) == feature.NumFeatures &&
+		c.Field("classifier")
+	if ok {
+		cls, ok = forest.Parse(c)
+	}
+	if ok = ok && c.Field("tagger"); ok {
+		tag, ok = forest.Parse(c)
+	}
+	if !ok || !c.Next('}') {
+		return nil, false
+	}
+	lt, err := tagger.FromForest(tag)
+	if err != nil {
+		return nil, false
+	}
+	return newTrained(fc, mask, cls, lt), true
+}
+
+// newTrained assembles a loaded bundle's models.
+func newTrained(fc feature.Config, mask []bool, cls *forest.Forest, lt *tagger.Learned) *Trained {
 	opts := DefaultTrainOptions(0)
-	opts.FeatureConfig = bundle.Features
-	opts.Mask = mask
-	return &Trained{Classifier: cls, Tagger: lt, Opts: opts}, nil
+	opts.FeatureConfig = fc
+	copy(opts.Mask[:], mask)
+	return &Trained{Classifier: cls, Tagger: lt, Opts: opts}
 }
 
 func forestJSON(f *forest.Forest) (json.RawMessage, error) {

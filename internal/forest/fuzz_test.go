@@ -7,13 +7,17 @@ package forest
 // prediction walk (the forward-children invariant) — and anything it
 // accepts behaves like a real model: it round-trips through Save
 // bit-identically and its Frozen compilation agrees with the pointer-tree
-// reference. Seed corpus: a valid trained model plus structural mutations,
-// committed under testdata/fuzz.
+// reference. Load reads Save's form in one pass (Parse) and everything else
+// through json.Decoder (decode); the two must agree wherever Parse accepts.
+// Seed corpus: a valid trained model plus structural mutations, committed
+// under testdata/fuzz.
 
 import (
 	"bytes"
 	"math"
 	"testing"
+
+	"briq/internal/jsonread"
 )
 
 func fuzzSeedModel(tb testing.TB) []byte {
@@ -48,7 +52,35 @@ func FuzzLoad(f *testing.F) {
 	// Implausible header dimensions.
 	f.Add([]byte(`{"version":1,"classes":1000000000,"n_features":1,"trees":[[{"f":-1,"c":0}]]}`))
 
+	// A one-leaf model with white space and with its keys reordered; the
+	// valid model followed by bytes json.Decoder leaves unread, and with an
+	// unknown key.
+	f.Add([]byte(` { "version" : 1 , "classes":2,"n_features":1,"trees":[ [ {"f":-1,"c":0} ] ] } `))
+	f.Add([]byte(`{"classes":2,"version":1,"n_features":1,"trees":[[{"c":0,"f":-1}]]}`))
+	f.Add(append(append([]byte{}, valid...), "garbage"...))
+	f.Add(append(append([]byte{}, valid[:len(valid)-2]...), `,"x":1}`...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The one-pass reader may decline an input, but never disagree with
+		// json.Decoder: what it accepts, the decoder accepts as the same
+		// forest.
+		if got, ok := Parse(jsonread.New(data)); ok {
+			want, err := decode(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("Parse accepted what json.Decoder rejects: %v", err)
+			}
+			var g, w bytes.Buffer
+			if err := got.Save(&g); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Save(&w); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.Bytes(), w.Bytes()) {
+				t.Fatalf("Parse and json.Decoder read different forests:\n%s\n%s", g.Bytes(), w.Bytes())
+			}
+		}
+
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must error, and did

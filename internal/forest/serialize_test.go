@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"briq/internal/jsonread"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -14,6 +16,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := Parse(jsonread.New(buf.Bytes())); !ok {
+		t.Error("Parse declined what Save wrote")
 	}
 	loaded, err := Load(&buf)
 	if err != nil {

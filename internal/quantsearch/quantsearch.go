@@ -122,12 +122,29 @@ func (ix *Index) Add(doc *document.Document) int {
 func (ix *Index) AddEntries(entries []Entry) int {
 	added := 0
 	batch := map[string]bool{}
+	// A table's entries repeat its caption, and each header and entity
+	// once per row or column: each distinct string is tokenized once.
+	words := map[string][]string{}
+	var tokens []string
 	for _, e := range entries {
 		if ix.seen[e.TableID] && !batch[e.TableID] {
 			continue
 		}
 		batch[e.TableID] = true
-		ix.add(e)
+		tokens = tokens[:0]
+		for _, s := range [...]string{e.Entity, e.Header, e.Caption} {
+			ws, ok := words[s]
+			if !ok {
+				ws = nlp.ContentWords(s)
+				words[s] = ws
+			}
+			for _, w := range ws {
+				if !slices.Contains(tokens, w) {
+					tokens = append(tokens, w)
+				}
+			}
+		}
+		ix.add(e, tokens)
 		added++
 	}
 	for t := range batch {
@@ -136,23 +153,14 @@ func (ix *Index) AddEntries(entries []Entry) int {
 	return added
 }
 
-func (ix *Index) add(e Entry) {
+// add indexes e under each of its distinct content words.
+func (ix *Index) add(e Entry, tokens []string) {
 	id := len(ix.entries)
 	ix.entries = append(ix.entries, e)
 	ix.dead = append(ix.dead, false)
 	ix.byTable[e.TableID] = append(ix.byTable[e.TableID], id)
 
-	tokens := map[string]bool{}
-	for _, w := range nlp.ContentWords(e.Entity) {
-		tokens[w] = true
-	}
-	for _, w := range nlp.ContentWords(e.Header) {
-		tokens[w] = true
-	}
-	for _, w := range nlp.ContentWords(e.Caption) {
-		tokens[w] = true
-	}
-	for w := range tokens {
+	for _, w := range tokens {
 		ix.byToken[w] = append(ix.byToken[w], id)
 	}
 

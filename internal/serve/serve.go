@@ -84,10 +84,13 @@ func (e *Engine) PageKey(pageID, html string) Key {
 // corpus path, where a document's identity is its structured content rather
 // than one source string.
 func (e *Engine) KeyFrom(fill func(io.Writer)) Key {
-	return KeyOf(e.fingerprintOrEmpty(), fill)
+	return KeyOf(e.Fingerprint(), fill)
 }
 
-func (e *Engine) fingerprintOrEmpty() string {
+// Fingerprint returns the model fingerprint the Engine was built with, ""
+// on a nil Engine. Computing a trained pipeline's fingerprint hashes both
+// serialized forests, so holders of its Engine read it here instead.
+func (e *Engine) Fingerprint() string {
 	if e == nil {
 		return ""
 	}

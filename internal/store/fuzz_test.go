@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"briq/internal/jsonread"
 	"briq/internal/serve"
 )
 
@@ -140,4 +142,92 @@ func TestReplayTruncatedLog(t *testing.T) {
 		}
 	}
 	t.Logf("%d cuts over %d lines", cuts, len(ends))
+}
+
+// logLines returns every line of the committed logs, testdata/store_log.ndjson
+// and testdata/store_log_legacy.ndjson.
+func logLines(tb testing.TB) [][]byte {
+	tb.Helper()
+	var lines [][]byte
+	for _, name := range []string{"store_log.ndjson", "store_log_legacy.ndjson"} {
+		log, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines = append(lines, bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n"))...)
+	}
+	return lines
+}
+
+// TestParseRecordReadsLogs: every line of the committed logs takes the
+// one-pass path, to the record json.Unmarshal gives.
+func TestParseRecordReadsLogs(t *testing.T) {
+	c := &jsonread.Cursor{Intern: make(map[string]string)}
+	for i, line := range logLines(t) {
+		var want record
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatal(err)
+		}
+		c.Reset(line)
+		got, ok := parseRecord(c)
+		if !ok {
+			t.Errorf("line %d: parseRecord declined it: %.120s", i, line)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("line %d: parseRecord read %+v, json.Unmarshal %+v", i, got, want)
+		}
+	}
+}
+
+// FuzzDecodeRecord: for any line, decodeRecord and json.Unmarshal agree on
+// whether it decodes and on the record; the one-pass reader may decline a
+// line, but what it accepts json.Unmarshal accepts as the same record. The
+// seeds are every line of the committed logs and lines at the edges of the
+// one-pass form.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, line := range logLines(f) {
+		f.Add(line)
+	}
+	for _, line := range []string{
+		`{"kind":"doc","key":"k","doc_id":"a\"b\\c\/d\b\f\n\r\t\u00e9"}`,
+		`{"kind":"doc","doc_id":"line\u2028separator"}`,
+		"{\"kind\":\"doc\",\"doc_id\":\"\xff\xfe\"}",
+		`{"kind":"doc","doc_id":"\ud83d\ude00"}`,
+		`{"kind":"doc","entries":[{"doc_id":"d","table_id":"t","row":1.0,"col":0,"entity":"e","header":"h","value":1,"unit":"","caption":""}]}`,
+		`{"kind":"doc","entries":[{"doc_id":"d","table_id":"t","row":1e400,"col":0,"entity":"e","header":"h","value":1,"unit":"","caption":""}]}`,
+		`{"kind":"doc","entries":[{"doc_id":"d","table_id":"t","row":-0,"col":0,"entity":"e","header":"h","value":-0,"unit":"","caption":""}]}`,
+		`{"kind":"doc","entries":[{"doc_id":"d","table_id":"t","row":0,"col":0,"entity":"e","header":"h","value":1e400,"unit":"","caption":""}]}`,
+		`{"kind":"doc","key":"a","key":"b"}`,
+		`{"kind":"doc","page_docs":["a"],"page_docs":["b","c"]}`,
+		`{"key":"k","kind":"cache"}`,
+		`{"kind":"cache","page_docs":[]}`,
+		` { "kind" : "retract" , "page_id" : "p" , "supersedes" : [ "a" , "b" ] } ` + "\r",
+		`{"kind":"retract"} {}`,
+		`{"kind":"doc","facts":[{"entity":"e","measure":"m","value":2,"unit":"kg","agg":"sum","doc_id":"d","table_key":"t","text_surface":"2 kg","confidence":0.5}]}`,
+		`{"kind":"doc","alignments":[{"doc_id":"d","text_index":0,"table_index":1,"text_surface":"s","text_start":0,"text_end":1,"table_key":"t","agg":"sum","value":2.5e-7,"score":1,"agg_code":1}]}`,
+		`{"Kind":"doc"}`,
+		`{"kind":null}`,
+	} {
+		f.Add([]byte(line))
+	}
+	c := &jsonread.Cursor{Intern: make(map[string]string)}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var want record
+		wantErr := json.Unmarshal(line, &want)
+		c.Reset(line)
+		if got, ok := parseRecord(c); ok {
+			if wantErr != nil {
+				t.Fatalf("parseRecord accepted what json.Unmarshal rejects: %v", wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("parseRecord read %+v, json.Unmarshal %+v", got, want)
+			}
+		}
+		got, err := decodeRecord(c, line)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("decodeRecord error %v, json.Unmarshal error %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeRecord read %+v, json.Unmarshal %+v", got, want)
+		}
+	})
 }

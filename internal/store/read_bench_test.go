@@ -13,6 +13,7 @@ import (
 	"briq/internal/corpus"
 	"briq/internal/facts"
 	"briq/internal/quantsearch"
+	"briq/internal/serve"
 )
 
 // readBench is the store the read benchmarks query: 160 tableS seed-1
@@ -136,4 +137,31 @@ func BenchmarkFactsFor(b *testing.B) {
 		benchFacts = s.FactsFor(ents[i%len(ents)])
 	}
 	b.ReportMetric(float64(n)/float64(len(ents)), "facts/query")
+}
+
+// BenchmarkStoreOpen replays the log of 160 tableS seed-1 pages, each
+// ingested by one UpsertPage as /v1/ingest writes it, into a store with a
+// gate, as a server boots on it.
+func BenchmarkStoreOpen(b *testing.B) {
+	docs, als := alignedCorpus(b, 1, 160)
+	dir := b.TempDir()
+	s, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range groupByPage(docs, als) {
+		s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gate := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 64 << 20})
+		s, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }

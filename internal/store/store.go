@@ -49,6 +49,7 @@ import (
 	"briq/internal/core"
 	"briq/internal/document"
 	"briq/internal/facts"
+	"briq/internal/jsonread"
 	"briq/internal/quantsearch"
 	"briq/internal/serve"
 )
@@ -152,7 +153,7 @@ type counters struct {
 // record is one NDJSON log line. Kind "doc" is a stored document (optionally
 // carrying upsert fields), "cache" a page entry (AddPage): the page's
 // document keys in PageDocs, possibly none — older logs' "cache" records
-// with alignments instead replay as empty entries no request reaches.
+// with alignments instead are skipped at replay, as no request reaches them.
 // "retract" is a pure retraction (an upsert that removed documents without
 // adding any).
 //
@@ -279,13 +280,14 @@ func (s *Store) replay() error {
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	c := &jsonread.Cursor{Intern: make(map[string]string)}
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
+		r, err := decodeRecord(c, line)
+		if err != nil {
 			s.c.replaySkipped++
 			s.logf("store: skipping undecodable log line: %v", err)
 			continue
@@ -328,7 +330,10 @@ func (s *Store) replay() error {
 				s.index.AddEntries(r.Entries)
 			}
 		case "cache":
-			if s.pageKeys[key] {
+			// A record with alignments is a /v1/align page entry from
+			// before page entries held document keys, filed under a key no
+			// request derives any more: nothing would ever read it.
+			if len(r.Alignments) > 0 || s.pageKeys[key] {
 				continue
 			}
 			// One bad key would answer the page without that document.

@@ -22,7 +22,7 @@ import (
 const testFP = "fp-store-test"
 
 // alignedCorpus returns generated documents with their pipeline alignments.
-func alignedCorpus(t *testing.T, seed int64, pages int) ([]*document.Document, [][]core.Alignment) {
+func alignedCorpus(t testing.TB, seed int64, pages int) ([]*document.Document, [][]core.Alignment) {
 	t.Helper()
 	cfg := corpus.TableSConfig(seed)
 	cfg.Pages = pages
@@ -522,7 +522,9 @@ func TestBatchPageRecord(t *testing.T) {
 	}
 	s3.Close()
 
-	// The older shape: a page's alignments and no page_docs.
+	// The older shape, a /v1/align page's alignments and no page_docs, is
+	// filed under a key no request derives: replay neither warms nor counts
+	// it, and does not count it as skipped either.
 	old, _ := json.Marshal(record{Kind: "cache", Key: page.String(), Alignments: ToWire(als[0])})
 	if err := os.WriteFile(filepath.Join(dir, logName), append(old, '\n'), 0o644); err != nil {
 		t.Fatal(err)
@@ -533,11 +535,11 @@ func TestBatchPageRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s4.Close()
-	if c := s4.Counters(); c["replay_skipped"] != 0 || c["warm_cache_records"] != 1 {
-		t.Errorf("counters after an alignment-carrying cache record = %v, want it replayed, nothing skipped", c)
+	if c := s4.Counters(); c["replay_skipped"] != 0 || c["warm_cache_records"] != 0 || c["cache_records"] != 0 {
+		t.Errorf("counters after an alignment-carrying cache record = %v, want it passed over, nothing skipped", c)
 	}
-	if v, ok := gate4.Lookup(page); !ok || len(v.([]serve.Key)) != 0 {
-		t.Errorf("entry of an alignment-carrying cache record = %v, %v; want one with no documents", v, ok)
+	if v, ok := gate4.Lookup(page); ok {
+		t.Errorf("an alignment-carrying cache record warmed entry %v", v)
 	}
 }
 
