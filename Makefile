@@ -85,15 +85,18 @@ bench-e2e:
 # hit their page entries or miss them (documents cached either way), and of
 # the read path behind /v1/search and /v1/facts (store queries, the shared
 # response writer, and whole first-page GETs of both routes through the
-# middleware), and of the two reads a server boots on (a model bundle's
-# load, and a store's replay of an ingest log), with allocation counts —
-# for inspecting individual kernels rather than the aggregate report.
+# middleware), of the two reads a server boots on (a model bundle's load,
+# and a store's replay of an ingest log), and of one ingested page (cold,
+# re-crawled, and re-sent byte for byte so its page entry answers), with
+# allocation counts — for inspecting individual kernels rather than the
+# aggregate report.
 bench-compare:
 	$(GO) test -bench '^BenchmarkAlignPage$$' -benchmem -run ^$$ .
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench '^BenchmarkLoadModels$$' -benchmem -run ^$$ ./internal/experiment
 	$(GO) test -bench 'DocumentKey|Search|FactsFor|StoreOpen' -benchmem -run ^$$ ./internal/store
+	$(GO) test -bench '^BenchmarkIngestPage$$' -benchmem -run ^$$ ./internal/ingest
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
 	$(GO) test -bench 'AlignBatch|ListReads' -benchmem -run ^$$ ./cmd/briq-server
 	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
@@ -189,12 +192,13 @@ store-smoke:
 # End-to-end smoke of streaming ingestion with the real binaries: generate
 # a small corpus, stream it into an untrained briq-server through
 # `briq ingest`, append one sentence to the first paragraph of every page
-# (a re-crawl where most documents are byte-identical), re-ingest, and
-# assert (a) the re-crawl reused at least one document's stored alignments
-# while realigning the changed ones, and (b) GET /v1/search answers
-# byte-identically to a second server that ingested only the final mutated
-# corpus from scratch — the incremental-vs-from-scratch equivalence gate
-# over the wire, with the real CLI. The in-process proofs live in
+# (a re-crawl where most documents are byte-identical), re-ingest, re-send
+# the re-crawled corpus byte for byte, and assert (a) the re-crawl reused at
+# least one document's stored alignments while realigning the changed ones,
+# (b) the re-send realigned and retracted nothing, and (c) GET /v1/search
+# answers byte-identically to a second server that ingested only the final
+# mutated corpus from scratch — the incremental-vs-from-scratch equivalence
+# gate over the wire, with the real CLI. The in-process proofs live in
 # internal/store, internal/ingest and cmd/briq-server tests.
 ingest-smoke:
 	@set -e; tmp=$$(mktemp -d); apid=""; bpid=""; \
@@ -212,6 +216,9 @@ ingest-smoke:
 	$$tmp/briq ingest -addr 127.0.0.1:18584 $$tmp/corpus > $$tmp/recrawl.txt; \
 	grep -Eq 'ingested 6 pages: [1-9][0-9]* documents reused, [1-9][0-9]* realigned, [0-9]+ retracted, 0 page errors' $$tmp/recrawl.txt \
 		|| { echo "ingest-smoke: re-crawl reused nothing"; cat $$tmp/recrawl.txt; exit 1; }; \
+	$$tmp/briq ingest -addr 127.0.0.1:18584 $$tmp/corpus > $$tmp/resend.txt; \
+	grep -Eq 'ingested 6 pages: [1-9][0-9]* documents reused, 0 realigned, 0 retracted, 0 page errors' $$tmp/resend.txt \
+		|| { echo "ingest-smoke: byte-identical re-send realigned or retracted"; cat $$tmp/resend.txt; exit 1; }; \
 	$$tmp/briq-search -addr http://127.0.0.1:18584 "revenue above 0" > $$tmp/incr.txt; \
 	grep -q '\[pg' $$tmp/incr.txt \
 		|| { echo "ingest-smoke: incremental server found nothing"; cat $$tmp/incr.txt; exit 1; }; \
@@ -223,7 +230,7 @@ ingest-smoke:
 	cmp $$tmp/incr.txt $$tmp/scratch.txt \
 		|| { echo "ingest-smoke: incremental search diverges from from-scratch ingest"; exit 1; }; \
 	kill $$apid; apid=""; kill $$bpid; bpid=""; \
-	echo "ingest-smoke: re-crawl reuse nonzero, incremental search byte-identical to from-scratch"
+	echo "ingest-smoke: re-crawl reuse nonzero, re-send realigned nothing, incremental search byte-identical to from-scratch"
 
 # Serving baseline: a size-targeted corpus, a trained briq-server with the
 # production serving configuration, and an open-loop run that writes the
@@ -329,6 +336,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseComparison$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngestLine$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAlignBatch$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzAlignPage$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./cmd/briq-server

@@ -466,10 +466,9 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 
 // alignDocuments keys each document once, for the lookup and the sink
 // alike (zero keys with neither a gate nor a sink), and answers it from its
-// entry where it can. The misses get the table mentions they lack, timed as
-// StageSegment, whose second step that is, go through runtime.AlignPerDoc,
-// a page per worker, under one admission slot when admit is set, and are
-// recorded in the cache and then through the sink.
+// entry where it can. The misses go through runtime.AlignMisses, a page per
+// worker, under one admission slot when admit is set, and are recorded in
+// the cache and then through the sink.
 func alignDocuments(ctx context.Context, p *Pipeline, docs []*Document, admit bool) (perDoc [][]Alignment, keys []serve.Key, err error) {
 	keys = documentKeys(p, docs)
 	perDoc = make([][]Alignment, len(docs))
@@ -488,18 +487,7 @@ func alignDocuments(ctx context.Context, p *Pipeline, docs []*Document, admit bo
 	if len(missDocs) == 0 {
 		return perDoc, keys, nil
 	}
-	if admit {
-		release, err := p.Gate.Acquire(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer release()
-	}
-	start := time.Now()
-	if p.Segmenter.BuildTableMentions(missDocs) > 0 {
-		p.Recorder.Observe(core.StageSegment, time.Since(start))
-	}
-	fresh, err := runtime.AlignPerDoc(ctx, p, missDocs, 0)
+	fresh, err := runtime.AlignMisses(ctx, p, missDocs, admit)
 	if err != nil {
 		return nil, nil, err
 	}

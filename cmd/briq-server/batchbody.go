@@ -3,15 +3,23 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"unicode/utf8"
 
 	"briq/internal/jsonread"
 )
+
+// errNotUTF8 refuses a batch body that is not valid UTF-8. encoding/json
+// would decode it, replacing each invalid byte of a string with U+FFFD, so
+// the check runs on the bytes before either decoder sees them.
+var errNotUTF8 = errors.New("body is not valid UTF-8 text")
 
 // decodeBatch reads a POST /align/batch body as json.Decoder.Decode reads
 // it into a batchRequest: the first JSON value is the request, and whatever
 // follows it is ignored. size is the request's Content-Length (-1 when
 // unknown); it sizes the read buffer, which is all the body is read into.
+// A body read in full that is not valid UTF-8 is refused with errNotUTF8.
 //
 // The form clients send, {"pages": [{"id": "...", "html": "..."}, ...]} with
 // the keys spelled exactly so, is parsed in one pass over the bytes read
@@ -26,6 +34,9 @@ func decodeBatch(r io.Reader, size int64) (batchRequest, error) {
 	}
 	_, err := buf.ReadFrom(r)
 	if err == nil {
+		if !utf8.Valid(buf.Bytes()) {
+			return batchRequest{}, errNotUTF8
+		}
 		if req, ok := parseBatch(buf.Bytes()); ok {
 			return req, nil
 		}
@@ -50,9 +61,17 @@ func parseBatch(data []byte) (batchRequest, bool) {
 	return req, ok
 }
 
-// parseBatchPage parses one page object. Either key may be missing, and a
-// repeated key overwrites the earlier value, as in encoding/json.
+// parseBatchPage parses one page object of a batch body.
 func parseBatchPage(c *jsonread.Cursor, pg *batchPage) bool {
+	return parsePageObject(c, "id", &pg.ID, &pg.HTML)
+}
+
+// parsePageObject parses a page object of a batch body or an ingest line,
+// whose keys are idKey and "html" with string values, into id and html.
+// Either key may be missing, and a repeated key overwrites the earlier
+// value, as in encoding/json; any other key, or a value Cursor.Str
+// declines, makes it decline.
+func parsePageObject(c *jsonread.Cursor, idKey string, id, html *string) bool {
 	if !c.Next('{') {
 		return false
 	}
@@ -62,10 +81,10 @@ func parseBatchPage(c *jsonread.Cursor, pg *batchPage) bool {
 		}
 		var ok bool
 		switch {
-		case c.Key("id"):
-			ok = c.Str(&pg.ID)
+		case c.Key(idKey):
+			ok = c.Str(id)
 		case c.Key("html"):
-			ok = c.Str(&pg.HTML)
+			ok = c.Str(html)
 		}
 		if !ok {
 			return false

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unicode/utf8"
 
 	"briq/internal/corpus"
 )
@@ -48,10 +49,19 @@ func decodeWithDecoder(r io.Reader) (batchRequest, error) {
 }
 
 // sameDecode fails t unless decodeBatch and json.Decoder, each reading the
-// body from its own reader, give the same request and the same error.
+// body from its own reader, give the same request and the same error — but
+// for a body read in full that is not valid UTF-8, which json.Decoder
+// decodes with U+FFFD in place of each bad byte and decodeBatch must refuse
+// with errNotUTF8.
 func sameDecode(t *testing.T, name string, newReader func() io.Reader) {
 	t.Helper()
 	got, gotErr := decodeBatch(newReader(), -1)
+	if body, err := io.ReadAll(newReader()); err == nil && !utf8.Valid(body) {
+		if gotErr != errNotUTF8 {
+			t.Fatalf("%s: error %v for a body that is not UTF-8, want %v", name, gotErr, errNotUTF8)
+		}
+		return
+	}
 	want, wantErr := decodeWithDecoder(newReader())
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, json.Decoder's is %v", name, gotErr, wantErr)

@@ -195,10 +195,16 @@ func TestOverloadSheds429(t *testing.T) {
 	// The batch path occupies a slot the same way, unless every page of the
 	// batch hits its page entry: like a /v1/align hit, that batch is answered
 	// without one. Align a batch, saturate again, and check that its repeat
-	// answers while a batch with one new page sheds.
+	// answers while a batch with one new page sheds. Ingest lines are the
+	// same: a page that misses sheds on its own line, and a byte-identical
+	// re-send, which its page entry answers, does not.
 	hit, _ := json.Marshal(batchRequest{Pages: []batchPage{{ID: "a", HTML: testPage}}})
 	if rec := do(t, srv, http.MethodPost, "/v1/align/batch", string(hit)); rec.Code != http.StatusOK {
 		t.Fatalf("unsaturated batch status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	ingested, _ := json.Marshal(ingestLine{PageID: "ingested", HTML: testPage})
+	if r := decodeIngestLines(t, do(t, srv, http.MethodPost, "/v1/ingest", string(ingested)).Body.String()); len(r) != 1 || r[0].Error != "" || r[0].Realigned == 0 {
+		t.Fatalf("unsaturated ingest = %+v, want one realigned page", r)
 	}
 	release2, err := p.Gate.Acquire(context.Background())
 	if err != nil {
@@ -214,6 +220,21 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 	if c := p.Gate.Counters(); c["shed_overloaded"] != 3 {
 		t.Errorf("shed_overloaded = %d, want 3", c["shed_overloaded"])
+	}
+	missing, _ := json.Marshal(ingestLine{PageID: "missing", HTML: testPage})
+	rec = do(t, srv, http.MethodPost, "/v1/ingest", string(missing)+"\n"+string(ingested))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("saturated ingest status = %d, want 200 (body: %.300s)", rec.Code, rec.Body.String())
+	}
+	lines := decodeIngestLines(t, rec.Body.String())
+	if len(lines) != 2 || lines[0].PageID != "missing" || lines[0].Code != api.CodeOverloaded {
+		t.Fatalf("saturated ingest of a new page = %+v, want its line answered %q", lines, api.CodeOverloaded)
+	}
+	if r := lines[1]; r.PageID != "ingested" || r.Error != "" || r.Realigned != 0 || r.Reused == 0 {
+		t.Errorf("saturated re-send of an ingested page = %+v, want every document reused", r)
+	}
+	if c := p.Gate.Counters(); c["shed_overloaded"] != 4 {
+		t.Errorf("shed_overloaded = %d, want 4", c["shed_overloaded"])
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"briq/internal/api"
 	"briq/internal/ingest"
+	"briq/internal/jsonread"
 )
 
 // ingestLine is one NDJSON request line of POST /v1/ingest.
@@ -18,17 +19,37 @@ type ingestLine struct {
 	HTML   string `json:"html"`
 }
 
+// decodeIngestLine reads one request line as json.Unmarshal reads it into an
+// ingestLine, through c. The form clients send, {"page_id": "...",
+// "html": "..."} with the keys spelled exactly so and nothing after it, is
+// parsed in one pass over the line (parsePageObject); every other line, each
+// malformed one included, is decoded by json.Unmarshal, so the page and the
+// error message are always json.Unmarshal's.
+func decodeIngestLine(c *jsonread.Cursor, line []byte) (ingestLine, error) {
+	var pg ingestLine
+	c.Reset(line)
+	if parsePageObject(c, "page_id", &pg.PageID, &pg.HTML) && c.End() {
+		return pg, nil
+	}
+	pg = ingestLine{}
+	err := json.Unmarshal(line, &pg)
+	return pg, err
+}
+
 // handleIngest streams pages into the aligned-corpus store: the request body
 // is NDJSON, one {"page_id","html"} per line, and the response is NDJSON
 // back, one ingest.Result per page in request order. Unlike /align/batch the
 // total body is unbounded — only a single line is held in memory, and each
-// page is fully processed (segment → fingerprint check → re-align misses →
-// upsert) before the next line is read, so memory stays bounded by one
-// page's documents regardless of corpus size.
+// page is fully processed (page entry, or segment → fingerprint check →
+// re-align misses → upsert) before the next line is read, so memory stays
+// bounded by one page's documents regardless of corpus size. A page's
+// misses take one admission slot, so -max-inflight sheds a line with
+// overloaded; a page its entry answers takes none.
 //
-// Per-page failures (bad JSON, unalignable HTML, deadline) are reported on
-// that page's response line and do not abort the stream; the envelope error
-// shape is only used before the stream starts (wrong method).
+// Per-page failures (bad JSON, bytes that are not UTF-8, unalignable HTML,
+// overload, deadline) are reported on that page's response line and do not
+// abort the stream; the envelope error shape is only used before the stream
+// starts (wrong method).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, api.CodeMethodNotAllowed, `POST NDJSON lines {"page_id": ..., "html": ...}`)
@@ -61,14 +82,23 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// stream itself is unbounded.
 	sc.Buffer(make([]byte, 0, 64<<10), maxBody)
 	lineNo := 0
+	c := new(jsonread.Cursor)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		lineNo++
-		var pg ingestLine
-		if err := json.Unmarshal(line, &pg); err != nil {
+		if !utf8.Valid(line) {
+			emit(ingest.Result{
+				PageID: fmt.Sprintf("line%d", lineNo),
+				Error:  fmt.Sprintf("line %d is not valid UTF-8 text", lineNo),
+				Code:   api.CodeBadRequest,
+			})
+			continue
+		}
+		pg, err := decodeIngestLine(c, line)
+		if err != nil {
 			emit(ingest.Result{
 				PageID: fmt.Sprintf("line%d", lineNo),
 				Error:  fmt.Sprintf("decode line %d: %v", lineNo, err),
@@ -83,8 +113,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			res.Error, res.Code = fmt.Sprintf("line %d: missing page_id", lineNo), api.CodeBadRequest
 		case pg.HTML == "":
 			res.Error, res.Code = "empty html", api.CodeBadRequest
-		case !utf8.ValidString(pg.HTML):
-			res.Error, res.Code = "html is not valid UTF-8", api.CodeBadRequest
 		case r.Context().Err() != nil:
 			res.Error, res.Code = "request deadline exceeded", api.CodeDeadline
 		default:

@@ -128,7 +128,8 @@ func errorPaths() []errorPath {
 		{"batch no pages", http.MethodPost, "/v1/align/batch", `{"pages": []}`, http.StatusBadRequest},
 		{"batch empty html", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": ""}]}`, http.StatusBadRequest},
 		{"batch duplicate ids", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": "<p>1</p>"}, {"id": "a", "html": "<p>2</p>"}]}`, http.StatusBadRequest},
-		{"batch non-UTF-8 html", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": "�"}]}`, http.StatusOK}, // JSON cannot carry invalid UTF-8; replacement chars are fine
+		{"batch non-UTF-8 html", http.MethodPost, "/v1/align/batch", `{"pages": [{"id": "a", "html": "�"}]}`, http.StatusOK},                                    // U+FFFD itself is valid UTF-8
+		{"batch raw non-UTF-8 byte", http.MethodPost, "/v1/align/batch", "{\"pages\": [{\"id\": \"a\", \"html\": \"<p>\xff 12</p>\"}]}", http.StatusBadRequest}, // encoding/json would read U+FFFD
 		{"batch too many pages", http.MethodPost, "/v1/align/batch", manyPages, http.StatusRequestEntityTooLarge},
 		{"metrics wrong method", http.MethodPost, "/v1/metrics", "", http.StatusMethodNotAllowed},
 	}

@@ -56,9 +56,10 @@ type server struct {
 // /v1/search and /v1/facts work either way) before any request runs; after
 // that the pipeline is shared read-only across handler goroutines. The align
 // endpoints write to the store through the Sink, /v1/ingest through the
-// ingestor's UpsertPage. The pipeline's Workers sizes the fan-out of both the
-// batch and the ingest paths, and every path records its stage latencies
-// into the server's metrics through the pipeline's Recorder.
+// ingestor's UpsertPage and AddPage. The pipeline's Workers sizes the
+// fan-out of the batch path, its gate admits the misses of every path, and
+// every path records its stage latencies into the server's metrics through
+// the pipeline's Recorder.
 func newServer(pipeline *briq.Pipeline, opts serverOptions) *server {
 	if opts.logger == nil {
 		opts.logger = log.New(io.Discard, "", 0)
@@ -297,10 +298,6 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		req.Pages[i].ID = id
 		if pg.HTML == "" {
 			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: empty html", id))
-			return
-		}
-		if !utf8.ValidString(pg.HTML) {
-			api.WriteError(w, api.CodeBadRequest, fmt.Sprintf("page %q: html is not valid UTF-8", id))
 			return
 		}
 	}

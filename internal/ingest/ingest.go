@@ -1,28 +1,27 @@
 // Package ingest is the streaming corpus-maintenance engine behind
 // POST /v1/ingest: pages arrive one at a time (NDJSON lines on the wire),
-// each is segmented into documents without their table mentions, every
-// document's content identity is checked against the persistent store, and
-// only documents whose identity is new — a changed paragraph or table, or a
-// genuinely new document — get their table mentions and go through
-// classify/filter/resolve. The page is then upserted: stale
-// documents of a previous crawl are retracted, unchanged ones reused
-// byte-for-byte.
+// and each is upserted into the persistent store, paying only for what
+// changed since its last crawl. A page whose entry (under serve.PageKeyOf,
+// as on every page route) names exactly its live documents is answered
+// from the store without being parsed (store.ReusePage). Any other page is
+// segmented keys-only; its documents not live in the store align through
+// the miss path the alignment routes share (runtime.AlignMisses, under one
+// admission slot); it is upserted, stale documents retracted and unchanged
+// ones reused byte-for-byte; and its entry is recorded in the gate and the
+// store's log, so a restart warms it. Without a gate there is no page key.
 //
-// Re-alignment runs a page's misses through runtime.AlignPerDoc, whose unit
-// of work is a page, so they align on one goroutine through one
-// feature.Tables, under one Ingestor-wide lock, which bounds memory: one
-// page's miss set is in flight at a time across all connections. Stage
-// latencies go to the pipeline's Recorder. Upserts of the same page are
-// serialized on a per-page lock so the store's reuse check and the upsert
-// are atomic with respect to each other; distinct pages proceed
-// concurrently.
+// Upserts of the same page are serialized on a per-page lock so the store's
+// reuse check and the upsert are atomic with respect to each other; distinct
+// pages proceed concurrently.
 package ingest
 
 import (
 	"context"
 	"errors"
 	"hash/fnv"
+	"strconv"
 	"sync"
+	"time"
 
 	"briq/internal/api"
 	"briq/internal/core"
@@ -56,9 +55,8 @@ type Result struct {
 
 // Options configure an Ingestor.
 type Options struct {
-	// Workers is the re-alignment fan-out width; ≤ 0 falls back to the
-	// pipeline's Workers, then GOMAXPROCS. runtime.AlignPerDoc fans pages
-	// out, and Page aligns one, so it bounds nothing above 1 today.
+	// Workers is ignored: a page aligns on one goroutine, and the gate's
+	// admission bounds how many align at once. bench/ still sets it.
 	Workers int
 }
 
@@ -69,17 +67,15 @@ const pageShards = 64
 // Ingestor ingests pages into a store, reusing stored alignments for
 // unchanged documents. Safe for concurrent use.
 type Ingestor struct {
-	store   *store.Store
-	proto   *core.Pipeline
-	workers int
-	alignMu sync.Mutex // one page's misses align at a time
-	locks   [pageShards]sync.Mutex
+	store *store.Store
+	proto *core.Pipeline
+	locks [pageShards]sync.Mutex
 }
 
-// New builds an Ingestor over the pipeline's models and the given store.
-// Re-alignments record their stage latencies into the pipeline's Recorder.
-func New(proto *core.Pipeline, st *store.Store, opts Options) *Ingestor {
-	return &Ingestor{store: st, proto: proto, workers: opts.Workers}
+// New builds an Ingestor over the pipeline (its models, gate and Recorder)
+// and the given store.
+func New(proto *core.Pipeline, st *store.Store, _ Options) *Ingestor {
+	return &Ingestor{store: st, proto: proto}
 }
 
 func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
@@ -88,81 +84,91 @@ func (ing *Ingestor) pageLock(pageID string) *sync.Mutex {
 	return &ing.locks[h.Sum32()%pageShards]
 }
 
-// Page ingests one page: segment keys-only, fingerprint-check every
-// document, build the table mentions of the misses and re-align them,
-// upsert. An error Result (Error != "") means the store was
-// not touched for this page. The context cancels mid-alignment.
+// Page ingests one page. An error Result (Error != "") means the store was
+// not touched for this page. The context cancels admission and alignment.
 func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
-	res := Result{PageID: pageID}
+	gate := ing.proto.Gate
+	key := gate.PageKey(pageID, html)
+	if v, ok := gate.Lookup(key); ok {
+		if up, n, ok := ing.store.ReusePage(pageID, v.([]serve.Key)); ok {
+			return result(pageID, n, up)
+		}
+	}
 
 	mu := ing.pageLock(pageID)
 	mu.Lock()
 	defer mu.Unlock()
 
-	// Keys-only: a reused document never needs its table mentions, and
-	// runtime.AlignPerDoc builds them for the misses.
+	start := time.Now()
 	seg, err := ing.proto.Segmenter.SegmentPageKeys(pageID, htmlx.ParseString(html))
+	ing.proto.Recorder.Observe(core.StageSegment, time.Since(start))
 	if err != nil {
-		res.Error, res.Code = err.Error(), api.CodeUnprocessable
-		return res
+		return Result{PageID: pageID, Error: err.Error(), Code: api.CodeUnprocessable}
 	}
 	docs := seg.Docs
 
-	// Fingerprint check: a stored live identity means the whole
-	// classify/filter/resolve chain is skipped for that document. The keys
-	// go on to UpsertPage, so each document is hashed once per page.
+	// A live identity skips classify/filter/resolve for that document. Each
+	// document is hashed once, for this check, UpsertPage and the entry.
 	keys := make([]serve.Key, len(docs))
-	als := make([][]core.Alignment, len(docs))
+	als := make([][]core.Alignment, len(docs)) // nil: reused, UpsertPage keeps the live record
+	alignments := 0
 	var missDocs []*document.Document
 	var missIdx []int
 	for i, d := range docs {
 		keys[i] = ing.store.DocumentKey(d)
 		if stored, ok := ing.store.Alignments(keys[i]); ok {
-			als[i] = nil // reused; UpsertPage keeps the live record
-			res.Alignments += len(stored)
+			alignments += len(stored)
 			continue
 		}
 		missDocs = append(missDocs, d)
 		missIdx = append(missIdx, i)
 	}
-
 	if len(missDocs) > 0 {
-		ing.alignMu.Lock()
-		fresh, err := runtime.AlignPerDoc(ctx, ing.proto, missDocs, ing.workers)
-		ing.alignMu.Unlock()
+		fresh, err := runtime.AlignMisses(ctx, ing.proto, missDocs, true)
 		if err != nil {
-			res.Error, res.Code = err.Error(), alignCode(err)
-			return res
+			return Result{PageID: pageID, Error: err.Error(), Code: alignCode(err)}
 		}
 		for j, i := range missIdx {
 			if fresh[j] == nil {
 				fresh[j] = []core.Alignment{}
 			}
 			als[i] = fresh[j]
-			res.Alignments += len(fresh[j])
+			alignments += len(fresh[j])
 		}
 	}
 
 	up := ing.store.UpsertPage(pageID, docs, keys, als)
-	res.Retracted = up.Retracted
-	res.PersistErrors = up.PersistErrors
-	res.Documents = make([]DocStatus, len(docs))
-	for i, d := range docs {
+	if gate != nil {
+		gate.Store(key, keys, core.PageDocsSize(keys))
+		ing.store.AddPage(key, keys)
+	}
+	return result(pageID, alignments, up)
+}
+
+// result is the Result of an upsert of pageID whose documents hold
+// alignments alignments. The i-th document is named <page>-d<i>, as
+// document.Segmenter names it, so a page answered from its entry reports
+// what segmenting it reports.
+func result(pageID string, alignments int, up store.PageUpsert) Result {
+	res := Result{PageID: pageID, Documents: make([]DocStatus, len(up.Reused)), Retracted: up.Retracted,
+		Alignments: alignments, PersistErrors: up.PersistErrors}
+	for i, reused := range up.Reused {
 		st := "realigned"
-		if up.Reused[i] {
+		if reused {
 			st = "reused"
 			res.Reused++
 		} else {
 			res.Realigned++
 		}
-		res.Documents[i] = DocStatus{DocID: d.ID, Status: st}
+		res.Documents[i] = DocStatus{DocID: pageID + "-d" + strconv.Itoa(i), Status: st}
 	}
 	return res
 }
 
 func alignCode(err error) string {
 	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, serve.ErrDeadlineBudget):
 		return api.CodeDeadline
 	case errors.Is(err, serve.ErrOverloaded):
 		return api.CodeOverloaded

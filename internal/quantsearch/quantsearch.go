@@ -225,6 +225,9 @@ func BuildIndex(docs []*document.Document) *Index {
 // Size returns the number of live indexed entries.
 func (ix *Index) Size() int { return len(ix.entries) - ix.deadN }
 
+// Tombstones returns the number of removed entries the index still holds.
+func (ix *Index) Tombstones() int { return ix.deadN }
+
 // Comparison is the numeric predicate of a query.
 type Comparison int
 

@@ -5,6 +5,7 @@ import (
 	gort "runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"briq/internal/core"
 	"briq/internal/document"
@@ -76,6 +77,27 @@ func AlignPerDoc(ctx context.Context, p *core.Pipeline, docs []*document.Documen
 		}
 	}
 	return perDoc, nil
+}
+
+// AlignMisses is the miss path every route shares: docs, the documents of
+// a request that no entry answered, get the table mentions they lack, timed
+// as core.StageSegment, and are aligned by AlignPerDoc at the pipeline's
+// width. With admit set they align under one admission slot of p.Gate,
+// claimed first, so a saturated gate fails the call with
+// serve.ErrOverloaded or serve.ErrDeadlineBudget before any work is done.
+func AlignMisses(ctx context.Context, p *core.Pipeline, docs []*document.Document, admit bool) ([][]core.Alignment, error) {
+	if admit {
+		release, err := p.Gate.Acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+	}
+	start := time.Now()
+	if p.Segmenter.BuildTableMentions(docs) > 0 {
+		p.Recorder.Observe(core.StageSegment, time.Since(start))
+	}
+	return AlignPerDoc(ctx, p, docs, 0)
 }
 
 // AlignCorpus aligns the whole corpus and returns all alignments in the

@@ -18,7 +18,7 @@ import (
 // panicking, and when it succeeds, Search, Entities, FactsFor and Counters
 // do too. The seeds are testdata/store_log.ndjson — the log
 // TestStoreLogGolden (cmd/briq-server) writes across align, batch, ingest,
-// re-crawl and reboot, byte for byte (sha256 e9a9f917…4eedd1) — and
+// re-crawl and reboot, byte for byte (sha256 7cccc63e…fdfee117) — and
 // testdata/store_log_legacy.ndjson, the same scenario's log from before
 // page entries held document keys (sha256 84ffccfe…b8363a), whose "cache"
 // records carry alignments or page_docs: each line alone and each whole log.

@@ -19,9 +19,10 @@
 // Every write is an explicit call from the code that produced the result:
 // through the core.AlignmentSink seam the facade hands each set of freshly
 // aligned documents to Add and each page entry it records — the page's
-// document keys — to AddPage, and streaming ingest calls UpsertPage.
-// Documents dedup on the live document set, page entries on the set of page
-// keys already logged.
+// document keys — to AddPage, and streaming ingest calls UpsertPage, then
+// AddPage for the page's entry; a re-crawl its entry answers is counted by
+// ReusePage. Documents dedup on the live document set, page entries on the
+// set of page keys already logged.
 //
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
@@ -43,6 +44,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -281,6 +283,19 @@ func (s *Store) replay() error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	c := &jsonread.Cursor{Intern: make(map[string]string)}
+	// Every record an upsert writes carries its page's order, so a page is
+	// walked once, in its last order, after the last line (reindexPage)
+	// rather than once per record: a k-document upsert page is indexed
+	// once, not k times, and leaves no tombstones behind.
+	var walk []string // the pages a record ordered, in first-ordered order
+	ordered := make(map[string]bool)
+	order := func(pageID string, docKeys []string) {
+		s.setPageOrder(pageID, docKeys)
+		if !ordered[pageID] {
+			ordered[pageID] = true
+			walk = append(walk, pageID)
+		}
+	}
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -295,7 +310,7 @@ func (s *Store) replay() error {
 		if r.Kind == "retract" {
 			// Pure retraction: no key of its own.
 			s.applyRetract(r.Supersedes)
-			s.setPageOrder(r.PageID, r.PageDocs)
+			order(r.PageID, r.PageDocs)
 			continue
 		}
 		key, err := serve.ParseKey(r.Key)
@@ -324,7 +339,7 @@ func (s *Store) replay() error {
 			s.c.warmDocuments++
 			s.gate.Store(key, als, core.AlignmentsSize(als))
 			if len(r.PageDocs) > 0 {
-				s.setPageOrder(r.PageID, r.PageDocs)
+				order(r.PageID, r.PageDocs)
 			} else {
 				// Pre-upsert record shape: index directly in log order.
 				s.index.AddEntries(r.Entries)
@@ -365,6 +380,9 @@ func (s *Store) replay() error {
 			return fmt.Errorf("store: reading log tail: %w", err)
 		}
 		s.unterminated = last[0] != '\n'
+	}
+	for _, pageID := range walk {
+		s.reindexPage(s.pages[pageID])
 	}
 	// One batch sort for the whole replay instead of per-record inserts.
 	s.index.EnsureValueOrder()
@@ -498,11 +516,8 @@ func parseKeys(strs []string) ([]serve.Key, error) {
 	return keys, nil
 }
 
-// setPageOrder installs a page's final document order and re-walks it,
-// re-indexing every present document's entries in order. The walk is what
-// keeps shared-table attribution identical to a from-scratch build: a table
-// referenced by several documents of the page is indexed from the first
-// document in final page order, whichever upsert or replay step ran last.
+// setPageOrder installs a page's document order as replay reads it from a
+// record. Replay walks the page (reindexPage) once, after the last record.
 func (s *Store) setPageOrder(pageID string, docKeys []string) {
 	keys := make([]serve.Key, 0, len(docKeys))
 	for _, ks := range docKeys {
@@ -519,7 +534,6 @@ func (s *Store) setPageOrder(pageID string, docKeys []string) {
 	} else {
 		s.pages[pageID] = keys
 	}
-	s.reindexPage(keys)
 }
 
 // reindexPage re-attributes a page's tables along its final document order:
@@ -542,14 +556,17 @@ func (s *Store) reindexPage(keys []serve.Key) {
 	}
 }
 
-// keysEqual reports whether a page's live key list already matches the
-// upsert's, in order — the no-op re-crawl fast path.
-func keysEqual(a, b []serve.Key) bool {
-	if len(a) != len(b) {
+// livePage reports, under the held lock, whether pageID's live documents
+// are exactly keys, in order — the no-op re-crawl. A page's order can name
+// a document that is not live: replay of an upsert torn after its first
+// record installs the whole order, and the missing documents must then be
+// stored by the next upsert rather than reported reused.
+func (s *Store) livePage(pageID string, keys []serve.Key) bool {
+	if !slices.Equal(s.pages[pageID], keys) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for _, k := range keys {
+		if _, ok := s.docs[k]; !ok {
 			return false
 		}
 	}
@@ -661,21 +678,16 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, keys []serv
 		keyStrs[i] = k.String()
 	}
 
-	up := PageUpsert{Reused: make([]bool, len(docs))}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	startErrs := s.c.persistErrors
 
 	// The no-op re-crawl fast path: same documents in the same order means
 	// nothing to retract, register, re-attribute, or log.
-	if keysEqual(s.pages[pageID], keys) {
-		for i := range up.Reused {
-			up.Reused[i] = true
-		}
-		s.c.upsertedPages++
-		return up
+	if s.livePage(pageID, keys) {
+		return s.reusedPage(len(keys))
 	}
+	up := PageUpsert{Reused: make([]bool, len(docs))}
 
 	// Stale = live for this page but absent from the new set.
 	final := make(map[serve.Key]bool, len(keys))
@@ -744,6 +756,35 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, keys []serv
 	s.reindexPage(keys)
 	s.c.upsertedPages++
 	up.PersistErrors = s.c.persistErrors - startErrs
+	return up
+}
+
+// ReusePage is UpsertPage's no-op path without the documents: when keys,
+// in order, are exactly pageID's live documents, it returns what UpsertPage
+// returns for them, counts the upsert as UpsertPage does, and returns the
+// number of alignments the documents hold. Otherwise it reports false and
+// counts nothing. A caller that knows a page's keys from its page entry
+// answers an unchanged re-crawl without segmenting or keying the page.
+func (s *Store) ReusePage(pageID string, keys []serve.Key) (up PageUpsert, alignments int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.livePage(pageID, keys) {
+		return up, 0, false
+	}
+	for _, k := range keys {
+		alignments += len(s.docs[k].als)
+	}
+	return s.reusedPage(len(keys)), alignments, true
+}
+
+// reusedPage counts, under the held lock, an upsert of n documents that
+// were all live, and returns its PageUpsert.
+func (s *Store) reusedPage(n int) PageUpsert {
+	up := PageUpsert{Reused: make([]bool, n)}
+	for i := range up.Reused {
+		up.Reused[i] = true
+	}
+	s.c.upsertedPages++
 	return up
 }
 

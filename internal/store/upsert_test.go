@@ -464,3 +464,102 @@ func TestConcurrentUpsertSearchReplay(t *testing.T) {
 	defer s2.Close()
 	assertStoreEqual(t, s2, rebuilt, "replay after concurrent upserts")
 }
+
+// TestReplayWalksEachPageOnce: every record of an upsert carries its page's
+// order, and replay indexes each page once, in its last order, after the
+// last line. A log of multi-document upsert pages with no retractions
+// replays to an index with no tombstones, holding what the writing store
+// held.
+func TestReplayWalksEachPageOnce(t *testing.T) {
+	docs, als := alignedCorpus(t, 43, 12)
+	groups := groupByPage(docs, als)
+	dir := t.TempDir()
+	s1, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, g := range groups {
+		s1.UpsertPage(g.id, g.docs, keysOf(s1, g.docs), g.als)
+		if len(g.docs) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no page has two documents; the replay walk is untested")
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n := s2.index.Tombstones(); n != 0 {
+		t.Errorf("replay left %d tombstones in the index, want 0", n)
+	}
+	if got, want := s2.Counters()["index_entries"], s1.Counters()["index_entries"]; got != want {
+		t.Errorf("replayed index_entries = %d, the writing store held %d", got, want)
+	}
+	assertStoreEqual(t, s2, s1, "replay of cold upserts")
+}
+
+// TestUpsertAfterTornUpsert: a crash after the first record of a cold
+// upsert replays the page's whole order with only its first document live.
+// Re-sending the page must store the missing documents, not report them
+// reused because the order already names them.
+func TestUpsertAfterTornUpsert(t *testing.T) {
+	docs, als := alignedCorpus(t, 43, 12)
+	var g pageGroup
+	for _, pg := range groupByPage(docs, als) {
+		if len(pg.docs) > 1 {
+			g = pg
+			break
+		}
+	}
+	if len(g.docs) < 2 {
+		t.Fatal("no page has two documents")
+	}
+	dir := t.TempDir()
+	s1, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.UpsertPage(g.id, g.docs, keysOf(s1, g.docs), g.als)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "corpus.ndjson")
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(logPath, int64(bytes.IndexByte(data, '\n')+1)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Counters()["live_documents"]; got != 1 {
+		t.Fatalf("torn replay has %d live documents, want 1", got)
+	}
+	up := s2.UpsertPage(g.id, g.docs, keysOf(s2, g.docs), g.als)
+	for i, reused := range up.Reused {
+		if reused != (i == 0) {
+			t.Errorf("document %d reused = %v after the torn upsert, want %v", i, reused, i == 0)
+		}
+	}
+	rebuilt, err := Open(Options{Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.docs {
+		addDoc(rebuilt, g.docs[i], g.als[i])
+	}
+	assertStoreEqual(t, s2, rebuilt, "re-sent page after a torn upsert")
+}

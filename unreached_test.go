@@ -24,21 +24,22 @@ var interfaceMethods = map[string]bool{
 // testOnly lists exported functions that only tests reach, on purpose: each
 // backs a reported result or reads production state for a check.
 var testOnly = map[string]string{
-	"internal/corpus.SimulateAnnotation":    "the 8-annotator protocol of EXPERIMENTS' annotation section (§VII-A)",
-	"internal/mlmetrics.FleissKappa":        "the agreement SimulateAnnotation reports against the paper's κ",
-	"internal/experiment.MeasureThroughput": "Table VIII's speed-up over RWR-only, run by the root benchmark",
-	"internal/experiment.NewILP":            "the ILP baseline of BenchmarkILPPipeline (EXPERIMENTS §VI)",
-	"internal/table.ExtendedVirtualOptions": "the avg/min/max virtual cells of TestPairSumsNoQualityImpact (§II-A)",
-	"internal/graph.(*Graph).RWR":           "one walk, checked against ReferenceRWR by the graph equivalence tests",
-	"internal/graph.(*Graph).NodeCount":     "the size of a built graph, read by the graph tests",
-	"internal/graph.(*Graph).EdgeCount":     "the size of a built graph, read by the graph and keep-only tests",
-	"internal/facts.(*View).All":            "the whole view, checked against Dedupe of every batch",
-	"internal/facts.(*View).Offered":        "the view's fact count, checked against its contents",
-	"internal/quantsearch.(*Index).Units":   "the index's unit counts, read by TestUnitsView",
-	"internal/serve.CounterNames":           "the serving counters' schema, pinned by the engine tests",
-	"internal/store.CounterNames":           "the store counters' schema, pinned by the store tests",
-	"internal/gateway.(*Ring).Owner":        "the ring's key placement, checked by the gateway tests",
-	"internal/quantity.Agg.Arity":           "each aggregation's input-cell bounds, checked by the quantity tests",
+	"internal/corpus.SimulateAnnotation":       "the 8-annotator protocol of EXPERIMENTS' annotation section (§VII-A)",
+	"internal/mlmetrics.FleissKappa":           "the agreement SimulateAnnotation reports against the paper's κ",
+	"internal/experiment.MeasureThroughput":    "Table VIII's speed-up over RWR-only, run by the root benchmark",
+	"internal/experiment.NewILP":               "the ILP baseline of BenchmarkILPPipeline (EXPERIMENTS §VI)",
+	"internal/table.ExtendedVirtualOptions":    "the avg/min/max virtual cells of TestPairSumsNoQualityImpact (§II-A)",
+	"internal/graph.(*Graph).RWR":              "one walk, checked against ReferenceRWR by the graph equivalence tests",
+	"internal/graph.(*Graph).NodeCount":        "the size of a built graph, read by the graph tests",
+	"internal/graph.(*Graph).EdgeCount":        "the size of a built graph, read by the graph and keep-only tests",
+	"internal/facts.(*View).All":               "the whole view, checked against Dedupe of every batch",
+	"internal/facts.(*View).Offered":           "the view's fact count, checked against its contents",
+	"internal/quantsearch.(*Index).Units":      "the index's unit counts, read by TestUnitsView",
+	"internal/quantsearch.(*Index).Tombstones": "the index's removed entries, read by the store's replay test",
+	"internal/serve.CounterNames":              "the serving counters' schema, pinned by the engine tests",
+	"internal/store.CounterNames":              "the store counters' schema, pinned by the store tests",
+	"internal/gateway.(*Ring).Owner":           "the ring's key placement, checked by the gateway tests",
+	"internal/quantity.Agg.Arity":              "each aggregation's input-cell bounds, checked by the quantity tests",
 }
 
 // TestNoUnreachedCode fails on code that no binary, route or example can
