@@ -83,9 +83,11 @@ bench-e2e:
 # segment a page that misses its page entry), of an 8-page /v1/align/batch
 # request whose pages
 # hit their page entries or miss them (documents cached either way), and of
-# the read path behind /v1/search and /v1/facts (store queries, the shared
-# response writer, and whole first-page GETs of both routes through the
-# middleware), of the two reads a server boots on (a model bundle's load,
+# the read path behind /v1/search and /v1/facts (store queries, pages of 20
+# and 100 read by SearchTop from a re-crawled index with tombstones, the
+# page writer against reflection, and whole first-page GETs of both routes
+# through the middleware), of the re-crawl upsert that keeps the index's
+# postings ordered, of the two reads a server boots on (a model bundle's load,
 # and a store's replay of an ingest log), and of one ingested page (cold,
 # re-crawled, and re-sent byte for byte so its page entry answers), with
 # allocation counts — for inspecting individual kernels rather than the
@@ -95,11 +97,10 @@ bench-compare:
 	$(GO) test -bench '^BenchmarkPipelineAlign$$' -benchmem -run ^$$ .
 	$(GO) test -bench 'RWR|Resolve' -benchmem -run ^$$ ./internal/graph
 	$(GO) test -bench '^BenchmarkLoadModels$$' -benchmem -run ^$$ ./internal/experiment
-	$(GO) test -bench 'DocumentKey|Search|FactsFor|StoreOpen' -benchmem -run ^$$ ./internal/store
+	$(GO) test -bench 'DocumentKey|Search|FactsFor|StoreOpen|UpsertRecrawl' -benchmem -run ^$$ ./internal/store
 	$(GO) test -bench '^BenchmarkIngestPage$$' -benchmem -run ^$$ ./internal/ingest
 	$(GO) test -bench 'SegmentPage' -benchmem -run ^$$ ./internal/document
-	$(GO) test -bench 'AlignBatch|ListReads' -benchmem -run ^$$ ./cmd/briq-server
-	$(GO) test -bench 'WriteJSON' -benchmem -run ^$$ ./internal/api
+	$(GO) test -bench 'AlignBatch|ListReads|WriteJSON' -benchmem -run ^$$ ./cmd/briq-server
 
 # Paper-table benchmarks (Tables I–IX, ablations) from the repo root.
 bench-tables:
@@ -334,6 +335,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime 5s ./internal/quantity
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzParseComparison$$' -fuzztime 5s ./internal/quantsearch
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchTop$$' -fuzztime 5s ./internal/quantsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchParams$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestLines$$' -fuzztime 5s ./cmd/briq-server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngestLine$$' -fuzztime 5s ./cmd/briq-server
@@ -348,7 +350,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingIdentity$$' -fuzztime 5s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/api
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

@@ -9,70 +9,79 @@ import (
 )
 
 // The results of /v1/align and /v1/align/batch are written by the appenders
-// below rather than by json.Marshal's reflection. Each appends the bytes
-// json.Marshal writes for the same value (TestAppendAlignmentsMatchesMarshal
-// and FuzzAppendAlignments hold them to it) and reports ok=false, having
+// below rather than by json.Marshal's reflection, straight into the body
+// api.WriteResultJSON answers with. Each appends the bytes
+// json.MarshalIndent(api.Envelope{Result: v}, "", "  ") writes for its value
+// v at the given nesting depth (TestAppendAlignmentsMatchesMarshal and
+// FuzzAppendAlignments hold them to it), and reports ok=false, having
 // appended garbage, when an alignment holds a NaN or an infinity, which
 // json.Marshal refuses: the caller then answers through api.WriteResult,
 // which reports the encoding error as it always has.
 
-// resultSize is a capacity that holds the result of most responses with
-// the given numbers of items (alignments, search results or facts) and
-// batch pages without regrowing.
+// resultSize is a capacity that holds the body of most responses with the
+// given numbers of items (alignments, search results or facts) and batch
+// pages without regrowing.
 func resultSize(items, pages int) int {
-	return 256*items + 96*pages + 64
+	return 384*items + 128*pages + 96
 }
 
 // appendAlignResult appends /v1/align's result, {"alignments": [...]}.
-func appendAlignResult(dst []byte, als []briq.Alignment) ([]byte, bool) {
-	dst, ok := appendList(append(dst, `{"alignments":`...), als, appendAlignment)
-	return append(dst, '}'), ok
+func appendAlignResult(dst []byte, als []briq.Alignment, depth int) ([]byte, bool) {
+	dst, ok := appendList(firstMember(dst, depth+1, `"alignments": `), als, depth+1, appendAlignment)
+	return append(newline(dst, depth), '}'), ok
 }
 
 // appendBatchResult appends /v1/align/batch's result, the map
 // {"pages", "documents", "alignments"} with its keys in json.Marshal's
 // sorted order.
-func appendBatchResult(dst []byte, pages []batchPageResult, documents, alignments int) ([]byte, bool) {
-	dst = strconv.AppendInt(append(dst, `{"alignments":`...), int64(alignments), 10)
-	dst = strconv.AppendInt(append(dst, `,"documents":`...), int64(documents), 10)
-	dst, ok := appendList(append(dst, `,"pages":`...), pages, appendBatchPage)
-	return append(dst, '}'), ok
+func appendBatchResult(dst []byte, pages []batchPageResult, documents, alignments, depth int) ([]byte, bool) {
+	in := depth + 1
+	dst = strconv.AppendInt(firstMember(dst, in, `"alignments": `), int64(alignments), 10)
+	dst = strconv.AppendInt(nextMember(dst, in, `"documents": `), int64(documents), 10)
+	dst, ok := appendList(nextMember(dst, in, `"pages": `), pages, in, appendBatchPage)
+	return append(newline(dst, depth), '}'), ok
 }
 
 // appendBatchPage appends one batchPageResult.
-func appendBatchPage(dst []byte, pg *batchPageResult) ([]byte, bool) {
-	dst = appendString(append(dst, `{"id":`...), pg.ID)
-	dst = strconv.AppendInt(append(dst, `,"documents":`...), int64(pg.Documents), 10)
-	dst, ok := appendList(append(dst, `,"alignments":`...), pg.Alignments, appendAlignment)
-	return append(dst, '}'), ok
+func appendBatchPage(dst []byte, pg *batchPageResult, depth int) ([]byte, bool) {
+	in := depth + 1
+	dst = appendString(firstMember(dst, in, `"id": `), pg.ID)
+	dst = strconv.AppendInt(nextMember(dst, in, `"documents": `), int64(pg.Documents), 10)
+	dst, ok := appendList(nextMember(dst, in, `"alignments": `), pg.Alignments, in, appendAlignment)
+	return append(newline(dst, depth), '}'), ok
 }
 
 // appendAlignment appends a core.Alignment, its JSON fields in declaration
 // order.
-func appendAlignment(dst []byte, a *briq.Alignment) ([]byte, bool) {
-	dst = appendString(append(dst, `{"doc_id":`...), a.DocID)
-	dst = strconv.AppendInt(append(dst, `,"text_index":`...), int64(a.TextIndex), 10)
-	dst = strconv.AppendInt(append(dst, `,"table_index":`...), int64(a.TableIndex), 10)
-	dst = appendString(append(dst, `,"text_surface":`...), a.TextSurface)
-	dst = strconv.AppendInt(append(dst, `,"text_start":`...), int64(a.TextStart), 10)
-	dst = strconv.AppendInt(append(dst, `,"text_end":`...), int64(a.TextEnd), 10)
-	dst = appendString(append(dst, `,"table_key":`...), a.TableKey)
-	dst = appendString(append(dst, `,"agg":`...), a.AggName)
-	dst, ok := appendFloat(append(dst, `,"value":`...), a.Value)
+func appendAlignment(dst []byte, a *briq.Alignment, depth int) ([]byte, bool) {
+	in := depth + 1
+	dst = appendString(firstMember(dst, in, `"doc_id": `), a.DocID)
+	dst = strconv.AppendInt(nextMember(dst, in, `"text_index": `), int64(a.TextIndex), 10)
+	dst = strconv.AppendInt(nextMember(dst, in, `"table_index": `), int64(a.TableIndex), 10)
+	dst = appendString(nextMember(dst, in, `"text_surface": `), a.TextSurface)
+	dst = strconv.AppendInt(nextMember(dst, in, `"text_start": `), int64(a.TextStart), 10)
+	dst = strconv.AppendInt(nextMember(dst, in, `"text_end": `), int64(a.TextEnd), 10)
+	dst = appendString(nextMember(dst, in, `"table_key": `), a.TableKey)
+	dst = appendString(nextMember(dst, in, `"agg": `), a.AggName)
+	dst, ok := appendFloat(nextMember(dst, in, `"value": `), a.Value)
 	if !ok {
 		return dst, false
 	}
-	if dst, ok = appendFloat(append(dst, `,"score":`...), a.Score); !ok {
+	if dst, ok = appendFloat(nextMember(dst, in, `"score": `), a.Score); !ok {
 		return dst, false
 	}
-	return append(dst, '}'), true
+	return append(newline(dst, depth), '}'), true
 }
 
-// appendList appends a slice as json.Marshal does: null when nil, else its
-// items, each through appendItem, in an array.
-func appendList[T any](dst []byte, items []T, appendItem func([]byte, *T) ([]byte, bool)) ([]byte, bool) {
+// appendList appends a slice at depth as json.MarshalIndent does: null when
+// nil, [] when empty, else its items, each through appendItem on a line of
+// its own one level deeper, in an array.
+func appendList[T any](dst []byte, items []T, depth int, appendItem func([]byte, *T, int) ([]byte, bool)) ([]byte, bool) {
 	if items == nil {
 		return append(dst, "null"...), true
+	}
+	if len(items) == 0 {
+		return append(dst, "[]"...), true
 	}
 	dst = append(dst, '[')
 	for i := range items {
@@ -80,12 +89,37 @@ func appendList[T any](dst []byte, items []T, appendItem func([]byte, *T) ([]byt
 			dst = append(dst, ',')
 		}
 		var ok bool
-		if dst, ok = appendItem(dst, &items[i]); !ok {
+		if dst, ok = appendItem(newline(dst, depth+1), &items[i], depth+1); !ok {
 			return dst, false
 		}
 	}
-	return append(dst, ']'), true
+	return append(newline(dst, depth), ']'), true
 }
+
+// firstMember appends the "{" of an object whose members sit at depth, and
+// the start of its first member: a line break, the indentation and key, the
+// member's quoted name and ": ". Every name here is plain ASCII, which JSON
+// quotes as it is.
+func firstMember(dst []byte, depth int, key string) []byte {
+	return append(newline(append(dst, '{'), depth), key...)
+}
+
+// nextMember appends the start of a later member at depth: the comma, a
+// line break, the indentation and key, as for firstMember.
+func nextMember(dst []byte, depth int, key string) []byte {
+	return append(append(dst, indentation[:2+2*depth]...), key...)
+}
+
+// newline appends a line break and the indentation of depth, two spaces a
+// level, as json.MarshalIndent indents with "  ".
+func newline(dst []byte, depth int) []byte {
+	return append(dst, indentation[1:2+2*depth]...)
+}
+
+// indentation is a comma, a line break and the deepest indentation the
+// appenders write: a batch's alignment fields sit six levels into the
+// envelope.
+const indentation = ",\n              "
 
 // appendFloat appends a float64 as json.Marshal does: the shortest decimal
 // that round-trips, in exponent form (without a leading zero in the

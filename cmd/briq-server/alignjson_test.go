@@ -4,41 +4,52 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"briq"
+	"briq/internal/api"
 	"briq/internal/core"
 	"briq/internal/corpus"
 )
 
-// sameAsMarshal fails t unless appended, the appenders' output for v, is
-// what json.Marshal writes for v.
-func sameAsMarshal(t *testing.T, name string, appended []byte, ok bool, v any) {
+// sameAsMarshal fails t unless api.WriteResultJSON, with appendResult
+// writing the result, answers the bytes json.MarshalIndent writes for the
+// success envelope of v, plus a newline, and refuses exactly the values
+// json.Marshal refuses.
+func sameAsMarshal(t *testing.T, name string, appendResult func([]byte, int) ([]byte, bool), v any) {
 	t.Helper()
-	want, err := json.Marshal(v)
+	rec := httptest.NewRecorder()
+	ok := api.WriteResultJSON(rec, 0, appendResult)
+	want, err := json.MarshalIndent(api.Envelope{Result: v}, "", "  ")
 	if !ok {
 		if err == nil {
-			t.Fatalf("%s: appender refused a value json.Marshal writes as %s", name, want)
+			t.Fatalf("%s: appender refused a value json.MarshalIndent writes as\n%s", name, want)
+		}
+		if rec.Body.Len() != 0 {
+			t.Fatalf("%s: a refused result still wrote %q", name, rec.Body)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("%s: appender wrote %s where json.Marshal fails: %v", name, appended, err)
+		t.Fatalf("%s: appender wrote\n%s\nwhere json.MarshalIndent fails: %v", name, rec.Body, err)
 	}
-	if !bytes.Equal(appended, want) {
-		t.Fatalf("%s:\nappended %s\nMarshal  %s", name, appended, want)
+	if got := rec.Body.Bytes(); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%s:\nappended\n%s\nMarshalIndent\n%s", name, got, want)
 	}
 }
 
 // checkAppenders runs every appender over als and holds each to
-// json.Marshal.
+// json.MarshalIndent.
 func checkAppenders(t *testing.T, name string, als []briq.Alignment) {
 	t.Helper()
-	got, ok := appendAlignResult(nil, als)
-	sameAsMarshal(t, name+" /v1/align", got, ok, map[string]any{"alignments": als})
+	sameAsMarshal(t, name+" /v1/align", func(dst []byte, depth int) ([]byte, bool) {
+		return appendAlignResult(dst, als, depth)
+	}, map[string]any{"alignments": als})
 	pages := []batchPageResult{{ID: "page0", Documents: 2, Alignments: als}, {ID: "<b>&", Alignments: []briq.Alignment{}}}
-	got, ok = appendBatchResult(nil, pages, 2, len(als))
-	sameAsMarshal(t, name+" /v1/align/batch", got, ok, map[string]any{"pages": pages, "documents": 2, "alignments": len(als)})
+	sameAsMarshal(t, name+" /v1/align/batch", func(dst []byte, depth int) ([]byte, bool) {
+		return appendBatchResult(dst, pages, 2, len(als), depth)
+	}, map[string]any{"pages": pages, "documents": 2, "alignments": len(als)})
 }
 
 func TestAppendAlignmentsMatchesMarshal(t *testing.T) {
@@ -76,8 +87,8 @@ func TestAppendAlignmentsMatchesMarshal(t *testing.T) {
 	}
 }
 
-// FuzzAppendAlignments: for any alignment, the appenders write what
-// json.Marshal writes, and refuse what it refuses.
+// FuzzAppendAlignments: for any alignment, the appenders write the body
+// json.MarshalIndent writes, and refuse what it refuses.
 func FuzzAppendAlignments(f *testing.F) {
 	f.Add("d0", "total of 123", "t0:sum(col 3)", "sum", 3, 7, 12, 24, 123.0, 0.87)
 	f.Add("<d>&", "\x00\xff\u2028", "\"k\"\\", "", -1, 0, 0, 0, 1e-7, math.Inf(1))

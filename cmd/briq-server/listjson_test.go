@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -10,18 +11,25 @@ import (
 	"briq/internal/quantsearch"
 )
 
+// samePage holds the page appender over items to json.MarshalIndent of the
+// same api.Paginated in its envelope.
+func samePage[T any](t *testing.T, name string, items []T, next string, appendItem func([]byte, *T, int) ([]byte, bool)) {
+	t.Helper()
+	sameAsMarshal(t, name, func(dst []byte, depth int) ([]byte, bool) {
+		return appendPage(dst, items, next, depth, appendItem)
+	}, api.Paginated{Items: items, NextCursor: next})
+}
+
 // checkPages runs the page appenders over results and found, each as a nil,
-// an empty and a full list, and holds them to json.Marshal of the same
-// api.Paginated.
+// an empty and a full list, and holds them to json.MarshalIndent of the same
+// api.Paginated in its envelope.
 func checkPages(t *testing.T, name string, results []quantsearch.Result, found []facts.Fact, next string) {
 	t.Helper()
 	for _, items := range [][]quantsearch.Result{nil, {}, results} {
-		got, ok := appendPage(nil, items, next, appendResult)
-		sameAsMarshal(t, name+" /v1/search", got, ok, api.Paginated{Items: items, NextCursor: next})
+		samePage(t, name+" /v1/search", items, next, appendResult)
 	}
 	for _, items := range [][]facts.Fact{nil, {}, found} {
-		got, ok := appendPage(nil, items, next, appendFact)
-		sameAsMarshal(t, name+" /v1/facts", got, ok, api.Paginated{Items: items, NextCursor: next})
+		samePage(t, name+" /v1/facts", items, next, appendFact)
 	}
 }
 
@@ -61,8 +69,8 @@ func TestAppendPagesMatchMarshal(t *testing.T) {
 }
 
 // FuzzAppendSearchPage: for any result, the /v1/search page appender writes
-// what json.Marshal writes for the same api.Paginated, and refuses what it
-// refuses, for a nil, an empty and a one- and a two-item list.
+// the body json.MarshalIndent writes for the same api.Paginated, and refuses
+// what it refuses, for a nil, an empty and a one- and a two-item list.
 func FuzzAppendSearchPage(f *testing.F) {
 	f.Add("pg0-d0", "pg0-t0", "Rash", "total", "USD", "side effects", 3, 2, 1, 35.0, "20")
 	f.Add("<d>&", "\x00\xff\u2028", "\"k\"\\", "", "", "\t", -1, 0, 0, math.NaN(), "")
@@ -71,16 +79,15 @@ func FuzzAppendSearchPage(f *testing.F) {
 		r := quantsearch.Result{Entry: quantsearch.Entry{DocID: docID, TableID: tableID, Row: row, Col: col,
 			Entity: entity, Header: header, Value: value, Unit: unit, Caption: caption}, Matched: matched}
 		for _, items := range [][]quantsearch.Result{nil, {}, {r}, {r, r}} {
-			got, ok := appendPage(nil, items, next, appendResult)
-			sameAsMarshal(t, "fuzzed", got, ok, api.Paginated{Items: items, NextCursor: next})
+			samePage(t, "fuzzed", items, next, appendResult)
 		}
 	})
 }
 
-// FuzzAppendFactsPage: for any fact, the /v1/facts page appender writes what
-// json.Marshal writes for the same api.Paginated, an empty unit omitted, and
-// refuses what it refuses, for a nil, an empty and a one- and a two-item
-// list.
+// FuzzAppendFactsPage: for any fact, the /v1/facts page appender writes the
+// body json.MarshalIndent writes for the same api.Paginated, an empty unit
+// omitted, and refuses what it refuses, for a nil, an empty and a one- and a
+// two-item list.
 func FuzzAppendFactsPage(f *testing.F) {
 	f.Add("rash", "total side effects", "", "sum", "pg0-d0", "t0:sum(col 3)", "a total of 123", 123.0, 0.87, "20")
 	f.Add("<e>&", "\x00\xff\u2028", "USD", "\"k\"\\", "", "", "\t", 1e-7, math.Inf(1), "")
@@ -89,8 +96,39 @@ func FuzzAppendFactsPage(f *testing.F) {
 		fact := facts.Fact{Entity: entity, Measure: measure, Value: value, Unit: unit, Agg: agg,
 			DocID: docID, TableKey: tableKey, TextSurface: surface, Confidence: confidence}
 		for _, items := range [][]facts.Fact{nil, {}, {fact}, {fact, fact}} {
-			got, ok := appendPage(nil, items, next, appendFact)
-			sameAsMarshal(t, "fuzzed", got, ok, api.Paginated{Items: items, NextCursor: next})
+			samePage(t, "fuzzed", items, next, appendFact)
+		}
+	})
+}
+
+// discardWriter is an http.ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// BenchmarkWriteJSON writes one 20-item /v1/search page in its envelope,
+// the body every search_mixed read pays for: through the page appender,
+// in one pass, as the route writes it (appender), and by reflection, as
+// api.WriteJSON writes the answers no appender writes (reflect).
+func BenchmarkWriteJSON(b *testing.B) {
+	fx := newListFixture(b, 8, 0)
+	items, next := api.Page(fx.srv.store.Search(quantsearch.Query{Op: quantsearch.Above, Value: 0}), 0, api.DefaultPageSize)
+	if len(items) != api.DefaultPageSize {
+		b.Fatalf("page of %d results, want %d", len(items), api.DefaultPageSize)
+	}
+	w := &discardWriter{h: http.Header{}}
+	b.Run("appender", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			writePage(w, items, next, appendResult)
+		}
+	})
+	b.Run("reflect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			api.WriteResult(w, api.Paginated{Items: items, NextCursor: next})
 		}
 	})
 }

@@ -233,9 +233,9 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	buf := make([]byte, 0, resultSize(len(alignments), 0))
-	if result, ok := appendAlignResult(buf, alignments); ok {
-		api.WriteResultJSON(w, result)
+	if api.WriteResultJSON(w, resultSize(len(alignments), 0), func(dst []byte, depth int) ([]byte, bool) {
+		return appendAlignResult(dst, alignments, depth)
+	}) {
 		return
 	}
 	api.WriteResult(w, map[string]any{"alignments": alignments}) // reports the value appendAlignResult refused
@@ -319,9 +319,9 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add("pages", int64(len(req.Pages)))
 	s.metrics.batch.Add("documents", int64(documents))
 	s.metrics.batch.Add("alignments", int64(alignments))
-	buf := make([]byte, 0, resultSize(alignments, len(results)))
-	if result, ok := appendBatchResult(buf, results, documents, alignments); ok {
-		api.WriteResultJSON(w, result)
+	if api.WriteResultJSON(w, resultSize(alignments, len(results)), func(dst []byte, depth int) ([]byte, bool) {
+		return appendBatchResult(dst, results, documents, alignments, depth)
+	}) {
 		return
 	}
 	api.WriteResult(w, map[string]any{ // reports the value appendBatchResult refused
@@ -470,8 +470,8 @@ func parsePage(vals url.Values) (offset, limit int, err error) {
 // handleSearch answers GET /v1/search: a quantity query (value range + unit +
 // context keywords) against the store's incremental index, deterministically
 // ranked, in the shared paginated envelope. Only the list's first
-// offset+limit results are ranked and built; the list's length, which the
-// store counts, decides the next cursor.
+// offset+limit results are ranked and built; the store's count of the list,
+// exact up to offset+limit, decides the next cursor.
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		api.WriteError(w, api.CodeMethodNotAllowed, "GET with query parameters")
@@ -489,8 +489,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	win := api.PageWindow(offset, limit)
-	head, total := s.store.SearchTop(q, win.End)
-	items, next := api.Slice(win, head, total)
+	head, count := s.store.SearchTop(q, win.End)
+	items, next := api.Slice(win, head, count)
 	writePage(w, items, next, appendResult)
 }
 

@@ -8,6 +8,14 @@
 // route table is what keeps the server and the gateway exposing the same
 // paths, golden-tested in both packages. Changing anything in this package
 // is an API change and must move the goldens in the same commit.
+//
+// Every body is what json.MarshalIndent(v, "", "  ") writes, plus a
+// newline, sent with its Content-Length. Cold answers (errors, /metrics,
+// values a hand-written appender refuses) get there by reflection, through
+// WriteJSON. Hot ones go through WriteResultJSON, whose caller appends the
+// result itself, already indented, between the envelope's opening and
+// closing bytes in the body's one buffer: one pass, no reflection, no
+// second buffer.
 package api
 
 import (
@@ -109,7 +117,9 @@ func PageWindow(offset, limit int) Window {
 // Slice returns the page w reads from a list of total items whose first
 // min(w.End, total) items are head, and the next cursor: the offset of the
 // page after, or "" when this page ends the list. A page past the end of
-// the list is [], never null.
+// the list is [], never null. For a list longer than w.End, any total above
+// w.End yields the same page and cursor, so a ranker may stop counting
+// there (quantsearch.Index.SearchTop does).
 func Slice[T any](w Window, head []T, total int) ([]T, string) {
 	if w.Offset >= total {
 		return []T{}, ""
@@ -152,78 +162,43 @@ func WriteError(w http.ResponseWriter, code, message string) {
 // and a half-written body is all the client would get. The body is exactly
 // what json.MarshalIndent(v, "", "  ") writes, plus a newline.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, fmt.Sprintf("encode response: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeBody(w, status, append(appendIndent(make([]byte, 0, 2*len(data)+1), data, 0), '\n'))
+	writeBody(w, status, append(data, '\n'))
 }
 
-// WriteResultJSON answers 200 with the success envelope around result,
-// which must be the compact JSON json.Marshal writes for the result value:
-// the body is then exactly WriteResult's for that value. It is for handlers
-// that encode their result without reflection.
-func WriteResultJSON(w http.ResponseWriter, result []byte) {
-	body := append(make([]byte, 0, 2*len(result)+32), "{\n  \"result\": "...)
-	body = appendIndent(body, result, 1)
+// WriteResultJSON answers 200 with the success envelope around a result
+// that appendResult writes itself, without reflection, in one pass into the
+// body's one buffer, of capacity size. appendResult is handed the envelope
+// up to the result and the result's nesting depth, 1, and must append the
+// result as json.MarshalIndent(v, "", "  ") writes it at that depth for the
+// result's value v: a line break and two spaces per level before each
+// member and element, and before the closing bracket at its own depth. The
+// body is then exactly WriteResult's for v. When appendResult reports
+// false, WriteResultJSON writes nothing and reports false, so the caller
+// can answer through WriteResult instead.
+func WriteResultJSON(w http.ResponseWriter, size int, appendResult func(dst []byte, depth int) ([]byte, bool)) bool {
+	body, ok := appendResult(append(make([]byte, 0, size), "{\n  \"result\": "...), 1)
+	if !ok {
+		return false
+	}
 	writeBody(w, http.StatusOK, append(body, ",\n  \"error\": null\n}\n"...))
+	return true
 }
 
-// writeBody answers status with body, a whole JSON response.
+// writeBody answers status with body, a whole JSON response. The body's
+// length goes out as Content-Length, so the server sends it in one piece
+// instead of chunking a body larger than its 2 KB chunking threshold.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		// Headers are gone; nothing to do but note the broken pipe.
 		log.Printf("write response: %v", err)
 	}
-}
-
-// appendIndent appends src, the output of json.Marshal, to dst indented as
-// json.MarshalIndent(v, "", "  ") indents it: a newline and two spaces per
-// depth after every '{', '[' and ',' and before every '}' and ']' outside
-// strings, "": " after a key, and "{}" and "[]" for empty containers. String
-// contents, escapes included, and scalars are copied unchanged. One pass,
-// no validation: json.Marshal output is compact, valid JSON. depth is the
-// nesting src sits at in the whole document, 0 for a whole document.
-func appendIndent(dst, src []byte, depth int) []byte {
-	start := 0 // src[start:i] is still to be copied
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '"':
-			for i++; src[i] != '"'; i++ {
-				if src[i] == '\\' {
-					i++
-				}
-			}
-		case '{', '[':
-			if c := src[i+1]; c == '}' || c == ']' {
-				i++
-				continue
-			}
-			depth++
-			dst = appendNewline(append(dst, src[start:i+1]...), depth)
-			start = i + 1
-		case '}', ']':
-			depth--
-			dst = appendNewline(append(dst, src[start:i]...), depth)
-			start = i
-		case ',':
-			dst = appendNewline(append(dst, src[start:i+1]...), depth)
-			start = i + 1
-		case ':':
-			dst = append(append(dst, src[start:i+1]...), ' ')
-			start = i + 1
-		}
-	}
-	return append(dst, src[start:]...)
-}
-
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for i := 0; i < depth; i++ {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
 }

@@ -3,9 +3,12 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,37 +22,6 @@ import (
 	"briq/internal/store"
 	"briq/internal/summarize"
 )
-
-// FuzzAppendIndent: for any value json.Unmarshal accepts, indenting its
-// json.Marshal bytes yields exactly what json.MarshalIndent writes.
-func FuzzAppendIndent(f *testing.F) {
-	for _, seed := range []string{
-		`{}`, `[]`, `{"a":{},"b":[],"c":[{}],"d":[[]]}`,
-		`"a \"quoted\" \\ backslash \\"`, `{"k\"ey\\":"v\\\""}`,
-		`"<script>&amp;</script>"`, "\"line\u2028separator\u2029\"",
-		`[{"a":1,"b":[{"c":null,"d":true}]},{"e":-1.5e-7,"f":"x,y:z{}[]"}]`,
-		`null`, `0`, `"\u0000\t\n"`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var v any
-		if json.Unmarshal(data, &v) != nil {
-			return
-		}
-		compact, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendIndent(nil, compact, 0); !bytes.Equal(got, want) {
-			t.Fatalf("appendIndent(%s)\ngot:\n%s\nwant:\n%s", compact, got, want)
-		}
-	})
-}
 
 // responseShapes returns one value of each response body the server and
 // gateway write, built from a generated corpus's real alignments.
@@ -113,25 +85,66 @@ func responseShapes(t testing.TB) map[string]any {
 	}
 }
 
-// TestWriteResultJSONMatchesWriteResult: for every success body, wrapping
-// the result's json.Marshal bytes answers what WriteResult answers.
+// TestWriteResultJSONMatchesWriteResult: for every success body, a result
+// appended as json.MarshalIndent indents it at the depth WriteResultJSON
+// hands over answers what WriteResult answers, headers included, and a
+// result the appender refuses writes nothing.
 func TestWriteResultJSONMatchesWriteResult(t *testing.T) {
 	for name, v := range responseShapes(t) {
 		env, ok := v.(Envelope)
 		if !ok || env.Error != nil {
 			continue
 		}
-		result, err := json.Marshal(env.Result)
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteResult(want, env.Result)
+		wrote := WriteResultJSON(got, 0, func(dst []byte, depth int) ([]byte, bool) {
+			result, err := json.MarshalIndent(env.Result, strings.Repeat("  ", depth), "  ")
+			return append(dst, result...), err == nil
+		})
+		if !wrote || got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) ||
+			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: WriteResultJSON answered %t %d %v\n%s\nWriteResult answered %d %v\n%s", name,
+				wrote, got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	if WriteResultJSON(rec, 0, func(dst []byte, _ int) ([]byte, bool) { return append(dst, "garbage"...), false }) ||
+		rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+		t.Errorf("a refused result wrote %d %v %q", rec.Code, rec.Header(), rec.Body)
+	}
+}
+
+// TestWholeBodiesCarryContentLength: every whole JSON body goes out with its
+// length, so a body over net/http's 2 KB chunking threshold reaches the
+// client unchunked: a 12 KB result, an error and a reflected body.
+func TestWholeBodiesCarryContentLength(t *testing.T) {
+	big := strings.Repeat("x", 12<<10)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/result":
+			WriteResultJSON(w, 0, func(dst []byte, _ int) ([]byte, bool) {
+				return strconv.AppendQuote(dst, big), true
+			})
+		case "/error":
+			WriteError(w, CodeBadQuery, big)
+		default:
+			WriteJSON(w, http.StatusOK, map[string]string{"big": big})
+		}
+	}))
+	defer srv.Close()
+	for _, path := range []string{"/result", "/error", "/reflected"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := httptest.NewRecorder(), httptest.NewRecorder()
-		WriteResult(want, env.Result)
-		WriteResultJSON(got, result)
-		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
-			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Errorf("%s: WriteResultJSON answered %d %q\n%s\nWriteResult answered %d %q\n%s", name,
-				got.Code, got.Header().Get("Content-Type"), got.Body, want.Code, want.Header().Get("Content-Type"), want.Body)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) || len(body) < 12<<10 {
+			t.Errorf("%s: %d bytes sent with Transfer-Encoding %v and Content-Length %d; want the length, unchunked",
+				path, len(body), resp.TransferEncoding, resp.ContentLength)
 		}
 	}
 }
@@ -179,24 +192,5 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		if got := rec.Body.Bytes(); !bytes.Equal(got, append(want, '\n')) {
 			t.Errorf("%s: body differs from MarshalIndent\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
-	}
-}
-
-// discardWriter is an http.ResponseWriter that drops the body.
-type discardWriter struct{ h http.Header }
-
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardWriter) WriteHeader(int)             {}
-
-// BenchmarkWriteJSON encodes one 20-item /v1/search page in its envelope,
-// the body every search_mixed read pays for.
-func BenchmarkWriteJSON(b *testing.B) {
-	page := responseShapes(b)["search"]
-	w := &discardWriter{h: http.Header{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WriteJSON(w, http.StatusOK, page)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,7 +23,7 @@ func referenceSearch(ix *Index, q Query) []Result {
 		}
 	} else {
 		for _, kw := range q.Keywords {
-			for _, id := range ix.byToken[kw] {
+			for _, id := range ix.keyword(kw) {
 				counts[id]++
 			}
 		}
@@ -90,11 +91,28 @@ func queryBattery(ix *Index) []Query {
 	return qs
 }
 
+// checkTop fails t unless SearchTop(q, n) is want's first n results with a
+// count that is len(want) when that is at most n and above n otherwise.
+func checkTop(t *testing.T, label string, ix *Index, q Query, n int, want []Result) {
+	t.Helper()
+	var prefix []Result // nil, as SearchTop returns when it keeps none
+	if k := min(n, len(want)); k > 0 {
+		prefix = want[:k]
+	}
+	top, count := ix.SearchTop(q, n)
+	if !reflect.DeepEqual(top, prefix) || (len(want) <= n && count != len(want)) || (len(want) > n && count <= n) {
+		t.Fatalf("%s: SearchTop(%+v, %d) = %d results, count %d; want the reference's first %d of %d",
+			label, q, n, len(top), count, len(prefix), len(want))
+	}
+}
+
 // TestSearchMatchesReferenceScan checks the posting-based candidate
-// selection against the full-scan oracle over a generated corpus: with
-// sorted value postings, after a retraction, and while the postings are
-// dirty. At every stage the top n of SearchTop, for n around a page and
-// around the list's end, is the oracle's prefix of n, with its length.
+// selection against the full-scan oracle over a generated corpus: built in
+// bulk, after a retraction, after re-adding what was retracted one document
+// at a time, and after a retraction large enough to compact the index. At
+// every stage the top n of SearchTop, for n around a page and around the
+// list's end, is the oracle's prefix of n, with a count that tells whether
+// more follow.
 func TestSearchMatchesReferenceScan(t *testing.T) {
 	cfg := corpus.TableSConfig(7)
 	cfg.Pages = 30
@@ -111,17 +129,8 @@ func TestSearchMatchesReferenceScan(t *testing.T) {
 			t.Errorf("%s: Search(%+v): %d results, reference %d results", stage, q, len(got), len(want))
 		}
 		for _, n := range []int{0, 1, 19, 20, 21, len(want) - 1, len(want), len(want) + 1, math.MaxInt} {
-			if n < 0 {
-				continue
-			}
-			var prefix []Result // nil, as SearchTop returns when it keeps nothing
-			if k := min(n, len(want)); k > 0 {
-				prefix = want[:k]
-			}
-			top, total := ix.SearchTop(q, n)
-			if total != len(want) || !reflect.DeepEqual(top, prefix) {
-				t.Errorf("%s: SearchTop(%+v, %d) = %d results of %d; want the reference's first %d of %d",
-					stage, q, n, len(top), total, len(prefix), len(want))
+			if n >= 0 {
+				checkTop(t, stage, ix, q, n, want)
 			}
 		}
 	}
@@ -144,6 +153,12 @@ func TestSearchMatchesReferenceScan(t *testing.T) {
 				kws = append(kws, "nonexistent")
 			}
 			qs = append(qs, Query{Keywords: kws, Op: Comparison(rng.Intn(4)), Value: ix.entries[rng.Intn(len(ix.entries))].Value, Value2: 1e9})
+		}
+		// One keyword, whose posting SearchTop walks in rank order.
+		for i := 0; i < 40; i++ {
+			v := ix.entries[rng.Intn(len(ix.entries))].Value
+			qs = append(qs, Query{Keywords: []string{words[rng.Intn(len(words))]}, Op: Comparison(rng.Intn(4)),
+				Value: v, Value2: v * (1 + rng.Float64())})
 		}
 		// Randomized ranges.
 		for i := 0; i < 50; i++ {
@@ -176,15 +191,29 @@ func TestSearchMatchesReferenceScan(t *testing.T) {
 		check("after RemoveTables", q)
 	}
 
-	// Re-adding the retracted tables leaves the value postings dirty.
+	// Re-adding the retracted tables merges them into ordered postings.
 	for _, doc := range c.Docs {
 		ix.Add(doc)
 	}
-	if !ix.valueDirty {
-		t.Fatal("re-adding tables should leave the value postings dirty")
+	for _, q := range battery() {
+		check("re-added", q)
+	}
+
+	// Retracting two thirds of the tables leaves more tombstones than live
+	// entries, which compacts the index.
+	gone = gone[:0]
+	for i, tid := range tables {
+		if i%3 != 2 {
+			gone = append(gone, tid)
+		}
+	}
+	size := ix.Size()
+	if ix.RemoveTables(gone) == 0 || ix.Tombstones() != 0 || ix.Size() >= size {
+		t.Fatalf("retracting two thirds of %d entries left %d live and %d tombstones; want a compacted index",
+			size, ix.Size(), ix.Tombstones())
 	}
 	for _, q := range battery() {
-		check("dirty", q)
+		check("compacted", q)
 	}
 }
 
@@ -205,7 +234,6 @@ func TestSearchTieBreakWideTable(t *testing.T) {
 	}
 	ix := NewIndex()
 	ix.AddEntries(entries)
-	ix.EnsureValueOrder()
 	for _, q := range []Query{
 		{Keywords: []string{"width"}, Op: Above, Value: 0},
 		{Op: Above, Value: 0},
@@ -286,51 +314,63 @@ func TestAddEntriesDedupAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestLazyValueOrder pins the lazy value-posting maintenance: adds leave the
-// postings dirty (O(1) append instead of an O(n) shift), Search answers
-// identically whether the postings are dirty (scan fallback) or sorted
-// (binary-searched range), and Search itself never sorts — EnsureValueOrder
-// is the only mutation point, and it is idempotent.
-func TestLazyValueOrder(t *testing.T) {
+// TestWritesLeaveOrderRestored: every write returns with each keyword
+// posting in rank order and the value posting in value order, which
+// SearchTop relies on: AddEntries of one document, of several tables at
+// once, and of a table already indexed; RemoveTables, with and without the
+// compaction it starts; and a bulk load, whose RestoreOrder converges to
+// what per-document merging built.
+func TestWritesLeaveOrderRestored(t *testing.T) {
 	cfg := corpus.TableSConfig(13)
 	cfg.Pages = 10
 	c := corpus.Generate(cfg)
 
-	dirty := NewIndex()
+	checkOrder := func(label string, ix *Index) {
+		t.Helper()
+		if err := ix.CheckOrder(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	merged := NewIndex()
 	for _, doc := range c.Docs {
-		dirty.Add(doc)
+		merged.Add(doc)
+		checkOrder("AddEntries", merged)
 	}
-	if !dirty.valueDirty {
-		t.Fatal("adds should leave the value postings dirty")
-	}
-	sorted := BuildIndex(c.Docs) // BuildIndex ends with EnsureValueOrder
-	if sorted.valueDirty {
-		t.Fatal("BuildIndex should return sorted value postings")
-	}
-
-	for _, q := range queryBattery(sorted) {
-		if !reflect.DeepEqual(dirty.Search(q), sorted.Search(q)) {
-			t.Fatalf("query %+v: dirty scan and sorted range disagree", q)
-		}
-		if !dirty.valueDirty {
-			t.Fatal("Search must not mutate the index")
-		}
+	bulk := BuildIndex(c.Docs)
+	checkOrder("bulk load", bulk)
+	if !reflect.DeepEqual(merged.byToken, bulk.byToken) || !reflect.DeepEqual(merged.byValue, bulk.byValue) {
+		t.Fatal("merging each document's ids and one bulk sort built different postings")
 	}
 
-	dirty.EnsureValueOrder()
-	dirty.EnsureValueOrder() // idempotent
-	for i := 1; i < len(dirty.byValue); i++ {
-		a, b := dirty.byValue[i-1], dirty.byValue[i]
-		if va, vb := dirty.entries[a].Value, dirty.entries[b].Value; va > vb || (va == vb && a > b) {
-			t.Fatalf("byValue not in (Value, id) order at %d", i)
+	var tables []string
+	for _, doc := range c.Docs {
+		for _, e := range EntriesFromDocument(doc) {
+			if !slices.Contains(tables, e.TableID) {
+				tables = append(tables, e.TableID)
+			}
 		}
 	}
-	if !reflect.DeepEqual(dirty.byValue, sorted.byValue) {
-		t.Fatal("EnsureValueOrder should converge to the rebuilt order")
+	if merged.Add(c.Docs[0]) != 0 {
+		t.Fatal("a document whose tables are indexed added entries")
 	}
-	for _, q := range queryBattery(sorted) {
-		if !reflect.DeepEqual(dirty.Search(q), sorted.Search(q)) {
-			t.Fatalf("query %+v: post-sort results diverge", q)
+	checkOrder("AddEntries of indexed tables", merged)
+	merged.RemoveTables(tables[:len(tables)/3])
+	if merged.Tombstones() == 0 {
+		t.Fatal("RemoveTables left no tombstones")
+	}
+	checkOrder("RemoveTables", merged)
+	for _, doc := range c.Docs { // the retracted tables come back
+		merged.Add(doc)
+		checkOrder("AddEntries after RemoveTables", merged)
+	}
+	merged.RemoveTables(tables[len(tables)/3:])
+	if merged.Tombstones() != 0 {
+		t.Fatalf("retracting two thirds of the tables left %d tombstones; want them compacted", merged.Tombstones())
+	}
+	checkOrder("compaction", merged)
+	for _, q := range queryBattery(bulk) {
+		if got, want := merged.Search(q), referenceSearch(merged, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %+v: %d results after the writes, reference %d", q, len(got), len(want))
 		}
 	}
 }

@@ -7,8 +7,17 @@
 // The index is incremental: documents are added one at a time (Add) as they
 // are aligned, and the index state after any Add sequence is equivalent to
 // rebuilding from scratch over the same documents (BuildIndex). Entries are
-// kept in keyword postings plus unit and value-ordered postings so that
-// keyword-free range queries do not scan the whole corpus.
+// kept in keyword postings plus a value posting of every entry, so that
+// queries read only the entries that can answer them.
+//
+// Every posting is kept in rank order as it grows: value descending, then
+// table ID, row and column, the order Search ranks hits that match the same
+// number of keywords. So SearchTop(q, n), the page read behind /v1/search,
+// answers a query with one keyword, or none, by walking one posting from
+// its first admissible entry and stopping after n+1 hits. Its count is
+// therefore exact only up to n: the length of the full list when that is
+// at most n, any number above n otherwise, which is all a page needs to
+// decide whether another follows it.
 package quantsearch
 
 import (
@@ -18,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"briq/internal/document"
 	"briq/internal/nlp"
@@ -40,34 +50,47 @@ type Entry struct {
 // Index is an inverted index over entries, maintained incrementally. It is
 // not safe for concurrent use; briq's persistent store wraps it in a lock.
 //
+// Every posting, each keyword's and the value posting of every entry, is
+// kept in rank order (rankOrder), so a query reads a posting from its
+// first admissible entry and stops once it has its page. AddEntries merges
+// the ids it adds into the postings they join before it returns. A bulk
+// load (store replay, BuildIndex) calls DeferOrder first: adds then only
+// append, and RestoreOrder sorts each posting they touched once.
+//
 // Removal (RemoveTables) tombstones entries in place: postings keep the dead
 // ids and every query path skips them, so removing and re-adding a table
 // yields results byte-identical to an index that never held the old version
-// (the result ranking never depends on entry ids). Tombstones cost memory
-// proportional to churn, not corpus size — acceptable for re-crawl workloads
-// where a page's tables mostly survive re-ingestion.
+// (the result ranking never depends on entry ids). Once tombstones outnumber
+// live entries the index compacts itself: it drops the dead ids from every
+// posting and renumbers the entries, in id order, so no posting's order
+// changes. That bounds the dead weight of a long re-crawl to the live size.
 type Index struct {
 	entries []Entry
-	byToken map[string][]int // lowercase token → entry ids, each once, ascending
-	byUnit  map[string][]int // canonical unit ("" = unknown) → entry ids
-	byTable map[string][]int // table ID → entry ids (the removal postings)
-	byValue []int            // entry ids; ordered by (Value, id) unless valueDirty
-	seen    map[string]bool  // table IDs already indexed (cross-document dedup)
-	dead    []bool           // tombstones, parallel to entries
+	values  []float64           // entries' values, parallel to entries: rankOrder's first key, packed
+	byToken map[string]*posting // lowercase token → the entries it names
+	byTable map[string][]int    // table ID → entry ids (the removal postings)
+	byValue posting             // every entry: the keyword-free posting
+	seen    map[string]bool     // table IDs already indexed (cross-document dedup)
+	dead    []bool              // tombstones, parallel to entries
 	deadN   int
 
-	// valueDirty marks byValue as appended-to since its last sort. Adds are
-	// O(1) and the (Value, id) order is restored lazily — EnsureValueOrder
-	// re-sorts once per mutation burst instead of shifting postings on every
-	// insert, which made replaying a large corpus quadratic.
-	valueDirty bool
+	touched  []*posting // keyword postings appended to since restoreOrder
+	deferred bool       // a bulk load is in progress (DeferOrder)
+	merge    []int      // restoreOrder's scratch
+	rank     []int32    // restoreOrder's scratch: each id's position in byValue
+}
+
+// A posting lists entry ids, each once: ids[:head] in rankOrder, and
+// ids[head:], appended since, in id order until restoreOrder merges them in.
+type posting struct {
+	ids  []int
+	head int
 }
 
 // NewIndex returns an empty index ready for incremental Add calls.
 func NewIndex() *Index {
 	return &Index{
-		byToken: make(map[string][]int),
-		byUnit:  make(map[string][]int),
+		byToken: make(map[string]*posting),
 		byTable: make(map[string][]int),
 		seen:    make(map[string]bool),
 	}
@@ -118,7 +141,9 @@ func (ix *Index) Add(doc *document.Document) int {
 // store). Entries belonging to a table ID indexed by a *previous* call are
 // skipped; entries within one call share the call's dedup scope, so a batch
 // produced by EntriesFromDocument is either indexed whole or skipped whole
-// per table. It returns the number of entries added.
+// per table. It returns the number of entries added. Outside a bulk load it
+// merges the added ids into their postings, so every posting is in order
+// when it returns.
 func (ix *Index) AddEntries(entries []Entry) int {
 	added := 0
 	batch := map[string]bool{}
@@ -150,50 +175,150 @@ func (ix *Index) AddEntries(entries []Entry) int {
 	for t := range batch {
 		ix.seen[t] = true
 	}
+	if !ix.deferred {
+		ix.restoreOrder()
+	}
 	return added
 }
 
-// add indexes e under each of its distinct content words.
+// add indexes e under each of its distinct content words, at the tails of
+// its postings.
 func (ix *Index) add(e Entry, tokens []string) {
 	id := len(ix.entries)
 	ix.entries = append(ix.entries, e)
+	ix.values = append(ix.values, e.Value)
 	ix.dead = append(ix.dead, false)
 	ix.byTable[e.TableID] = append(ix.byTable[e.TableID], id)
 
 	for _, w := range tokens {
-		ix.byToken[w] = append(ix.byToken[w], id)
+		p := ix.byToken[w]
+		if p == nil {
+			p = new(posting)
+			ix.byToken[w] = p
+		}
+		if p.head == len(p.ids) {
+			ix.touched = append(ix.touched, p)
+		}
+		p.ids = append(p.ids, id)
 	}
-
-	ix.byUnit[e.Unit] = append(ix.byUnit[e.Unit], id)
-
-	// Appended out of order; EnsureValueOrder restores (Value, id) order
-	// before the next binary-searched range query.
-	ix.byValue = append(ix.byValue, id)
-	ix.valueDirty = true
+	ix.byValue.ids = append(ix.byValue.ids, id)
 }
 
-// EnsureValueOrder restores the (Value, id) order of the value postings after
-// a burst of adds — a no-op when nothing changed. Search works without it
-// (it falls back to a scan while the postings are dirty), so concurrent
-// wrappers can call it under a write lock and keep Search read-only.
-func (ix *Index) EnsureValueOrder() {
-	if !ix.valueDirty {
-		return
-	}
-	sort.Slice(ix.byValue, func(i, j int) bool {
-		a, b := ix.byValue[i], ix.byValue[j]
-		if ix.entries[a].Value != ix.entries[b].Value {
-			return ix.entries[a].Value < ix.entries[b].Value
-		}
-		return a < b
+// DeferOrder starts a bulk load: until RestoreOrder, AddEntries appends to
+// the postings without merging, RemoveTables does not compact, and the
+// index must not be searched.
+func (ix *Index) DeferOrder() { ix.deferred = true }
+
+// RestoreOrder ends a bulk load: it sorts the ids added since DeferOrder
+// into each posting they joined, once per posting, and compacts the index
+// if its tombstones outnumber its live entries.
+func (ix *Index) RestoreOrder() {
+	ix.deferred = false
+	ix.restoreOrder()
+	ix.compactIfSparse()
+}
+
+// restoreOrder sorts each posting's tail and merges it into the posting's
+// ordered head, the value posting first, comparing entries. Once the value
+// posting, which holds every id, is in order, an id's position in it is
+// its rank, so the keyword postings are ordered by rank: their tails
+// sorted as integers and merged comparing integers, which costs a few
+// times less than comparing entries.
+func (ix *Index) restoreOrder() {
+	v := &ix.byValue
+	tail := append(ix.merge[:0], v.ids[v.head:]...)
+	slices.SortFunc(tail, ix.rankOrder)
+	insert(v.ids, v.head, tail, func(id, end int) int {
+		at, _ := slices.BinarySearchFunc(v.ids[:end], id, ix.rankOrder)
+		return at
 	})
-	ix.valueDirty = false
+	v.head = len(v.ids)
+	if len(ix.touched) > 0 {
+		ix.rank = slices.Grow(ix.rank[:0], len(ix.entries))[:len(ix.entries)]
+		rank := ix.rank
+		for i, id := range v.ids {
+			rank[id] = int32(i)
+		}
+		var ranks []int32
+		for _, p := range ix.touched {
+			ranks = ranks[:0]
+			for _, id := range p.ids[p.head:] {
+				ranks = append(ranks, rank[id])
+			}
+			slices.Sort(ranks)
+			tail = tail[:0]
+			for _, r := range ranks {
+				tail = append(tail, v.ids[r])
+			}
+			insert(p.ids, p.head, tail, func(id, end int) int {
+				r, lo, hi := rank[id], 0, end
+				for lo < hi {
+					if m := int(uint(lo+hi) >> 1); rank[p.ids[m]] < r {
+						lo = m + 1
+					} else {
+						hi = m
+					}
+				}
+				return lo
+			})
+			p.head = len(p.ids)
+		}
+		clear(ix.touched)
+		ix.touched = ix.touched[:0]
+	}
+	ix.merge = tail
+}
+
+// insert merges sorted, ids in post's order, into post[:head], whose tail
+// post[head:] holds the same ids out of order and is overwritten. From the
+// back, each id finds its place among the head's ids that have not moved,
+// place(id, end) of the first end, and the head's ids after it move up in
+// one copy: a merge costs O(tail·log head) comparisons, and moves only the
+// head's ids that order after the tail's first.
+func insert(post []int, head int, sorted []int, place func(id, end int) int) {
+	end := head
+	for j := len(sorted) - 1; j >= 0; j-- {
+		at := place(sorted[j], end)
+		copy(post[at+j+1:], post[at:end])
+		post[at+j] = sorted[j]
+		end = at
+	}
+}
+
+// rankOrder is the order of every posting: Search's rank order for hits
+// that match the same number of keywords, value descending (NaN last), then
+// table ID, row and column, and then id, which orders a tombstone and the
+// live entry that replaced it.
+func (ix *Index) rankOrder(a, b int) int {
+	va, vb := ix.values[a], ix.values[b]
+	switch {
+	case va > vb:
+		return -1
+	case va < vb:
+		return 1
+	}
+	if c := cmp.Compare(vb, va); c != 0 { // a NaN orders last
+		return c
+	}
+	ea, eb := &ix.entries[a], &ix.entries[b]
+	if c := strings.Compare(ea.TableID, eb.TableID); c != 0 {
+		return c
+	}
+	if ea.Row != eb.Row {
+		return cmp.Compare(ea.Row, eb.Row)
+	}
+	if ea.Col != eb.Col {
+		return cmp.Compare(ea.Col, eb.Col)
+	}
+	return cmp.Compare(a, b)
 }
 
 // RemoveTables retracts every entry of the given table IDs and forgets the
 // IDs, so a subsequent AddEntries for the same table indexes it afresh. It
 // returns the number of entries retracted. Removal tombstones entries in
-// place — see the Index doc comment for why that preserves result identity.
+// place — see the Index doc comment for why that preserves result identity
+// — and, outside a bulk load, compacts the index once tombstones outnumber
+// live entries.
 func (ix *Index) RemoveTables(tableIDs []string) int {
 	removed := 0
 	for _, t := range tableIDs {
@@ -207,19 +332,97 @@ func (ix *Index) RemoveTables(tableIDs []string) int {
 		delete(ix.byTable, t)
 		delete(ix.seen, t)
 	}
+	if !ix.deferred {
+		ix.compactIfSparse()
+	}
 	return removed
+}
+
+// compactIfSparse drops the tombstones once they outnumber the live
+// entries: every id leaves its postings, and the live entries are renumbered
+// in id order, which keeps every posting's order. Each pass is O(entries +
+// postings) and needs the live entries to have halved since the last, so
+// its cost is constant per retraction.
+func (ix *Index) compactIfSparse() {
+	if ix.deadN <= ix.Size() {
+		return
+	}
+	renum := make([]int, len(ix.entries)) // old id → new id, -1 when dead
+	entries := make([]Entry, 0, ix.Size())
+	values := make([]float64, 0, ix.Size())
+	for id := range ix.entries {
+		if ix.dead[id] {
+			renum[id] = -1
+			continue
+		}
+		renum[id] = len(entries)
+		entries = append(entries, ix.entries[id])
+		values = append(values, ix.values[id])
+	}
+	ix.entries, ix.values = entries, values
+	ix.dead = make([]bool, len(entries))
+	ix.deadN = 0
+	for w, p := range ix.byToken {
+		if p.ids = renumber(p.ids, renum); len(p.ids) == 0 {
+			delete(ix.byToken, w)
+		}
+		p.head = len(p.ids)
+	}
+	for t, post := range ix.byTable {
+		ix.byTable[t] = renumber(post, renum)
+	}
+	ix.byValue.ids = renumber(ix.byValue.ids, renum)
+	ix.byValue.head = len(ix.byValue.ids)
+}
+
+// renumber maps post's live ids through renum in place, dropping the dead.
+func renumber(post, renum []int) []int {
+	out := post[:0]
+	for _, id := range post {
+		if n := renum[id]; n >= 0 {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // BuildIndex indexes every numeric cell of the documents' tables. A table
 // shared by several documents is indexed once. It is equivalent to NewIndex
-// followed by Add for each document in order.
+// followed by Add for each document in order, as one bulk load.
 func BuildIndex(docs []*document.Document) *Index {
 	ix := NewIndex()
+	ix.DeferOrder()
 	for _, doc := range docs {
 		ix.Add(doc)
 	}
-	ix.EnsureValueOrder()
+	ix.RestoreOrder()
 	return ix
+}
+
+// CheckOrder returns an error naming the first posting out of rank order,
+// or nil when every posting is in it, as SearchTop requires after every
+// write.
+func (ix *Index) CheckOrder() error {
+	for w, p := range ix.byToken {
+		if i := outOfOrder(p.ids, ix.rankOrder); i >= 0 {
+			return fmt.Errorf("quantsearch: keyword %q posting out of order at %d of %d", w, i, len(p.ids))
+		}
+	}
+	if i := outOfOrder(ix.byValue.ids, ix.rankOrder); i >= 0 {
+		return fmt.Errorf("quantsearch: value posting out of order at %d of %d", i, len(ix.byValue.ids))
+	}
+	return nil
+}
+
+// outOfOrder returns the first index of post whose id does not order after
+// the one before it, or -1.
+func outOfOrder(post []int, order func(a, b int) int) int {
+	for i := 1; i < len(post); i++ {
+		if order(post[i-1], post[i]) >= 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Size returns the number of live indexed entries.
@@ -428,61 +631,115 @@ func (ix *Index) Search(q Query) []Result {
 }
 
 // SearchTop returns the first n results of Search(q), or all of them when
-// there are fewer, and the number of results Search(q) returns. Only those n
-// are ranked in full and built: the others are dropped from a bounded heap
-// as better hits arrive, so a page of a long list costs O(hits·log n). Live
-// entries never tie in the rank order (a table ID names one live table, and
-// its cells differ in row or column), so any n yields the full list's
-// prefix. It reads the value postings only for a query without keywords.
+// there are fewer, and a count: the number of results Search(q) returns
+// when that is at most n, and a number above n otherwise. That is all a
+// page needs to know whether another follows it. Live entries never tie in
+// the rank order (a table ID names one live table, and its cells differ in
+// row or column), so any n yields the full list's prefix.
+//
+// A query with one keyword, or none, walks that keyword's posting or the
+// value posting, which are in rank order, from the first entry its value
+// predicate admits, and stops after n+1 hits. A query with several ranks
+// every hit through a bounded heap, so a page of a long list costs
+// O(hits·log n), and counts them all.
 func (ix *Index) SearchTop(q Query, n int) ([]Result, int) {
-	// Candidates are ranked as (id, matched) hits and become Results only
-	// once, in rank order. Each keyword posting lists an entry id at most
-	// once, in ascending order (add dedups tokens and ids only grow), so one
-	// keyword's posting is its hit list and, for several, a run of equal ids
-	// in the sorted concatenation counts that entry's matches — a keyword
-	// repeated in the query counts twice. Without keywords the candidates are
-	// the value-ordered postings restricted to the numeric range and the unit
-	// buckets compatible with the query unit; while those postings are dirty
-	// (adds since the last EnsureValueOrder) every entry is a candidate.
-	// admit re-applies the exact unit and value predicates either way, so the
-	// results are identical; SearchTop itself never mutates the index.
-	top := ranker{ix: ix, n: max(n, 0)}
-	switch {
-	case len(q.Keywords) == 1:
-		for _, id := range ix.byToken[q.Keywords[0]] {
-			if ix.admit(q, id) {
-				top.offer(hit{id, 1})
-			}
-		}
-	case len(q.Keywords) > 1:
-		var ids []int
-		for _, kw := range q.Keywords {
-			ids = append(ids, ix.byToken[kw]...)
-		}
-		slices.Sort(ids)
-		for i, j := 0, 0; i < len(ids); i = j {
-			for j = i + 1; j < len(ids) && ids[j] == ids[i]; j++ {
-			}
-			if ix.admit(q, ids[i]) {
-				top.offer(hit{ids[i], j - i})
-			}
-		}
-	case ix.valueDirty:
-		for id := range ix.entries {
-			if ix.admit(q, id) {
-				top.offer(hit{id, 0})
-			}
-		}
-	default:
-		compat := ix.compatibleUnits(q.Unit)
-		for _, id := range ix.valueRange(q) {
-			if compat[ix.entries[id].Unit] && ix.admit(q, id) {
-				top.offer(hit{id, 0})
-			}
+	if ix.deferred {
+		panic("quantsearch: SearchTop during a bulk load")
+	}
+	n = max(n, 0)
+	switch len(q.Keywords) {
+	case 0:
+		return ix.walk(q, ix.byValue.ids, n, 0)
+	case 1:
+		return ix.walk(q, ix.keyword(q.Keywords[0]), n, 1)
+	}
+	// Each posting lists an entry id at most once (add dedups tokens), so
+	// counting an id's appearances across the keywords' postings counts its
+	// matches — a keyword repeated in the query counts twice — and the
+	// second pass offers each id on its first appearance and zeroes its
+	// counter. admit applies the tombstones and the unit and value
+	// predicates.
+	matches := matchPool.Get().(*[]int32)
+	if len(*matches) < len(ix.entries) {
+		*matches = make([]int32, len(ix.entries))
+	}
+	m := *matches
+	for _, kw := range q.Keywords {
+		for _, id := range ix.keyword(kw) {
+			m[id]++
 		}
 	}
+	top := ranker{ix: ix, n: n}
+	for _, kw := range q.Keywords {
+		for _, id := range ix.keyword(kw) {
+			if m[id] > 0 && ix.admit(q, id) {
+				top.offer(hit{id, int(m[id])})
+			}
+			m[id] = 0
+		}
+	}
+	matchPool.Put(matches)
 	return top.results(), top.total
 }
+
+// keyword returns the ids of w's posting, none when no entry has the token.
+func (ix *Index) keyword(w string) []int {
+	if p := ix.byToken[w]; p != nil {
+		return p.ids
+	}
+	return nil
+}
+
+// walk is SearchTop over post, a posting in rank order whose entries all
+// match the query's keywords matched times: the first n hits it admits
+// are the results, and the walk stops at the hit after them, which makes
+// the count n+1. Binary searches skip the entries valued above the
+// predicate's range and stop the walk below it; for Equals the range is
+// conservative (a relative difference under 1e-9 implies |v−t| < 2e-9·|t|)
+// and admit decides.
+func (ix *Index) walk(q Query, post []int, n, matched int) ([]Result, int) {
+	// Values descend along the posting, NaN last, so each cut below is
+	// monotone: false up to some entry, true from it on.
+	after := func(v float64) func(int) bool { // past the entries valued above v
+		return func(i int) bool { return !(ix.values[post[i]] > v) }
+	}
+	below := func(v float64) func(int) bool { // past the entries valued at v or above
+		return func(i int) bool { return !(ix.values[post[i]] >= v) }
+	}
+	start, end := 0, len(post)
+	switch q.Op {
+	case Above:
+		end = sort.Search(len(post), after(q.Value))
+	case Below:
+		start = sort.Search(len(post), below(q.Value))
+	case Between:
+		start = sort.Search(len(post), after(q.Value2))
+		end = sort.Search(len(post), below(q.Value))
+	default: // Equals
+		margin := 2e-9 * abs(q.Value)
+		start = sort.Search(len(post), after(q.Value+margin))
+		end = sort.Search(len(post), below(q.Value-margin))
+	}
+	var out []Result
+	count := 0
+	for _, id := range post[start:max(start, end)] {
+		if !ix.admit(q, id) {
+			continue
+		}
+		if count++; count > n {
+			break
+		}
+		if out == nil {
+			out = make([]Result, 0, min(n, end-start))
+		}
+		out = append(out, Result{Entry: ix.entries[id], Matched: matched})
+	}
+	return out, count
+}
+
+// matchPool holds the match counters of SearchTop's multi-keyword queries,
+// one per entry id, all zero between queries.
+var matchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // hit is one ranked candidate of SearchTop: an entry id and its keyword
 // matches.
@@ -551,20 +808,7 @@ func (r *ranker) rank(a, b hit) int {
 	if a.matched != b.matched {
 		return cmp.Compare(b.matched, a.matched)
 	}
-	ea, eb := &r.ix.entries[a.id], &r.ix.entries[b.id]
-	if ea.Value != eb.Value {
-		if ea.Value > eb.Value {
-			return -1
-		}
-		return 1
-	}
-	if c := strings.Compare(ea.TableID, eb.TableID); c != 0 {
-		return c
-	}
-	if ea.Row != eb.Row {
-		return cmp.Compare(ea.Row, eb.Row)
-	}
-	return cmp.Compare(ea.Col, eb.Col)
+	return r.ix.rankOrder(a.id, b.id)
 }
 
 // admit reports whether entry id is live and passes the query's unit and
@@ -593,45 +837,6 @@ func matchesValue(q Query, v float64) bool {
 	}
 }
 
-// compatibleUnits returns the set of indexed unit buckets an entry may carry
-// and still pass the query's unit filter. The filter only depends on the
-// entry's unit string, so checking once per bucket is equivalent to checking
-// per entry.
-func (ix *Index) compatibleUnits(qUnit string) map[string]bool {
-	out := make(map[string]bool, len(ix.byUnit))
-	for unit := range ix.byUnit {
-		if qUnit == "" || unit == "" || quantity.UnitsCompatible(qUnit, unit) {
-			out[unit] = true
-		}
-	}
-	return out
-}
-
-// valueRange returns the ids (value-ordered) whose values can satisfy the
-// query's numeric predicate. Bounds are conservative for Equals — the exact
-// RelativeDifference predicate is re-applied by the caller.
-func (ix *Index) valueRange(q Query) []int {
-	n := len(ix.byValue)
-	at := func(i int) float64 { return ix.entries[ix.byValue[i]].Value }
-	switch q.Op {
-	case Above:
-		lo := sort.Search(n, func(i int) bool { return at(i) > q.Value })
-		return ix.byValue[lo:]
-	case Below:
-		hi := sort.Search(n, func(i int) bool { return at(i) >= q.Value })
-		return ix.byValue[:hi]
-	case Between:
-		lo := sort.Search(n, func(i int) bool { return at(i) >= q.Value })
-		hi := sort.Search(n, func(i int) bool { return at(i) > q.Value2 })
-		return ix.byValue[lo:hi]
-	default: // Equals: reldiff < 1e-9 implies |v−t| < 2e-9·|t| (only 0 matches t=0).
-		margin := 2e-9 * abs(q.Value)
-		lo := sort.Search(n, func(i int) bool { return at(i) >= q.Value-margin })
-		hi := sort.Search(n, func(i int) bool { return at(i) > q.Value+margin })
-		return ix.byValue[lo:hi]
-	}
-}
-
 func abs(v float64) float64 {
 	if v < 0 {
 		return -v
@@ -639,20 +844,13 @@ func abs(v float64) float64 {
 	return v
 }
 
-// Units returns the indexed unit buckets and their live posting sizes — a
-// cheap cardinality view for metrics and diagnostics. Buckets whose entries
-// are all retracted are omitted.
+// Units returns the units of the live entries ("" for unknown) and how
+// many entries carry each — a cardinality view for diagnostics.
 func (ix *Index) Units() map[string]int {
-	out := make(map[string]int, len(ix.byUnit))
-	for u, ids := range ix.byUnit {
-		live := 0
-		for _, id := range ids {
-			if !ix.dead[id] {
-				live++
-			}
-		}
-		if live > 0 {
-			out[u] = live
+	out := make(map[string]int)
+	for id := range ix.entries {
+		if !ix.dead[id] {
+			out[ix.entries[id].Unit]++
 		}
 	}
 	return out

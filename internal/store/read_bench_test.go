@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"briq/internal/core"
 	"briq/internal/corpus"
+	"briq/internal/document"
 	"briq/internal/facts"
 	"briq/internal/quantsearch"
 	"briq/internal/serve"
@@ -121,6 +123,116 @@ func BenchmarkSearch(b *testing.B) {
 		benchResults = s.Search(qs[i%len(qs)])
 	}
 	b.ReportMetric(float64(results)/float64(len(qs)), "results/query")
+}
+
+// recrawlBench is the store the SearchTop and upsert benchmarks use: 160
+// tableS seed-1 pages, each ingested by one UpsertPage, then the first 40
+// re-crawled with their first paragraph changed and their last document
+// dropped, which leaves tombstones in the index beside the live entries.
+var recrawlBench struct {
+	once   sync.Once
+	s      *Store
+	groups []pageGroup
+	qs     []quantsearch.Query
+}
+
+func recrawlStore(b *testing.B) (*Store, []pageGroup, []quantsearch.Query) {
+	recrawlBench.once.Do(func() {
+		docs, als := alignedCorpus(b, 1, 160)
+		s, err := Open(Options{Fingerprint: testFP})
+		if err != nil {
+			panic(err)
+		}
+		groups := groupByPage(docs, als)
+		for _, g := range groups {
+			s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
+		}
+		for _, g := range groups[:40] {
+			mdocs, mals, _ := mutatePage(g)
+			s.UpsertPage(g.id, mdocs, keysOf(s, mdocs), mals)
+		}
+		var entries []quantsearch.Entry
+		for _, d := range docs {
+			entries = append(entries, quantsearch.EntriesFromDocument(d)...)
+		}
+		recrawlBench.s = s
+		recrawlBench.groups = groups
+		recrawlBench.qs = benchQueries(rand.New(rand.NewSource(1)), entries, 960)
+	})
+	if recrawlBench.s == nil {
+		b.Fatal("re-crawled benchmark store not built")
+	}
+	return recrawlBench.s, recrawlBench.groups, recrawlBench.qs
+}
+
+// BenchmarkSearchTop reads a page of limit 20 or 100, as /v1/search does,
+// from the re-crawled store (tombstones included): one-keyword queries
+// round-robin for each of above, below and between, whose postings
+// SearchTop walks from the first admitted entry to the page's end, and
+// two-keyword and keyword-free queries, which it ranks through a heap. It
+// reports the mean length of the lists the pages come from.
+func BenchmarkSearchTop(b *testing.B) {
+	s, _, qs := recrawlStore(b)
+	if dead := s.index.Tombstones(); dead == 0 {
+		b.Fatal("the re-crawled store's index holds no tombstones")
+	}
+	cases := map[string][]quantsearch.Query{}
+	for i, q := range qs {
+		cases[q.Op.String()] = append(cases[q.Op.String()], q)
+		two := q
+		two.Keywords = append(slices.Clone(q.Keywords), qs[(i+1)%len(qs)].Keywords...)
+		cases["two_keywords"] = append(cases["two_keywords"], two)
+		none := q
+		none.Keywords = nil
+		cases["no_keyword"] = append(cases["no_keyword"], none)
+	}
+	for _, name := range []string{"above", "below", "between", "two_keywords", "no_keyword"} {
+		qs := cases[name]
+		listed := 0
+		for _, q := range qs {
+			listed += len(s.Search(q))
+		}
+		for _, limit := range []int{20, 100} {
+			b.Run(fmt.Sprintf("%s/%d", name, limit), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchResults, _ = s.SearchTop(qs[i%len(qs)], limit)
+				}
+				b.ReportMetric(float64(listed)/float64(len(qs)), "listed/op")
+			})
+		}
+	}
+}
+
+// BenchmarkUpsertRecrawl re-crawls one page of the re-crawled store per
+// operation, alternating between two versions of its first paragraph: the
+// write that retracts the page's old entries and merges its new ones into
+// ordered postings, with the index's compaction amortized across the run.
+// The store is memory-only, so no log write is timed.
+func BenchmarkUpsertRecrawl(b *testing.B) {
+	s, groups, _ := recrawlStore(b)
+	type version struct {
+		docs []*document.Document
+		keys []serve.Key
+		als  [][]core.Alignment
+	}
+	var versions [2][]version
+	for _, g := range groups[40:] {
+		for v := range versions {
+			first := *g.docs[0]
+			first.Text += fmt.Sprintf(" Version %d of this paragraph.", v)
+			docs := append([]*document.Document{&first}, g.docs[1:]...)
+			als := make([][]core.Alignment, len(docs))
+			als[0] = g.als[0]
+			versions[v] = append(versions[v], version{docs, keysOf(s, docs), als})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pg := versions[i/len(groups[40:])%2][i%len(groups[40:])]
+		s.UpsertPage(pg.docs[0].PageID, pg.docs, pg.keys, pg.als)
+	}
 }
 
 // BenchmarkFactsFor looks up sampled entities' facts round-robin, as

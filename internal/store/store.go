@@ -2,7 +2,7 @@
 // alignment is recorded on disk, content-addressed by the same
 // SHA-256(model fingerprint + content) identity the serve cache uses, and
 // feeds an incrementally-maintained quantity index (quantsearch postings by
-// keyword, unit and value) plus a per-entity facts view as documents are
+// keyword and value) plus a per-entity facts view as documents are
 // aligned. There is no batch rebuild step: the in-memory index state after
 // any sequence of adds is equivalent to re-indexing the stored corpus from
 // scratch, and a restart replays the log to recover exactly that state —
@@ -282,6 +282,9 @@ func (s *Store) replay() error {
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	// One bulk load: each posting is sorted once, after the last page walk,
+	// instead of merged once per record.
+	s.index.DeferOrder()
 	c := &jsonread.Cursor{Intern: make(map[string]string)}
 	// Every record an upsert writes carries its page's order, so a page is
 	// walked once, in its last order, after the last line (reindexPage)
@@ -384,8 +387,7 @@ func (s *Store) replay() error {
 	for _, pageID := range walk {
 		s.reindexPage(s.pages[pageID])
 	}
-	// One batch sort for the whole replay instead of per-record inserts.
-	s.index.EnsureValueOrder()
+	s.index.RestoreOrder()
 	return nil
 }
 
@@ -592,6 +594,8 @@ func (s *Store) Add(docs []*document.Document, keys []serve.Key, perDoc [][]core
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.index.DeferOrder()
+	defer s.index.RestoreOrder() // before the unlock: readers see ordered postings
 	for i, ds := range states {
 		if _, ok := s.docs[keys[i]]; ok {
 			s.c.duplicates++
@@ -688,6 +692,10 @@ func (s *Store) UpsertPage(pageID string, docs []*document.Document, keys []serv
 		return s.reusedPage(len(keys))
 	}
 	up := PageUpsert{Reused: make([]bool, len(docs))}
+	// The retractions and the page's re-walk are one bulk load: each posting
+	// the page touches is merged once, before the unlock.
+	s.index.DeferOrder()
+	defer s.index.RestoreOrder()
 
 	// Stale = live for this page but absent from the new set.
 	final := make(map[serve.Key]bool, len(keys))
@@ -822,22 +830,13 @@ func (s *Store) Search(q quantsearch.Query) []quantsearch.Result {
 	return out
 }
 
-// SearchTop returns the first n results of Search(q) and the length of
-// Search(q)'s list (quantsearch.Index.SearchTop): a page of the list ranks
-// only what it returns.
+// SearchTop returns the first n results of Search(q) and a count that is
+// the length of Search(q)'s list when that is at most n and above n
+// otherwise (quantsearch.Index.SearchTop): a page of the list ranks only
+// what it returns. Every query runs under the read lock alone, because each
+// writer leaves the index's postings in order before it unlocks.
 func (s *Store) SearchTop(q quantsearch.Query, n int) ([]quantsearch.Result, int) {
 	s.c.searches.Add(1)
-	// Only a keyword-free query reads the value postings. For one, restore
-	// the order recent adds left dirty under the write lock (a no-op flag
-	// check when clean); every query then runs under the read lock, so
-	// keyword queries never wait on each other. The index never mutates
-	// while searching — if an add lands between the two locks it falls back
-	// to a scan, staying correct and race-free.
-	if len(q.Keywords) == 0 {
-		s.mu.Lock()
-		s.index.EnsureValueOrder()
-		s.mu.Unlock()
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.index.SearchTop(q, n)

@@ -252,11 +252,11 @@ func TestOpenRefusesOlderVersion(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddAndSearch exercises the lazy value-order maintenance
-// under concurrency (run with -race): adds leave the index's value postings
-// dirty, Search restores order under the write lock and queries under the
-// read lock, and an add landing between the two must not corrupt results —
-// every search must agree with a quiesced re-run of the same query.
+// TestConcurrentAddAndSearch exercises the index's order maintenance under
+// concurrency (run with -race): the writer merges its adds into the
+// postings under the write lock, and a keyword reader and a keyword-free
+// reader, each a page at a time and in full, share the read lock; the
+// quiesced store must agree with a from-scratch rebuild.
 func TestConcurrentAddAndSearch(t *testing.T) {
 	docs, als := alignedCorpus(t, 13, 12)
 	s, err := Open(Options{Fingerprint: testFP})
@@ -265,21 +265,26 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i, doc := range docs {
 			addDoc(s, doc, als[i])
 		}
 	}()
-	go func() {
+	read := func(keywords bool) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			for _, q := range battery() {
-				s.Search(q)
+				if (len(q.Keywords) > 0) == keywords {
+					s.Search(q)
+					s.SearchTop(q, 20)
+				}
 			}
 		}
-	}()
+	}
+	go read(true)
+	go read(false)
 	wg.Wait()
 
 	// Quiesced, results must match a from-scratch rebuild of the same docs.
@@ -297,12 +302,11 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 	}
 }
 
-// TestKeywordSearchTakesReadLock: only a keyword-free query reads the value
-// postings, so only it takes the write lock to restore their order. A
-// keyword search runs under the read lock alone: while the test holds the
-// read lock, as another reader would, a keyword Search on a store with
-// dirty postings still returns.
-func TestKeywordSearchTakesReadLock(t *testing.T) {
+// searchUnderReadLock fails t unless Search(q) on a store of 4 pages
+// returns its results while the test holds the read lock, as another reader
+// would.
+func searchUnderReadLock(t *testing.T, q quantsearch.Query) {
+	t.Helper()
 	docs, als := alignedCorpus(t, 13, 4)
 	s, err := Open(Options{Fingerprint: testFP})
 	if err != nil {
@@ -311,26 +315,38 @@ func TestKeywordSearchTakesReadLock(t *testing.T) {
 	for i, doc := range docs {
 		addDoc(s, doc, als[i])
 	}
-	q := quantsearch.Query{Keywords: []string{"total"}, Op: quantsearch.Above, Value: 0}
 	want := s.Search(q)
 	if len(want) == 0 {
 		t.Fatalf("%+v finds nothing", q)
 	}
 
-	s.mu.RLock() // the adds left the value postings dirty, and no query sorted them
+	s.mu.RLock()
 	done := make(chan []quantsearch.Result, 1)
 	go func() { done <- s.Search(q) }()
 	select {
 	case got := <-done:
 		s.mu.RUnlock()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("keyword search under a held read lock: %d results, want %d", len(got), len(want))
+			t.Errorf("search under a held read lock: %d results, want %d", len(got), len(want))
 		}
 	case <-time.After(5 * time.Second):
 		s.mu.RUnlock()
 		<-done
-		t.Fatal("a keyword Search blocked while another reader held the read lock")
+		t.Fatalf("Search(%+v) blocked while another reader held the read lock", q)
 	}
+}
+
+// TestKeywordSearchTakesReadLock: a keyword search runs under the read lock
+// alone, so keyword readers never wait on each other.
+func TestKeywordSearchTakesReadLock(t *testing.T) {
+	searchUnderReadLock(t, quantsearch.Query{Keywords: []string{"total"}, Op: quantsearch.Above, Value: 0})
+}
+
+// TestKeywordFreeSearchTakesReadLock: a keyword-free search, which reads the
+// value posting, also runs under the read lock alone, because every writer
+// leaves that posting in order before it unlocks.
+func TestKeywordFreeSearchTakesReadLock(t *testing.T) {
+	searchUnderReadLock(t, quantsearch.Query{Op: quantsearch.Above, Value: 0})
 }
 
 // TestReaderModeNeverCreates: opening with Fingerprint "" (offline readers,

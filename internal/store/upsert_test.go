@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -562,4 +563,83 @@ func TestUpsertAfterTornUpsert(t *testing.T) {
 		addDoc(rebuilt, g.docs[i], g.als[i])
 	}
 	assertStoreEqual(t, s2, rebuilt, "re-sent page after a torn upsert")
+}
+
+// TestWritesLeaveOrderRestored: every write returns with the index's
+// postings in the order SearchTop walks, since readers take only the read
+// lock: Add, a cold UpsertPage, a re-crawl that retracts and re-walks, a
+// pure retraction, and a replay.
+func TestWritesLeaveOrderRestored(t *testing.T) {
+	docs, als := alignedCorpus(t, 29, 8)
+	groups := groupByPage(docs, als)
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inOrder := func(label string, s *Store) {
+		t.Helper()
+		if err := s.index.CheckOrder(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	addDoc(s, groups[0].docs[0], groups[0].als[0])
+	inOrder("Add", s)
+	for _, g := range groups[1:] {
+		s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
+		inOrder("cold UpsertPage", s)
+	}
+	for _, g := range groups[1:] {
+		mdocs, mals, _ := mutatePage(g)
+		s.UpsertPage(g.id, mdocs, keysOf(s, mdocs), mals)
+		inOrder("re-crawl UpsertPage", s)
+	}
+	last := groups[len(groups)-1]
+	s.UpsertPage(last.id, nil, nil, nil)
+	inOrder("retracting UpsertPage", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	inOrder("replay", s2)
+}
+
+// TestRecrawlTombstonesReclaimed: a live re-crawl tombstones every surviving
+// entry of each page it changes, and the index compacts itself once they
+// outnumber the live entries. Ten passes over 40 pages, each changing every
+// page's first paragraph, leave no more tombstones than live entries after
+// any pass, and answer as a store that ingested only that pass's pages.
+func TestRecrawlTombstonesReclaimed(t *testing.T) {
+	docs, als := alignedCorpus(t, 7, 40)
+	groups := groupByPage(docs, als)
+	s, err := Open(Options{Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		s.UpsertPage(g.id, g.docs, keysOf(s, g.docs), g.als)
+	}
+	for pass := 1; pass <= 10; pass++ {
+		fresh, err := Open(Options{Fingerprint: testFP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			first := *g.docs[0]
+			first.Text += fmt.Sprintf(" Revision %d was confirmed on re-crawl.", pass)
+			pdocs := append([]*document.Document{&first}, g.docs[1:]...)
+			pals := make([][]core.Alignment, len(pdocs))
+			pals[0] = g.als[0]
+			s.UpsertPage(g.id, pdocs, keysOf(s, pdocs), pals)
+			fresh.UpsertPage(g.id, pdocs, keysOf(fresh, pdocs), append([][]core.Alignment{g.als[0]}, g.als[1:]...))
+		}
+		if dead, live := s.index.Tombstones(), s.index.Size(); dead > live {
+			t.Fatalf("pass %d: %d tombstones beside %d live entries", pass, dead, live)
+		}
+		assertStoreEqual(t, s, fresh, fmt.Sprintf("pass %d", pass))
+	}
 }

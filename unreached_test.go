@@ -35,7 +35,8 @@ var testOnly = map[string]string{
 	"internal/facts.(*View).All":               "the whole view, checked against Dedupe of every batch",
 	"internal/facts.(*View).Offered":           "the view's fact count, checked against its contents",
 	"internal/quantsearch.(*Index).Units":      "the index's unit counts, read by TestUnitsView",
-	"internal/quantsearch.(*Index).Tombstones": "the index's removed entries, read by the store's replay test",
+	"internal/quantsearch.(*Index).Tombstones": "the index's removed entries, read by the store's replay and re-crawl tests",
+	"internal/quantsearch.(*Index).CheckOrder": "the posting orders SearchTop walks, checked after every kind of write",
 	"internal/serve.CounterNames":              "the serving counters' schema, pinned by the engine tests",
 	"internal/store.CounterNames":              "the store counters' schema, pinned by the store tests",
 	"internal/gateway.(*Ring).Owner":           "the ring's key placement, checked by the gateway tests",
